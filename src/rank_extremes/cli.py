@@ -166,7 +166,9 @@ def _cmd_estimate(args) -> int:
 def _print_checks(report: dict) -> None:
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
-        print(f"[{status}] {check['name']}: value={check['value']:.6g} "
+        # a written report holds null where the value was not finite
+        value = "null" if check["value"] is None else f"{check['value']:.6g}"
+        print(f"[{status}] {check['name']}: value={value} "
               f"target={check['target']} tol={check['tol']}")
     print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
 
@@ -189,6 +191,10 @@ def _cmd_tail_eq(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if args.config or args.set:
+        raise ConfigurationError(
+            "graph takes its parameters as flags (--nodes, --alpha, ...), "
+            "not --config or --set")
     out = _out_dir(args) or "."
     os.makedirs(out, exist_ok=True)
     if args.action == "gen":

@@ -4,6 +4,12 @@ All estimators are pure functions of their input vectors and return an
 :class:`EstimateReport`.  Extremal-index estimates are clamped to (0, 1]
 with the clamping recorded on the report.  Quantiles use the nearest-rank
 convention (no interpolation) so results are bit-exact reproducible.
+
+Every threshold needs only upper order statistics, so none of them sorts a
+whole sample: :func:`upper_order_statistics` partitions once and sorts only
+the selected top slice, and :func:`nearest_rank_quantile` selects its rank
+by partition.  Tied values are equal, so the results are identical to those
+of a full sort.
 """
 
 from __future__ import annotations
@@ -51,25 +57,57 @@ class ThresholdRule:
     def quantile(cls, q: float) -> "ThresholdRule":
         return cls("quantile", float(q))
 
-    def order_count(self, sorted_desc: np.ndarray) -> int:
-        """Number of upper order statistics selected on a sorted sample."""
-        n = len(sorted_desc)
+    def order_count(self, values: np.ndarray) -> int:
+        """Number of upper order statistics the rule selects from ``values``."""
+        n = len(values)
         if self.kind == "top_fraction":
             return int(math.floor(self.value * n))
         if self.kind == "top_count":
             return int(self.value)
-        u = nearest_rank_quantile(sorted_desc[::-1], self.value, presorted=True)
-        return int(np.count_nonzero(sorted_desc > u))
+        u = nearest_rank_quantile(values, self.value)
+        return int(np.count_nonzero(values > u))
 
 
-def nearest_rank_quantile(values: np.ndarray, q: float, presorted: bool = False) -> float:
-    """Nearest-rank empirical quantile (no interpolation)."""
+def upper_order_statistics(values: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` largest values, in descending order.
+
+    A 1-D sample is partitioned once at ``n - count`` and only the top slice
+    is sorted.  A 2-D sample is pooled: each row's top ``count`` values are
+    copied into a ``(rows, count)`` buffer, which is then reduced as one
+    sample, so no copy of the whole block is made (unless ``count`` is at
+    least the row width, when every value may be needed).  ``values`` is
+    not modified.
+    """
+    values = np.asarray(values)
+    if values.ndim > 2:
+        raise ParameterError(f"expected a 1-D or 2-D sample, got {values.ndim}-D")
+    if not 1 <= count <= values.size:
+        raise ParameterError(f"count must be in [1, {values.size}], got {count}")
+    if values.ndim == 2 and count < values.shape[1]:
+        k = values.shape[1] - count
+        buf = np.empty((values.shape[0], count), dtype=values.dtype)
+        for row, out in zip(values, buf):
+            # copy out of the partitioned row, so the row copy is freed at once
+            out[:] = np.partition(row, k)[k:]
+        values = buf
+    values = values.ravel()
+    k = values.size - count
+    return np.sort(np.partition(values, k)[k:])[::-1]
+
+
+def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
+    """Nearest-rank empirical quantile (no interpolation), pooled over all
+    values of a 1-D or 2-D sample."""
     if not (0 < q < 1):
         raise ParameterError(f"quantile level must be in (0, 1), got {q}")
-    data = values if presorted else np.sort(values)
-    n = len(data)
+    values = np.asarray(values)
+    n = values.size
+    if n == 0:
+        raise DataError("quantile of an empty sample")
     idx = min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
-    return float(data[idx])
+    if values.ndim == 1:
+        return float(np.partition(values, idx)[idx])
+    return float(upper_order_statistics(values, n - idx)[-1])
 
 
 @dataclass(frozen=True)
@@ -123,18 +161,20 @@ def hill(path: np.ndarray, rule: ThresholdRule) -> EstimateReport:
     """Hill estimator of the tail index over the upper order statistics.
 
     ``k_hat = 1 / mean(log(X_(i) / X_(m+1)))`` over the top ``m`` order
-    statistics selected by ``rule``; ties are broken by a stable sort.
+    statistics selected by ``rule``.  Only the top ``m + 1`` values are
+    sorted; tied values are equal, so the estimate equals that of a full
+    sort.
     """
     path = np.asarray(path, dtype=float)
     n = len(path)
-    order = np.sort(path, kind="stable")[::-1]
-    m = rule.order_count(order)
+    m = rule.order_count(path)
     # Callers should supply >= 10 upper order statistics for a meaningful
     # estimate; fewer than 2 makes the formula mechanically undefined.
     if m < 2:
         raise DataError(f"need at least 2 upper order statistics, rule selected {m}")
     if m >= n:
         raise DataError(f"rule selected {m} order statistics out of n={n}")
+    order = upper_order_statistics(path, m + 1)
     top = order[:m]
     ref = order[m]
     if ref <= 0 or top[-1] <= 0:
@@ -256,7 +296,7 @@ def definition_theta(
     level = 1.0 - tau / n
     if not (0 < level < 1):
         raise ParameterError(f"tau={tau} incompatible with path length n={n}")
-    u_n = nearest_rank_quantile(calib.ravel(), level)
+    u_n = nearest_rank_quantile(calib, level)
     maxima = paths.max(axis=1)
     below = int(np.count_nonzero(maxima <= u_n))
     if below == 0:

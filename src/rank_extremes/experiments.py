@@ -673,6 +673,20 @@ def _make_report(cfg: ExperimentConfig, predicted: dict, estimates: dict,
     }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by ``None``, so the
+    written report is strict JSON (``NaN`` and ``Infinity`` are not): an
+    open interval bound ``inf`` and an undefined ratio ``nan`` become
+    ``null``."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 _RUNNERS = {
     VERIFY_THM1: _run_fixed_length,
     VERIFY_THM2: _run_fixed_length,
@@ -693,7 +707,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = N
     """Run one experiment and optionally write its report files.
 
     Writes ``<kind>.report.json`` and, when per-replication rows exist,
-    ``<kind>.estimates.csv`` under ``out_dir``.  Partial outputs are
+    ``<kind>.estimates.csv`` under ``out_dir``.  The report file is strict
+    JSON, with ``null`` for every non-finite value.  Partial outputs are
     removed if anything fails mid-run.
     """
     report = _RUNNERS[cfg.kind](cfg, jobs)
@@ -703,7 +718,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = N
             os.makedirs(out_dir, exist_ok=True)
             report_path = os.path.join(out_dir, f"{cfg.kind}.report.json")
             with open(report_path, "w") as fh:
-                json.dump(report, fh, indent=2)
+                json.dump(_finite_or_null(report), fh, indent=2, allow_nan=False)
                 fh.write("\n")
             written.append(report_path)
             rows = report["estimates"].get("per_replication")

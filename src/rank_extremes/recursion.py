@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResourceError
+from .estimators import upper_order_statistics
 from .heavytail import (
     DependenceSpec,
     InDegreeSpec,
@@ -462,10 +463,11 @@ def compare_tail_sum_max(
     if not thresholds:
         return rows
     pair = sample_aggregate_pair(config, n, seed)
-    sorted_max = np.sort(pair.max_values)
-    for qv in thresholds:
-        idx = min(int(np.ceil(qv * n)) - 1, n - 1)
-        x = float(sorted_max[idx])
+    ranks = [min(int(np.ceil(qv * n)) - 1, n - 1) for qv in thresholds]
+    # descending top of the max path: rank idx (ascending) sits at n - 1 - idx
+    top_max = upper_order_statistics(pair.max_values, n - min(ranks))
+    for qv, idx in zip(thresholds, ranks):
+        x = float(top_max[n - 1 - idx])
         k_sum = int(np.count_nonzero(pair.sum_values > x))
         k_max = int(np.count_nonzero(pair.max_values > x))
         reliable = min(k_sum, k_max) >= MIN_RELIABLE_EXCEEDANCES

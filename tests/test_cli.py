@@ -199,6 +199,32 @@ class TestCliCommands:
     def test_invalid_config_exits_2(self, capsys):
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2
 
+    def test_graph_rejects_config_and_set(self, tmp_path, capsys):
+        cfg_file = tmp_path / "graph.cfg"
+        cfg_file.write_text("nodes=50\n")
+        for extra in (["--set", "bogus=1"], ["--config", str(cfg_file)]):
+            out = tmp_path / "out"
+            assert main(["graph", "gen", "--nodes", "50", "--out", str(out)] + extra) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_tail_eq_report_is_strict_json(self, tmp_path, capsys):
+        # at this level the threshold is the path maximum, so no value
+        # exceeds it and the ratio row is NaN
+        rc = main(["tail-eq", "--set", "n=20000", "--set", "quantile=0.99999",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        report_path = tmp_path / "tail-eq.report.json"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        assert report["estimates"]["ratio"] is None
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["reliable_exceedances"]["target"] == [50.0, None]
+        assert main(["report", "--input", str(report_path)]) == 1
+
     def test_tail_eq_smoke(self, tmp_path, capsys):
         rc = main(["tail-eq", "--set", "n=1000000", "--out", str(tmp_path)])
         assert rc in (0, 1)  # small n may be noisy; the command must run

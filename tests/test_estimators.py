@@ -18,6 +18,7 @@ from rank_extremes.estimators import (
     intervals_theta,
     mean_cluster_size,
     nearest_rank_quantile,
+    upper_order_statistics,
 )
 from rank_extremes.heavytail import (
     DependenceSpec,
@@ -48,6 +49,101 @@ class TestNearestRankQuantile:
     def test_invalid_level(self):
         with pytest.raises(ParameterError):
             nearest_rank_quantile(np.arange(5.0), 1.0)
+
+
+# Samples with many ties (small integers as floats), and some nonpositive
+# values, so every tie-breaking and error branch of the kernel is reached.
+TIED_VALUES = st.lists(st.integers(-2, 6), min_size=1, max_size=60).map(
+    lambda xs: np.array(xs, dtype=float))
+TIED_BLOCKS = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(st.integers(0, 4), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(
+        lambda xs: np.array(xs, dtype=float).reshape(shape)))
+LEVELS = st.floats(0.001, 0.999)
+RULES = st.one_of(
+    st.floats(0.01, 0.99).map(ThresholdRule.top_fraction),
+    st.integers(1, 70).map(ThresholdRule.top_count),
+    LEVELS.map(ThresholdRule.quantile),
+)
+
+
+def full_sort_quantile(values, q):
+    """The nearest-rank quantile read off a full sort of all values."""
+    data = np.sort(values.ravel())
+    idx = min(max(int(math.ceil(q * data.size)) - 1, 0), data.size - 1)
+    return float(data[idx])
+
+
+def full_sort_hill(path, rule):
+    """Hill over a full stable sort: (estimate, threshold, exceedances)."""
+    order = np.sort(path, kind="stable")[::-1]
+    n = len(order)
+    if rule.kind == "top_fraction":
+        m = int(math.floor(rule.value * n))
+    elif rule.kind == "top_count":
+        m = int(rule.value)
+    else:
+        m = int(np.count_nonzero(order > full_sort_quantile(path, rule.value)))
+    if m < 2 or m >= n:
+        raise DataError("order count")
+    top, ref = order[:m], order[m]
+    if ref <= 0 or top[-1] <= 0:
+        raise DataError("nonpositive tail")
+    mean_log = float(np.mean(np.log(top / ref)))
+    if mean_log == 0.0:
+        raise DataError("tied tail")
+    return 1.0 / mean_log, float(ref), m
+
+
+class TestOrderStatisticsKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.one_of(TIED_VALUES, TIED_BLOCKS), data=st.data())
+    def test_upper_order_statistics_match_full_sort(self, values, data):
+        count = data.draw(st.integers(1, values.size))
+        before = values.copy()
+        top = upper_order_statistics(values, count)
+        assert np.array_equal(top, np.sort(values.ravel())[::-1][:count])
+        assert np.array_equal(values, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.one_of(TIED_VALUES, TIED_BLOCKS), q=LEVELS)
+    def test_quantile_matches_full_sort(self, values, q):
+        before = values.copy()
+        assert nearest_rank_quantile(values, q) == full_sort_quantile(values, q)
+        assert np.array_equal(values, before)
+
+    def test_pooled_quantile_when_count_reaches_row_width(self):
+        # 3 x 2 block, level 0.2: the top 5 of 6 values are needed, more
+        # than a row holds, so every value is pooled
+        block = np.array([[4.0, 0.0], [2.0, 2.0], [1.0, 3.0]])
+        assert nearest_rank_quantile(block, 0.2) == 1.0
+        assert nearest_rank_quantile(block, 0.9) == 4.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=TIED_VALUES, rule=RULES)
+    def test_hill_matches_full_sort(self, path, rule):
+        before = path.copy()
+        try:
+            expected = full_sort_hill(path, rule)
+        except DataError:
+            with pytest.raises(DataError):
+                hill(path, rule)
+        else:
+            est = hill(path, rule)
+            assert (est.estimate, est.threshold, est.exceedances) == expected
+        assert np.array_equal(path, before)
+
+    def test_bad_count_and_shape_rejected(self):
+        with pytest.raises(ParameterError):
+            upper_order_statistics(np.arange(5.0), 0)
+        with pytest.raises(ParameterError):
+            upper_order_statistics(np.arange(5.0), 6)
+        with pytest.raises(ParameterError):
+            upper_order_statistics(np.ones((2, 2, 2)), 1)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DataError):
+            nearest_rank_quantile(np.array([]), 0.5)
 
 
 class TestHill:
