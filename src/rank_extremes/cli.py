@@ -35,6 +35,7 @@ from .estimators import (
     nearest_rank_quantile,
 )
 from .recursion import sample_aggregate
+from .textio import read_rows
 
 MODEL_DEFAULTS = {
     "damping": 0.5,
@@ -117,12 +118,8 @@ def _cmd_simulate(args) -> int:
 
 
 def read_path_csv(fileobj) -> np.ndarray:
-    values = [
-        float(line)
-        for line in fileobj
-        if line.strip() and not line.startswith("#") and not line.startswith("value")
-    ]
-    return np.asarray(values)
+    """Values of a path CSV written by ``AggregatePath.write_csv``."""
+    return read_rows(fileobj, 1, float, title="value").ravel()
 
 
 def _cmd_estimate(args) -> int:

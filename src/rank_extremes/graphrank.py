@@ -15,6 +15,7 @@ from scipy import sparse
 from .errors import ConvergenceError, ParameterError
 from .heavytail import InDegreeSpec, sample_power_law_int
 from .rng import STREAMS, child_rng
+from .textio import read_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -67,21 +68,15 @@ class DirectedGraph:
 
     def write_edge_list(self, fileobj) -> None:
         """Plain text edge list, one ``src dst`` pair per line, 0-based ids."""
-        for s, d in zip(self.src, self.dst):
-            fileobj.write(f"{s} {d}\n")
+        write_rows(fileobj, "%d %d\n", self.src, self.dst)
 
     @classmethod
     def read_edge_list(cls, fileobj, n: int | None = None) -> "DirectedGraph":
-        src, dst = [], []
-        for line in fileobj:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            s, d = line.split()
-            src.append(int(s))
-            dst.append(int(d))
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        """Graph of an edge list; blank lines and ``#`` comments are skipped.
+
+        ``n`` defaults to one more than the largest node id.
+        """
+        src, dst = read_rows(fileobj, 2, np.int64).T.copy()
         if n is None:
             n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
         return cls.from_edges(n, src, dst)
@@ -103,8 +98,7 @@ class RankVector:
 
     def write_csv(self, fileobj) -> None:
         fileobj.write("node_id,score\n")
-        for i, s in enumerate(self.scores):
-            fileobj.write(f"{i},{s:.17g}\n")
+        write_rows(fileobj, "%d,%.17g\n", np.arange(len(self.scores)), self.scores)
 
 
 def _distinct_sources(rng: np.random.Generator, n: int, count: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from .heavytail import (
     theoretical_mm_theta,
 )
 from .rng import STREAMS, child_rng
+from .textio import write_rows
 from .theory import ComponentSpec, Component, TheoryPrediction, predict_random_length
 
 SUM = "sum"
@@ -156,7 +157,7 @@ class AggregatePath:
         for key, value in meta:
             fileobj.write(f"# {key}={value}\n")
         fileobj.write("value\n")
-        np.savetxt(fileobj, self.values, fmt="%.17g")
+        write_rows(fileobj, "%.17g\n", self.values)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -210,6 +211,9 @@ def _fast_iid_contributions(config, n, seed, in_deg):
 def _column_contributions(config, n, seed, in_deg):
     """Follower sum/max terms from explicit stationary columns."""
     max_n = int(in_deg.max()) if len(in_deg) else 0
+    # every row includes the columns up to the smallest in-degree (the
+    # adversarial rearrangement below permutes in_deg, so keeps its minimum)
+    min_n = int(in_deg.min()) if len(in_deg) else 0
     sums = np.zeros(n)
     maxes = np.zeros(n)
     for j in range(1, max_n + 1):
@@ -225,9 +229,13 @@ def _column_contributions(config, n, seed, in_deg):
             rearranged = np.empty(n, dtype=np.int64)
             rearranged[order] = in_deg_sorted
             in_deg[:] = rearranged
-        mask = in_deg >= j
-        sums[mask] += col[mask]
-        np.maximum(maxes, np.where(mask, col, 0.0), out=maxes)
+        if j <= min_n:
+            sums += col
+            np.maximum(maxes, col, out=maxes)
+        else:
+            mask = in_deg >= j
+            np.add(sums, col, out=sums, where=mask)
+            np.maximum(maxes, col, out=maxes, where=mask)
     return sums, maxes
 
 

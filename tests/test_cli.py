@@ -196,6 +196,26 @@ class TestCliCommands:
         hitting = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert hitting["mean"] >= 0
 
+    def test_unreadable_path_csv_exits_2(self, tmp_path, capsys):
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("# n=3\nvalue\n1.5\nabc\n2.5\n")
+        assert main(["estimate", "--input", str(path_csv), "--method", "hill"]) == 2
+        assert f"error: {path_csv}:4: " in capsys.readouterr().err
+
+    def test_three_field_edge_line_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "graph.edges"
+        edges.write_text("0 1\n1 2\n2 0 1\n")
+        out = tmp_path / "out"
+        assert main(["graph", "pagerank", "--graph", str(edges), "--out", str(out)]) == 2
+        assert f"error: {edges}:3: " in capsys.readouterr().err
+        assert not (out / "pagerank.csv").exists()
+
+    def test_empty_edge_list_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "graph.edges"
+        edges.write_text("")
+        assert main(["graph", "pagerank", "--graph", str(edges), "--out", str(tmp_path)]) == 2
+        assert "error: node count must be >= 1" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, capsys):
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2
 

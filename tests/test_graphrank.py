@@ -5,18 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rank_extremes.errors import ConvergenceError, ParameterError
+from rank_extremes.errors import ConvergenceError, DataError, ParameterError
 from rank_extremes.graphrank import (
     DirectedGraph,
+    RankVector,
     gen_power_law_graph,
     max_linear_rank,
     pagerank,
     random_walk_hitting,
 )
 from rank_extremes.heavytail import InDegreeSpec, sample_power_law_int
+from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 7788
+BLOCK_LENGTHS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
 
 
 def cycle(n):
@@ -166,11 +171,82 @@ class TestGraphGeneration:
         h = DirectedGraph.read_edge_list(buf, n=200)
         assert np.array_equal(np.sort(g.src * 200 + g.dst), np.sort(h.src * 200 + h.dst))
 
+    @pytest.mark.parametrize("edges", BLOCK_LENGTHS)
+    def test_edge_list_matches_line_loop_across_block_sizes(self, edges):
+        rng = np.random.default_rng(edges)
+        n = 10**6
+        g = DirectedGraph.from_edges(n, rng.integers(0, n, edges), rng.integers(0, n, edges))
+        assert edge_list_text(g) == loop_edge_list(g)
+        h = DirectedGraph.read_edge_list(io.StringIO(edge_list_text(g)), n=n)
+        assert np.array_equal(h.src, g.src) and np.array_equal(h.dst, g.dst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 49), st.integers(0, 49)), max_size=60))
+    def test_edge_list_round_trip_in_order(self, pairs):
+        src = [s for s, _ in pairs]
+        dst = [d for _, d in pairs]
+        g = DirectedGraph.from_edges(50, src, dst)
+        text = edge_list_text(g)
+        assert text == loop_edge_list(g)
+        h = DirectedGraph.read_edge_list(io.StringIO(text), n=50)
+        assert h.src.tolist() == src and h.dst.tolist() == dst
+
+    def test_edge_list_skips_blank_and_comment_lines(self):
+        g = DirectedGraph.read_edge_list(io.StringIO("# graph\n0 1\n\n  1 2  \n# end\n2 0\n"))
+        assert g.n == 3
+        assert g.src.tolist() == [0, 1, 2] and g.dst.tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("0 1\n1 2 3\n", 2),
+        ("0 1\n# c\n\n4\n", 4),
+        ("0 1\n1 x\n", 2),
+        ("0 1\n1 2.5\n", 2),
+        ("0 1\n" * 200 + "0 99999999999999999999\n", 201),
+        ("0 1\n" * (2 * BLOCK_ROWS) + "1 2 3\n", 2 * BLOCK_ROWS + 1),
+    ])
+    def test_edge_list_names_first_bad_line(self, text, lineno):
+        with pytest.raises(DataError, match=f":{lineno}: "):
+            DirectedGraph.read_edge_list(io.StringIO(text))
+
+    def test_empty_edge_list_rejected(self):
+        for text in ("", "# no edges\n\n"):
+            with pytest.raises(ParameterError):
+                DirectedGraph.read_edge_list(io.StringIO(text))
+
     def test_from_edges_validation(self):
         with pytest.raises(ParameterError):
             DirectedGraph.from_edges(2, [0, 1], [1, 2])
         with pytest.raises(ParameterError):
             DirectedGraph.from_edges(0, [], [])
+
+
+def edge_list_text(g):
+    buf = io.StringIO()
+    g.write_edge_list(buf)
+    return buf.getvalue()
+
+
+def loop_edge_list(g):
+    """The edge list as the per-edge f-string loop wrote it."""
+    return "".join(f"{s} {d}\n" for s, d in zip(g.src, g.dst))
+
+
+def rank_csv_text(rv):
+    buf = io.StringIO()
+    rv.write_csv(buf)
+    return buf.getvalue()
+
+
+def loop_rank_csv(rv):
+    """The rank CSV as the per-score f-string loop wrote it."""
+    return "node_id,score\n" + "".join(f"{i},{s:.17g}\n" for i, s in enumerate(rv.scores))
+
+
+# ties, a subnormal, huge values, both zeros, infinities and NaN
+SPECIAL_SCORES = np.array([
+    0.25, 0.25, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+    0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, 1 / 3,
+])
 
 
 class TestRankVector:
@@ -189,6 +265,17 @@ class TestRankVector:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "node_id,score"
         assert lines[1].startswith("0,0.25")
+
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS)
+    def test_csv_matches_line_loop_across_block_sizes(self, length):
+        rv = RankVector(scores=np.resize(SPECIAL_SCORES, length), iterations=1, residual=0.0)
+        assert rank_csv_text(rv) == loop_rank_csv(rv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.floats(width=64), max_size=40))
+    def test_csv_matches_line_loop(self, scores):
+        rv = RankVector(scores=np.array(scores, dtype=float), iterations=1, residual=0.0)
+        assert rank_csv_text(rv) == loop_rank_csv(rv)
 
 
 class TestHittingTimes:

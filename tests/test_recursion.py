@@ -5,14 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rank_extremes.errors import ConfigurationError, ParameterError, ResourceError
+from rank_extremes.cli import read_path_csv
+from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import ThresholdRule, hill, nearest_rank_quantile
-from rank_extremes.heavytail import DependenceSpec, InDegreeSpec, TailSpec
+from rank_extremes.heavytail import (
+    DependenceSpec,
+    InDegreeSpec,
+    SequenceSpec,
+    TailSpec,
+    sample_power_law_int,
+    sample_sequence,
+)
 from rank_extremes.recursion import (
+    COUPLING_ADVERSARIAL,
+    COUPLING_INDEPENDENT,
     MAX,
     SUM,
+    AggregatePath,
     RecursionConfig,
+    _column_contributions,
     compare_tail_sum_max,
     expected_tree_size,
     sample_aggregate,
@@ -20,6 +34,8 @@ from rank_extremes.recursion import (
     sample_weighted_pair,
     simulate_tbt,
 )
+from rank_extremes.rng import STREAMS, child_rng
+from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 555001
 
@@ -158,6 +174,51 @@ class TestWeightedPair:
             sample_weighted_pair([], 100, SEED)
 
 
+# ties, a subnormal, huge values, both zeros, infinities and NaN
+SPECIAL_VALUES = np.array([
+    1.5, 1.5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+    0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, 1 / 3, 123456789012345678.0,
+])
+
+
+def path_of(values):
+    n = len(values)
+    return AggregatePath(values=values, config=make_config(), seed=SEED, n=n,
+                         in_degrees=np.ones(n, dtype=np.int64), preference=values)
+
+
+def csv_body(path):
+    return path.to_csv().split("value\n", 1)[1]
+
+
+def savetxt_body(values):
+    """The path CSV body as ``np.savetxt`` wrote it before block formatting."""
+    buf = io.StringIO()
+    np.savetxt(buf, values, fmt="%.17g")
+    return buf.getvalue()
+
+
+def masked_column_contributions(config, n, seed, in_deg):
+    """Boolean-mask formulation of the explicit-column follower terms."""
+    max_n = int(in_deg.max()) if len(in_deg) else 0
+    sums = np.zeros(n)
+    maxes = np.zeros(n)
+    for j in range(1, max_n + 1):
+        rng = child_rng(seed, STREAMS["column"], j)
+        col = sample_sequence(
+            SequenceSpec(config.follower_tail, config.column_dep(j)), n, seed, _rng=rng
+        )
+        if config.coupling == COUPLING_ADVERSARIAL and j == 1:
+            order = np.argsort(col, kind="stable")
+            rearranged = np.empty(n, dtype=np.int64)
+            rearranged[order] = np.sort(in_deg)
+            in_deg[:] = rearranged
+        mask = in_deg >= j
+        sums[mask] += col[mask]
+        np.maximum(maxes, np.where(mask, col, 0.0), out=maxes)
+    return sums, maxes
+
+
 class TestCsvExport:
     def test_round_trip_and_header_order(self):
         path = sample_aggregate(make_config(), 1500, SEED)
@@ -169,10 +230,68 @@ class TestCsvExport:
             "follower_c", "follower_deps", "beta", "preference_c",
             "aggregate", "coupling", "n", "seed",
         ]
-        from rank_extremes.cli import read_path_csv
-
         values = read_path_csv(io.StringIO(text))
         assert np.allclose(values, path.values)
+
+    @pytest.mark.parametrize("length", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_body_matches_savetxt_across_block_sizes(self, length):
+        values = np.resize(SPECIAL_VALUES, length)
+        assert csv_body(path_of(values)) == savetxt_body(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(width=64), max_size=40))
+    def test_body_matches_savetxt(self, values):
+        values = np.array(values, dtype=float)
+        assert csv_body(path_of(values)) == savetxt_body(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.floats(allow_nan=False), st.just(float("nan"))), max_size=40))
+    def test_read_returns_written_values_bit_exactly(self, values):
+        values = np.array(values, dtype=float)
+        back = read_path_csv(io.StringIO(path_of(values).to_csv()))
+        assert back.dtype == np.float64 and back.tobytes() == values.tobytes()
+
+    def test_read_skips_blank_and_comment_lines_after_values(self):
+        text = "# n=3\n\nvalue\n1.5\n\n# note\n-0\n  2e300  \n\n"
+        back = read_path_csv(io.StringIO(text))
+        assert back.tobytes() == np.array([1.5, -0.0, 2e300]).tobytes()
+
+    @pytest.mark.parametrize("body, lineno", [
+        ("1\nabc\n2\n", 4),
+        ("1\n2 3\n", 4),
+        ("1\n2\nvalue\n", 5),
+        ("1\n" * 300 + "x\n" + "2\n" * 30, 303),
+        ("1\n" * (BLOCK_ROWS + 5) + "x\n", BLOCK_ROWS + 8),
+    ])
+    def test_read_names_first_bad_line(self, body, lineno):
+        text = "# n=1\nvalue\n" + body
+        with pytest.raises(DataError, match=f":{lineno}: "):
+            read_path_csv(io.StringIO(text))
+
+
+class TestColumnContributions:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.1, 3.0),
+           coupling=st.sampled_from([COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL]),
+           floor=st.integers(0, 12))
+    def test_matches_mask_formulation(self, seed, alpha, coupling, floor):
+        config = make_config(
+            in_degree=InDegreeSpec(alpha=alpha, n_max=12),
+            follower_deps=(DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()),
+            coupling=coupling,
+        )
+        n = 400
+        # power-law in-degrees; raising the smallest ones to `floor` makes
+        # the first columns include every row (all 12 when floor = 12)
+        in_deg = np.maximum(sample_power_law_int(config.in_degree, n, seed), floor)
+        expected_deg = in_deg.copy()
+        want = masked_column_contributions(config, n, seed, expected_deg)
+        got_deg = in_deg.copy()
+        got = _column_contributions(config, n, seed, got_deg)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.array_equal(got_deg, expected_deg)
 
 
 class TestTbt:
