@@ -37,48 +37,24 @@ from .estimators import (
 from .recursion import sample_aggregate
 from .textio import read_rows
 
-MODEL_DEFAULTS = {
-    "damping": 0.5,
-    "k": 2.0,
-    "alpha": 2.0,
-    "beta": 3.0,
-    "n_max": 100,
-    "deps": "iid",
-    "fixed_in_degree": -1,
-    "aggregate": "sum",
-    "coupling": "independent",
-    "n": 100_000,
-    "seed": 20260824,
-}
 
-
-def _read_kv_file(path: str) -> dict:
-    with open(path) as fh:
-        text = fh.read()
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _collect_overrides(args) -> dict:
+def _collect_overrides(args, kind: str | None = None) -> dict:
+    """Raw values from ``--config``, then ``--set``, then ``--seed``; for an
+    experiment ``kind``, a ``kind=`` key must name that kind."""
     overrides = {}
     if args.config:
-        overrides.update(_read_kv_file(args.config))
+        with open(args.config) as fh:
+            overrides.update(experiments.parse_kv(fh.read(), args.config))
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects key=value, got '{item}'")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = experiments.split_kv(item, "--set")
+        overrides[key] = value
     if args.seed is not None:
         overrides["seed"] = args.seed
-    overrides.pop("kind", None)
+    if kind is not None:
+        named = overrides.pop("kind", kind)
+        if experiments.canonical_kind(named) != kind:
+            raise ConfigurationError(
+                f"the config names kind '{named}', but this command runs {kind}")
     return overrides
 
 
@@ -86,23 +62,9 @@ def _out_dir(args) -> str | None:
     return os.environ.get("RANK_EXTREMES_OUT") or args.out
 
 
-def _model_params(args) -> dict:
-    params = dict(MODEL_DEFAULTS)
-    for key, value in _collect_overrides(args).items():
-        if key not in params:
-            raise ConfigurationError(f"unknown model parameter '{key}'")
-        template = params[key]
-        if isinstance(template, int):
-            params[key] = int(value)
-        elif isinstance(template, float):
-            params[key] = float(value)
-        else:
-            params[key] = str(value)
-    return params
-
-
 def _cmd_simulate(args) -> int:
-    params = _model_params(args)
+    params = experiments.apply_overrides(
+        experiments.MODEL_DEFAULTS, _collect_overrides(args), "simulate")
     config = experiments.recursion_config_from_params(params)
     path = sample_aggregate(config, params["n"], params["seed"])
     out = _out_dir(args)
@@ -160,7 +122,8 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _print_checks(report: dict) -> None:
+def _print_checks(report: dict) -> int:
+    """Print every check and the verdict; return the exit code (0 pass, 1 fail)."""
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         # a written report holds null where the value was not finite
@@ -168,23 +131,14 @@ def _print_checks(report: dict) -> None:
         print(f"[{status}] {check['name']}: value={value} "
               f"target={check['target']} tol={check['tol']}")
     print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
-
-
-def _run_and_report(kind: str, args) -> int:
-    overrides = _collect_overrides(args)
-    cfg = experiments.ExperimentConfig.default(kind, **overrides)
-    report = experiments.run_experiment(cfg, jobs=args.jobs, out_dir=_out_dir(args))
-    _print_checks(report)
     return 0 if report["passed"] else 1
 
 
-def _cmd_verify(args) -> int:
-    kind = f"verify-{args.theorem}"
-    return _run_and_report(kind, args)
-
-
-def _cmd_tail_eq(args) -> int:
-    return _run_and_report(experiments.TAIL_EQUIVALENCE, args)
+def _cmd_experiment(args) -> int:
+    kind = f"verify-{args.theorem}" if args.command == "verify" else experiments.TAIL_EQUIVALENCE
+    cfg = experiments.ExperimentConfig.default(kind, **_collect_overrides(args, kind))
+    report = experiments.run_experiment(cfg, jobs=args.jobs, out_dir=_out_dir(args))
+    return _print_checks(report)
 
 
 def _cmd_graph(args) -> int:
@@ -233,8 +187,7 @@ def _cmd_report(args) -> int:
     if missing:
         print(f"invalid report, missing fields: {missing}", file=sys.stderr)
         return 2
-    _print_checks(report)
-    return 0 if report["passed"] else 1
+    return _print_checks(report)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -275,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Monte-Carlo verification experiment")
     p.add_argument("theorem", choices=["thm1", "thm2", "thm3", "thm4"])
     _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("tail-eq", help="paired sum/max tail-ratio experiment")
     _add_common(p)
-    p.set_defaults(func=_cmd_tail_eq)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("graph", help="deterministic graph computations")
     p.add_argument("action", choices=["gen", "pagerank", "maxlinear", "hitting"])

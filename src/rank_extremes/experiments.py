@@ -7,7 +7,8 @@ are determined solely by the tolerances recorded in the configuration.
 
 Configurations are flat ``key=value`` text (diff-friendly); every value is
 an int, float or string.  The timestamp is the only non-deterministic
-report field.
+report field.  This module owns every configuration default: ``DEFAULTS``
+per experiment kind and ``MODEL_DEFAULTS`` for ``simulate``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .heavytail import (
     InDegreeSpec,
     SequenceSpec,
     TailSpec,
-    sample_pareto,
 )
 from .recursion import (
     RecursionConfig,
@@ -49,8 +50,7 @@ from .theory import (
     predict_equal_tails,
     predict_min_rule,
 )
-from . import graphrank
-from .rng import STREAMS, child_rng, replication_seed
+from .rng import replication_seed
 
 # ---------------------------------------------------------------------------
 # Dependence-spec string codec ("iid" or "mm:a0,a1,..."; columns ';'-joined)
@@ -87,9 +87,14 @@ VERIFY_THM2 = "verify-thm2"
 VERIFY_THM3 = "verify-thm3"
 VERIFY_THM4 = "verify-thm4"
 TAIL_EQUIVALENCE = "tail-eq"
-GRAPH_DEMO = "graph-demo"
 
-_FIXED_LENGTH_COMMON = {
+# Regimes of the replicated kinds: verify-thm1..3 are fixed-length
+# mixtures, verify-thm4 runs the regime its ``regime`` key names.
+FIXED_LENGTH = "fixed-length"
+THM4_REGIMES = ("preference", "followers", "tail")
+
+# Shared by every replicated kind (verify-thm1..4).
+_REPLICATED_COMMON = {
     "n": 1_000_000,
     "replications": 50,
     "seed": 20260824,
@@ -104,7 +109,7 @@ _FIXED_LENGTH_COMMON = {
 DEFAULTS: dict[str, dict] = {
     # Unique minimal tail index: the heaviest component dictates (k, theta).
     VERIFY_THM1: {
-        **_FIXED_LENGTH_COMMON,
+        **_REPLICATED_COMMON,
         "ks": "1.5,2.5,3",
         "weights": "1,1,1",
         "scales": "1,1,1",
@@ -116,7 +121,7 @@ DEFAULTS: dict[str, dict] = {
     },
     # Equal tails: theta(z) is the weighted average of component thetas.
     VERIFY_THM2: {
-        **_FIXED_LENGTH_COMMON,
+        **_REPLICATED_COMMON,
         "ks": "2,2,2",
         "weights": "1,1,2",
         "scales": "1,1,1",
@@ -124,7 +129,7 @@ DEFAULTS: dict[str, dict] = {
     },
     # Unequal tails, sum and max share (k_m, theta_m).
     VERIFY_THM3: {
-        **_FIXED_LENGTH_COMMON,
+        **_REPLICATED_COMMON,
         "ks": "1,2,3",
         "weights": "1,1,1",
         "scales": "1,1,1",
@@ -132,10 +137,8 @@ DEFAULTS: dict[str, dict] = {
         "tol_k_rel": 0.10,
     },
     VERIFY_THM4: {
+        **_REPLICATED_COMMON,
         "regime": "preference",
-        "n": 1_000_000,
-        "replications": 50,
-        "seed": 20260824,
         "damping": 0.5,
         "k": 3.0,
         "alpha": 2.0,
@@ -147,12 +150,6 @@ DEFAULTS: dict[str, dict] = {
         "def_n": 100_000,
         "tau": 1.0,
         "blocks_exceed_prob": 0.001,
-        "blocks_quantile": 0.999,
-        "intervals_quantile": 0.995,
-        "hill_fraction": 0.01,
-        "tol_theta": 0.08,
-        "tol_k_rel": 0.0,
-        "tol_pair": 0.06,
     },
     TAIL_EQUIVALENCE: {
         "n": 10_000_000,
@@ -166,26 +163,82 @@ DEFAULTS: dict[str, dict] = {
         "ratio_low": 0.85,
         "ratio_high": 1.15,
     },
-    GRAPH_DEMO: {
-        "nodes": 10_000,
-        "alpha": 1.5,
-        # tail index of the personalization weights; a heavy-tailed q is
-        # what makes the sum and max recursions rank the same hubs highly
-        # (with uniform q the max-linear fixed point is the constant floor)
-        "q_beta": 1.0,
-        "damping": 0.85,
-        "seed": 20260824,
-        "trials": 200,
-        "top_ps": "0.001,0.01,0.1",
-        "top_overlap_min": 5,
-        "tol": 1e-10,
-    },
+}
+
+# Parameters of ``simulate``: one aggregate path, of any length n >= 1.
+MODEL_DEFAULTS = {
+    "damping": 0.5,
+    "k": 2.0,
+    "alpha": 2.0,
+    "beta": 3.0,
+    "n_max": 100,
+    "deps": "iid",
+    "fixed_in_degree": -1,
+    "aggregate": "sum",
+    "coupling": "independent",
+    "n": 100_000,
+    "seed": 20260824,
 }
 
 KINDS = tuple(DEFAULTS)
 
 # Long-form alias accepted anywhere a kind name is read.
 _KIND_ALIASES = {"tail-equivalence": TAIL_EQUIVALENCE}
+
+
+def canonical_kind(kind: str) -> str:
+    """``kind`` with a long-form alias resolved; an unknown kind is refused."""
+    kind = _KIND_ALIASES.get(kind, kind)
+    if kind not in DEFAULTS:
+        raise ConfigurationError(f"unknown experiment kind '{kind}'")
+    return kind
+
+
+def split_kv(item: str, where: str) -> tuple[str, str]:
+    """``(key, value)`` of one ``key=value`` item, both stripped."""
+    if "=" not in item:
+        raise ConfigurationError(f"{where}: expected key=value, got '{item}'")
+    key, value = item.split("=", 1)
+    return key.strip(), value.strip()
+
+
+def parse_kv(text: str, source: str) -> dict[str, str]:
+    """Raw values of flat ``key=value`` text; blank and ``#`` lines are
+    skipped, and a repeated key keeps its last value."""
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, value = split_kv(line, f"{source}:{lineno}")
+            out[key] = value
+    return out
+
+
+# List-valued keys: the parser that reads each, and what it expects.
+_NUMBERS = (_floats, "a comma-separated list of numbers")
+_LIST_KEYS = {"ks": _NUMBERS, "weights": _NUMBERS, "scales": _NUMBERS,
+              "deps": (parse_deps, "';'-joined dependence specs ('iid' or 'mm:a0,a1,...')")}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def apply_overrides(defaults: dict, overrides: dict, owner: str) -> dict:
+    """``defaults`` with each override coerced to the type of its default.
+    An unknown key, or a value that does not parse as that type (or list),
+    is a ``ConfigurationError`` naming the key, raised before any sampling."""
+    params = dict(defaults)
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise ConfigurationError(f"unknown parameter '{key}' for {owner}")
+        cast = type(defaults[key])
+        parse, expected = _LIST_KEYS.get(key, (None, _TYPE_NAMES[cast]))
+        try:
+            params[key] = cast(value)
+            if parse is not None:
+                parse(params[key])
+        except (ValueError, OverflowError):
+            raise ConfigurationError(
+                f"parameter '{key}' must be {expected}, got '{value}'") from None
+    return params
 
 
 @dataclass(frozen=True)
@@ -207,18 +260,13 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be >= 1")
         if self.params.get("n", 1000) < 1000:
             raise ConfigurationError("path length n must be >= 1000")
+        if self.kind == VERIFY_THM4 and self.params.get("regime") not in THM4_REGIMES:
+            raise ConfigurationError(f"unknown thm4 regime '{self.params.get('regime')}'")
 
     @classmethod
     def default(cls, kind: str, **overrides) -> "ExperimentConfig":
-        kind = _KIND_ALIASES.get(kind, kind)
-        if kind not in DEFAULTS:
-            raise ConfigurationError(f"unknown experiment kind '{kind}'")
-        params = dict(DEFAULTS[kind])
-        for key, value in overrides.items():
-            if key not in params:
-                raise ConfigurationError(f"unknown parameter '{key}' for {kind}")
-            params[key] = _coerce(kind, key, value)
-        return cls(kind, params)
+        kind = canonical_kind(kind)
+        return cls(kind, apply_overrides(DEFAULTS[kind], overrides, kind))
 
     def serialize(self) -> str:
         lines = [f"kind={self.kind}"]
@@ -228,60 +276,17 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
-        kind = None
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"line {lineno}: expected key=value, got '{line}'")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key == "kind":
-                kind = value
-            else:
-                raw[key] = value
-        if kind is None:
+        raw = parse_kv(text, "config")
+        if "kind" not in raw:
             raise ConfigurationError("config is missing the 'kind' key")
-        return cls.default(kind, **raw)
+        return cls.default(raw.pop("kind"), **raw)
 
     def hash(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
 
-def _coerce(kind: str, key: str, value):
-    """Coerce an override to the type of the default for (kind, key)."""
-    template = DEFAULTS[kind][key]
-    if isinstance(value, str) and not isinstance(template, str):
-        value = float(value) if isinstance(template, float) else int(value)
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
-# Estimator battery helpers
-
-def _theta_battery(path: np.ndarray, blocks_q: float, intervals_q: float) -> dict:
-    u_blocks = nearest_rank_quantile(path, blocks_q)
-    u_intervals = nearest_rank_quantile(path, intervals_q)
-    return {
-        "blocks": blocks_theta(path, u_blocks).estimate,
-        "intervals": intervals_theta(path, u_intervals).estimate,
-    }
-
-
-def _median(rows: list[dict], key: str) -> float:
-    return float(np.median([row[key] for row in rows]))
-
-
-def _spread(rows: list[dict], key: str) -> float:
-    values = np.array([row[key] for row in rows])
-    return float(np.quantile(values, 0.9) - np.quantile(values, 0.1))
-
+# Report helpers
 
 def _check(name: str, value: float, target: float, tol: float, relative=False) -> dict:
     err = abs(value - target)
@@ -308,7 +313,7 @@ def _interval_check(name: str, value: float, low: float, high: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-length experiments: weighted mixtures of stationary components
+# Replicated kinds: one table of regimes, one worker, one runner
 
 def _fixed_length_components(params) -> list[tuple[float, SequenceSpec]]:
     ks = _floats(params["ks"])
@@ -322,80 +327,6 @@ def _fixed_length_components(params) -> list[tuple[float, SequenceSpec]]:
         for k, z, c, dep in zip(ks, zs, cs, deps)
     ]
 
-
-def _fixed_length_rep(args) -> dict:
-    params, rep = args
-    components = _fixed_length_components(params)
-    seed = replication_seed(params["seed"], rep)
-    sum_path, max_path = sample_weighted_pair(components, params["n"], seed)
-    out = {}
-    for label, path in (("sum", sum_path), ("max", max_path)):
-        battery = _theta_battery(path, params["blocks_quantile"], params["intervals_quantile"])
-        out[f"blocks_{label}"] = battery["blocks"]
-        out[f"intervals_{label}"] = battery["intervals"]
-        if params["hill_fraction"] > 0:
-            rule = ThresholdRule.top_fraction(params["hill_fraction"])
-            out[f"hill_{label}"] = hill(path, rule).estimate
-    out["pair_diff_blocks"] = abs(out["blocks_sum"] - out["blocks_max"])
-    out["pair_diff_intervals"] = abs(out["intervals_sum"] - out["intervals_max"])
-    return out
-
-
-def _run_fixed_length(cfg: ExperimentConfig, jobs: int) -> dict:
-    params = cfg.params
-    components = _fixed_length_components(params)
-    spec = ComponentSpec(
-        tuple(
-            Component(z=z, tail=seq.tail, theta=seq.theta)
-            for z, seq in components
-        )
-    )
-    ks = spec.ks
-    if np.all(ks == ks[0]):
-        pred = predict_equal_tails(spec)
-    else:
-        pred = predict_min_rule(spec)
-
-    rows = _map_reps(_fixed_length_rep, params, params["replications"], jobs)
-
-    estimates = _collect_estimates(rows)
-    checks = []
-    for est in ("blocks", "intervals"):
-        for label in ("sum", "max"):
-            checks.append(
-                _check(
-                    f"{est}_{label}_theta",
-                    estimates[f"{est}_{label}_median"],
-                    pred.theta_of_z,
-                    params["tol_theta"],
-                )
-            )
-    if params["tol_k_rel"] > 0 and params["hill_fraction"] > 0:
-        for label in ("sum", "max"):
-            checks.append(
-                _check(
-                    f"hill_{label}_tail_index",
-                    estimates[f"hill_{label}_median"],
-                    pred.k_of_z,
-                    params["tol_k_rel"],
-                    relative=True,
-                )
-            )
-    checks.append(
-        _check("sum_max_agreement", estimates["pair_diff_blocks_median"], 0.0,
-               params["tol_pair"])
-    )
-    predicted = {
-        "k_of_z": pred.k_of_z,
-        "theta_of_z": pred.theta_of_z,
-        "c_of_z": pred.c_of_z,
-        "regime": pred.regime,
-    }
-    return _make_report(cfg, predicted, estimates, checks)
-
-
-# ---------------------------------------------------------------------------
-# Random-length experiments: damped aggregates over a random in-degree
 
 def recursion_config_from_params(params) -> RecursionConfig:
     fixed = params.get("fixed_in_degree", -1)
@@ -411,33 +342,43 @@ def recursion_config_from_params(params) -> RecursionConfig:
     )
 
 
-def _thm4_blocks_rep(args) -> dict:
-    """Preference-dominant blocks estimates, threshold tied to q."""
-    params, rep = args
+def _predict(regime: str, params) -> dict:
+    """Closed-form predictions for ``regime``, made before any sampling."""
+    if regime == FIXED_LENGTH:
+        # weighted mixtures of stationary components: the equal-tails
+        # average when every component shares one tail index, else the min rule
+        spec = ComponentSpec(
+            tuple(
+                Component(z=z, tail=seq.tail, theta=seq.theta)
+                for z, seq in _fixed_length_components(params)
+            )
+        )
+        ks = spec.ks
+        if np.all(ks == ks[0]):
+            pred = predict_equal_tails(spec)
+        else:
+            pred = predict_min_rule(spec)
+        predicted = asdict(pred)
+        del predicted["scale_converged"]  # set only by the random-length series
+        return predicted
+    k_of_z = min(params["k"], params["alpha"], params["beta"])
+    if regime == "tail":
+        return {"k_of_z": k_of_z, "regime": "TAIL_RULE"}
     config = recursion_config_from_params(params)
-    seed = replication_seed(params["seed"], 100_000 + rep)
-    pair = sample_aggregate_pair(config, params["n"], seed)
-    p = params["blocks_exceed_prob"]
-    u = nearest_rank_quantile(pair.preference, 1.0 - p)
-    p_emp = float(np.count_nonzero(pair.preference > u)) / params["n"]
-    out = {
-        "blocks_sum": blocks_theta(pair.sum_values, u, exceed_prob=p_emp).estimate,
-        "blocks_max": blocks_theta(pair.max_values, u, exceed_prob=p_emp).estimate,
-    }
-    out["pair_diff_blocks"] = abs(out["blocks_sum"] - out["blocks_max"])
-    return out
-
-
-def _run_thm4_preference(cfg: ExperimentConfig, jobs: int) -> dict:
-    params = cfg.params
-    config = recursion_config_from_params(params)
+    if regime == "followers":
+        if not params["k"] < params["beta"]:
+            raise ConfigurationError("followers regime requires k < beta")
+        return asdict(config.theory_prediction(truncation=params["n_max"]))
     if params["k"] < params["beta"]:
         raise ConfigurationError("preference regime requires k >= beta")
-    theta_pred = config.z_star ** params["beta"]
-    k_pred = min(params["k"], params["alpha"], params["beta"])
+    return {"k_of_z": k_of_z, "theta_of_z": config.z_star ** params["beta"],
+            "regime": "PREFERENCE_DOMINATES"}
 
-    # Definition-based stage: replicated paths, threshold calibrated on the
-    # i.i.d. preference draws (the defining normalization of this regime).
+
+def _definition_stage(params) -> dict:
+    """Definition-based theta of the preference regime: replicated paths, threshold
+    calibrated on the i.i.d. preference draws (the defining normalization)."""
+    config = recursion_config_from_params(params)
     r, n_def = params["def_replications"], params["def_n"]
     sum_paths = np.empty((r, n_def))
     max_paths = np.empty((r, n_def))
@@ -449,141 +390,122 @@ def _run_thm4_preference(cfg: ExperimentConfig, jobs: int) -> dict:
         q_paths[rep] = pair.preference
     def_sum = definition_theta(sum_paths, params["tau"], calibration_paths=q_paths)
     def_max = definition_theta(max_paths, params["tau"], calibration_paths=q_paths)
-    del sum_paths, max_paths, q_paths
-
-    rows = _map_reps(_thm4_blocks_rep, params, params["replications"], jobs)
-    estimates = _collect_estimates(rows)
-    estimates["definition_sum"] = def_sum.estimate
-    estimates["definition_max"] = def_max.estimate
-
-    tol = params["tol_theta"]
-    checks = [
-        _check("definition_sum_theta", def_sum.estimate, theta_pred, tol),
-        _check("definition_max_theta", def_max.estimate, theta_pred, tol),
-        _check("blocks_sum_theta", estimates["blocks_sum_median"], theta_pred, tol),
-        _check("blocks_max_theta", estimates["blocks_max_median"], theta_pred, tol),
-        _check("sum_max_agreement", estimates["pair_diff_blocks_median"], 0.0,
-               params["tol_pair"]),
-    ]
-    predicted = {
-        "k_of_z": k_pred,
-        "theta_of_z": theta_pred,
-        "regime": "PREFERENCE_DOMINATES",
-    }
-    return _make_report(cfg, predicted, estimates, checks)
+    return {"definition_sum": def_sum.estimate, "definition_max": def_max.estimate}
 
 
-def _thm4_followers_rep(args) -> dict:
+@dataclass(frozen=True)
+class Regime:
+    """What one replication computes, and what the report checks: every
+    replication runs ``estimators`` on a sum and a max path drawn from the
+    same inputs (Hill only while ``hill_fraction > 0``) and records
+    ``pair_diff_<name>`` for each name in ``pairs``.  The report checks the
+    ``theta_checked`` estimates against ``theta_of_z``, and the Hill indices
+    of the ``hill_checked`` paths against ``k_of_z`` at relative tolerance
+    ``tol_k_rel``, or ``hill_tol`` while ``tol_k_rel`` is not positive."""
+
+    estimators: tuple[str, ...]
+    theta_checked: tuple[str, ...]
+    hill_checked: tuple[str, ...] = ()
+    hill_tol: float = 0.0
+    pairs: tuple[str, ...] = ("blocks",)
+    # preference regime: replication seeds start at 100_000 + rep, apart
+    # from the definition stage's; the blocks threshold is the q quantile
+    seed_offset: int = 0
+    q_threshold: bool = False
+    stage: Callable[[dict], dict] | None = None
+
+
+REGIMES = {
+    FIXED_LENGTH: Regime(("blocks", "intervals", "hill"), ("blocks", "intervals"),
+                         hill_checked=("sum", "max"), pairs=("blocks", "intervals")),
+    "preference": Regime(("blocks",), ("definition", "blocks"), seed_offset=100_000,
+                         q_threshold=True, stage=_definition_stage),
+    "followers": Regime(("blocks", "intervals"), ("blocks", "intervals")),
+    "tail": Regime(("hill", "blocks"), (), hill_checked=("sum",), hill_tol=0.15),
+}
+
+
+def _estimate(name: str, path: np.ndarray, params: dict, blocks_at) -> float:
+    """One estimator on one path; ``blocks_at`` is a ``(u, exceed_prob)``
+    blocks threshold fixed by the regime, or None for the path's own."""
+    if name == "hill":
+        return hill(path, ThresholdRule.top_fraction(params["hill_fraction"])).estimate
+    if name == "intervals":
+        u = nearest_rank_quantile(path, params["intervals_quantile"])
+        return intervals_theta(path, u).estimate
+    u, p = blocks_at or (nearest_rank_quantile(path, params["blocks_quantile"]), None)
+    return blocks_theta(path, u, exceed_prob=p).estimate
+
+
+def _replication(args) -> dict:
+    """One replication, ``(params, rep) -> row``: the regime's estimators
+    on a sum and a max path drawn from the same inputs."""
     params, rep = args
-    config = recursion_config_from_params(params)
-    seed = replication_seed(params["seed"], rep)
-    pair = sample_aggregate_pair(config, params["n"], seed)
-    out = {}
-    for label, path in (("sum", pair.sum_values), ("max", pair.max_values)):
-        battery = _theta_battery(path, params["blocks_quantile"], params["intervals_quantile"])
-        out[f"blocks_{label}"] = battery["blocks"]
-        out[f"intervals_{label}"] = battery["intervals"]
-    out["pair_diff_blocks"] = abs(out["blocks_sum"] - out["blocks_max"])
-    return out
+    regime_name = params.get("regime", FIXED_LENGTH)
+    regime = REGIMES[regime_name]
+    seed = replication_seed(params["seed"], regime.seed_offset + rep)
+    if regime_name == FIXED_LENGTH:
+        sum_path, max_path = sample_weighted_pair(
+            _fixed_length_components(params), params["n"], seed)
+    else:
+        pair = sample_aggregate_pair(recursion_config_from_params(params), params["n"], seed)
+        sum_path, max_path, q = pair.sum_values, pair.max_values, pair.preference
+    blocks_at = None
+    if regime.q_threshold:
+        u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
+        blocks_at = (u, float(np.count_nonzero(q > u)) / params["n"])
+    row = {}
+    for label, path in (("sum", sum_path), ("max", max_path)):
+        for name in regime.estimators:
+            if name != "hill" or params["hill_fraction"] > 0:
+                row[f"{name}_{label}"] = _estimate(name, path, params, blocks_at)
+    for name in regime.pairs:
+        row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
+    return row
 
 
-def _run_thm4_followers(cfg: ExperimentConfig, jobs: int) -> dict:
+def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
+    """Every kind but tail-eq: the regime's prediction, its replications,
+    then its checks against the medians."""
     params = cfg.params
-    config = recursion_config_from_params(params)
-    if not params["k"] < params["beta"]:
-        raise ConfigurationError("followers regime requires k < beta")
-    pred = config.theory_prediction(truncation=params["n_max"])
-
-    rows = _map_reps(_thm4_followers_rep, params, params["replications"], jobs)
-    estimates = _collect_estimates(rows)
-    tol = params["tol_theta"]
-    checks = [
-        _check("blocks_sum_theta", estimates["blocks_sum_median"], pred.theta_of_z, tol),
-        _check("blocks_max_theta", estimates["blocks_max_median"], pred.theta_of_z, tol),
-        _check("intervals_sum_theta", estimates["intervals_sum_median"],
-               pred.theta_of_z, tol),
-        _check("intervals_max_theta", estimates["intervals_max_median"],
-               pred.theta_of_z, tol),
+    regime_name = params.get("regime", FIXED_LENGTH)
+    regime = REGIMES[regime_name]
+    predicted = _predict(regime_name, params)
+    if regime.hill_tol > 0 and params["hill_fraction"] <= 0:
+        raise ConfigurationError(f"the {regime_name} regime needs hill_fraction > 0")
+    staged = regime.stage(params) if regime.stage else {}
+    estimates = _collect_estimates(_map_reps(params, jobs))
+    estimates.update(staged)
+    checks = []
+    for name in regime.theta_checked:
+        for label in ("sum", "max"):
+            key = f"{name}_{label}"
+            value = estimates[key] if key in staged else estimates[f"{key}_median"]
+            checks.append(_check(f"{key}_theta", value, predicted["theta_of_z"],
+                                 params["tol_theta"]))
+    tol_k = params["tol_k_rel"] if params["tol_k_rel"] > 0 else regime.hill_tol
+    if tol_k > 0 and params["hill_fraction"] > 0:
+        for label in regime.hill_checked:
+            checks.append(_check(f"hill_{label}_tail_index", estimates[f"hill_{label}_median"],
+                                 predicted["k_of_z"], tol_k, relative=True))
+    checks.append(
         _check("sum_max_agreement", estimates["pair_diff_blocks_median"], 0.0,
-               params["tol_pair"]),
-    ]
-    predicted = {
-        "k_of_z": pred.k_of_z,
-        "theta_of_z": pred.theta_of_z,
-        "c_of_z": pred.c_of_z,
-        "regime": pred.regime,
-        "scale_converged": pred.scale_converged,
-    }
+               params["tol_pair"])
+    )
     return _make_report(cfg, predicted, estimates, checks)
-
-
-def _thm4_tail_rep(args) -> dict:
-    params, rep = args
-    config = recursion_config_from_params(params)
-    seed = replication_seed(params["seed"], rep)
-    pair = sample_aggregate_pair(config, params["n"], seed)
-    rule = ThresholdRule.top_fraction(params["hill_fraction"])
-    u_sum = nearest_rank_quantile(pair.sum_values, params["blocks_quantile"])
-    u_max = nearest_rank_quantile(pair.max_values, params["blocks_quantile"])
-    b_sum = blocks_theta(pair.sum_values, u_sum).estimate
-    b_max = blocks_theta(pair.max_values, u_max).estimate
-    return {
-        "hill_sum": hill(pair.sum_values, rule).estimate,
-        "hill_max": hill(pair.max_values, rule).estimate,
-        "blocks_sum": b_sum,
-        "blocks_max": b_max,
-        "pair_diff_blocks": abs(b_sum - b_max),
-    }
-
-
-def _run_thm4_tail(cfg: ExperimentConfig, jobs: int) -> dict:
-    params = cfg.params
-    k_pred = min(params["k"], params["alpha"], params["beta"])
-    rows = _map_reps(_thm4_tail_rep, params, params["replications"], jobs)
-    estimates = _collect_estimates(rows)
-    tol = params["tol_k_rel"] if params["tol_k_rel"] > 0 else 0.15
-    checks = [
-        _check("hill_sum_tail_index", estimates["hill_sum_median"], k_pred, tol,
-               relative=True),
-        _check("sum_max_agreement", estimates["pair_diff_blocks_median"], 0.0,
-               params["tol_pair"]),
-    ]
-    predicted = {"k_of_z": k_pred, "regime": "TAIL_RULE"}
-    return _make_report(cfg, predicted, estimates, checks)
-
-
-def _run_thm4(cfg: ExperimentConfig, jobs: int) -> dict:
-    regime = cfg.params["regime"]
-    if regime == "preference":
-        return _run_thm4_preference(cfg, jobs)
-    if regime == "followers":
-        return _run_thm4_followers(cfg, jobs)
-    if regime == "tail":
-        return _run_thm4_tail(cfg, jobs)
-    raise ConfigurationError(f"unknown thm4 regime '{regime}'")
 
 
 # ---------------------------------------------------------------------------
-# Tail equivalence and graph demo
+# Tail equivalence
 
 def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
     params = cfg.params
     config = recursion_config_from_params(
         {**params, "deps": "iid", "fixed_in_degree": -1}
     )
-    rows = compare_tail_sum_max(config, params["n"], [params["quantile"]],
-                                params["seed"])
-    row = rows[0]
-    estimates = {
-        "quantile": row.quantile,
-        "threshold": row.threshold,
-        "exceed_sum": row.exceed_sum,
-        "exceed_max": row.exceed_max,
-        "ratio": row.ratio,
-        "ci_low": row.ci_low,
-        "ci_high": row.ci_high,
-        "reliable": row.reliable,
-    }
+    row = compare_tail_sum_max(config, params["n"], [params["quantile"]],
+                               params["seed"])[0]
+    estimates = asdict(row)
     checks = [
         _interval_check("sum_max_tail_ratio", row.ratio,
                         params["ratio_low"], params["ratio_high"]),
@@ -594,66 +516,25 @@ def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
     return _make_report(cfg, predicted, estimates, checks)
 
 
-def _run_graph_demo(cfg: ExperimentConfig, jobs: int) -> dict:
-    params = cfg.params
-    n = params["nodes"]
-    g = graphrank.gen_power_law_graph(n, params["alpha"], params["seed"])
-    q_rng = child_rng(params["seed"], STREAMS["preference"])
-    q_raw = sample_pareto(TailSpec(params["q_beta"]), n, params["seed"], _rng=q_rng)
-    q = q_raw / q_raw.sum()
-    pr = graphrank.pagerank(g, params["damping"], q)
-    ml = graphrank.max_linear_rank(g, params["damping"], q)
-    overlap = len(
-        set(pr.top_nodes(10).tolist()) & set(ml.top_nodes(10).tolist())
-    )
-    means = []
-    for top_p in _floats(params["top_ps"]):
-        ht = graphrank.random_walk_hitting(
-            g, params["damping"], pr, top_p, params["trials"], params["seed"], q=q
-        )
-        means.append(ht.mean)
-    monotone = all(a >= b for a, b in zip(means, means[1:]))
-    # Ratios near the tolerance floor are rounding noise, not contraction.
-    ratios = [
-        b / a for a, b in zip(pr.residuals, pr.residuals[1:]) if a > 100 * 1e-12
-    ]
-    estimates = {
-        "pagerank_iterations": pr.iterations,
-        "pagerank_sum": float(pr.scores.sum()),
-        "max_residual_ratio": max(ratios) if ratios else 0.0,
-        "top10_overlap": overlap,
-        "hitting_means": means,
-    }
-    checks = [
-        _check("pagerank_normalization", float(pr.scores.sum()), 1.0, params["tol"]),
-        _interval_check("residual_contraction", estimates["max_residual_ratio"],
-                        0.0, params["damping"] * (1 + 1e-9)),
-        _interval_check("top10_overlap", float(overlap),
-                        float(params["top_overlap_min"]), 10.0),
-        _interval_check("hitting_monotone", 1.0 if monotone else 0.0, 1.0, 1.0),
-    ]
-    predicted = {"rank_sum": 1.0}
-    return _make_report(cfg, predicted, estimates, checks)
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _map_reps(worker, params: dict, replications: int, jobs: int) -> list[dict]:
-    args = [(params, rep) for rep in range(replications)]
+def _map_reps(params: dict, jobs: int) -> list[dict]:
+    args = [(params, rep) for rep in range(params["replications"])]
     if jobs <= 1:
-        return [worker(a) for a in args]
+        return [_replication(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         # ex.map preserves argument order, so reports are reproducible
         # regardless of worker scheduling.
-        return list(pool.map(worker, args))
+        return list(pool.map(_replication, args))
 
 
 def _collect_estimates(rows: list[dict]) -> dict:
     estimates: dict = {"replications": len(rows)}
     for key in rows[0]:
-        estimates[f"{key}_median"] = _median(rows, key)
-        estimates[f"{key}_spread"] = _spread(rows, key)
+        values = np.array([row[key] for row in rows])
+        estimates[f"{key}_median"] = float(np.median(values))
+        estimates[f"{key}_spread"] = float(np.quantile(values, 0.9) - np.quantile(values, 0.1))
     estimates["per_replication"] = rows
     return estimates
 
@@ -687,15 +568,6 @@ def _finite_or_null(value):
     return value
 
 
-_RUNNERS = {
-    VERIFY_THM1: _run_fixed_length,
-    VERIFY_THM2: _run_fixed_length,
-    VERIFY_THM3: _run_fixed_length,
-    VERIFY_THM4: _run_thm4,
-    TAIL_EQUIVALENCE: _run_tail_equivalence,
-    GRAPH_DEMO: _run_graph_demo,
-}
-
 # Documented top-level report fields (schema stability contract).
 REPORT_FIELDS = (
     "kind", "config", "config_hash", "seed", "predicted", "estimates",
@@ -711,7 +583,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = N
     JSON, with ``null`` for every non-finite value.  Partial outputs are
     removed if anything fails mid-run.
     """
-    report = _RUNNERS[cfg.kind](cfg, jobs)
+    run = _run_tail_equivalence if cfg.kind == TAIL_EQUIVALENCE else _run_replicated
+    report = run(cfg, jobs)
     if out_dir is not None:
         written = []
         try:

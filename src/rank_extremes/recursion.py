@@ -184,7 +184,25 @@ def _draw_in_degrees(config: RecursionConfig, n: int, seed: int) -> np.ndarray:
     return sample_power_law_int(config.in_degree, n, seed, _rng=rng)
 
 
-def _fast_iid_contributions(config, n, seed, in_deg):
+def _segment_sum_max(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and maximum of each of ``len(counts)`` consecutive segments of
+    ``values``, segment ``i`` holding the next ``counts[i]`` values
+    (``counts.sum() == len(values)``).  An empty segment gives 0 for both.
+    """
+    n = len(counts)
+    sums = np.zeros(n)
+    maxes = np.zeros(n)
+    if len(values):
+        nonzero = counts > 0
+        offsets = np.zeros(n, dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        starts = offsets[nonzero]
+        sums[nonzero] = np.add.reduceat(values, starts)
+        maxes[nonzero] = np.maximum.reduceat(values, starts)
+    return sums, maxes
+
+
+def _fast_iid_contributions(config, seed, in_deg):
     """Follower sum/max terms when every column is i.i.d.
 
     With i.i.d. columns the values entering time ``t`` are fresh draws, so
@@ -194,18 +212,7 @@ def _fast_iid_contributions(config, n, seed, in_deg):
     total = int(in_deg.sum())
     rng = child_rng(seed, STREAMS["column"])
     draws = sample_pareto(config.follower_tail, max(total, 1), seed, _rng=rng)
-    sums = np.zeros(n)
-    maxes = np.zeros(n)
-    nonzero = in_deg > 0
-    if total > 0:
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(in_deg[:-1], out=offsets[1:])
-        starts = offsets[nonzero]
-        seg_sum = np.add.reduceat(draws[:total], starts)
-        seg_max = np.maximum.reduceat(draws[:total], starts)
-        sums[nonzero] = seg_sum
-        maxes[nonzero] = seg_max
-    return sums, maxes
+    return _segment_sum_max(draws[:total], in_deg)
 
 
 def _column_contributions(config, n, seed, in_deg):
@@ -253,7 +260,7 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
             "configure at least one non-i.i.d. dependence spec"
         )
     if config.all_iid_columns() and config.coupling == COUPLING_INDEPENDENT:
-        f_sum, f_max = _fast_iid_contributions(config, n, seed, in_deg)
+        f_sum, f_max = _fast_iid_contributions(config, seed, in_deg)
     else:
         f_sum, f_max = _column_contributions(config, n, seed, in_deg)
 
@@ -411,16 +418,7 @@ def simulate_tbt(
             weights = c / d
         else:
             weights = c
-        contrib = weights * values if child_total else np.zeros(0)
-        agg_sum = np.zeros(n_parents)
-        agg_max = np.zeros(n_parents)
-        nonzero = n_g > 0
-        if child_total:
-            offsets = np.zeros(n_parents, dtype=np.int64)
-            np.cumsum(n_g[:-1], out=offsets[1:])
-            starts = offsets[nonzero]
-            agg_sum[nonzero] = np.add.reduceat(contrib, starts)
-            agg_max[nonzero] = np.maximum.reduceat(contrib, starts)
+        agg_sum, agg_max = _segment_sum_max(weights * values, n_g)
         rng_q = child_rng(seed, STREAMS["tbt"], 1, g)
         q_term = z_star * pref(rng_q, n_parents)
         if config.aggregate == SUM:

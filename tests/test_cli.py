@@ -18,8 +18,28 @@ from rank_extremes.experiments import (
     run_experiment,
 )
 from rank_extremes.heavytail import DependenceSpec
+from rank_extremes.theory import Component, ComponentSpec, predict_min_rule
 
 FAST_THM2 = dict(n=20000, replications=4)
+
+# (kind, overrides) of each replicated (kind, regime) case at small sizes,
+# and the exact keys of its per-replication rows
+FIXED_LENGTH_ROW = {f"{est}_{path}" for est in ("blocks", "intervals", "hill")
+                    for path in ("sum", "max")} | {"pair_diff_blocks", "pair_diff_intervals"}
+SMALL = dict(n=20000, replications=2)
+ROW_CASES = {
+    "thm1": ("verify-thm1", SMALL, FIXED_LENGTH_ROW),
+    "thm2": ("verify-thm2", SMALL, FIXED_LENGTH_ROW),
+    "thm3": ("verify-thm3", SMALL, FIXED_LENGTH_ROW),
+    "preference": ("verify-thm4", dict(SMALL, def_replications=100, def_n=2000),
+                   {"blocks_sum", "blocks_max", "pair_diff_blocks"}),
+    "followers": ("verify-thm4", dict(SMALL, regime="followers", k=1.2, beta=3.0,
+                                      deps="iid;mm:1,1", fixed_in_degree=10),
+                  {"blocks_sum", "blocks_max", "intervals_sum", "intervals_max",
+                   "pair_diff_blocks"}),
+    "tail": ("verify-thm4", dict(SMALL, regime="tail", k=1.2, alpha=2.0, beta=3.0),
+             {"hill_sum", "hill_max", "blocks_sum", "blocks_max", "pair_diff_blocks"}),
+}
 
 
 class TestDepCodec:
@@ -115,6 +135,31 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report["predicted"]["theta_of_z"] == pytest.approx(0.5)
         assert report["predicted"]["regime"] == "PREFERENCE_DOMINATES"
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_per_replication_row_keys(self, case):
+        kind, overrides, keys = ROW_CASES[case]
+        report = run_experiment(ExperimentConfig.default(kind, **overrides))
+        rows = report["estimates"]["per_replication"]
+        assert len(rows) == 2
+        assert all(set(row) == keys for row in rows)
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_jobs_give_equal_rows_in_every_regime(self, case):
+        kind, overrides, _ = ROW_CASES[case]
+        cfg = ExperimentConfig.default(kind, **overrides)
+        a = run_experiment(cfg, jobs=1)
+        b = run_experiment(cfg, jobs=2)
+        assert a["estimates"]["per_replication"] == b["estimates"]["per_replication"]
+
+    def test_tail_regime_needs_hill_fraction(self):
+        cfg = ExperimentConfig.default("verify-thm4", regime="tail", hill_fraction=0.0)
+        with pytest.raises(ConfigurationError, match="hill_fraction"):
+            run_experiment(cfg)
+
+    def test_unknown_thm4_regime_rejected(self):
+        with pytest.raises(ConfigurationError, match="regime"):
+            ExperimentConfig.default("verify-thm4", regime="fixed-length")
 
     def test_jobs_parallelism_is_order_stable(self):
         cfg = ExperimentConfig.default("verify-thm2", **FAST_THM2)
@@ -249,3 +294,59 @@ class TestCliCommands:
         rc = main(["tail-eq", "--set", "n=1000000", "--out", str(tmp_path)])
         assert rc in (0, 1)  # small n may be noisy; the command must run
         assert (tmp_path / "tail-eq.report.json").exists()
+
+    def test_verify_thm1_predicts_the_min_rule(self, tmp_path, capsys):
+        rc = main(["verify", "thm1", "--set", "n=20000", "--set", "replications=2",
+                   "--out", str(tmp_path)])
+        assert rc in (0, 1)  # two replications may miss a tolerance
+        report = json.loads((tmp_path / "verify-thm1.report.json").read_text())
+        from rank_extremes.experiments import _fixed_length_components
+
+        spec = ComponentSpec(tuple(
+            Component(z=z, tail=s.tail, theta=s.theta)
+            for z, s in _fixed_length_components(report["config"])
+        ))
+        pred = predict_min_rule(spec)
+        assert report["predicted"] == {
+            "k_of_z": pred.k_of_z, "theta_of_z": pred.theta_of_z,
+            "c_of_z": pred.c_of_z, "regime": pred.regime,
+        }
+        csv_lines = (tmp_path / "verify-thm1.estimates.csv").read_text().splitlines()
+        assert csv_lines[0].startswith("replication,") and len(csv_lines) == 3
+
+    @pytest.mark.parametrize("argv, key", [
+        (["verify", "thm2", "--set", "n=abc"], "n"),
+        (["verify", "thm2", "--set", "tol_theta=wide"], "tol_theta"),
+        (["verify", "thm2", "--set", "ks=1,abc,2"], "ks"),
+        (["verify", "thm2", "--set", "deps=iid;mm:1,x;iid"], "deps"),
+        (["verify", "thm4", "--set", "replications=2.5"], "replications"),
+        (["simulate", "--set", "n=1e5"], "n"),
+        (["simulate", "--set", "deps=mm:1,abc"], "deps"),
+    ])
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, argv, key, via):
+        if via == "config":
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(argv[-1] + "\n")
+            argv = argv[:-2] + ["--config", str(cfg_file)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: parameter '{key}' must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_kind_must_match_the_command(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("kind=verify-thm3\nn=20000\nreplications=2\n")
+        out = tmp_path / "out"
+        assert main(["verify", "thm2", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "kind 'verify-thm3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_serialized_config_runs_under_its_own_command(self, tmp_path, capsys):
+        cfg = ExperimentConfig.default("verify-thm2", n=20000, replications=2)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(cfg.serialize())
+        assert main(["verify", "thm2", "--config", str(cfg_file),
+                     "--out", str(tmp_path)]) in (0, 1)
+        report = json.loads((tmp_path / "verify-thm2.report.json").read_text())
+        assert report["config_hash"] == cfg.hash()

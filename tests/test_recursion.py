@@ -27,6 +27,7 @@ from rank_extremes.recursion import (
     AggregatePath,
     RecursionConfig,
     _column_contributions,
+    _segment_sum_max,
     compare_tail_sum_max,
     expected_tree_size,
     sample_aggregate,
@@ -292,6 +293,48 @@ class TestColumnContributions:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert np.array_equal(got_deg, expected_deg)
+
+
+def looped_segment_sum_max(values, counts):
+    """Reference for ``_segment_sum_max``: a Python loop over each segment,
+    adding left to right from its first value, 0 for an empty segment."""
+    sums = np.zeros(len(counts))
+    maxes = np.zeros(len(counts))
+    start = 0
+    for i, count in enumerate(counts):
+        if count:
+            total = top = float(values[start])
+            for v in values[start + 1:start + count].tolist():
+                total += v
+                top = v if v > top else top
+            sums[i], maxes[i] = total, top
+        start += count
+    return sums, maxes
+
+
+class TestSegmentSumMax:
+    @settings(max_examples=300, deadline=None)
+    @given(lead=st.integers(0, 3), left=st.lists(st.integers(0, 20), max_size=10),
+           right=st.lists(st.integers(0, 20), max_size=10), trail=st.integers(0, 3),
+           data=st.data())
+    def test_matches_per_segment_loop(self, lead, left, right, trail, data):
+        # zero-length segments at the start, in the middle and at the end;
+        # all counts are zero (no values) when left and right hold only 0
+        counts = np.array([0] * lead + left + [0] + right + [0] * trail, dtype=np.int64)
+        total = int(counts.sum())
+        # multiples of 2^-16 below 2^30 in magnitude: every partial sum is
+        # exact, so NumPy's order of addition and the loop's give equal bits
+        values = np.array(data.draw(st.lists(
+            st.integers(-2**46, 2**46), min_size=total, max_size=total)),
+            dtype=float) / 2**16
+        got = _segment_sum_max(values, counts)
+        want = looped_segment_sum_max(values, counts)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_all_zero_counts_give_zeros(self):
+        sums, maxes = _segment_sum_max(np.zeros(0), np.zeros(4, dtype=np.int64))
+        assert sums.tobytes() == maxes.tobytes() == np.zeros(4).tobytes()
 
 
 class TestTbt:
