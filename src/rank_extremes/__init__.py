@@ -14,113 +14,17 @@ from .errors import (
     RankExtremesError,
     ResourceError,
 )
-from .estimators import (
-    ClusterStats,
-    EstimateReport,
-    ThresholdRule,
-    blocks_theta,
-    definition_theta,
-    hill,
-    intervals_theta,
-    mean_cluster_size,
-    nearest_rank_quantile,
-)
 from .experiments import ExperimentConfig, run_experiment
-from .graphrank import (
-    DirectedGraph,
-    HittingTimes,
-    RankVector,
-    gen_power_law_graph,
-    max_linear_rank,
-    pagerank,
-    random_walk_hitting,
-)
-from .heavytail import (
-    DependenceSpec,
-    InDegreeSpec,
-    SequenceSpec,
-    TailSpec,
-    VonMisesDiagnostic,
-    gen_moving_maxima,
-    sample_pareto,
-    sample_power_law_int,
-    sample_sequence,
-    theoretical_mm_theta,
-    von_mises_check,
-)
-from .recursion import (
-    AggregatePair,
-    AggregatePath,
-    RecursionConfig,
-    compare_tail_sum_max,
-    sample_aggregate,
-    sample_aggregate_pair,
-    sample_weighted_pair,
-    simulate_tbt,
-)
-from .rng import child_rng, child_seed, replication_seed
-from .theory import (
-    Component,
-    ComponentSpec,
-    TheoryPrediction,
-    predict_equal_tails,
-    predict_min_rule,
-    predict_random_length,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AggregatePair",
-    "AggregatePath",
-    "ClusterStats",
-    "Component",
-    "ComponentSpec",
     "ConfigurationError",
     "ConvergenceError",
     "DataError",
-    "DependenceSpec",
-    "DirectedGraph",
-    "EstimateReport",
     "ExperimentConfig",
-    "HittingTimes",
-    "InDegreeSpec",
     "ParameterError",
     "RankExtremesError",
-    "RankVector",
-    "RecursionConfig",
     "ResourceError",
-    "SequenceSpec",
-    "TailSpec",
-    "TheoryPrediction",
-    "ThresholdRule",
-    "VonMisesDiagnostic",
-    "blocks_theta",
-    "child_rng",
-    "child_seed",
-    "compare_tail_sum_max",
-    "definition_theta",
-    "gen_moving_maxima",
-    "gen_power_law_graph",
-    "hill",
-    "intervals_theta",
-    "max_linear_rank",
-    "mean_cluster_size",
-    "nearest_rank_quantile",
-    "pagerank",
-    "predict_equal_tails",
-    "predict_min_rule",
-    "predict_random_length",
-    "random_walk_hitting",
-    "replication_seed",
     "run_experiment",
-    "sample_aggregate",
-    "sample_aggregate_pair",
-    "sample_pareto",
-    "sample_power_law_int",
-    "sample_sequence",
-    "sample_weighted_pair",
-    "simulate_tbt",
-    "theoretical_mm_theta",
-    "von_mises_check",
 ]

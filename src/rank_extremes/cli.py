@@ -34,8 +34,7 @@ from .estimators import (
     mean_cluster_size,
     nearest_rank_quantile,
 )
-from .recursion import sample_aggregate
-from .textio import read_rows
+from .recursion import read_path_csv, sample_aggregate
 
 
 def _collect_overrides(args, kind: str | None = None) -> dict:
@@ -79,38 +78,33 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def read_path_csv(fileobj) -> np.ndarray:
-    """Values of a path CSV written by ``AggregatePath.write_csv``."""
-    return read_rows(fileobj, 1, float, title="value").ravel()
-
-
 def _cmd_estimate(args) -> int:
     with open(args.input) as fh:
         path = read_path_csv(fh)
-    u = nearest_rank_quantile(path, args.quantile)
     if args.method == "hill":
         if args.top_count:
             rule = ThresholdRule.top_count(args.top_count)
         else:
             rule = ThresholdRule.top_fraction(args.fraction)
         report = hill(path, rule)
-    elif args.method == "blocks":
-        report = blocks_theta(path, u, args.block_length)
-    elif args.method == "intervals":
-        report = intervals_theta(path, u)
-    elif args.method == "cluster":
-        stats = mean_cluster_size(path, u, args.run_gap)
-        report = EstimateReport(
-            estimate=stats.theta_runs,
-            method="runs",
-            n=len(path),
-            threshold=u,
-            exceedances=stats.exceedance_count,
-            run_gap=args.run_gap,
-            details={"clusters": stats.cluster_count, "mean_size": stats.mean_size},
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown method {args.method}")
+    else:
+        # the theta estimators share one --quantile threshold
+        u = nearest_rank_quantile(path, args.quantile)
+        if args.method == "blocks":
+            report = blocks_theta(path, u, args.block_length)
+        elif args.method == "intervals":
+            report = intervals_theta(path, u)
+        else:  # cluster; argparse restricts the choices
+            stats = mean_cluster_size(path, u, args.run_gap)
+            report = EstimateReport(
+                estimate=stats.theta_runs,
+                method="runs",
+                n=len(path),
+                threshold=u,
+                exceedances=stats.exceedance_count,
+                run_gap=args.run_gap,
+                details={"clusters": stats.cluster_count, "mean_size": stats.mean_size},
+            )
     out = _out_dir(args)
     if out:
         os.makedirs(out, exist_ok=True)
@@ -146,6 +140,8 @@ def _cmd_graph(args) -> int:
         raise ConfigurationError(
             "graph takes its parameters as flags (--nodes, --alpha, ...), "
             "not --config or --set")
+    if args.action != "gen" and not args.graph:
+        raise ConfigurationError(f"graph {args.action} needs --graph EDGE_LIST")
     out = _out_dir(args) or "."
     os.makedirs(out, exist_ok=True)
     if args.action == "gen":
@@ -182,7 +178,11 @@ def _cmd_graph(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.input) as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            print(f"invalid report, not JSON: {args.input}: {exc}", file=sys.stderr)
+            return 2
     missing = [f for f in experiments.REPORT_FIELDS if f not in report]
     if missing:
         print(f"invalid report, missing fields: {missing}", file=sys.stderr)
@@ -257,7 +257,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RankExtremesError as exc:
+    except (RankExtremesError, OSError) as exc:
+        # bad input, or an input file that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,6 @@ of a full sort.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -126,7 +124,7 @@ class EstimateReport:
     clamped: bool = False
     details: dict = field(default_factory=dict)
 
-    # Documented serialization field order (JSON object keys / CSV columns).
+    # Documented serialization field order (JSON object keys).
     FIELDS = (
         "method", "estimate", "n", "threshold", "exceedances",
         "block_length", "run_gap", "replications", "seed", "clamped",
@@ -136,16 +134,6 @@ class EstimateReport:
         payload = {name: getattr(self, name) for name in self.FIELDS}
         payload["details"] = self.details
         return json.dumps(payload, sort_keys=False)
-
-    def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([getattr(self, name) for name in self.FIELDS])
-        return buf.getvalue().rstrip("\n")
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(EstimateReport.FIELDS)
 
 
 def _clamp_theta(theta: float) -> tuple[float, bool]:

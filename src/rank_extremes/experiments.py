@@ -51,9 +51,10 @@ from .theory import (
     predict_min_rule,
 )
 from .rng import replication_seed
+from .textio import write_rows
 
 # ---------------------------------------------------------------------------
-# Dependence-spec string codec ("iid" or "mm:a0,a1,..."; columns ';'-joined)
+# Dependence-spec string parser ("iid" or "mm:a0,a1,..."; columns ';'-joined)
 
 def parse_dep(code: str) -> DependenceSpec:
     code = code.strip()
@@ -67,12 +68,6 @@ def parse_dep(code: str) -> DependenceSpec:
 
 def parse_deps(codes: str) -> tuple[DependenceSpec, ...]:
     return tuple(parse_dep(code) for code in codes.split(";"))
-
-
-def format_dep(dep: DependenceSpec) -> str:
-    if dep.is_iid:
-        return "iid"
-    return "mm:" + ",".join(f"{a:g}" for a in dep.coeffs)
 
 
 def _floats(csv_text: str) -> tuple[float, ...]:
@@ -598,10 +593,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = N
             if rows:
                 csv_path = os.path.join(out_dir, f"{cfg.kind}.estimates.csv")
                 keys = sorted(rows[0])
+                columns = [np.array([row[k] for row in rows]) for k in keys]
                 with open(csv_path, "w") as fh:
                     fh.write("replication," + ",".join(keys) + "\n")
-                    for i, row in enumerate(rows):
-                        fh.write(str(i) + "," + ",".join(f"{row[k]:.17g}" for k in keys) + "\n")
+                    write_rows(fh, "%d" + ",%.17g" * len(keys) + "\n",
+                               np.arange(len(rows)), *columns)
                 written.append(csv_path)
         except Exception:
             for path in written:

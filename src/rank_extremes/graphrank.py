@@ -63,9 +63,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.src)
 
-    def out_neighbors(self, j: int) -> np.ndarray:
-        return self.out_targets[self.out_indptr[j] : self.out_indptr[j + 1]]
-
     def write_edge_list(self, fileobj) -> None:
         """Plain text edge list, one ``src dst`` pair per line, 0-based ids."""
         write_rows(fileobj, "%d %d\n", self.src, self.dst)
@@ -151,13 +148,30 @@ def _validate_rank_inputs(g: DirectedGraph, c: float, q: np.ndarray, allow_c_one
     return q
 
 
-def _transition_matrix(g: DirectedGraph) -> sparse.csr_matrix:
-    """Column-stochastic matrix with entry ``1/D_src`` for each edge."""
-    inv_d = np.zeros(g.n)
-    nonzero = g.out_degree > 0
-    inv_d[nonzero] = 1.0 / g.out_degree[nonzero]
-    return sparse.csr_matrix(
-        (inv_d[g.src], (g.dst, g.src)), shape=(g.n, g.n), dtype=float
+def _edge_weights(g: DirectedGraph) -> np.ndarray:
+    """``1/D_src`` for each edge, ``D_src`` the out-degree of its source
+    (at least 1, since the edge leaves it)."""
+    return 1.0 / g.out_degree[g.src]
+
+
+def _fixed_point(step, r0, distance, tol, max_iter, what) -> RankVector:
+    """Iterate ``r <- step(r)`` from ``r0`` until ``distance(|step(r) - r|)``
+    (``np.sum`` for the L1 norm, ``np.max`` for the max norm) is below ``tol``.
+    Raises :class:`ConvergenceError` naming ``what`` after ``max_iter`` steps."""
+    r = r0
+    residuals = []
+    for it in range(1, max_iter + 1):
+        r_new = step(r)
+        resid = float(distance(np.abs(r_new - r)))
+        residuals.append(resid)
+        r = r_new
+        if resid < tol:
+            return RankVector(scores=r, iterations=it, residual=resid,
+                              residuals=tuple(residuals))
+    raise ConvergenceError(
+        f"{what} did not reach tol={tol} in {max_iter} iterations",
+        residual=residuals[-1],
+        iterations=max_iter,
     )
 
 
@@ -175,25 +189,14 @@ def pagerank(
     Raises :class:`ConvergenceError` when ``max_iter`` is exhausted.
     """
     q = _validate_rank_inputs(g, c, q)
-    a = _transition_matrix(g)
-    r = q.copy()
-    base = (1.0 - c) * q
-    residuals = []
-    for it in range(1, max_iter + 1):
-        r_new = c * (a @ r) + base
-        # L1 residual: the iteration is a c-contraction in this norm
-        # because the transition matrix is column-substochastic.
-        resid = float(np.sum(np.abs(r_new - r)))
-        residuals.append(resid)
-        r = r_new
-        if resid < tol:
-            return RankVector(scores=r, iterations=it, residual=resid,
-                              residuals=tuple(residuals))
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
-        residual=residuals[-1],
-        iterations=max_iter,
+    a = sparse.csr_matrix(
+        (_edge_weights(g), (g.dst, g.src)), shape=(g.n, g.n), dtype=float
     )
+    base = (1.0 - c) * q
+    # L1 residual: the iteration is a c-contraction in this norm
+    # because the transition matrix is column-substochastic.
+    return _fixed_point(lambda r: c * (a @ r) + base, q, np.sum, tol, max_iter,
+                        "power iteration")
 
 
 def max_linear_rank(
@@ -210,28 +213,16 @@ def max_linear_rank(
     bounded, hence convergent.
     """
     q = _validate_rank_inputs(g, c, q)
-    inv_d = np.zeros(g.n)
-    nonzero = g.out_degree > 0
-    inv_d[nonzero] = 1.0 / g.out_degree[nonzero]
-    edge_w = c * inv_d[g.src]
+    edge_w = c * _edge_weights(g)
     floor = (1.0 - c) * q
-    r = floor.copy()
-    residuals = []
-    for it in range(1, max_iter + 1):
+
+    def step(r):
         r_new = floor.copy()
         np.maximum.at(r_new, g.dst, edge_w * r[g.src])
         np.maximum(r_new, r, out=r_new)  # monotone by construction; cheap guard
-        resid = float(np.max(np.abs(r_new - r)))
-        residuals.append(resid)
-        r = r_new
-        if resid < tol:
-            return RankVector(scores=r, iterations=it, residual=resid,
-                              residuals=tuple(residuals))
-    raise ConvergenceError(
-        f"max-linear iteration did not reach tol={tol} in {max_iter} iterations",
-        residual=residuals[-1],
-        iterations=max_iter,
-    )
+        return r_new
+
+    return _fixed_point(step, floor, np.max, tol, max_iter, "max-linear iteration")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .heavytail import (
     theoretical_mm_theta,
 )
 from .rng import STREAMS, child_rng
-from .textio import write_rows
+from .textio import read_rows, write_rows
 from .theory import ComponentSpec, Component, TheoryPrediction, predict_random_length
 
 SUM = "sum"
@@ -163,6 +163,11 @@ class AggregatePath:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
+
+
+def read_path_csv(fileobj) -> np.ndarray:
+    """Values of a path CSV written by ``AggregatePath.write_csv``."""
+    return read_rows(fileobj, 1, float, title="value").ravel()
 
 
 @dataclass(frozen=True)
@@ -324,7 +329,6 @@ class TbtSample:
 
     root_values: np.ndarray
     depth: int
-    leaf_rule: str
     total_nodes: int
     config: RecursionConfig
     seed: int
@@ -332,8 +336,6 @@ class TbtSample:
 
 # Hard cap on the expected number of tree nodes before refusing to expand.
 TBT_NODE_BUDGET = 10**8
-
-LEAF_PREFERENCE = "LEAF_PREFERENCE"
 
 
 def _expected_in_degree(config: RecursionConfig) -> float:
@@ -400,15 +402,18 @@ def simulate_tbt(
             n_g = np.full(counts[-1], config.fixed_in_degree, dtype=np.int64)
         else:
             n_g = sample_power_law_int(config.in_degree, counts[-1], seed, _rng=rng)
+        if not n_g.any():
+            break  # a childless generation (fixed_in_degree=0) holds the leaves
         gen_in_deg.append(n_g)
         counts.append(int(n_g.sum()))
         total_nodes += counts[-1]
 
     # Bottom-up pass: leaves close with the preference term, then each
     # generation aggregates its children.
-    rng_leaf = child_rng(seed, STREAMS["tbt"], 1, depth)
+    leaf_gen = len(gen_in_deg)
+    rng_leaf = child_rng(seed, STREAMS["tbt"], 1, leaf_gen)
     values = z_star * pref(rng_leaf, counts[-1])
-    for g in range(depth - 1, -1, -1):
+    for g in range(leaf_gen - 1, -1, -1):
         n_g = gen_in_deg[g]
         n_parents = counts[g]
         child_total = counts[g + 1]
@@ -428,7 +433,6 @@ def simulate_tbt(
     return TbtSample(
         root_values=values,
         depth=depth,
-        leaf_rule=LEAF_PREFERENCE,
         total_nodes=total_nodes,
         config=config,
         seed=seed,

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import rank_extremes
+from rank_extremes import cli, recursion
 from rank_extremes.cli import main
 from rank_extremes.errors import ConfigurationError
 from rank_extremes.experiments import (
@@ -13,7 +15,6 @@ from rank_extremes.experiments import (
     KINDS,
     REPORT_FIELDS,
     ExperimentConfig,
-    format_dep,
     parse_dep,
     run_experiment,
 )
@@ -42,10 +43,27 @@ ROW_CASES = {
 }
 
 
+class TestPackageSurface:
+    def test_root_exports_only_the_errors_and_entry_points(self):
+        assert sorted(rank_extremes.__all__) == [
+            "ConfigurationError", "ConvergenceError", "DataError", "ExperimentConfig",
+            "ParameterError", "RankExtremesError", "ResourceError", "run_experiment",
+        ]
+        namespace = {}
+        exec("from rank_extremes import *", namespace)
+        for name in rank_extremes.__all__:
+            assert namespace[name] is getattr(rank_extremes, name)
+
+    def test_cli_reads_path_csv_through_recursion(self):
+        # the path CSV reader lives beside its writer; cli keeps the name
+        assert cli.read_path_csv is recursion.read_path_csv
+
+
 class TestDepCodec:
     def test_round_trip(self):
-        for code in ("iid", "mm:1,1", "mm:2,1,0.5"):
-            assert format_dep(parse_dep(code)) == code
+        for code, coeffs in (("iid", (1.0,)), ("mm:1,1", (1.0, 1.0)),
+                             ("mm:2,1,0.5", (2.0, 1.0, 0.5))):
+            assert parse_dep(code).coeffs == coeffs
 
     def test_iid_parses_to_single_coefficient(self):
         assert parse_dep("iid") == DependenceSpec.iid()
@@ -104,7 +122,13 @@ class TestRunExperiment:
             assert fieldname in report
         on_disk = json.loads((tmp_path / "verify-thm2.report.json").read_text())
         assert on_disk["config_hash"] == cfg.hash()
-        assert (tmp_path / "verify-thm2.estimates.csv").exists()
+        # the estimates CSV holds every per-replication row bit for bit
+        header, *lines = (tmp_path / "verify-thm2.estimates.csv").read_text().splitlines()
+        keys = header.split(",")[1:]
+        rows = report["estimates"]["per_replication"]
+        assert keys == sorted(rows[0])
+        parsed = [[float(v) for v in line.split(",")] for line in lines]
+        assert parsed == [[i] + [row[k] for k in keys] for i, row in enumerate(rows)]
 
     def test_determinism_apart_from_timestamp(self):
         cfg = ExperimentConfig.default("verify-thm2", **FAST_THM2)
@@ -260,6 +284,31 @@ class TestCliCommands:
         edges.write_text("")
         assert main(["graph", "pagerank", "--graph", str(edges), "--out", str(tmp_path)]) == 2
         assert "error: node count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "thm2", "--config"], "missing.cfg"),
+        (["estimate", "--method", "hill", "--input"], "nope.csv"),
+        (["graph", "pagerank", "--graph"], "nope.edges"),
+        (["report", "--input"], "nope.json"),
+    ])
+    def test_missing_input_file_exits_2_naming_it(self, tmp_path, capsys, argv, name):
+        missing = str(tmp_path / name)
+        assert main(argv + [missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+
+    @pytest.mark.parametrize("action", ["pagerank", "maxlinear", "hitting"])
+    def test_graph_without_edge_list_exits_2(self, tmp_path, capsys, action):
+        out = tmp_path / "out"
+        assert main(["graph", action, "--out", str(out)]) == 2
+        assert f"graph {action} needs --graph" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_that_is_not_json_exits_2(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        report_path.write_text("kind=verify-thm2\n")
+        assert main(["report", "--input", str(report_path)]) == 2
+        assert "invalid report, not JSON" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, capsys):
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2

@@ -341,11 +341,3 @@ class TestEstimateReport:
         payload = json.loads(est.to_json())
         assert list(payload)[:10] == list(EstimateReport.FIELDS)
         assert payload["method"] == "hill"
-
-    def test_csv_row_matches_header(self):
-        path = sample_pareto(TailSpec(1.0), 10**4, SEED)
-        est = blocks_theta(path, nearest_rank_quantile(path, 0.999))
-        header = EstimateReport.csv_header().split(",")
-        row = est.to_csv_row().split(",")
-        assert len(header) == len(row)
-        assert row[header.index("method")] == "blocks"

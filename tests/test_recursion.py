@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank_extremes.cli import read_path_csv
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import ThresholdRule, hill, nearest_rank_quantile
 from rank_extremes.heavytail import (
@@ -30,6 +29,7 @@ from rank_extremes.recursion import (
     _segment_sum_max,
     compare_tail_sum_max,
     expected_tree_size,
+    read_path_csv,
     sample_aggregate,
     sample_aggregate_pair,
     sample_weighted_pair,
@@ -406,6 +406,15 @@ class TestTbt:
             estimates.append(est.estimate)
         median = float(np.median(estimates))
         assert abs(median - 2.0) / 2.0 <= 0.15
+
+    @pytest.mark.parametrize("aggregate", [SUM, MAX])
+    @pytest.mark.parametrize("out_degree", [None, InDegreeSpec(alpha=2.0, n_max=5)])
+    def test_zero_in_degree_gives_bare_roots(self, aggregate, out_degree):
+        config = make_config(fixed_in_degree=0, aggregate=aggregate)
+        roots = simulate_tbt(config, depth=0, n_roots=50, seed=SEED)
+        out = simulate_tbt(config, depth=4, n_roots=50, seed=SEED, out_degree=out_degree)
+        assert out.total_nodes == 50
+        assert out.root_values.tobytes() == roots.root_values.tobytes()
 
     def test_resource_budget_enforced(self):
         config = make_config(fixed_in_degree=5)
