@@ -183,11 +183,35 @@ def _cmd_report(args) -> int:
         except ValueError as exc:  # not JSON, or not UTF-8 text
             print(f"invalid report, not JSON: {args.input}: {exc}", file=sys.stderr)
             return 2
-    missing = [f for f in experiments.REPORT_FIELDS if f not in report]
-    if missing:
-        print(f"invalid report, missing fields: {missing}", file=sys.stderr)
+    problem = _report_shape_problem(report)
+    if problem:
+        print(f"invalid report, {problem}: {args.input}", file=sys.stderr)
         return 2
     return _print_checks(report)
+
+
+_CHECK_KEYS = ("name", "value", "target", "tol", "passed")
+
+
+def _report_shape_problem(report) -> str | None:
+    """What keeps ``report`` from being printed, or None: it must be an
+    object with every report field, and ``checks`` a list of objects with
+    a numeric or null ``value``."""
+    if not isinstance(report, dict):
+        return f"expected a JSON object, got {type(report).__name__}"
+    missing = [f for f in experiments.REPORT_FIELDS if f not in report]
+    if missing:
+        return f"missing fields: {missing}"
+    checks = report["checks"]
+    if not isinstance(checks, list):
+        return f"'checks' must be a list, got {type(checks).__name__}"
+    for i, check in enumerate(checks):
+        if not isinstance(check, dict) or any(k not in check for k in _CHECK_KEYS):
+            return f"check {i} must be an object with keys {list(_CHECK_KEYS)}"
+        value = check["value"]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            return f"check {i} value must be a number or null, got {value!r}"
+    return None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,6 +93,12 @@ def upper_order_statistics(values: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.partition(values, k)[k:])[::-1]
 
 
+def nearest_rank_index(q: float, size: int) -> int:
+    """0-based ascending rank of the nearest-rank ``q`` quantile among
+    ``size`` values: the ``size - index`` largest values reach down to it."""
+    return min(max(int(math.ceil(q * size)) - 1, 0), size - 1)
+
+
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     """Nearest-rank empirical quantile (no interpolation), pooled over all
     values of a 1-D or 2-D sample."""
@@ -102,7 +108,7 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     n = values.size
     if n == 0:
         raise DataError("quantile of an empty sample")
-    idx = min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
+    idx = nearest_rank_index(q, n)
     if values.ndim == 1:
         return float(np.partition(values, idx)[idx])
     return float(upper_order_statistics(values, n - idx)[-1])
@@ -259,33 +265,38 @@ def intervals_theta(path: np.ndarray, u: float) -> EstimateReport:
     )
 
 
-def definition_theta(
-    paths,
-    tau: float,
-    calibration_paths=None,
-) -> EstimateReport:
-    """Definition-based estimator from replicated path maxima.
+def definition_top_count(r: int, n: int, tau: float, pooled_size: int | None = None) -> int:
+    """How many of the largest pooled calibration values reach down to
+    ``u_n``, the nearest-rank ``1 - tau/n`` quantile of ``pooled_size``
+    values (``r * n`` by default).
 
-    ``u_n`` is the nearest-rank ``1 - tau/n`` quantile pooled over the
-    calibration sample (the paths themselves by default), and
-    ``theta_hat = -log(mean 1{M_n <= u_n}) / tau`` over replications.
-    Pass ``calibration_paths`` to tie ``u_n`` to a reference sequence (the
-    preference draws in the preference-dominant regime).
+    Checks ``r >= 100`` replications and ``0 < tau < n`` first, so a caller
+    can refuse a run before it samples anything.  A replication of ``n``
+    calibration values never contributes more than its own top ``count``.
     """
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim != 2:
-        raise ParameterError("paths must be a 2-D array (replications x length)")
-    r, n = paths.shape
     if r < 100:
         raise ParameterError(f"need at least 100 replications, got {r}")
     if not tau > 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    calib = paths if calibration_paths is None else np.asarray(calibration_paths, dtype=float)
     level = 1.0 - tau / n
     if not (0 < level < 1):
         raise ParameterError(f"tau={tau} incompatible with path length n={n}")
-    u_n = nearest_rank_quantile(calib, level)
-    maxima = paths.max(axis=1)
+    size = r * n if pooled_size is None else pooled_size
+    return size - nearest_rank_index(level, size)
+
+
+def definition_theta_from_maxima(maxima, n: int, tau: float, u_n: float) -> EstimateReport:
+    """Definition-based estimator from replicated path maxima at a given
+    threshold: ``theta_hat = -log(mean 1{M_n <= u_n}) / tau``.
+
+    ``maxima`` holds one maximum per replication of ``n`` values, and
+    ``u_n`` is the ``count``-th largest pooled calibration value, with
+    ``count`` from :func:`definition_top_count`.  Only the maxima and the
+    calibration tops are needed, so the paths can be streamed.
+    """
+    maxima = np.asarray(maxima, dtype=float)
+    r = len(maxima)
+    definition_top_count(r, n, tau)  # checks r and tau; the count is not needed
     below = int(np.count_nonzero(maxima <= u_n))
     if below == 0:
         raise DataError("every replication maximum exceeds u_n; threshold failure")
@@ -296,11 +307,36 @@ def definition_theta(
         method="definition",
         n=n,
         threshold=float(u_n),
-        exceedances=int(np.count_nonzero(paths > u_n)),
         replications=r,
         clamped=clamped,
         details={"tau": tau, "maxima_below": below},
     )
+
+
+def definition_theta(
+    paths,
+    tau: float,
+    calibration_paths=None,
+) -> EstimateReport:
+    """Definition-based estimator from a block of replicated paths.
+
+    ``u_n`` is the nearest-rank ``1 - tau/n`` quantile pooled over the
+    calibration sample (the paths themselves by default), and
+    ``theta_hat = -log(mean 1{M_n <= u_n}) / tau`` over replications.
+    Pass ``calibration_paths`` to tie ``u_n`` to a reference sequence (the
+    preference draws in the preference-dominant regime).  The estimate is
+    :func:`definition_theta_from_maxima` of the row maxima; ``exceedances``
+    counts the path values above ``u_n``.
+    """
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 2:
+        raise ParameterError("paths must be a 2-D array (replications x length)")
+    r, n = paths.shape
+    calib = paths if calibration_paths is None else np.asarray(calibration_paths, dtype=float)
+    count = definition_top_count(r, n, tau, calib.size)
+    u_n = float(upper_order_statistics(calib, count)[-1])
+    report = definition_theta_from_maxima(paths.max(axis=1), n, tau, u_n)
+    return replace(report, exceedances=int(np.count_nonzero(paths > u_n)))
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParameterError, ResourceError
 from .estimators import (
     ThresholdRule,
     blocks_theta,
-    definition_theta,
+    definition_theta_from_maxima,
+    definition_top_count,
     hill,
     intervals_theta,
     nearest_rank_quantile,
+    upper_order_statistics,
 )
 from .heavytail import (
     DependenceSpec,
@@ -370,21 +372,64 @@ def _predict(regime: str, params) -> dict:
             "regime": "PREFERENCE_DOMINATES"}
 
 
-def _definition_stage(params) -> dict:
+# Hard cap on the preference draws the definition stage pools in the main
+# process: r replications hand in their top ``count`` values each, so the
+# stage holds r * min(count, def_n) float64 values (10^7 are 80 MB).
+DEFINITION_POOL_BUDGET = 10**7
+
+
+def _definition_count(params) -> int:
+    """``count`` of the definition stage: how many of its largest preference
+    draws each replication hands in.  Refuses too few replications, a
+    ``tau`` outside ``(0, def_n)`` or a pool over its budget, before any
+    sampling."""
+    r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
+    try:
+        count = definition_top_count(r, n_def, tau)
+    except ParameterError as exc:
+        raise ConfigurationError(
+            f"definition stage (def_replications={r}, def_n={n_def}, tau={tau}): {exc}"
+        ) from None
+    pooled = r * min(count, n_def)
+    if pooled > DEFINITION_POOL_BUDGET:
+        raise ResourceError(
+            f"definition stage would pool {pooled:.3g} preference draws "
+            f"(def_replications={r} x {min(count, n_def)}), over the "
+            f"{DEFINITION_POOL_BUDGET:.0e} budget; lower tau or def_replications"
+        )
+    return count
+
+
+def _definition_replication(args) -> tuple[float, float, np.ndarray]:
+    """One definition-stage replication, ``(params, rep, count) ->`` the
+    maxima of its sum and max paths and the top ``count`` of its preference
+    draws (all of them when ``count >= def_n``)."""
+    params, rep, count = args
+    n_def = params["def_n"]
+    pair = sample_aggregate_pair(recursion_config_from_params(params), n_def,
+                                 replication_seed(params["seed"], rep))
+    top = upper_order_statistics(pair.preference, min(count, n_def))
+    return float(pair.sum_values.max()), float(pair.max_values.max()), top
+
+
+def _definition_stage(params, jobs: int) -> dict:
     """Definition-based theta of the preference regime: replicated paths, threshold
-    calibrated on the i.i.d. preference draws (the defining normalization)."""
-    config = recursion_config_from_params(params)
-    r, n_def = params["def_replications"], params["def_n"]
-    sum_paths = np.empty((r, n_def))
-    max_paths = np.empty((r, n_def))
-    q_paths = np.empty((r, n_def))
-    for rep in range(r):
-        pair = sample_aggregate_pair(config, n_def, replication_seed(params["seed"], rep))
-        sum_paths[rep] = pair.sum_values
-        max_paths[rep] = pair.max_values
-        q_paths[rep] = pair.preference
-    def_sum = definition_theta(sum_paths, params["tau"], calibration_paths=q_paths)
-    def_max = definition_theta(max_paths, params["tau"], calibration_paths=q_paths)
+    calibrated on the i.i.d. preference draws (the defining normalization).
+
+    The replications are streamed through the worker pool: each hands in
+    two maxima and its top ``count`` preference draws, and ``u_n``, the
+    ``count``-th largest pooled draw, is taken once for both estimates.
+    """
+    count = _definition_count(params)
+    r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
+    args = [(params, rep, count) for rep in range(r)]
+    # short replications: a few chunks per worker keep the round trips few
+    chunksize = max(1, r // (4 * jobs))
+    sum_maxima, max_maxima, tops = zip(*_map_reps(_definition_replication, args, jobs,
+                                                  chunksize))
+    u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
+    def_sum = definition_theta_from_maxima(sum_maxima, n_def, tau, u_n)
+    def_max = definition_theta_from_maxima(max_maxima, n_def, tau, u_n)
     return {"definition_sum": def_sum.estimate, "definition_max": def_max.estimate}
 
 
@@ -407,7 +452,7 @@ class Regime:
     # from the definition stage's; the blocks threshold is the q quantile
     seed_offset: int = 0
     q_threshold: bool = False
-    stage: Callable[[dict], dict] | None = None
+    stage: Callable[[dict, int], dict] | None = None
 
 
 REGIMES = {
@@ -468,8 +513,9 @@ def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
     predicted = _predict(regime_name, params)
     if regime.hill_tol > 0 and params["hill_fraction"] <= 0:
         raise ConfigurationError(f"the {regime_name} regime needs hill_fraction > 0")
-    staged = regime.stage(params) if regime.stage else {}
-    estimates = _collect_estimates(_map_reps(params, jobs))
+    staged = regime.stage(params, jobs) if regime.stage else {}
+    args = [(params, rep) for rep in range(params["replications"])]
+    estimates = _collect_estimates(_map_reps(_replication, args, jobs))
     estimates.update(staged)
     checks = []
     for name in regime.theta_checked:
@@ -514,14 +560,15 @@ def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _map_reps(params: dict, jobs: int) -> list[dict]:
-    args = [(params, rep) for rep in range(params["replications"])]
+def _map_reps(worker: Callable, args: list, jobs: int, chunksize: int = 1) -> list:
+    """``[worker(a) for a in args]``, on a pool of ``jobs`` processes when
+    ``jobs > 1``, which take ``args`` in contiguous chunks of ``chunksize``.
+    ``pool.map`` returns results in argument order, so reports are
+    reproducible regardless of worker scheduling."""
     if jobs <= 1:
-        return [_replication(a) for a in args]
+        return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # ex.map preserves argument order, so reports are reproducible
-        # regardless of worker scheduling.
-        return list(pool.map(_replication, args))
+        return list(pool.map(worker, args, chunksize=chunksize))
 
 
 def _collect_estimates(rows: list[dict]) -> dict:

@@ -133,17 +133,22 @@ def _power_law_tables(spec: InDegreeSpec):
     return pmf, cdf
 
 
-def sample_pareto(spec: TailSpec, n: int, seed: int, *, _rng=None) -> np.ndarray:
+def sample_pareto(spec: TailSpec, n: int, seed: int, *, _rng=None, out=None) -> np.ndarray:
     """Draw ``n`` i.i.d. exact-Pareto values with the tail of ``spec``.
 
     Inverse transform: ``X = (c / U)**(1/k)`` with ``U`` uniform on (0, 1],
-    so ``P{X > x} = c * x**(-k)`` holds exactly on the support.
+    so ``P{X > x} = c * x**(-k)`` holds exactly on the support.  The draws
+    are transformed in place, in ``out`` (a float64 array of length ``n``)
+    when given; the values equal those of the expression bit for bit.
     """
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
     rng = _rng if _rng is not None else child_rng(seed, STREAMS["column"], 0)
-    u = 1.0 - rng.random(n)  # uniform on (0, 1]; avoids division by zero
-    return (spec.c / u) ** (1.0 / spec.k)
+    x = rng.random(n, out=out)
+    np.subtract(1.0, x, out=x)  # uniform on (0, 1]; avoids division by zero
+    np.divide(spec.c, x, out=x)
+    x **= 1.0 / spec.k  # the operator, so NumPy's scalar-power fast paths apply
+    return x
 
 
 def pareto_from_uniform(spec: TailSpec, u) -> np.ndarray:
@@ -165,12 +170,16 @@ def theoretical_mm_theta(dep: DependenceSpec, k: float) -> float:
 
 
 def _frechet(rng: np.random.Generator, scale: float, k: float, n: int) -> np.ndarray:
-    """Fréchet draws with survival ``1 - exp(-scale * z**-k) ~ scale * z**-k``."""
-    e = rng.exponential(size=n)
-    return (scale / e) ** (1.0 / k)
+    """Fréchet draws with survival ``1 - exp(-scale * z**-k) ~ scale * z**-k``,
+    ``(scale / E)**(1/k)`` computed in place over the exponential draws."""
+    z = rng.standard_exponential(n)  # the same stream as exponential(size=n)
+    np.divide(scale, z, out=z)
+    z **= 1.0 / k
+    return z
 
 
-def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None) -> np.ndarray:
+def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None,
+                      out=None) -> np.ndarray:
     """Stationary path ``Y_t = max_j a_j * Z_{t-j}`` of length ``n``.
 
     Innovations ``Z`` are Fréchet with tail index ``seq.tail.k`` and scale
@@ -179,7 +188,8 @@ def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None) -> np.
     ``max_j a_j**k / sum_j a_j**k``.
 
     A single-coefficient spec degenerates to an i.i.d. path, drawn as exact
-    Pareto so marginal tails are sharp.
+    Pareto so marginal tails are sharp.  The path is written into ``out``
+    (a float64 array of length ``n``) when given.
     """
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
@@ -187,21 +197,23 @@ def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None) -> np.
     m = len(a)
     rng = _rng if _rng is not None else child_rng(seed, STREAMS["column"], 0)
     if m == 1:
-        return sample_pareto(seq.tail, n, seed, _rng=rng)
+        return sample_pareto(seq.tail, n, seed, _rng=rng, out=out)
     k = seq.tail.k
     innov_scale = seq.tail.c / float(np.sum(a**k))
     z = _frechet(rng, innov_scale, k, n + m - 1)
-    path = a[0] * z[m - 1 : m - 1 + n]
+    path = np.multiply(a[0], z[m - 1 : m - 1 + n], out=out)
+    term = np.empty(n)  # one work buffer for every lagged product
     for j in range(1, m):
         if a[j] == 0.0:
             continue
-        np.maximum(path, a[j] * z[m - 1 - j : m - 1 - j + n], out=path)
+        np.maximum(path, np.multiply(a[j], z[m - 1 - j : m - 1 - j + n], out=term), out=path)
     return path
 
 
-def sample_sequence(seq: SequenceSpec, n: int, seed: int, *, _rng=None) -> np.ndarray:
+def sample_sequence(seq: SequenceSpec, n: int, seed: int, *, _rng=None,
+                    out=None) -> np.ndarray:
     """Stationary path for ``seq``: i.i.d. Pareto or moving maxima."""
-    return gen_moving_maxima(seq, n, seed, _rng=_rng)
+    return gen_moving_maxima(seq, n, seed, _rng=_rng, out=out)
 
 
 def sample_power_law_int(spec: InDegreeSpec, n: int, seed: int, *, _rng=None) -> np.ndarray:

@@ -228,10 +228,12 @@ def _column_contributions(config, n, seed, in_deg):
     min_n = int(in_deg.min()) if len(in_deg) else 0
     sums = np.zeros(n)
     maxes = np.zeros(n)
+    col = np.empty(n)  # every column is drawn into this one buffer
     for j in range(1, max_n + 1):
         rng = child_rng(seed, STREAMS["column"], j)
-        col = sample_sequence(
-            SequenceSpec(config.follower_tail, config.column_dep(j)), n, seed, _rng=rng
+        sample_sequence(
+            SequenceSpec(config.follower_tail, config.column_dep(j)), n, seed, _rng=rng,
+            out=col,
         )
         if config.coupling == COUPLING_ADVERSARIAL and j == 1:
             # Comonotone rearrangement: large in-degrees align with large
@@ -269,13 +271,16 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
     else:
         f_sum, f_max = _column_contributions(config, n, seed, in_deg)
 
+    # c * f_sum + pref_term and max(c * f_max, pref_term), in place
     c = config.damping
     pref_term = config.z_star * q
-    sum_values = c * f_sum + pref_term
-    max_values = np.maximum(c * f_max, pref_term)
+    np.multiply(c, f_sum, out=f_sum)
+    np.add(f_sum, pref_term, out=f_sum)
+    np.multiply(c, f_max, out=f_max)
+    np.maximum(f_max, pref_term, out=f_max)
     return AggregatePair(
-        sum_values=sum_values,
-        max_values=max_values,
+        sum_values=f_sum,
+        max_values=f_max,
         in_degrees=in_deg,
         preference=q,
         config=config,
@@ -317,7 +322,8 @@ def sample_weighted_pair(
         if not z > 0:
             raise ParameterError(f"weights must be positive, got {z}")
         rng = child_rng(seed, STREAMS["column"], i)
-        col = z * sample_sequence(seq, n, seed, _rng=rng)
+        col = sample_sequence(seq, n, seed, _rng=rng)
+        col *= z
         sums += col
         np.maximum(maxes, col, out=maxes)
     return sums, maxes

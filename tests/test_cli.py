@@ -2,14 +2,16 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rank_extremes
-from rank_extremes import cli, recursion
+from rank_extremes import cli, experiments, recursion
 from rank_extremes.cli import main
 from rank_extremes.errors import ConfigurationError
+from rank_extremes.estimators import definition_theta
 from rank_extremes.experiments import (
     DEFAULTS,
     KINDS,
@@ -19,6 +21,7 @@ from rank_extremes.experiments import (
     run_experiment,
 )
 from rank_extremes.heavytail import DependenceSpec
+from rank_extremes.rng import replication_seed
 from rank_extremes.theory import Component, ComponentSpec, predict_min_rule
 
 FAST_THM2 = dict(n=20000, replications=4)
@@ -175,6 +178,41 @@ class TestRunExperiment:
         a = run_experiment(cfg, jobs=1)
         b = run_experiment(cfg, jobs=2)
         assert a["estimates"]["per_replication"] == b["estimates"]["per_replication"]
+        for key in ("definition_sum", "definition_max"):
+            assert (key in a["estimates"]) == (case == "preference")
+            assert a["estimates"].get(key) == b["estimates"].get(key)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    # at def_n = 300, tau = 4 each replication hands in all its draws (the
+    # top 401 of 30 000 fix u_n), and the sum and max estimates differ
+    @pytest.mark.parametrize("def_n, tau", [(2000, 0.5), (300, 4.0)])
+    def test_streamed_definition_stage_equals_block_estimate(self, jobs, def_n, tau):
+        params = ExperimentConfig.default(
+            "verify-thm4", def_replications=100, def_n=def_n, tau=tau).params
+        pairs = [recursion.sample_aggregate_pair(
+            experiments.recursion_config_from_params(params), def_n,
+            replication_seed(params["seed"], rep)) for rep in range(100)]
+        q_paths = np.array([p.preference for p in pairs])
+        want = {
+            "definition_sum": definition_theta(
+                np.array([p.sum_values for p in pairs]), tau, calibration_paths=q_paths),
+            "definition_max": definition_theta(
+                np.array([p.max_values for p in pairs]), tau, calibration_paths=q_paths),
+        }
+        got = experiments._definition_stage(params, jobs)
+        assert got == {key: est.estimate for key, est in want.items()}
+
+    def test_definition_stage_memory_is_far_below_one_block(self):
+        params = ExperimentConfig.default(
+            "verify-thm4", def_replications=100, def_n=20000).params
+        block = 100 * 20000 * 8  # one r x n float64 block: 16 MB
+        tracemalloc.start()
+        try:
+            experiments._definition_stage(params, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 4
 
     def test_tail_regime_needs_hill_fraction(self):
         cfg = ExperimentConfig.default("verify-thm4", regime="tail", hill_fraction=0.0)
@@ -309,6 +347,49 @@ class TestCliCommands:
         report_path.write_text("kind=verify-thm2\n")
         assert main(["report", "--input", str(report_path)]) == 2
         assert "invalid report, not JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report", ["3", "[]", '"text"'])
+    def test_report_that_is_not_an_object_exits_2(self, tmp_path, capsys, report):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(report)
+        assert main(["report", "--input", str(report_path)]) == 2
+        assert "invalid report, expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks, problem", [
+        (5, "'checks' must be a list"),
+        ([3], "check 0 must be an object"),
+        ([{"name": "x", "passed": True}], "check 0 must be an object"),
+        ([{"name": "x", "value": "high", "target": 1, "tol": 0.1, "passed": True}],
+         "check 0 value must be a number or null"),
+    ])
+    def test_report_with_malformed_checks_exits_2(self, tmp_path, capsys, checks, problem):
+        report = {field: None for field in REPORT_FIELDS}
+        report.update(checks=checks, passed=True)
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        assert main(["report", "--input", str(report_path)]) == 2
+        assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["def_replications=99"], "need at least 100 replications"),
+        (["tau=0"], "tau must be positive"),
+        (["tau=-1"], "tau must be positive"),
+        (["def_n=5000", "tau=5000"], "incompatible with path length"),
+        (["def_replications=200", "tau=50000"], "budget"),
+    ])
+    def test_bad_definition_stage_exits_2_before_sampling(self, tmp_path, capsys,
+                                                          monkeypatch, overrides, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the definition stage was checked")
+
+        monkeypatch.setattr(experiments, "sample_aggregate_pair", refuse)
+        out = tmp_path / "out"
+        argv = ["verify", "thm4", "--set", "n=20000", "--set", "replications=2"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_exits_2(self, capsys):
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2

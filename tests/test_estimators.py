@@ -14,6 +14,8 @@ from rank_extremes.estimators import (
     ThresholdRule,
     blocks_theta,
     definition_theta,
+    definition_theta_from_maxima,
+    definition_top_count,
     hill,
     intervals_theta,
     mean_cluster_size,
@@ -297,6 +299,48 @@ class TestDefinitionTheta:
     def test_requires_2d(self):
         with pytest.raises(ParameterError):
             definition_theta(np.ones(1000), tau=1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), 1000.0, 5000.0])
+    def test_tau_outside_path_length_rejected(self, tau):
+        with pytest.raises(ParameterError):
+            definition_top_count(100, 1000, tau)
+
+    def test_top_count_at_the_defaults(self):
+        # 500 x 10^5 pooled values, level 1 - 10^-5: the top 501 fix u_n
+        assert definition_top_count(500, 10**5, 1.0) == 501
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), r=st.integers(100, 130),
+           n=st.integers(2, 40), top=st.sampled_from([0, 1, 5, 1000]),
+           calib_rows=st.integers(0, 4))
+    def test_streamed_estimate_equals_block_estimate(self, data, seed, r, n, top,
+                                                     calib_rows):
+        # integers with many ties (a single value when top = 0); the streamed
+        # form sees only each row's maximum and each calibration row's top
+        # `count` values; calib_rows = 0 calibrates on the paths themselves
+        # mostly small tau, where u_n sits among the row maxima
+        tau = data.draw(st.one_of(st.floats(0.01, min(3.0, n - 0.01)),
+                                  st.floats(0.01, n - 0.01)))
+        rng = np.random.default_rng(seed)
+        paths = rng.integers(0, top + 1, size=(r, n)).astype(float)
+        calib = None
+        if calib_rows:
+            calib = rng.integers(0, top + 1, size=(calib_rows, n)).astype(float)
+        pooled = paths if calib is None else calib
+        count = definition_top_count(r, n, tau, pooled.size)
+        tops = np.concatenate([upper_order_statistics(row, min(count, n)) for row in pooled])
+        u_n = float(upper_order_statistics(tops, count)[-1])
+        try:
+            want = definition_theta(paths, tau, calibration_paths=calib)
+        except DataError:
+            with pytest.raises(DataError):
+                definition_theta_from_maxima(paths.max(axis=1), n, tau, u_n)
+            return
+        got = definition_theta_from_maxima(paths.max(axis=1), n, tau, u_n)
+        assert got.threshold == want.threshold
+        assert got.estimate == want.estimate
+        assert got.details == want.details and got.clamped == want.clamped
+        assert want.exceedances == int(np.count_nonzero(paths > u_n))
 
 
 class TestMeanClusterSize:

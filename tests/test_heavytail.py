@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rank_extremes.errors import ParameterError
+from rank_extremes.rng import STREAMS, child_rng
 from rank_extremes.estimators import (
     intervals_theta,
     mean_cluster_size,
@@ -18,6 +19,7 @@ from rank_extremes.heavytail import (
     InDegreeSpec,
     SequenceSpec,
     TailSpec,
+    _frechet,
     gen_moving_maxima,
     pareto_from_uniform,
     power_law_survival,
@@ -225,3 +227,79 @@ class TestVonMises:
     def test_small_support_rejected(self):
         with pytest.raises(ParameterError):
             von_mises_check(InDegreeSpec(alpha=1.0, n_max=5))
+
+
+# The samplers transform their draws in place; these are the expressions
+# they replaced, which allocated a temporary per operation.
+def expression_pareto(spec, n, rng):
+    u = 1.0 - rng.random(n)
+    return (spec.c / u) ** (1.0 / spec.k)
+
+
+def expression_frechet(rng, scale, k, n):
+    e = rng.exponential(size=n)
+    return (scale / e) ** (1.0 / k)
+
+
+def expression_moving_maxima(seq, n, rng):
+    a = np.asarray(seq.dep.coeffs, dtype=float)
+    m = len(a)
+    if m == 1:
+        return expression_pareto(seq.tail, n, rng)
+    k = seq.tail.k
+    z = expression_frechet(rng, seq.tail.c / float(np.sum(a**k)), k, n + m - 1)
+    path = a[0] * z[m - 1 : m - 1 + n]
+    for j in range(1, m):
+        if a[j] == 0.0:
+            continue
+        np.maximum(path, a[j] * z[m - 1 - j : m - 1 - j + n], out=path)
+    return path
+
+
+def stream(seed):
+    return child_rng(seed, STREAMS["column"], 3)
+
+
+# tail indices include 1/k in {2, 1, 0.5}, where NumPy's scalar power
+# takes its square, copy and square-root fast paths
+TAIL_K = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.2, 8.0))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestInPlaceSamplers:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, k=TAIL_K, c=st.floats(0.1, 10.0), n=st.integers(1, 300))
+    def test_pareto_matches_expression_bit_for_bit(self, seed, k, c, n):
+        spec = TailSpec(k, c)
+        want = expression_pareto(spec, n, stream(seed))
+        assert sample_pareto(spec, n, 0, _rng=stream(seed)).tobytes() == want.tobytes()
+        out = np.full(n, np.nan)
+        got = sample_pareto(spec, n, 0, _rng=stream(seed), out=out)
+        assert got is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_standard_exponential_is_the_exponential_stream(self, seed):
+        a = np.random.default_rng(seed).exponential(size=1000)
+        b = np.random.default_rng(seed).standard_exponential(1000)
+        assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, k=TAIL_K, scale=st.floats(0.01, 10.0), n=st.integers(1, 300))
+    def test_frechet_matches_expression_bit_for_bit(self, seed, k, scale, n):
+        want = expression_frechet(stream(seed), scale, k, n)
+        assert _frechet(stream(seed), scale, k, n).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, k=TAIL_K,
+           coeffs=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=5)
+           .filter(lambda a: any(a)),
+           n=st.integers(1, 300), into_buffer=st.booleans())
+    def test_moving_maxima_matches_expression_bit_for_bit(self, seed, k, coeffs, n,
+                                                          into_buffer):
+        seq = SequenceSpec(TailSpec(k), DependenceSpec.moving_maxima(*coeffs))
+        want = expression_moving_maxima(seq, n, stream(seed))
+        out = np.full(n, np.nan) if into_buffer else None
+        got = gen_moving_maxima(seq, n, 0, _rng=stream(seed), out=out)
+        assert got.tobytes() == want.tobytes()
+        if into_buffer:
+            assert got is out

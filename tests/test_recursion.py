@@ -15,6 +15,7 @@ from rank_extremes.heavytail import (
     InDegreeSpec,
     SequenceSpec,
     TailSpec,
+    sample_pareto,
     sample_power_law_int,
     sample_sequence,
 )
@@ -26,6 +27,8 @@ from rank_extremes.recursion import (
     AggregatePath,
     RecursionConfig,
     _column_contributions,
+    _draw_in_degrees,
+    _fast_iid_contributions,
     _segment_sum_max,
     compare_tail_sum_max,
     expected_tree_size,
@@ -173,6 +176,49 @@ class TestWeightedPair:
     def test_validation(self):
         with pytest.raises(ParameterError):
             sample_weighted_pair([], 100, SEED)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           zs=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4),
+           n=st.integers(1, 300))
+    def test_matches_expression_bit_for_bit(self, seed, zs, n):
+        deps = (DependenceSpec.iid(), DependenceSpec.moving_maxima(1, 1))
+        comps = [(z, SequenceSpec(TailSpec(1.5), deps[i % 2])) for i, z in enumerate(zs)]
+        sums, maxes = np.zeros(n), np.zeros(n)
+        for i, (z, seq) in enumerate(comps, start=1):
+            col = z * sample_sequence(seq, n, seed, _rng=child_rng(seed, STREAMS["column"], i))
+            sums += col
+            np.maximum(maxes, col, out=maxes)
+        got = sample_weighted_pair(comps, n, seed)
+        assert got[0].tobytes() == sums.tobytes()
+        assert got[1].tobytes() == maxes.tobytes()
+
+
+class TestAggregatePairCombination:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), damping=st.floats(0.05, 0.95),
+           columns=st.sampled_from(["iid", "explicit", "adversarial"]),
+           n=st.integers(1, 300))
+    def test_matches_expression_bit_for_bit(self, seed, damping, columns, n):
+        deps = ((DependenceSpec.iid(),) if columns == "iid"
+                else (DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()))
+        config = make_config(
+            damping=damping, in_degree=InDegreeSpec(alpha=1.5, n_max=12),
+            follower_deps=deps,
+            coupling=COUPLING_ADVERSARIAL if columns == "adversarial" else COUPLING_INDEPENDENT)
+        in_deg = _draw_in_degrees(config, n, seed)
+        q = sample_pareto(config.preference_tail, n, seed,
+                          _rng=child_rng(seed, STREAMS["preference"]))
+        if columns == "iid":
+            f_sum, f_max = _fast_iid_contributions(config, seed, in_deg)
+        else:
+            f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
+        pref_term = config.z_star * q
+        pair = sample_aggregate_pair(config, n, seed)
+        assert pair.sum_values.tobytes() == (damping * f_sum + pref_term).tobytes()
+        assert pair.max_values.tobytes() == np.maximum(damping * f_max, pref_term).tobytes()
+        assert np.array_equal(pair.in_degrees, in_deg)
+        assert pair.preference.tobytes() == q.tobytes()
 
 
 # ties, a subnormal, huge values, both zeros, infinities and NaN
