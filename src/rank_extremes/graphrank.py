@@ -98,35 +98,72 @@ class RankVector:
         write_rows(fileobj, "%d,%.17g\n", np.arange(len(self.scores)), self.scores)
 
 
-def _distinct_sources(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """``count`` distinct uniform node ids out of ``n`` (rejection-based)."""
-    if count >= n:
-        return np.arange(n, dtype=np.int64)
-    picked = np.unique(rng.integers(0, n, size=count + max(4, count // 8)))
-    while len(picked) < count:
-        extra = rng.integers(0, n, size=count)
-        picked = np.unique(np.concatenate([picked, extra]))
-    rng.shuffle(picked)
-    return picked[:count]
+def _block_slots(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` over the ``(starts, lengths)`` pairs."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _distinct_draws(rng: np.random.Generator, n: int, counts: np.ndarray):
+    """``counts[t]`` distinct uniform ids out of ``n`` for every owner ``t``.
+
+    Returns ``(owner, ids)`` in owner-major blocks.  All ids are drawn at
+    once; one sort of the key ``owner * n + id`` finds the repeats, which
+    are redrawn in rounds, and each later round sorts only the blocks of
+    owners that still held a repeat.  A redraw repeats with probability
+    below ``counts[t] / n``.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    ids = rng.integers(0, n, size=len(owner))
+    starts = np.cumsum(counts) - counts
+    slots = np.arange(len(owner))
+    while len(slots):
+        base = owner[slots] * n
+        # blocks keep their place and length in the sorted keys, so each
+        # key goes back into its owner's block (sorted within it)
+        keys = np.sort(base + ids[slots])
+        ids[slots] = keys - base
+        redo = slots[1:][keys[1:] == keys[:-1]]
+        if not len(redo):
+            break
+        ids[redo] = rng.integers(0, n, size=len(redo))
+        bad = np.unique(owner[redo])
+        slots = _block_slots(starts[bad], counts[bad])
+    return owner, ids
 
 
 def gen_power_law_graph(n: int, alpha: float, seed: int) -> DirectedGraph:
     """Random digraph whose in-degrees follow the truncated power law.
 
-    Target in-degrees are drawn from ``InDegreeSpec(alpha, n - 1)``; each
-    node's sources are sampled uniformly without duplicate edges
-    (configuration-model style).  Nodes left dangling receive one uniform
-    out-edge so every out-degree is at least 1.
+    Target in-degrees ``d`` are drawn first from ``InDegreeSpec(alpha,
+    n - 1)``; each target's sources are then a set of ``d`` distinct nodes
+    (configuration-model style, self-loops allowed).  A target with
+    ``d <= n/2`` draws its sources and one with ``d > n/2`` draws the
+    ``n - d`` nodes it excludes, so every redraw of a repeated id succeeds
+    with probability at least 1/2 (:func:`_distinct_draws`).  Which ids are
+    kept or redrawn depends only on which ids are equal, never on their
+    values, so the procedure treats every label alike and each target's
+    source set is uniform over the ``d``-subsets of the nodes.  Edges come
+    in target order.  Nodes left dangling then receive one uniform out-edge
+    each, appended last, so every out-degree is at least 1.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
     spec = InDegreeSpec(alpha=alpha, n_max=n - 1)
     rng = child_rng(seed, STREAMS["graph"])
     degrees = sample_power_law_int(spec, n, seed, _rng=rng)
-    src_parts = [_distinct_sources(rng, n, int(d)) for d in degrees]
-    dst_parts = [np.full(int(d), i, dtype=np.int64) for i, d in enumerate(degrees)]
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
+    dense = 2 * degrees > n
+    owner, ids = _distinct_draws(rng, n, np.where(dense, n - degrees, degrees))
+    excluded = dense[owner]
+    # one row per dense target, whose sources are the ids it did not
+    # exclude; each row holds over n/2 sources, so this is < 2 bytes an edge
+    keep = np.ones((int(dense.sum()), n), dtype=bool)
+    keep[(np.cumsum(dense) - 1)[owner[excluded]], ids[excluded]] = False
+    dst = np.repeat(np.arange(n), degrees)
+    src = np.empty(len(dst), dtype=np.int64)
+    from_dense = dense[dst]
+    src[from_dense] = np.nonzero(keep)[1]
+    src[~from_dense] = ids[~excluded]
     out_degree = np.bincount(src, minlength=n)
     dangling = np.flatnonzero(out_degree == 0)
     if len(dangling):

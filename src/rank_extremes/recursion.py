@@ -221,7 +221,12 @@ def _fast_iid_contributions(config, seed, in_deg):
 
 
 def _column_contributions(config, n, seed, in_deg):
-    """Follower sum/max terms from explicit stationary columns."""
+    """Follower sum/max terms from explicit stationary columns.
+
+    Returns ``(sums, maxes, in_deg)``; under adversarial coupling the
+    returned in-degrees are a rearranged copy and the caller's array is
+    left as it was.
+    """
     max_n = int(in_deg.max()) if len(in_deg) else 0
     # every row includes the columns up to the smallest in-degree (the
     # adversarial rearrangement below permutes in_deg, so keeps its minimum)
@@ -239,10 +244,9 @@ def _column_contributions(config, n, seed, in_deg):
             # Comonotone rearrangement: large in-degrees align with large
             # first-column values while both marginals are preserved.
             order = np.argsort(col, kind="stable")
-            in_deg_sorted = np.sort(in_deg)
             rearranged = np.empty(n, dtype=np.int64)
-            rearranged[order] = in_deg_sorted
-            in_deg[:] = rearranged
+            rearranged[order] = np.sort(in_deg)
+            in_deg = rearranged
         if j <= min_n:
             sums += col
             np.maximum(maxes, col, out=maxes)
@@ -250,7 +254,7 @@ def _column_contributions(config, n, seed, in_deg):
             mask = in_deg >= j
             np.add(sums, col, out=sums, where=mask)
             np.maximum(maxes, col, out=maxes, where=mask)
-    return sums, maxes
+    return sums, maxes, in_deg
 
 
 def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
@@ -269,7 +273,7 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
     if config.all_iid_columns() and config.coupling == COUPLING_INDEPENDENT:
         f_sum, f_max = _fast_iid_contributions(config, seed, in_deg)
     else:
-        f_sum, f_max = _column_contributions(config, n, seed, in_deg)
+        f_sum, f_max, in_deg = _column_contributions(config, n, seed, in_deg)
 
     # c * f_sum + pref_term and max(c * f_max, pref_term), in place
     c = config.damping

@@ -6,6 +6,8 @@ cached at module scope because the sum/max agreement criterion reuses the
 configs of the others.
 """
 
+import os
+
 import numpy as np
 
 from rank_extremes.estimators import (
@@ -50,12 +52,16 @@ CONFIGS = {
 
 _REPORTS: dict[str, dict] = {}
 
+# replications run on a worker pool; --jobs rows equal --jobs 1 rows
+# (tests/test_cli.py), so the verdicts do not depend on it
+JOBS = min(os.cpu_count() or 1, 4)
+
 
 def report_for(name):
     if name not in _REPORTS:
         kind, overrides = CONFIGS[name]
         cfg = ExperimentConfig.default(kind, **overrides)
-        _REPORTS[name] = run_experiment(cfg)
+        _REPORTS[name] = run_experiment(cfg, jobs=JOBS)
     return _REPORTS[name]
 
 

@@ -2,10 +2,11 @@
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank_extremes.errors import ConvergenceError, DataError, ParameterError
@@ -18,10 +19,17 @@ from rank_extremes.graphrank import (
     random_walk_hitting,
 )
 from rank_extremes.heavytail import InDegreeSpec, sample_power_law_int
+from rank_extremes.rng import STREAMS, child_rng
 from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 7788
 BLOCK_LENGTHS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+
+
+def graph_in_degrees(n, alpha, seed):
+    """The in-degrees ``gen_power_law_graph`` draws first from its stream."""
+    spec = InDegreeSpec(alpha=alpha, n_max=n - 1)
+    return sample_power_law_int(spec, n, seed, _rng=child_rng(seed, STREAMS["graph"]))
 
 
 def cycle(n):
@@ -140,16 +148,61 @@ class TestGraphGeneration:
         g = gen_power_law_graph(3000, 2.0, SEED)
         assert np.all(g.out_degree >= 1)
 
-    def test_no_duplicate_sources_per_target(self):
-        g = gen_power_law_graph(300, 1.5, SEED)
-        edges = set()
-        for s, d in zip(g.src, g.dst):
-            assert (int(s), int(d)) not in edges or True
-        # per-target sources are sampled distinct before repair; check the
-        # non-repair edges of a few heavy nodes
-        heavy = int(np.argmax(g.in_degree))
-        sources = g.src[g.dst == heavy]
-        assert len(np.unique(sources)) >= len(sources) - 1
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 300), alpha=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=300, alpha=0.1, seed=SEED)  # 22 dense targets (d > n/2)
+    @example(n=2, alpha=3.0, seed=SEED)
+    def test_no_duplicate_sources_per_target(self, n, alpha, seed):
+        g = gen_power_law_graph(n, alpha, seed)
+        degrees = graph_in_degrees(n, alpha, seed)
+        edges = int(degrees.sum())
+        # the non-repair edges carry exactly the drawn in-degrees
+        assert np.bincount(g.dst[:edges], minlength=n).tobytes() == degrees.tobytes()
+        keys = g.dst[:edges] * n + g.src[:edges]
+        assert len(np.unique(keys)) == edges
+        # one repair edge per node that no drawn edge leaves
+        dangling = np.flatnonzero(np.bincount(g.src[:edges], minlength=n) == 0)
+        assert g.src[edges:].tolist() == dangling.tolist()
+        assert g.out_degree.min() >= 1
+        again = gen_power_law_graph(n, alpha, seed)
+        assert np.array_equal(g.src, again.src) and np.array_equal(g.dst, again.dst)
+
+    def test_sources_uniform_per_degree(self):
+        # each id is a source of a degree-d target with probability d/n;
+        # ids are read both as they are and relative to the target, so a
+        # bias towards small ids or against self-loops would show
+        n, alpha, graphs = 10, 0.3, 1000
+        hits = np.zeros((2, n, n))  # (absolute | relative id, degree, id)
+        targets = np.zeros(n)
+        for seed in range(graphs):
+            g = gen_power_law_graph(n, alpha, seed)
+            degrees = graph_in_degrees(n, alpha, seed)
+            edges = int(degrees.sum())
+            src, dst = g.src[:edges], g.dst[:edges]
+            d = degrees[dst]
+            np.add.at(hits[0], (d, src), 1)
+            np.add.at(hits[1], (d, (src - dst) % n), 1)
+            targets += np.bincount(degrees, minlength=n)
+        for d in np.flatnonzero(targets >= 50):
+            p = d / n
+            expected = targets[d] * p
+            se = math.sqrt(targets[d] * p * (1 - p))
+            assert np.all(np.abs(hits[:, d] - expected) <= 4 * se), (d, hits[:, d])
+
+    def test_dense_targets_finish_fast(self):
+        # at alpha = 0.1 dozens of targets take more than half the nodes;
+        # drawing their excluded ids keeps each redraw at >= 1/2 success
+        n, alpha = 1000, 0.1
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            g = gen_power_law_graph(n, alpha, SEED)
+            seconds.append(time.perf_counter() - start)
+        degrees = graph_in_degrees(n, alpha, SEED)
+        assert np.sum(2 * degrees > n) >= 50
+        edges = int(degrees.sum())
+        assert len(np.unique(g.dst[:edges] * n + g.src[:edges])) == edges
+        assert min(seconds) < 0.5
 
     def test_in_degree_survival_matches_truncated_law(self):
         n = 10**5

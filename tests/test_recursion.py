@@ -334,11 +334,13 @@ class TestColumnContributions:
         in_deg = np.maximum(sample_power_law_int(config.in_degree, n, seed), floor)
         expected_deg = in_deg.copy()
         want = masked_column_contributions(config, n, seed, expected_deg)
-        got_deg = in_deg.copy()
-        got = _column_contributions(config, n, seed, got_deg)
+        caller_deg = in_deg.copy()
+        got = _column_contributions(config, n, seed, caller_deg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert np.array_equal(got_deg, expected_deg)
+        assert got[2].tobytes() == expected_deg.tobytes()
+        # the rearrangement is returned, never written into the caller's array
+        assert np.array_equal(caller_deg, in_deg)
 
 
 def looped_segment_sum_max(values, counts):
