@@ -82,7 +82,7 @@ def _cmd_estimate(args) -> int:
     with open(args.input) as fh:
         path = read_path_csv(fh)
     if args.method == "hill":
-        if args.top_count:
+        if args.top_count is not None:
             rule = ThresholdRule.top_count(args.top_count)
         else:
             rule = ThresholdRule.top_fraction(args.fraction)

@@ -41,16 +41,20 @@ from .heavytail import (
     TailSpec,
 )
 from .recursion import (
+    MIN_RELIABLE_EXCEEDANCES,
     RecursionConfig,
     compare_tail_sum_max,
     sample_aggregate_pair,
     sample_weighted_pair,
 )
 from .theory import (
+    FOLLOWERS_DOMINATE,
+    PREFERENCE_DOMINATES,
     ComponentSpec,
     Component,
     predict_equal_tails,
     predict_min_rule,
+    predict_random_length,
 )
 from .rng import replication_seed
 from .textio import write_rows
@@ -358,18 +362,24 @@ def _predict(regime: str, params) -> dict:
         predicted = asdict(pred)
         del predicted["scale_converged"]  # set only by the random-length series
         return predicted
-    k_of_z = min(params["k"], params["alpha"], params["beta"])
     if regime == "tail":
-        return {"k_of_z": k_of_z, "regime": "TAIL_RULE"}
+        return {"k_of_z": min(params["k"], params["alpha"], params["beta"]),
+                "regime": "TAIL_RULE"}
+    # n_max follower columns of weight damping, dependence specs cycled
     config = recursion_config_from_params(params)
+    columns = [SequenceSpec(config.follower_tail, config.column_dep(j))
+               for j in range(1, params["n_max"] + 1)]
+    followers = ComponentSpec(tuple(
+        Component(z=config.damping, tail=seq.tail, theta=seq.theta) for seq in columns))
+    pred = predict_random_length(followers, alpha=params["alpha"], beta=params["beta"],
+                                 z_star=config.z_star, truncation=params["n_max"])
     if regime == "followers":
-        if not params["k"] < params["beta"]:
+        if pred.regime != FOLLOWERS_DOMINATE:
             raise ConfigurationError("followers regime requires k < beta")
-        return asdict(config.theory_prediction(truncation=params["n_max"]))
-    if params["k"] < params["beta"]:
+        return asdict(pred)
+    if pred.regime != PREFERENCE_DOMINATES:
         raise ConfigurationError("preference regime requires k >= beta")
-    return {"k_of_z": k_of_z, "theta_of_z": config.z_star ** params["beta"],
-            "regime": "PREFERENCE_DOMINATES"}
+    return {"k_of_z": pred.k_of_z, "theta_of_z": pred.theta_of_z, "regime": pred.regime}
 
 
 # Hard cap on the preference draws the definition stage pools in the main
@@ -551,7 +561,7 @@ def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
         _interval_check("sum_max_tail_ratio", row.ratio,
                         params["ratio_low"], params["ratio_high"]),
         _interval_check("reliable_exceedances", float(min(row.exceed_sum, row.exceed_max)),
-                        50.0, float("inf")),
+                        float(MIN_RELIABLE_EXCEEDANCES), float("inf")),
     ]
     predicted = {"ratio_limit": 1.0}
     return _make_report(cfg, predicted, estimates, checks)
@@ -623,8 +633,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = N
     Writes ``<kind>.report.json`` and, when per-replication rows exist,
     ``<kind>.estimates.csv`` under ``out_dir``.  The report file is strict
     JSON, with ``null`` for every non-finite value.  Partial outputs are
-    removed if anything fails mid-run.
+    removed if anything fails mid-run.  ``jobs`` must be at least 1.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     run = _run_tail_equivalence if cfg.kind == TAIL_EQUIVALENCE else _run_replicated
     report = run(cfg, jobs)
     if out_dir is not None:

@@ -151,7 +151,7 @@ def gen_power_law_graph(n: int, alpha: float, seed: int) -> DirectedGraph:
         raise ParameterError(f"need at least 2 nodes, got {n}")
     spec = InDegreeSpec(alpha=alpha, n_max=n - 1)
     rng = child_rng(seed, STREAMS["graph"])
-    degrees = sample_power_law_int(spec, n, seed, _rng=rng)
+    degrees = sample_power_law_int(spec, n, rng)
     dense = 2 * degrees > n
     owner, ids = _distinct_draws(rng, n, np.where(dense, n - degrees, degrees))
     excluded = dense[owner]

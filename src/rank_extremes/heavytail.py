@@ -6,19 +6,22 @@ Three families are provided:
 * stationary moving-maxima paths with a prescribed extremal index,
 * truncated power-law integers used as in-degrees.
 
-All samplers are pure functions of ``(spec, n, seed)``; see
-:mod:`rank_extremes.rng` for the stream-splitting rule.
+All samplers take ``(spec, n, rng)``.  A ``Generator`` ``rng`` is used as
+given; an integer root seed draws from the stream ``(column, 0)``, or
+``(in_degree, 0)`` for :func:`sample_power_law_int`, so the draws are a pure
+function of the seed (see :mod:`rank_extremes.rng` for the splitting rule).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import zeta
 
 from .errors import ParameterError
-from .rng import STREAMS, child_rng
+from .rng import STREAMS, as_generator
 
 
 @dataclass(frozen=True)
@@ -113,27 +116,19 @@ class InDegreeSpec:
 
 
 # pmf/cdf tables are O(n_max); memoize so replication loops do not rebuild them.
-_LAW_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _power_law_tables(spec: InDegreeSpec):
     """Normalized pmf and cdf of the truncated law, cached per spec."""
-    key = (spec.alpha, spec.n_max)
-    hit = _LAW_CACHE.get(key)
-    if hit is not None:
-        return hit
     support = np.arange(1, spec.n_max + 1, dtype=float)
     weights = support ** -(spec.alpha + 1.0)
     pmf = weights / weights.sum()
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0
-    if len(_LAW_CACHE) > 16:
-        _LAW_CACHE.clear()
-    _LAW_CACHE[key] = (pmf, cdf)
     return pmf, cdf
 
 
-def sample_pareto(spec: TailSpec, n: int, seed: int, *, _rng=None, out=None) -> np.ndarray:
+def sample_pareto(spec: TailSpec, n: int, rng: int | np.random.Generator, *,
+                  out=None) -> np.ndarray:
     """Draw ``n`` i.i.d. exact-Pareto values with the tail of ``spec``.
 
     Inverse transform: ``X = (c / U)**(1/k)`` with ``U`` uniform on (0, 1],
@@ -143,18 +138,11 @@ def sample_pareto(spec: TailSpec, n: int, seed: int, *, _rng=None, out=None) -> 
     """
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = _rng if _rng is not None else child_rng(seed, STREAMS["column"], 0)
-    x = rng.random(n, out=out)
+    x = as_generator(rng, STREAMS["column"], 0).random(n, out=out)
     np.subtract(1.0, x, out=x)  # uniform on (0, 1]; avoids division by zero
     np.divide(spec.c, x, out=x)
     x **= 1.0 / spec.k  # the operator, so NumPy's scalar-power fast paths apply
     return x
-
-
-def pareto_from_uniform(spec: TailSpec, u) -> np.ndarray:
-    """Inverse-CDF map used by :func:`sample_pareto`, exposed for oracles."""
-    u = np.asarray(u, dtype=float)
-    return (spec.c / u) ** (1.0 / spec.k)
 
 
 def theoretical_mm_theta(dep: DependenceSpec, k: float) -> float:
@@ -178,7 +166,7 @@ def _frechet(rng: np.random.Generator, scale: float, k: float, n: int) -> np.nda
     return z
 
 
-def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None,
+def gen_moving_maxima(seq: SequenceSpec, n: int, rng: int | np.random.Generator, *,
                       out=None) -> np.ndarray:
     """Stationary path ``Y_t = max_j a_j * Z_{t-j}`` of length ``n``.
 
@@ -195,9 +183,9 @@ def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None,
         raise ParameterError(f"path length must be >= 1, got {n}")
     a = np.asarray(seq.dep.coeffs, dtype=float)
     m = len(a)
-    rng = _rng if _rng is not None else child_rng(seed, STREAMS["column"], 0)
+    rng = as_generator(rng, STREAMS["column"], 0)
     if m == 1:
-        return sample_pareto(seq.tail, n, seed, _rng=rng, out=out)
+        return sample_pareto(seq.tail, n, rng, out=out)
     k = seq.tail.k
     innov_scale = seq.tail.c / float(np.sum(a**k))
     z = _frechet(rng, innov_scale, k, n + m - 1)
@@ -210,19 +198,19 @@ def gen_moving_maxima(seq: SequenceSpec, n: int, seed: int, *, _rng=None,
     return path
 
 
-def sample_sequence(seq: SequenceSpec, n: int, seed: int, *, _rng=None,
+def sample_sequence(seq: SequenceSpec, n: int, rng: int | np.random.Generator, *,
                     out=None) -> np.ndarray:
     """Stationary path for ``seq``: i.i.d. Pareto or moving maxima."""
-    return gen_moving_maxima(seq, n, seed, _rng=_rng, out=out)
+    return gen_moving_maxima(seq, n, rng, out=out)
 
 
-def sample_power_law_int(spec: InDegreeSpec, n: int, seed: int, *, _rng=None) -> np.ndarray:
+def sample_power_law_int(spec: InDegreeSpec, n: int,
+                         rng: int | np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. integers from the truncated power law of ``spec``."""
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = _rng if _rng is not None else child_rng(seed, STREAMS["in_degree"], 0)
     _, cdf = _power_law_tables(spec)
-    u = rng.random(n)
+    u = as_generator(rng, STREAMS["in_degree"], 0).random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64) + 1
 
 

@@ -34,11 +34,9 @@ from .heavytail import (
     sample_pareto,
     sample_power_law_int,
     sample_sequence,
-    theoretical_mm_theta,
 )
 from .rng import STREAMS, child_rng
 from .textio import read_rows, write_rows
-from .theory import ComponentSpec, Component, TheoryPrediction, predict_random_length
 
 SUM = "sum"
 MAX = "max"
@@ -95,28 +93,8 @@ class RecursionConfig:
         """Dependence spec of follower column ``j`` (1-based), cycled."""
         return self.follower_deps[(j - 1) % len(self.follower_deps)]
 
-    def column_theta(self, j: int) -> float:
-        return theoretical_mm_theta(self.column_dep(j), self.follower_tail.k)
-
     def all_iid_columns(self) -> bool:
         return all(dep.is_iid for dep in self.follower_deps)
-
-    def theory_prediction(self, truncation: int | None = None) -> TheoryPrediction:
-        """Closed-form ``(k(z), theta(z), c(z))`` for this configuration."""
-        m = truncation if truncation is not None else self.in_degree.n_max
-        followers = ComponentSpec(
-            tuple(
-                Component(z=self.damping, tail=self.follower_tail, theta=self.column_theta(j))
-                for j in range(1, m + 1)
-            )
-        )
-        return predict_random_length(
-            followers,
-            alpha=self.in_degree.alpha,
-            beta=self.preference_tail.k,
-            z_star=self.z_star,
-            truncation=m,
-        )
 
 
 @dataclass(frozen=True)
@@ -182,11 +160,10 @@ class AggregatePair:
     seed: int
 
 
-def _draw_in_degrees(config: RecursionConfig, n: int, seed: int) -> np.ndarray:
+def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     if config.fixed_in_degree is not None:
         return np.full(n, config.fixed_in_degree, dtype=np.int64)
-    rng = child_rng(seed, STREAMS["in_degree"])
-    return sample_power_law_int(config.in_degree, n, seed, _rng=rng)
+    return sample_power_law_int(config.in_degree, n, rng)
 
 
 def _segment_sum_max(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +184,7 @@ def _segment_sum_max(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray
     return sums, maxes
 
 
-def _fast_iid_contributions(config, seed, in_deg):
+def _fast_iid_contributions(config, rng, in_deg):
     """Follower sum/max terms when every column is i.i.d.
 
     With i.i.d. columns the values entering time ``t`` are fresh draws, so
@@ -215,8 +192,7 @@ def _fast_iid_contributions(config, seed, in_deg):
     column construction at a fraction of the cost.
     """
     total = int(in_deg.sum())
-    rng = child_rng(seed, STREAMS["column"])
-    draws = sample_pareto(config.follower_tail, max(total, 1), seed, _rng=rng)
+    draws = sample_pareto(config.follower_tail, max(total, 1), rng)
     return _segment_sum_max(draws[:total], in_deg)
 
 
@@ -235,11 +211,8 @@ def _column_contributions(config, n, seed, in_deg):
     maxes = np.zeros(n)
     col = np.empty(n)  # every column is drawn into this one buffer
     for j in range(1, max_n + 1):
-        rng = child_rng(seed, STREAMS["column"], j)
-        sample_sequence(
-            SequenceSpec(config.follower_tail, config.column_dep(j)), n, seed, _rng=rng,
-            out=col,
-        )
+        sample_sequence(SequenceSpec(config.follower_tail, config.column_dep(j)), n,
+                        child_rng(seed, STREAMS["column"], j), out=col)
         if config.coupling == COUPLING_ADVERSARIAL and j == 1:
             # Comonotone rearrangement: large in-degrees align with large
             # first-column values while both marginals are preserved.
@@ -261,9 +234,8 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
     """Simulate both aggregates of length ``n`` from one set of draws."""
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
-    in_deg = _draw_in_degrees(config, n, seed)
-    q_rng = child_rng(seed, STREAMS["preference"])
-    q = sample_pareto(config.preference_tail, n, seed, _rng=q_rng)
+    in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
+    q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
 
     if config.coupling == COUPLING_ADVERSARIAL and config.all_iid_columns():
         raise ConfigurationError(
@@ -271,7 +243,8 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
             "configure at least one non-i.i.d. dependence spec"
         )
     if config.all_iid_columns() and config.coupling == COUPLING_INDEPENDENT:
-        f_sum, f_max = _fast_iid_contributions(config, seed, in_deg)
+        f_sum, f_max = _fast_iid_contributions(config, child_rng(seed, STREAMS["column"]),
+                                               in_deg)
     else:
         f_sum, f_max, in_deg = _column_contributions(config, n, seed, in_deg)
 
@@ -325,8 +298,7 @@ def sample_weighted_pair(
     for i, (z, seq) in enumerate(components, start=1):
         if not z > 0:
             raise ParameterError(f"weights must be positive, got {z}")
-        rng = child_rng(seed, STREAMS["column"], i)
-        col = sample_sequence(seq, n, seed, _rng=rng)
+        col = sample_sequence(seq, n, child_rng(seed, STREAMS["column"], i))
         col *= z
         sums += col
         np.maximum(maxes, col, out=maxes)
@@ -400,18 +372,14 @@ def simulate_tbt(
     def pref(rng, size):
         if constant_preference is not None:
             return np.full(size, float(constant_preference))
-        return sample_pareto(config.preference_tail, size, seed, _rng=rng)
+        return sample_pareto(config.preference_tail, size, rng)
 
     # Top-down pass: record each generation's in-degrees.
     counts = [n_roots]
     gen_in_deg = []
     total_nodes = n_roots
     for g in range(depth):
-        rng = child_rng(seed, STREAMS["tbt"], 0, g)
-        if config.fixed_in_degree is not None:
-            n_g = np.full(counts[-1], config.fixed_in_degree, dtype=np.int64)
-        else:
-            n_g = sample_power_law_int(config.in_degree, counts[-1], seed, _rng=rng)
+        n_g = _draw_in_degrees(config, counts[-1], child_rng(seed, STREAMS["tbt"], 0, g))
         if not n_g.any():
             break  # a childless generation (fixed_in_degree=0) holds the leaves
         gen_in_deg.append(n_g)
@@ -421,21 +389,19 @@ def simulate_tbt(
     # Bottom-up pass: leaves close with the preference term, then each
     # generation aggregates its children.
     leaf_gen = len(gen_in_deg)
-    rng_leaf = child_rng(seed, STREAMS["tbt"], 1, leaf_gen)
-    values = z_star * pref(rng_leaf, counts[-1])
+    values = z_star * pref(child_rng(seed, STREAMS["tbt"], 1, leaf_gen), counts[-1])
     for g in range(leaf_gen - 1, -1, -1):
         n_g = gen_in_deg[g]
         n_parents = counts[g]
         child_total = counts[g + 1]
         if out_degree is not None:
             rng_d = child_rng(seed, STREAMS["tbt"], 2, g)
-            d = sample_power_law_int(out_degree, child_total, seed, _rng=rng_d).astype(float)
+            d = sample_power_law_int(out_degree, child_total, rng_d).astype(float)
             weights = c / d
         else:
             weights = c
         agg_sum, agg_max = _segment_sum_max(weights * values, n_g)
-        rng_q = child_rng(seed, STREAMS["tbt"], 1, g)
-        q_term = z_star * pref(rng_q, n_parents)
+        q_term = z_star * pref(child_rng(seed, STREAMS["tbt"], 1, g), n_parents)
         if config.aggregate == SUM:
             values = agg_sum + q_term
         else:

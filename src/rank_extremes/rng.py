@@ -6,7 +6,8 @@ derived with :func:`child_rng` from the root seed and a tuple of small
 integers naming the stream.  The splitting rule is
 ``SeedSequence(entropy=root_seed, spawn_key=path)``, so a given
 ``(seed, path)`` pair always yields the same bit stream, independent of
-call order or thread scheduling.
+call order or thread scheduling.  A sampler's ``rng`` argument is a root
+seed or a ``Generator``; :func:`as_generator` resolves it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ def child_seed(seed: int, *path: int) -> np.random.SeedSequence:
 def child_rng(seed: int, *path: int) -> np.random.Generator:
     """Fresh generator for the stream named by ``path`` under ``seed``."""
     return np.random.default_rng(child_seed(seed, *path))
+
+
+def as_generator(rng: int | np.random.Generator, *path: int) -> np.random.Generator:
+    """``rng`` as given when it is a ``Generator``; for an integer root
+    seed, the default stream ``child_rng(rng, *path)``."""
+    return rng if isinstance(rng, np.random.Generator) else child_rng(rng, *path)
 
 
 def replication_seed(seed: int, rep: int) -> int:

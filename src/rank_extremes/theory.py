@@ -187,7 +187,8 @@ def predict_random_length(
         theta = float(z_star**beta)
         regime = PREFERENCE_DOMINATES
     else:
-        theta = float(np.dot(w, followers.thetas[:truncation]) / c_of_z)
+        # an average of indices in (0, 1]; rounding alone can push it past 1
+        theta = min(1.0, float(np.dot(w, followers.thetas[:truncation]) / c_of_z))
         regime = FOLLOWERS_DOMINATE
     return TheoryPrediction(
         k_of_z=k_of_z,

@@ -46,6 +46,10 @@ ROW_CASES = {
 }
 
 
+def refuse_to_sample(*args, **kwargs):
+    raise AssertionError("sampled before the configuration was checked")
+
+
 class TestPackageSurface:
     def test_root_exports_only_the_errors_and_entry_points(self):
         assert sorted(rank_extremes.__all__) == [
@@ -162,6 +166,43 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report["predicted"]["theta_of_z"] == pytest.approx(0.5)
         assert report["predicted"]["regime"] == "PREFERENCE_DOMINATES"
+
+    def test_theory_prediction_delegation(self):
+        params = ExperimentConfig.default(
+            "verify-thm4", regime="followers", k=1.2, beta=3.0, n_max=50,
+            deps="iid;mm:1,1").params
+        pred = experiments._predict("followers", params)
+        # alternating theta (1, 0.5) with equal weights averages to 0.75
+        assert pred["theta_of_z"] == pytest.approx(0.75)
+        assert pred["k_of_z"] == 1.2 and pred["regime"] == "FOLLOWERS_DOMINATE"
+
+    # k = beta belongs to the preference branch
+    @pytest.mark.parametrize("k, beta", [(3.0, 1.0), (2.5, 2.5)])
+    def test_preference_prediction_keeps_three_keys(self, k, beta):
+        params = ExperimentConfig.default("verify-thm4", k=k, beta=beta).params
+        assert experiments._predict("preference", params) == {
+            "k_of_z": min(k, 2.0, beta), "theta_of_z": 0.5 ** beta,
+            "regime": "PREFERENCE_DOMINATES"}
+
+    @pytest.mark.parametrize("regime, k, beta, message", [
+        ("followers", 3.0, 3.0, "followers regime requires k < beta"),
+        ("followers", 3.0, 1.0, "followers regime requires k < beta"),
+        ("preference", 1.2, 3.0, "preference regime requires k >= beta"),
+    ])
+    def test_predict_refuses_the_wrong_side_of_k_equals_beta(self, regime, k, beta,
+                                                              message):
+        params = ExperimentConfig.default("verify-thm4", regime=regime, k=k, beta=beta).params
+        with pytest.raises(ConfigurationError, match=message):
+            experiments._predict(regime, params)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("kind", ["verify-thm2", "verify-thm4", "tail-eq"])
+    def test_jobs_below_one_refused_before_sampling(self, monkeypatch, kind, jobs):
+        monkeypatch.setattr(experiments, "sample_weighted_pair", refuse_to_sample)
+        monkeypatch.setattr(experiments, "sample_aggregate_pair", refuse_to_sample)
+        monkeypatch.setattr(experiments, "compare_tail_sum_max", refuse_to_sample)
+        with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
+            run_experiment(ExperimentConfig.default(kind), jobs=jobs)
 
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     def test_per_replication_row_keys(self, case):
@@ -390,6 +431,23 @@ class TestCliCommands:
         assert main(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_jobs_0_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # thm4's definition stage sizes its chunks by jobs, so 0 must not reach it
+        monkeypatch.setattr(experiments, "sample_aggregate_pair", refuse_to_sample)
+        out = tmp_path / "out"
+        assert main(["verify", "thm4", "--jobs", "0", "--out", str(out)]) == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    # 0 is a count, not an absent flag: it must not fall back to --fraction
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_hill_top_count_below_one_exits_2(self, tmp_path, capsys, count):
+        assert main(["simulate", "--set", "n=2000", "--out", str(tmp_path)]) == 0
+        rc = main(["estimate", "--input", str(tmp_path / "path.csv"), "--method", "hill",
+                   "--top-count", count])
+        assert rc == 2
+        assert "top count must be an integer >= 1" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, capsys):
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2

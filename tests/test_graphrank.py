@@ -29,7 +29,7 @@ BLOCK_LENGTHS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
 def graph_in_degrees(n, alpha, seed):
     """The in-degrees ``gen_power_law_graph`` draws first from its stream."""
     spec = InDegreeSpec(alpha=alpha, n_max=n - 1)
-    return sample_power_law_int(spec, n, seed, _rng=child_rng(seed, STREAMS["graph"]))
+    return sample_power_law_int(spec, n, child_rng(seed, STREAMS["graph"]))
 
 
 def cycle(n):

@@ -21,7 +21,6 @@ from rank_extremes.heavytail import (
     TailSpec,
     _frechet,
     gen_moving_maxima,
-    pareto_from_uniform,
     power_law_survival,
     sample_pareto,
     sample_power_law_int,
@@ -38,13 +37,6 @@ def binom_se(p, n):
 
 
 class TestSamplePareto:
-    def test_inverse_cdf_identity_k1(self):
-        # P{X > 2} = 0.5 for the unit Pareto, so u=0.5 maps to x=2
-        assert pareto_from_uniform(TailSpec(1.0, 1.0), 0.5) == pytest.approx(2.0)
-
-    def test_inverse_cdf_identity_k2(self):
-        assert pareto_from_uniform(TailSpec(2.0, 1.0), 0.25) == pytest.approx(2.0)
-
     def test_survival_binomial_ci(self):
         spec = TailSpec(1.5, 1.0)
         x = sample_pareto(spec, 10**6, SEED)
@@ -272,9 +264,9 @@ class TestInPlaceSamplers:
     def test_pareto_matches_expression_bit_for_bit(self, seed, k, c, n):
         spec = TailSpec(k, c)
         want = expression_pareto(spec, n, stream(seed))
-        assert sample_pareto(spec, n, 0, _rng=stream(seed)).tobytes() == want.tobytes()
+        assert sample_pareto(spec, n, stream(seed)).tobytes() == want.tobytes()
         out = np.full(n, np.nan)
-        got = sample_pareto(spec, n, 0, _rng=stream(seed), out=out)
+        got = sample_pareto(spec, n, stream(seed), out=out)
         assert got is out and out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -299,7 +291,43 @@ class TestInPlaceSamplers:
         seq = SequenceSpec(TailSpec(k), DependenceSpec.moving_maxima(*coeffs))
         want = expression_moving_maxima(seq, n, stream(seed))
         out = np.full(n, np.nan) if into_buffer else None
-        got = gen_moving_maxima(seq, n, 0, _rng=stream(seed), out=out)
+        got = gen_moving_maxima(seq, n, stream(seed), out=out)
         assert got.tobytes() == want.tobytes()
         if into_buffer:
             assert got is out
+
+
+# sampler, spec, the stream an integer root seed selects, and the draws the
+# sampler takes from its generator for n values
+SAMPLERS = {
+    "pareto": (sample_pareto, TailSpec(1.5, 2.0), "column", lambda g, n: g.random(n)),
+    "moving_maxima": (gen_moving_maxima,
+                      SequenceSpec(TailSpec(2.0), DependenceSpec.moving_maxima(1, 0.5)),
+                      "column", lambda g, n: g.standard_exponential(n + 1)),
+    "iid_sequence": (sample_sequence, SequenceSpec(TailSpec(0.8)), "column",
+                     lambda g, n: g.random(n)),
+    "power_law_int": (sample_power_law_int, InDegreeSpec(alpha=1.5, n_max=50), "in_degree",
+                      lambda g, n: g.random(n)),
+}
+
+
+class TestRngArgument:
+    # integer seeds stay in use: the acceptance criteria and the benchmark
+    # self-test call the samplers with them
+    @pytest.mark.parametrize("seed", [0, SEED, 2**32 - 1])
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_integer_seed_picks_the_default_stream(self, name, seed):
+        sampler, spec, stream_name, _ = SAMPLERS[name]
+        want = sampler(spec, 500, child_rng(seed, STREAMS[stream_name], 0))
+        assert sampler(spec, 500, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_generator_is_used_as_given(self, name):
+        sampler, spec, _, draws = SAMPLERS[name]
+        rng, ref = np.random.default_rng(SEED), np.random.default_rng(SEED)
+        got = sampler(spec, 500, rng)
+        draws(ref, 500)
+        # the sampler drew exactly its values from rng itself
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert got.tobytes() == sampler(spec, 500, np.random.default_rng(SEED)).tobytes()
+        assert got.tobytes() != sampler(spec, 500, SEED).tobytes()

@@ -151,15 +151,6 @@ class TestAggregate:
         with pytest.raises(ConfigurationError):
             make_config(fixed_in_degree=51)  # exceeds n_max columns
 
-    def test_theory_prediction_delegation(self):
-        config = make_config(
-            follower_tail=TailSpec(1.2),
-            follower_deps=(DependenceSpec.iid(), DependenceSpec.moving_maxima(1, 1)),
-        )
-        pred = config.theory_prediction()
-        # alternating theta (1, 0.5) with equal weights averages to 0.75
-        assert pred.theta_of_z == pytest.approx(0.75)
-
 
 class TestWeightedPair:
     def test_sum_dominates_max(self):
@@ -186,7 +177,7 @@ class TestWeightedPair:
         comps = [(z, SequenceSpec(TailSpec(1.5), deps[i % 2])) for i, z in enumerate(zs)]
         sums, maxes = np.zeros(n), np.zeros(n)
         for i, (z, seq) in enumerate(comps, start=1):
-            col = z * sample_sequence(seq, n, seed, _rng=child_rng(seed, STREAMS["column"], i))
+            col = z * sample_sequence(seq, n, child_rng(seed, STREAMS["column"], i))
             sums += col
             np.maximum(maxes, col, out=maxes)
         got = sample_weighted_pair(comps, n, seed)
@@ -206,11 +197,11 @@ class TestAggregatePairCombination:
             damping=damping, in_degree=InDegreeSpec(alpha=1.5, n_max=12),
             follower_deps=deps,
             coupling=COUPLING_ADVERSARIAL if columns == "adversarial" else COUPLING_INDEPENDENT)
-        in_deg = _draw_in_degrees(config, n, seed)
-        q = sample_pareto(config.preference_tail, n, seed,
-                          _rng=child_rng(seed, STREAMS["preference"]))
+        in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
+        q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
         if columns == "iid":
-            f_sum, f_max = _fast_iid_contributions(config, seed, in_deg)
+            f_sum, f_max = _fast_iid_contributions(config, child_rng(seed, STREAMS["column"]),
+                                                   in_deg)
         else:
             f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
         pref_term = config.z_star * q
@@ -251,10 +242,8 @@ def masked_column_contributions(config, n, seed, in_deg):
     sums = np.zeros(n)
     maxes = np.zeros(n)
     for j in range(1, max_n + 1):
-        rng = child_rng(seed, STREAMS["column"], j)
-        col = sample_sequence(
-            SequenceSpec(config.follower_tail, config.column_dep(j)), n, seed, _rng=rng
-        )
+        col = sample_sequence(SequenceSpec(config.follower_tail, config.column_dep(j)), n,
+                              child_rng(seed, STREAMS["column"], j))
         if config.coupling == COUPLING_ADVERSARIAL and j == 1:
             order = np.argsort(col, kind="stable")
             rearranged = np.empty(n, dtype=np.int64)

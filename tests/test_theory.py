@@ -129,6 +129,17 @@ class TestRandomLength:
         assert pred.theta_of_z == pytest.approx(1.0)
         assert pred.regime == FOLLOWERS_DOMINATE
 
+    def test_followers_average_of_ones_stays_in_range(self):
+        # the dot product and the partial sums round differently, so their
+        # quotient can land a few ulps above 1 at most of these lengths
+        for m in range(1, 200):
+            for z in (0.5, 0.85):
+                pred = predict_random_length(
+                    self.followers(m, z, k=1.2), alpha=2.0, beta=3.0, z_star=1 - z,
+                    truncation=m,
+                )
+                assert pred.theta_of_z == pytest.approx(1.0, abs=1e-12)
+
     def test_followers_branch_hand_value(self):
         # M=2, c=(1,1), z=(0.5,0.5), theta=(1,0.5): (0.5 + 0.25)/1 = 0.75
         pred = predict_random_length(
