@@ -211,7 +211,9 @@ def sample_power_law_int(spec: InDegreeSpec, n: int,
         raise ParameterError(f"sample size must be >= 1, got {n}")
     _, cdf = _power_law_tables(spec)
     u = as_generator(rng, STREAMS["in_degree"], 0).random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64) + 1
+    draws = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
+    draws += 1
+    return draws
 
 
 def power_law_survival(spec: InDegreeSpec, x) -> np.ndarray:

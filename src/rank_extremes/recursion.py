@@ -230,34 +230,61 @@ def _column_contributions(config, n, seed, in_deg):
     return sums, maxes, in_deg
 
 
-def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
-    """Simulate both aggregates of length ``n`` from one set of draws."""
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
-    in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
-    q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
-
-    if config.coupling == COUPLING_ADVERSARIAL and config.all_iid_columns():
-        raise ConfigurationError(
-            "adversarial coupling requires explicit follower columns; "
-            "configure at least one non-i.i.d. dependence spec"
-        )
-    if config.all_iid_columns() and config.coupling == COUPLING_INDEPENDENT:
-        f_sum, f_max = _fast_iid_contributions(config, child_rng(seed, STREAMS["column"]),
-                                               in_deg)
-    else:
-        f_sum, f_max, in_deg = _column_contributions(config, n, seed, in_deg)
-
-    # c * f_sum + pref_term and max(c * f_max, pref_term), in place
+def _add_preference(config, f_sum, f_max, q):
+    """``c * f_sum + pref_term`` and ``max(c * f_max, pref_term)``, written
+    in place over the follower terms, with ``pref_term = (1 - c) * q``."""
     c = config.damping
     pref_term = config.z_star * q
     np.multiply(c, f_sum, out=f_sum)
     np.add(f_sum, pref_term, out=f_sum)
     np.multiply(c, f_max, out=f_max)
     np.maximum(f_max, pref_term, out=f_max)
+    return f_sum, f_max
+
+
+def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int):
+    """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a time.
+
+    Yields ``(sums, maxes, in_deg, q)`` for consecutive row blocks.  Each of
+    the ``in_degree``, ``preference`` and ``column`` streams is drawn block
+    after block; a stream drawn in consecutive chunks gives the values of one
+    draw, and a block's column draws end with its last row, so the blocks
+    concatenated equal the whole path bit for bit.
+    """
+    deg_rng = child_rng(seed, STREAMS["in_degree"])
+    pref_rng = child_rng(seed, STREAMS["preference"])
+    col_rng = child_rng(seed, STREAMS["column"])
+    for start in range(0, n, block_rows):
+        rows = min(block_rows, n - start)
+        in_deg = _draw_in_degrees(config, rows, deg_rng)
+        q = sample_pareto(config.preference_tail, rows, pref_rng)
+        f_sum, f_max = _fast_iid_contributions(config, col_rng, in_deg)
+        yield (*_add_preference(config, f_sum, f_max, q), in_deg, q)
+
+
+def _check_pair_args(config: RecursionConfig, n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"path length must be >= 1, got {n}")
+    if config.coupling == COUPLING_ADVERSARIAL and config.all_iid_columns():
+        raise ConfigurationError(
+            "adversarial coupling requires explicit follower columns; "
+            "configure at least one non-i.i.d. dependence spec"
+        )
+
+
+def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
+    """Simulate both aggregates of length ``n`` from one set of draws."""
+    _check_pair_args(config, n)
+    if config.all_iid_columns():
+        sums, maxes, in_deg, q = next(_iid_pair_blocks(config, n, seed, n))
+    else:
+        in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
+        q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
+        f_sum, f_max, in_deg = _column_contributions(config, n, seed, in_deg)
+        sums, maxes = _add_preference(config, f_sum, f_max, q)
     return AggregatePair(
-        sum_values=f_sum,
-        max_values=f_max,
+        sum_values=sums,
+        max_values=maxes,
         in_degrees=in_deg,
         preference=q,
         config=config,
@@ -432,6 +459,10 @@ class TailRatioRow:
 # Rows with fewer exceedances than this on either side are flagged.
 MIN_RELIABLE_EXCEEDANCES = 50
 
+# Rows per block of the streamed i.i.d.-column comparison: 2 MB for each
+# float64 array of a block, plus the block's follower draws.
+PAIR_BLOCK_ROWS = 2**18
+
 
 def compare_tail_sum_max(
     config: RecursionConfig, n: int, thresholds: list[float], seed: int
@@ -441,6 +472,14 @@ def compare_tail_sum_max(
     Thresholds are quantile levels in (0.9, 1), resolved on the max path
     (nearest rank).  The confidence band is a Wald interval on the log
     ratio using the paired exceedance counts.
+
+    An i.i.d.-column config is generated and reduced in blocks of
+    ``PAIR_BLOCK_ROWS`` rows, so memory is O(block + count) with
+    ``count = n - min(rank)`` the largest number of max values a threshold
+    needs.  The reduction keeps the top ``count`` max values and the sum
+    values above their running ``count``-th largest, a lower bound on every
+    threshold, so thresholds and counts equal those of the whole path.
+    Explicit-column configs are built whole and reduced as one block.
     """
     for qv in thresholds:
         if not (0.9 < qv < 1.0):
@@ -448,14 +487,29 @@ def compare_tail_sum_max(
     rows: list[TailRatioRow] = []
     if not thresholds:
         return rows
-    pair = sample_aggregate_pair(config, n, seed)
+    _check_pair_args(config, n)
     ranks = [min(int(np.ceil(qv * n)) - 1, n - 1) for qv in thresholds]
+    count = n - min(ranks)
+    if config.all_iid_columns():
+        blocks = _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS)
+    else:
+        pair = sample_aggregate_pair(config, n, seed)
+        blocks = [(pair.sum_values, pair.max_values)]
+    top_max = np.empty(0)
+    sum_kept = np.empty(0)
+    floor = -np.inf  # the count-th largest max so far, once count are seen
+    for sums, maxes, *_ in blocks:
+        top_max = np.concatenate([top_max, maxes[maxes > floor]])
+        if len(top_max) >= count:
+            top_max = np.partition(top_max, len(top_max) - count)[len(top_max) - count:]
+            floor = top_max[0]
+        sum_kept = np.concatenate([sum_kept[sum_kept > floor], sums[sums > floor]])
     # descending top of the max path: rank idx (ascending) sits at n - 1 - idx
-    top_max = upper_order_statistics(pair.max_values, n - min(ranks))
+    top_max = upper_order_statistics(top_max, count)
     for qv, idx in zip(thresholds, ranks):
         x = float(top_max[n - 1 - idx])
-        k_sum = int(np.count_nonzero(pair.sum_values > x))
-        k_max = int(np.count_nonzero(pair.max_values > x))
+        k_sum = int(np.count_nonzero(sum_kept > x))
+        k_max = int(np.count_nonzero(top_max > x))
         reliable = min(k_sum, k_max) >= MIN_RELIABLE_EXCEEDANCES
         if k_max == 0 or k_sum == 0:
             rows.append(TailRatioRow(qv, x, k_sum, k_max, float("nan"),

@@ -131,7 +131,8 @@ def predict_equal_tails(spec: ComponentSpec) -> TheoryPrediction:
         raise ParameterError("predict_equal_tails requires equal tail indices")
     w = spec.cs * spec.zs**k
     c_of_z = float(w.sum())
-    theta = float(np.dot(w, spec.thetas) / c_of_z)
+    # an average of indices in (0, 1]; rounding alone can push it past 1
+    theta = min(1.0, float(np.dot(w, spec.thetas) / c_of_z))
     return TheoryPrediction(k_of_z=k, theta_of_z=theta, c_of_z=c_of_z, regime=EQUAL_TAILS)
 
 

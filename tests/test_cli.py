@@ -478,6 +478,17 @@ class TestCliCommands:
         assert checks["reliable_exceedances"]["target"] == [50.0, None]
         assert main(["report", "--input", str(report_path)]) == 1
 
+    def test_verify_thm2_with_all_iid_weights_runs(self, tmp_path, capsys):
+        # the predicted weighted average of ones used to round past 1 here
+        rc = main(["verify", "thm2", "--set", "ks=2,2,2,2,2,2,2,2",
+                   "--set", "weights=2.9,2.3,1,0.9,2.6,2.7,1.6,1.1",
+                   "--set", "scales=1,1,1,1,1,1,1,1",
+                   "--set", "deps=iid;iid;iid;iid;iid;iid;iid;iid",
+                   "--set", "n=20000", "--set", "replications=2", "--out", str(tmp_path)])
+        assert rc in (0, 1)  # two replications may miss a tolerance
+        report = json.loads((tmp_path / "verify-thm2.report.json").read_text())
+        assert report["predicted"]["theta_of_z"] == 1.0
+
     def test_tail_eq_smoke(self, tmp_path, capsys):
         rc = main(["tail-eq", "--set", "n=1000000", "--out", str(tmp_path)])
         assert rc in (0, 1)  # small n may be noisy; the command must run

@@ -20,6 +20,7 @@ from rank_extremes.heavytail import (
     SequenceSpec,
     TailSpec,
     _frechet,
+    _power_law_tables,
     gen_moving_maxima,
     power_law_survival,
     sample_pareto,
@@ -248,6 +249,11 @@ def expression_moving_maxima(seq, n, rng):
     return path
 
 
+def expression_power_law_int(spec, n, rng):
+    _, cdf = _power_law_tables(spec)
+    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64) + 1
+
+
 def stream(seed):
     return child_rng(seed, STREAMS["column"], 3)
 
@@ -295,6 +301,16 @@ class TestInPlaceSamplers:
         assert got.tobytes() == want.tobytes()
         if into_buffer:
             assert got is out
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, alpha=st.floats(0.1, 4.0), n_max=st.integers(1, 500),
+           n=st.integers(1, 300))
+    def test_power_law_int_matches_expression_bit_for_bit(self, seed, alpha, n_max, n):
+        spec = InDegreeSpec(alpha=alpha, n_max=n_max)
+        want = expression_power_law_int(spec, n, stream(seed))
+        got = sample_power_law_int(spec, n, stream(seed))
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
 
 
 # sampler, spec, the stream an integer root seed selects, and the draws the

@@ -2,12 +2,14 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank_extremes import recursion
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import ThresholdRule, hill, nearest_rank_quantile
 from rank_extremes.heavytail import (
@@ -29,6 +31,7 @@ from rank_extremes.recursion import (
     _column_contributions,
     _draw_in_degrees,
     _fast_iid_contributions,
+    _iid_pair_blocks,
     _segment_sum_max,
     compare_tail_sum_max,
     expected_tree_size,
@@ -42,6 +45,7 @@ from rank_extremes.rng import STREAMS, child_rng
 from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 555001
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def make_config(**overrides):
@@ -490,3 +494,89 @@ class TestCompareTailSumMax:
     def test_unreliable_rows_flagged(self):
         rows = compare_tail_sum_max(make_config(), 10**4, [0.9995], SEED)
         assert not rows[0].reliable
+
+
+def whole_path_rows(config, n, thresholds, seed):
+    """(threshold, exceed_sum, exceed_max) per quantile from the whole pair:
+    a full sort of the max path and counts over the full arrays."""
+    pair = sample_aggregate_pair(config, n, seed)
+    ordered = np.sort(pair.max_values)
+    out = []
+    for qv in thresholds:
+        x = float(ordered[min(math.ceil(qv * n) - 1, n - 1)])
+        out.append((x, int(np.sum(pair.sum_values > x)), int(np.sum(pair.max_values > x))))
+    return out
+
+
+# a tail index this large puts every draw within a few hundred ulps of its
+# scale, so the paths hold many tied values
+TIED = TailSpec(1e15)
+IN_DEGREES = {
+    "none": dict(fixed_in_degree=0),
+    "one": dict(fixed_in_degree=1),
+    "power-law": dict(in_degree=InDegreeSpec(alpha=1.2, n_max=20)),
+    "tied": dict(in_degree=InDegreeSpec(alpha=1.2, n_max=3), follower_tail=TIED,
+                 preference_tail=TIED),
+    "tied-none": dict(fixed_in_degree=0, preference_tail=TIED),
+}
+
+
+class TestStreamedComparison:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(0, 6),
+           offset=st.sampled_from([-1, 0, 1]), in_degrees=st.sampled_from(sorted(IN_DEGREES)),
+           thresholds=st.lists(st.sampled_from([0.901, 0.95, 0.99, 0.999]), min_size=1,
+                               max_size=3))
+    def test_blocks_equal_the_whole_path(self, seed, block_rows, blocks, offset, in_degrees,
+                                         thresholds):
+        # n below, at and across multiples of the block size
+        n = max(1, block_rows * blocks + offset)
+        config = make_config(**IN_DEGREES[in_degrees])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "PAIR_BLOCK_ROWS", block_rows)
+            rows = compare_tail_sum_max(config, n, thresholds, seed)
+        want = whole_path_rows(config, n, thresholds, seed)
+        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
+        assert [r.quantile for r in rows] == thresholds
+
+    def test_tied_paths_hold_ties(self):
+        config = make_config(**IN_DEGREES["tied"])
+        pair = sample_aggregate_pair(config, 2000, SEED)
+        assert len(np.unique(pair.max_values)) < 200
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, block_rows=st.integers(1, 40), n=st.integers(1, 200),
+           in_degrees=st.sampled_from(sorted(IN_DEGREES)))
+    def test_concatenated_blocks_equal_the_pair(self, seed, block_rows, n, in_degrees):
+        config = make_config(**IN_DEGREES[in_degrees])
+        blocks = list(_iid_pair_blocks(config, n, seed, block_rows))
+        assert [len(b[0]) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+        pair = sample_aggregate_pair(config, n, seed)
+        sums, maxes, in_deg, q = (np.concatenate(parts) for parts in zip(*blocks))
+        assert sums.tobytes() == pair.sum_values.tobytes()
+        assert maxes.tobytes() == pair.max_values.tobytes()
+        assert in_deg.tobytes() == pair.in_degrees.tobytes()
+        assert q.tobytes() == pair.preference.tobytes()
+
+    @pytest.mark.parametrize("coupling", [COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL])
+    def test_explicit_columns_give_the_whole_path_rows(self, coupling):
+        config = make_config(follower_deps=(DependenceSpec.moving_maxima(1, 1),
+                                            DependenceSpec.iid()), coupling=coupling)
+        thresholds = [0.95, 0.99, 0.999]
+        rows = compare_tail_sum_max(config, 20000, thresholds, SEED)
+        want = whole_path_rows(config, 20000, thresholds, SEED)
+        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
+
+    def test_bad_length_refused(self):
+        with pytest.raises(ParameterError):
+            compare_tail_sum_max(make_config(), 0, [0.99], SEED)
+
+    def test_memory_is_far_below_the_whole_path(self):
+        # the whole pair at n = 4e6 peaks at about 259 MB
+        tracemalloc.start()
+        try:
+            compare_tail_sum_max(make_config(), 4 * 10**6, [0.999], SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20

@@ -98,6 +98,16 @@ class TestEqualTails:
         )
         assert a.theta_of_z == pytest.approx(b.theta_of_z, rel=1e-12)
 
+    def test_average_of_ones_stays_in_range(self):
+        # all-i.i.d. weightings: the dot product and the sum of the weights
+        # round differently, so their quotient can land a few ulps above 1
+        rng = np.random.default_rng(20260824)
+        for _ in range(3000):
+            m = int(rng.integers(2, 12))
+            zs = np.round(rng.uniform(0.1, 3.0, m), 1)
+            pred = predict_equal_tails(spec_of(zs, [2.0] * m, [1.0] * m, [1.0] * m))
+            assert pred.theta_of_z == pytest.approx(1.0, abs=1e-12)
+
     def test_negligible_weights_converge_to_dominant(self):
         pred = predict_equal_tails(
             spec_of([1e-4, 1.0], [2, 2], [1, 1], [0.2, 0.85])
