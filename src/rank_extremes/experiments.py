@@ -44,6 +44,7 @@ from .recursion import (
     MIN_RELIABLE_EXCEEDANCES,
     RecursionConfig,
     compare_tail_sum_max,
+    pair_maxima,
     sample_aggregate_pair,
     sample_weighted_pair,
 )
@@ -416,10 +417,9 @@ def _definition_replication(args) -> tuple[float, float, np.ndarray]:
     draws (all of them when ``count >= def_n``)."""
     params, rep, count = args
     n_def = params["def_n"]
-    pair = sample_aggregate_pair(recursion_config_from_params(params), n_def,
-                                 replication_seed(params["seed"], rep))
-    top = upper_order_statistics(pair.preference, min(count, n_def))
-    return float(pair.sum_values.max()), float(pair.max_values.max()), top
+    sum_max, max_max, q = pair_maxima(recursion_config_from_params(params), n_def,
+                                      replication_seed(params["seed"], rep))
+    return sum_max, max_max, upper_order_statistics(q, min(count, n_def))
 
 
 def _definition_stage(params, jobs: int) -> dict:

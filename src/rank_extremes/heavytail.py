@@ -127,6 +127,24 @@ def _power_law_tables(spec: InDegreeSpec):
     return pmf, cdf
 
 
+# Buckets of the guide table: ``u * GUIDE_BUCKETS`` is exact for a double u,
+# so bucket b holds exactly the draws in [b / GUIDE_BUCKETS, (b+1) / GUIDE_BUCKETS).
+GUIDE_BUCKETS = 2**12
+
+
+@functools.lru_cache(maxsize=16)
+def _power_law_guide(spec: InDegreeSpec):
+    """Guide table of the truncated law's cdf, cached per spec: per bucket,
+    the integer every draw in it maps to, and whether a cdf entry splits the
+    bucket (its draws then need a search).  Fixed size, whatever ``n_max``."""
+    _, cdf = _power_law_tables(spec)
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    lowest = np.searchsorted(cdf, edges[:-1], side="right")
+    # the answer at the largest double below the upper edge
+    highest = np.searchsorted(cdf, edges[1:], side="left")
+    return (lowest + 1).astype(np.int64), lowest != highest
+
+
 def sample_pareto(spec: TailSpec, n: int, rng: int | np.random.Generator, *,
                   out=None) -> np.ndarray:
     """Draw ``n`` i.i.d. exact-Pareto values with the tail of ``spec``.
@@ -209,20 +227,37 @@ def sample_power_law_int(spec: InDegreeSpec, n: int,
     """Draw ``n`` i.i.d. integers from the truncated power law of ``spec``."""
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    _, cdf = _power_law_tables(spec)
     u = as_generator(rng, STREAMS["in_degree"], 0).random(n)
-    draws = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
-    draws += 1
+    return _power_law_lookup(spec, u)
+
+
+def _power_law_lookup(spec: InDegreeSpec, u: np.ndarray) -> np.ndarray:
+    """Inverse cdf of the truncated law at uniforms ``u`` in [0, 1): equal to
+    ``np.searchsorted(cdf, u, "right") + 1``, read from the guide table, with
+    a search only for the draws in buckets that a cdf entry splits."""
+    guide, split = _power_law_guide(spec)
+    # the product is exact and nonnegative, so the cast takes its floor
+    buckets = np.multiply(u, GUIDE_BUCKETS, out=np.empty(len(u), np.intp), casting="unsafe")
+    draws = guide.take(buckets, mode="clip")  # every bucket is in range
+    searched = split.take(buckets, mode="clip")
+    if searched.any():
+        _, cdf = _power_law_tables(spec)
+        draws[searched] = np.searchsorted(cdf, u[searched], side="right") + 1
     return draws
 
 
+def _tail_sum(spec: InDegreeSpec, n) -> np.ndarray:
+    """``sum_{l = n+1}^{n_max} l**-(alpha + 1)`` for ``0 <= n <= n_max``, as a
+    difference of Hurwitz zeta values: it cancels only at the scale of the
+    tail itself, where ``1 - cdf`` cancels at the scale of 1."""
+    s = spec.alpha + 1.0
+    return zeta(s, np.asarray(n, dtype=float) + 1.0) - zeta(s, spec.n_max + 1.0)
+
+
 def power_law_survival(spec: InDegreeSpec, x) -> np.ndarray:
-    """Exact ``P{N > x}`` of the truncated law, by direct summation."""
-    pmf, cdf = _power_law_tables(spec)
-    x = np.asarray(x)
-    idx = np.clip(np.floor(x).astype(np.int64), 0, spec.n_max)
-    surv = np.where(idx == 0, 1.0, 1.0 - cdf[np.maximum(idx, 1) - 1])
-    return np.where(x < 1, 1.0, surv)
+    """Exact ``P{N > x}`` of the truncated law, in closed form."""
+    n = np.clip(np.floor(np.asarray(x, dtype=float)), 0, spec.n_max)
+    return _tail_sum(spec, n) / _tail_sum(spec, 0)
 
 
 @dataclass(frozen=True)
@@ -240,21 +275,23 @@ class VonMisesDiagnostic:
     truncated: np.ndarray
 
 
-def von_mises_check(spec: InDegreeSpec) -> VonMisesDiagnostic:
-    """Evaluate the Fréchet-domain ratio diagnostic over ``n = 1..n_max-1``.
+def von_mises_check(spec: InDegreeSpec, n) -> VonMisesDiagnostic:
+    """Evaluate the Fréchet-domain ratio diagnostic at the points ``n``,
+    integers in ``1..n_max-1``.
 
     For the truncated power law the ratio approaches ``alpha`` well inside
-    the support and diverges near ``n_max`` (flagged).
+    the support and diverges near ``n_max`` (flagged).  Both the ratio and
+    the flags are closed forms in the Hurwitz zeta function, so no
+    ``O(n_max)`` table is built.
     """
     if spec.n_max < 10:
         raise ParameterError("von Mises diagnostic needs n_max >= 10")
-    pmf, cdf = _power_law_tables(spec)
-    ns = np.arange(1, spec.n_max)
-    tail = 1.0 - cdf[ns - 1]
-    ratio = ns * pmf[ns - 1] / tail
-    # Missing mass relative to the infinite-support tail; Hurwitz zeta gives
-    # the exact untruncated tail sum for exponent alpha + 1 > 1.
-    norm = pmf[0]  # pmf(1) = 1/Z, so Z = 1/pmf(1)
-    infinite_tail = zeta(spec.alpha + 1.0, ns + 1.0) * norm
-    truncated = (infinite_tail - tail) / infinite_tail > 0.01
-    return VonMisesDiagnostic(n=ns, ratio=ratio, alpha=spec.alpha, truncated=truncated)
+    ns = np.asarray(n, dtype=np.int64)
+    if ns.size and not (ns.min() >= 1 and ns.max() < spec.n_max):
+        raise ParameterError(f"von Mises points must lie in 1..{spec.n_max - 1}")
+    tail = _tail_sum(spec, ns)
+    # n * P{N = n} / P{N > n}: the normalising constant cancels
+    ratio = ns.astype(float) ** -spec.alpha / tail
+    # tail mass the truncation removes, relative to the untruncated tail
+    missing = zeta(spec.alpha + 1.0, spec.n_max + 1.0) / zeta(spec.alpha + 1.0, ns + 1.0)
+    return VonMisesDiagnostic(n=ns, ratio=ratio, alpha=spec.alpha, truncated=missing > 0.01)

@@ -166,34 +166,27 @@ def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator) 
     return sample_power_law_int(config.in_degree, n, rng)
 
 
-def _segment_sum_max(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and maximum of each of ``len(counts)`` consecutive segments of
-    ``values``, segment ``i`` holding the next ``counts[i]`` values
-    (``counts.sum() == len(values)``).  An empty segment gives 0 for both.
+def _segment_reduce(values: np.ndarray, counts: np.ndarray, *ufuncs) -> tuple:
+    """Each ufunc's reduction of each of ``len(counts)`` consecutive segments
+    of ``values``, segment ``i`` holding the next ``counts[i]`` values
+    (``counts.sum() == len(values)``).  An empty segment gives 0.
+
+    When every segment is nonempty (every power-law in-degree is at least 1)
+    the ``reduceat`` offsets are the segment starts as they are; otherwise
+    the empty segments are masked out of the same ``reduceat`` calls.
     """
     n = len(counts)
-    sums = np.zeros(n)
-    maxes = np.zeros(n)
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    if n and counts.min() >= 1:
+        return tuple(ufunc.reduceat(values, offsets) for ufunc in ufuncs)
+    results = tuple(np.zeros(n) for _ in ufuncs)
     if len(values):
         nonzero = counts > 0
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
         starts = offsets[nonzero]
-        sums[nonzero] = np.add.reduceat(values, starts)
-        maxes[nonzero] = np.maximum.reduceat(values, starts)
-    return sums, maxes
-
-
-def _fast_iid_contributions(config, rng, in_deg):
-    """Follower sum/max terms when every column is i.i.d.
-
-    With i.i.d. columns the values entering time ``t`` are fresh draws, so
-    segment sums/maxima over a flat draw buffer have exactly the law of the
-    column construction at a fraction of the cost.
-    """
-    total = int(in_deg.sum())
-    draws = sample_pareto(config.follower_tail, max(total, 1), rng)
-    return _segment_sum_max(draws[:total], in_deg)
+        for out, ufunc in zip(results, ufuncs):
+            out[nonzero] = ufunc.reduceat(values, starts)
+    return results
 
 
 def _column_contributions(config, n, seed, in_deg):
@@ -242,14 +235,18 @@ def _add_preference(config, f_sum, f_max, q):
     return f_sum, f_max
 
 
-def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int):
-    """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a time.
+def _iid_draw_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int):
+    """The draws of an i.i.d.-column config, ``block_rows`` rows at a time.
 
-    Yields ``(sums, maxes, in_deg, q)`` for consecutive row blocks.  Each of
-    the ``in_degree``, ``preference`` and ``column`` streams is drawn block
-    after block; a stream drawn in consecutive chunks gives the values of one
-    draw, and a block's column draws end with its last row, so the blocks
-    concatenated equal the whole path bit for bit.
+    Yields ``(in_deg, q, draws)`` for consecutive row blocks: the in-degrees,
+    the raw preference draws and the block's follower draws, row ``t`` taking
+    the next ``in_deg[t]`` of them.  With i.i.d. columns the values entering
+    a row are fresh draws, so this flat buffer has exactly the law of the
+    column construction.  Each of the ``in_degree``, ``preference`` and
+    ``column`` streams is drawn block after block; a stream drawn in
+    consecutive chunks gives the values of one draw, and a block's column
+    draws end with its last row, so the blocks concatenated equal the whole
+    path bit for bit.
     """
     deg_rng = child_rng(seed, STREAMS["in_degree"])
     pref_rng = child_rng(seed, STREAMS["preference"])
@@ -258,7 +255,17 @@ def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int
         rows = min(block_rows, n - start)
         in_deg = _draw_in_degrees(config, rows, deg_rng)
         q = sample_pareto(config.preference_tail, rows, pref_rng)
-        f_sum, f_max = _fast_iid_contributions(config, col_rng, in_deg)
+        total = int(in_deg.sum())
+        draws = sample_pareto(config.follower_tail, max(total, 1), col_rng)
+        yield in_deg, q, draws[:total]
+
+
+def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int):
+    """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a
+    time: yields ``(sums, maxes, in_deg, q)`` for the blocks of
+    :func:`_iid_draw_blocks`."""
+    for in_deg, q, draws in _iid_draw_blocks(config, n, seed, block_rows):
+        f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
         yield (*_add_preference(config, f_sum, f_max, q), in_deg, q)
 
 
@@ -304,6 +311,29 @@ def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePat
         in_degrees=pair.in_degrees,
         preference=pair.preference,
     )
+
+
+def pair_maxima(config: RecursionConfig, n: int, seed: int) -> tuple[float, float, np.ndarray]:
+    """The largest sum and the largest max value of the pair
+    ``sample_aggregate_pair(config, n, seed)``, and its raw preference draws.
+
+    With i.i.d. columns no max path is built: multiplying by ``c > 0`` is
+    monotone under rounding and every follower draw lies in a nonempty row,
+    so the largest max value is exactly ``max(c * max(draws), (1 - c) * max(q))``.
+    """
+    _check_pair_args(config, n)
+    if not config.all_iid_columns():
+        pair = sample_aggregate_pair(config, n, seed)
+        return float(pair.sum_values.max()), float(pair.max_values.max()), pair.preference
+    in_deg, q, draws = next(_iid_draw_blocks(config, n, seed, n))
+    (sums,) = _segment_reduce(draws, in_deg, np.add)
+    pref_term = config.z_star * q
+    np.multiply(config.damping, sums, out=sums)
+    np.add(sums, pref_term, out=sums)
+    max_max = pref_term.max()
+    if len(draws):
+        max_max = max(config.damping * draws.max(), max_max)
+    return float(sums.max()), float(max_max), q
 
 
 def sample_weighted_pair(
@@ -427,12 +457,10 @@ def simulate_tbt(
             weights = c / d
         else:
             weights = c
-        agg_sum, agg_max = _segment_sum_max(weights * values, n_g)
+        ufunc = np.add if config.aggregate == SUM else np.maximum
+        (agg,) = _segment_reduce(weights * values, n_g, ufunc)
         q_term = z_star * pref(child_rng(seed, STREAMS["tbt"], 1, g), n_parents)
-        if config.aggregate == SUM:
-            values = agg_sum + q_term
-        else:
-            values = np.maximum(agg_max, q_term)
+        values = ufunc(agg, q_term)
     return TbtSample(
         root_values=values,
         depth=depth,

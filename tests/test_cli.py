@@ -11,7 +11,7 @@ import rank_extremes
 from rank_extremes import cli, experiments, recursion
 from rank_extremes.cli import main
 from rank_extremes.errors import ConfigurationError
-from rank_extremes.estimators import definition_theta
+from rank_extremes.estimators import definition_theta, upper_order_statistics
 from rank_extremes.experiments import (
     DEFAULTS,
     KINDS,
@@ -242,6 +242,25 @@ class TestRunExperiment:
         }
         got = experiments._definition_stage(params, jobs)
         assert got == {key: est.estimate for key, est in want.items()}
+
+    @pytest.mark.parametrize("deps", ["iid", "mm:1,1"])
+    @pytest.mark.parametrize("fixed_in_degree", [-1, 0, 1])
+    @pytest.mark.parametrize("damping", [0.1, 0.9])
+    def test_definition_replication_equals_the_pair(self, deps, fixed_in_degree, damping):
+        def_n = 3000
+        params = ExperimentConfig.default(
+            "verify-thm4", def_replications=100, def_n=def_n, tau=0.5, deps=deps,
+            fixed_in_degree=fixed_in_degree, damping=damping).params
+        count = experiments._definition_count(params)
+        config = experiments.recursion_config_from_params(params)
+        for rep in (0, 41):
+            pair = recursion.sample_aggregate_pair(
+                config, def_n, replication_seed(params["seed"], rep))
+            sum_max, max_max, top = experiments._definition_replication((params, rep, count))
+            assert sum_max == float(pair.sum_values.max())
+            assert max_max == float(pair.max_values.max())
+            want = upper_order_statistics(pair.preference, min(count, def_n))
+            assert top.tobytes() == want.tobytes()
 
     def test_definition_stage_memory_is_far_below_one_block(self):
         params = ExperimentConfig.default(

@@ -1,5 +1,6 @@
 """Samplers: exact tails, moving maxima, power-law integers, diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,8 +19,11 @@ from rank_extremes.heavytail import (
     DependenceSpec,
     InDegreeSpec,
     SequenceSpec,
+    GUIDE_BUCKETS,
     TailSpec,
     _frechet,
+    _power_law_guide,
+    _power_law_lookup,
     _power_law_tables,
     gen_moving_maxima,
     power_law_survival,
@@ -196,30 +200,81 @@ class TestPowerLawInt:
 
 class TestVonMises:
     def test_ratio_approaches_alpha_inside_support(self):
-        diag = von_mises_check(InDegreeSpec(alpha=2.0, n_max=10**5))
-        i = int(np.searchsorted(diag.n, 1000))
-        assert abs(diag.ratio[i] - 2.0) / 2.0 < 0.01
-        assert not diag.truncated[i]
+        diag = von_mises_check(InDegreeSpec(alpha=2.0, n_max=10**5), [1000])
+        assert diag.n.tolist() == [1000]
+        assert abs(diag.ratio[0] - 2.0) / 2.0 < 0.01
+        assert not diag.truncated[0]
 
     def test_ratio_heavy_alpha_needs_wide_support(self):
         # With alpha = 0.5 the truncation bias decays slowly; at n_max = 1e5
         # the ratio at n = 1e3 is still ~11% off and the point is flagged.
-        narrow = von_mises_check(InDegreeSpec(alpha=0.5, n_max=10**5))
-        i = int(np.searchsorted(narrow.n, 1000))
-        assert abs(narrow.ratio[i] - 0.5) / 0.5 > 0.02
-        assert narrow.truncated[i]
-        wide = von_mises_check(InDegreeSpec(alpha=0.5, n_max=10**7))
-        j = int(np.searchsorted(wide.n, 1000))
-        assert abs(wide.ratio[j] - 0.5) / 0.5 < 0.02
+        narrow = von_mises_check(InDegreeSpec(alpha=0.5, n_max=10**5), [1000])
+        assert abs(narrow.ratio[0] - 0.5) / 0.5 > 0.02
+        assert narrow.truncated[0]
+        wide = von_mises_check(InDegreeSpec(alpha=0.5, n_max=10**7), [1000])
+        assert abs(wide.ratio[0] - 0.5) / 0.5 < 0.02
 
     def test_divergence_near_truncation_flagged(self):
-        diag = von_mises_check(InDegreeSpec(alpha=2.0, n_max=1000))
+        diag = von_mises_check(InDegreeSpec(alpha=2.0, n_max=1000), [999])
         assert diag.truncated[-1]
         assert abs(diag.ratio[-1] - 2.0) > 1.0  # ratio blows up at the edge
 
     def test_small_support_rejected(self):
         with pytest.raises(ParameterError):
-            von_mises_check(InDegreeSpec(alpha=1.0, n_max=5))
+            von_mises_check(InDegreeSpec(alpha=1.0, n_max=5), [2])
+
+    @pytest.mark.parametrize("n", [0, 1000, -3])
+    def test_points_outside_the_support_rejected(self, n):
+        with pytest.raises(ParameterError):
+            von_mises_check(InDegreeSpec(alpha=1.0, n_max=1000), [5, n])
+
+    def test_last_point_at_alpha_2(self):
+        # 1 - cdf cancelled here: the ratio read -1 855 and the survival
+        # function was <= 0 at 51 points of n_max = 1e5
+        spec = InDegreeSpec(alpha=2.0, n_max=10**5)
+        ns = np.arange(1, spec.n_max)
+        diag = von_mises_check(spec, ns)
+        # at n = n_max - 1 the tail is the single point n_max
+        assert diag.ratio[-1] == pytest.approx(ns[-1] ** -2.0 / spec.n_max ** -3.0, rel=1e-9)
+        assert diag.ratio[-1] == pytest.approx(100_002, rel=1e-4)
+        assert np.all(diag.ratio > 0)
+        surv = power_law_survival(spec, ns)
+        assert np.all((surv > 0) & (surv <= 1))
+
+
+def reverse_fsum_tails(alpha, n_max, points):
+    """``sum_{l > n} l**-(alpha+1)`` at each point and the total, each one a
+    correctly rounded sum of the terms (independent of the library)."""
+    weights = [l ** -(alpha + 1.0) for l in range(1, n_max + 1)]
+    return [math.fsum(weights[n:]) for n in points], math.fsum(weights)
+
+
+class TestClosedFormSurvival:
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.1, 3.0), n_max=st.integers(10, 2 * 10**4), data=st.data())
+    def test_matches_reverse_fsum(self, alpha, n_max, data):
+        spec = InDegreeSpec(alpha=alpha, n_max=n_max)
+        inner = data.draw(st.lists(st.integers(1, n_max - 1), max_size=5))
+        # always the last 100 points, where 1 - cdf cancelled
+        points = sorted(set(range(max(1, n_max - 100), n_max)) | set(inner))
+        tails, total = reverse_fsum_tails(alpha, n_max, points)
+        tails = np.array(tails)
+        ns = np.array(points)
+        surv = power_law_survival(spec, ns)
+        np.testing.assert_allclose(surv, tails / total, rtol=1e-8)
+        assert np.all((surv > 0) & (surv <= 1))
+        diag = von_mises_check(spec, ns)
+        np.testing.assert_allclose(diag.ratio, ns * ns ** -(alpha + 1.0) / tails, rtol=1e-8)
+        assert np.all(diag.ratio > 0)
+
+    @pytest.mark.parametrize("x,want", [(-2.0, 1.0), (0.0, 1.0), (0.99, 1.0), (1000, 0.0),
+                                        (5000.5, 0.0)])
+    def test_outside_the_support(self, x, want):
+        assert float(power_law_survival(InDegreeSpec(alpha=1.5, n_max=1000), x)) == want
+
+    def test_real_points_floor(self):
+        spec = InDegreeSpec(alpha=1.5, n_max=1000)
+        assert power_law_survival(spec, 7.9) == power_law_survival(spec, 7)
 
 
 # The samplers transform their draws in place; these are the expressions
@@ -347,3 +402,57 @@ class TestRngArgument:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert got.tobytes() == sampler(spec, 500, np.random.default_rng(SEED)).tobytes()
         assert got.tobytes() != sampler(spec, 500, SEED).tobytes()
+
+
+# every bucket edge b / 2^12 with both neighbours, 0 and the largest double below 1
+EDGES = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+GUIDE_CASES = np.unique(np.concatenate([
+    EDGES, np.nextafter(EDGES, 1.0), np.nextafter(EDGES[1:], 0.0),
+    [0.0, np.nextafter(1.0, 0.0)],
+]))
+
+
+class TestGuideTable:
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.1, 3.0),
+           n_max=st.one_of(st.integers(1, 12), st.integers(1, 10**5)),
+           extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    def test_lookup_equals_the_search(self, alpha, n_max, extra):
+        spec = InDegreeSpec(alpha=alpha, n_max=n_max)
+        _, cdf = _power_law_tables(spec)
+        # the cdf entries and their neighbours split buckets, at both ends
+        below_one = cdf[cdf < 1.0]
+        near = np.concatenate([below_one[:100], below_one[-100:]])
+        u = np.concatenate([GUIDE_CASES, extra, near, np.nextafter(near, 0.0),
+                            np.nextafter(near, 1.0)])
+        want = np.searchsorted(cdf, u, side="right") + 1
+        got = _power_law_lookup(spec, u.copy())
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.astype(np.int64).tobytes()
+
+    def test_lookup_leaves_its_input(self):
+        u = np.random.default_rng(SEED).random(1000)
+        before = u.copy()
+        _power_law_lookup(InDegreeSpec(alpha=1.5, n_max=1000), u)
+        assert u.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n_max", [1, 100, 10**5, 10**6])
+    def test_table_size_is_fixed(self, n_max):
+        guide, split = _power_law_guide(InDegreeSpec(alpha=1.5, n_max=n_max))
+        assert guide.shape == split.shape == (GUIDE_BUCKETS,)
+        # few buckets hold a cdf entry, so few draws need the search
+        assert split.mean() < 0.02
+
+    # sha256 prefixes of 10^4 draws from an integer root seed, as the binary
+    # search over the cdf drew them
+    @pytest.mark.parametrize("alpha,n_max,seed,digest", [
+        (1.5, 50, 0, "bb08f865a333918c"),
+        (2.0, 100, 918273, "4de77c7a45cdcab3"),
+        (0.5, 10**5, 2**32 - 1, "fc115eb1f0637325"),
+        (0.1, 10**5, 7, "dafd18a4be08fe52"),
+        (2.0, 1, 3, "e9b3b2b9bdbffa83"),
+    ])
+    def test_integer_seed_stream_is_pinned(self, alpha, n_max, seed, digest):
+        draws = sample_power_law_int(InDegreeSpec(alpha=alpha, n_max=n_max), 10**4, seed)
+        assert draws.dtype == np.int64
+        assert hashlib.sha256(draws.tobytes()).hexdigest()[:16] == digest

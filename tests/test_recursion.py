@@ -30,11 +30,11 @@ from rank_extremes.recursion import (
     RecursionConfig,
     _column_contributions,
     _draw_in_degrees,
-    _fast_iid_contributions,
     _iid_pair_blocks,
-    _segment_sum_max,
+    _segment_reduce,
     compare_tail_sum_max,
     expected_tree_size,
+    pair_maxima,
     read_path_csv,
     sample_aggregate,
     sample_aggregate_pair,
@@ -204,8 +204,10 @@ class TestAggregatePairCombination:
         in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
         q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
         if columns == "iid":
-            f_sum, f_max = _fast_iid_contributions(config, child_rng(seed, STREAMS["column"]),
-                                                   in_deg)
+            total = int(in_deg.sum())
+            draws = sample_pareto(config.follower_tail, max(total, 1),
+                                  child_rng(seed, STREAMS["column"]))[:total]
+            f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
         else:
             f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
         pref_term = config.z_star * q
@@ -337,8 +339,9 @@ class TestColumnContributions:
 
 
 def looped_segment_sum_max(values, counts):
-    """Reference for ``_segment_sum_max``: a Python loop over each segment,
-    adding left to right from its first value, 0 for an empty segment."""
+    """Reference for ``_segment_reduce`` by sum and maximum: a Python loop
+    over each segment, adding left to right from its first value, 0 for an
+    empty segment."""
     sums = np.zeros(len(counts))
     maxes = np.zeros(len(counts))
     start = 0
@@ -368,14 +371,52 @@ class TestSegmentSumMax:
         values = np.array(data.draw(st.lists(
             st.integers(-2**46, 2**46), min_size=total, max_size=total)),
             dtype=float) / 2**16
-        got = _segment_sum_max(values, counts)
+        got = _segment_reduce(values, counts, np.add, np.maximum)
         want = looped_segment_sum_max(values, counts)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
     def test_all_zero_counts_give_zeros(self):
-        sums, maxes = _segment_sum_max(np.zeros(0), np.zeros(4, dtype=np.int64))
+        sums, maxes = _segment_reduce(np.zeros(0), np.zeros(4, dtype=np.int64),
+                                      np.add, np.maximum)
         assert sums.tobytes() == maxes.tobytes() == np.zeros(4).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+           gaps=st.data(), seed=SEEDS)
+    def test_direct_path_equals_masked_path(self, counts, gaps, seed):
+        # counts >= 1 take reduceat on the offsets as they are; the same
+        # segments with empty ones between them take the masked path.  The
+        # values are exact partial sums, as in the test above, so the loop
+        # gives the same bits too
+        values = np.random.default_rng(seed).integers(-2**46, 2**46, sum(counts)) / 2**16
+        direct = _segment_reduce(values, np.array(counts), np.add, np.maximum)
+        zeros = gaps.draw(st.lists(st.integers(0, 2), min_size=len(counts) + 1,
+                                   max_size=len(counts) + 1))
+        padded = [0] * zeros[0]
+        for count, gap in zip(counts, zeros[1:]):
+            padded += [count] + [0] * gap
+        padded = np.array(padded)
+        masked = _segment_reduce(values, padded, np.add, np.maximum)
+        looped = looped_segment_sum_max(values, np.array(counts))
+        for got, via_mask, want in zip(direct, masked, looped):
+            assert got.tobytes() == via_mask[padded > 0].tobytes() == want.tobytes()
+            assert not via_mask[padded == 0].any()
+        # on rounded sums the two paths still run the same reduceat segments
+        draws = sample_pareto(TailSpec(1.5), sum(counts), seed)
+        direct = _segment_reduce(draws, np.array(counts), np.add, np.maximum)
+        masked = _segment_reduce(draws, padded, np.add, np.maximum)
+        for got, via_mask in zip(direct, masked):
+            assert got.tobytes() == via_mask[padded > 0].tobytes()
+
+    @pytest.mark.parametrize("ufuncs", [(np.add,), (np.maximum,), (np.maximum, np.add)])
+    @pytest.mark.parametrize("counts", [[3, 1, 2], [0, 3, 0, 3]])
+    def test_each_ufunc_reduces_alone(self, ufuncs, counts):
+        values = np.arange(6.0)[::-1]
+        both = dict(zip((np.add, np.maximum),
+                        looped_segment_sum_max(values, np.array(counts))))
+        got = _segment_reduce(values, np.array(counts), *ufuncs)
+        assert [g.tobytes() for g in got] == [both[u].tobytes() for u in ufuncs]
 
 
 class TestTbt:
@@ -519,6 +560,29 @@ IN_DEGREES = {
                  preference_tail=TIED),
     "tied-none": dict(fixed_in_degree=0, preference_tail=TIED),
 }
+
+
+class TestPairMaxima:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=SEEDS, damping=st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.01, 0.99),
+           n=st.integers(1, 300), in_degrees=st.sampled_from(sorted(IN_DEGREES)),
+           explicit=st.booleans())
+    def test_equals_the_pair(self, seed, damping, n, in_degrees, explicit):
+        deps = ((DependenceSpec.moving_maxima(1, 1),) if explicit
+                else (DependenceSpec.iid(),))
+        config = make_config(damping=damping, follower_deps=deps, **IN_DEGREES[in_degrees])
+        sum_max, max_max, q = pair_maxima(config, n, seed)
+        pair = sample_aggregate_pair(config, n, seed)
+        assert type(sum_max) is type(max_max) is float
+        assert sum_max == float(pair.sum_values.max())
+        assert max_max == float(pair.max_values.max())
+        assert q.tobytes() == pair.preference.tobytes()
+
+    def test_checks_its_arguments(self):
+        with pytest.raises(ParameterError):
+            pair_maxima(make_config(), 0, SEED)
+        with pytest.raises(ConfigurationError):
+            pair_maxima(make_config(coupling=COUPLING_ADVERSARIAL), 10, SEED)
 
 
 class TestStreamedComparison:
