@@ -35,6 +35,7 @@ from .estimators import (
     nearest_rank_quantile,
 )
 from .recursion import read_path_csv, sample_aggregate
+from .textio import atomic_write
 
 
 def _collect_overrides(args, kind: str | None = None) -> dict:
@@ -61,6 +62,15 @@ def _out_dir(args) -> str | None:
     return os.environ.get("RANK_EXTREMES_OUT") or args.out
 
 
+def _write_file(out: str, name: str, write) -> str:
+    """``write(fh)`` into ``out/name``, written atomically; returns the path."""
+    os.makedirs(out, exist_ok=True)
+    target = os.path.join(out, name)
+    with atomic_write(target) as fh:
+        write(fh)
+    return target
+
+
 def _cmd_simulate(args) -> int:
     params = experiments.apply_overrides(
         experiments.MODEL_DEFAULTS, _collect_overrides(args), "simulate")
@@ -68,11 +78,7 @@ def _cmd_simulate(args) -> int:
     path = sample_aggregate(config, params["n"], params["seed"])
     out = _out_dir(args)
     if out:
-        os.makedirs(out, exist_ok=True)
-        target = os.path.join(out, "path.csv")
-        with open(target, "w") as fh:
-            path.write_csv(fh)
-        print(f"wrote {target}")
+        print(f"wrote {_write_file(out, 'path.csv', path.write_csv)}")
     else:
         path.write_csv(sys.stdout)
     return 0
@@ -107,10 +113,8 @@ def _cmd_estimate(args) -> int:
             )
     out = _out_dir(args)
     if out:
-        os.makedirs(out, exist_ok=True)
-        target = os.path.join(out, f"estimate-{args.method}.json")
-        with open(target, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        target = _write_file(out, f"estimate-{args.method}.json",
+                             lambda fh: fh.write(report.to_json() + "\n"))
         print(f"wrote {target}")
     print(report.to_json())
     return 0
@@ -143,12 +147,9 @@ def _cmd_graph(args) -> int:
     if args.action != "gen" and not args.graph:
         raise ConfigurationError(f"graph {args.action} needs --graph EDGE_LIST")
     out = _out_dir(args) or "."
-    os.makedirs(out, exist_ok=True)
     if args.action == "gen":
         g = graphrank.gen_power_law_graph(args.nodes, args.alpha, args.seed or 0)
-        target = os.path.join(out, "graph.edges")
-        with open(target, "w") as fh:
-            g.write_edge_list(fh)
+        target = _write_file(out, "graph.edges", g.write_edge_list)
         print(f"wrote {target} ({g.n} nodes, {g.edge_count} edges)")
         return 0
     with open(args.graph) as fh:
@@ -169,9 +170,7 @@ def _cmd_graph(args) -> int:
             "mean": ht.mean, "median": ht.median, "target_size": ht.target_size,
         }))
         return 0
-    target = os.path.join(out, name)
-    with open(target, "w") as fh:
-        rv.write_csv(fh)
+    target = _write_file(out, name, rv.write_csv)
     print(f"wrote {target} (iterations={rv.iterations}, residual={rv.residual:.3g})")
     return 0
 
@@ -282,8 +281,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RankExtremesError, OSError) as exc:
-        # bad input, or an input file that is missing or unreadable
-        print(f"error: {exc}", file=sys.stderr)
+        # bad input, or an input file that is missing or unreadable; a note
+        # names the replication that raised it
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ",
+              file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,7 @@ per experiment kind and ``MODEL_DEFAULTS`` for ``simulate``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -58,7 +59,7 @@ from .theory import (
     predict_random_length,
 )
 from .rng import replication_seed
-from .textio import write_rows
+from .textio import atomic_write, write_rows
 
 # ---------------------------------------------------------------------------
 # Dependence-spec string parser ("iid" or "mm:a0,a1,..."; columns ';'-joined)
@@ -411,15 +412,29 @@ def _definition_count(params) -> int:
     return count
 
 
+@contextlib.contextmanager
+def _named_replication(kind: str, rep: int, seed: int):
+    """Re-raise an exception of the block as it is, with a note naming the
+    replication (the note survives the trip back from a worker process)."""
+    try:
+        yield
+    except Exception as exc:
+        # what BaseException.add_note does, which Python 3.10 lacks
+        note = f"in {kind} replication {rep}, seed {seed}"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        raise
+
+
 def _definition_replication(args) -> tuple[float, float, np.ndarray]:
     """One definition-stage replication, ``(params, rep, count) ->`` the
     maxima of its sum and max paths and the top ``count`` of its preference
     draws (all of them when ``count >= def_n``)."""
     params, rep, count = args
     n_def = params["def_n"]
-    sum_max, max_max, q = pair_maxima(recursion_config_from_params(params), n_def,
-                                      replication_seed(params["seed"], rep))
-    return sum_max, max_max, upper_order_statistics(q, min(count, n_def))
+    seed = replication_seed(params["seed"], rep)
+    with _named_replication(f"{VERIFY_THM4} definition-stage", rep, seed):
+        sum_max, max_max, q = pair_maxima(recursion_config_from_params(params), n_def, seed)
+        return sum_max, max_max, upper_order_statistics(q, min(count, n_def))
 
 
 def _definition_stage(params, jobs: int) -> dict:
@@ -488,30 +503,33 @@ def _estimate(name: str, path: np.ndarray, params: dict, blocks_at) -> float:
 
 
 def _replication(args) -> dict:
-    """One replication, ``(params, rep) -> row``: the regime's estimators
-    on a sum and a max path drawn from the same inputs."""
-    params, rep = args
+    """One replication of experiment ``kind``, ``(kind, params, rep) -> row``:
+    the regime's estimators on a sum and a max path drawn from the same
+    inputs.  An exception leaves with a note naming the replication."""
+    kind, params, rep = args
     regime_name = params.get("regime", FIXED_LENGTH)
     regime = REGIMES[regime_name]
     seed = replication_seed(params["seed"], regime.seed_offset + rep)
-    if regime_name == FIXED_LENGTH:
-        sum_path, max_path = sample_weighted_pair(
-            _fixed_length_components(params), params["n"], seed)
-    else:
-        pair = sample_aggregate_pair(recursion_config_from_params(params), params["n"], seed)
-        sum_path, max_path, q = pair.sum_values, pair.max_values, pair.preference
-    blocks_at = None
-    if regime.q_threshold:
-        u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
-        blocks_at = (u, float(np.count_nonzero(q > u)) / params["n"])
-    row = {}
-    for label, path in (("sum", sum_path), ("max", max_path)):
-        for name in regime.estimators:
-            if name != "hill" or params["hill_fraction"] > 0:
-                row[f"{name}_{label}"] = _estimate(name, path, params, blocks_at)
-    for name in regime.pairs:
-        row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
-    return row
+    with _named_replication(kind, rep, seed):
+        if regime_name == FIXED_LENGTH:
+            sum_path, max_path = sample_weighted_pair(
+                _fixed_length_components(params), params["n"], seed)
+        else:
+            config = recursion_config_from_params(params)
+            pair = sample_aggregate_pair(config, params["n"], seed)
+            sum_path, max_path, q = pair.sum_values, pair.max_values, pair.preference
+        blocks_at = None
+        if regime.q_threshold:
+            u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
+            blocks_at = (u, float(np.count_nonzero(q > u)) / params["n"])
+        row = {}
+        for label, path in (("sum", sum_path), ("max", max_path)):
+            for name in regime.estimators:
+                if name != "hill" or params["hill_fraction"] > 0:
+                    row[f"{name}_{label}"] = _estimate(name, path, params, blocks_at)
+        for name in regime.pairs:
+            row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
+        return row
 
 
 def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
@@ -524,7 +542,7 @@ def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
     if regime.hill_tol > 0 and params["hill_fraction"] <= 0:
         raise ConfigurationError(f"the {regime_name} regime needs hill_fraction > 0")
     staged = regime.stage(params, jobs) if regime.stage else {}
-    args = [(params, rep) for rep in range(params["replications"])]
+    args = [(cfg.kind, params, rep) for rep in range(params["replications"])]
     estimates = _collect_estimates(_map_reps(_replication, args, jobs))
     estimates.update(staged)
     checks = []
@@ -632,37 +650,29 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = N
 
     Writes ``<kind>.report.json`` and, when per-replication rows exist,
     ``<kind>.estimates.csv`` under ``out_dir``.  The report file is strict
-    JSON, with ``null`` for every non-finite value.  Partial outputs are
-    removed if anything fails mid-run.  ``jobs`` must be at least 1.
+    JSON, with ``null`` for every non-finite value.  Each file is written
+    atomically; a failure while either is written replaces neither previous
+    file.  ``jobs`` must be at least 1.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     run = _run_tail_equivalence if cfg.kind == TAIL_EQUIVALENCE else _run_replicated
     report = run(cfg, jobs)
     if out_dir is not None:
-        written = []
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            report_path = os.path.join(out_dir, f"{cfg.kind}.report.json")
-            with open(report_path, "w") as fh:
-                json.dump(_finite_or_null(report), fh, indent=2, allow_nan=False)
-                fh.write("\n")
-            written.append(report_path)
-            rows = report["estimates"].get("per_replication")
+        os.makedirs(out_dir, exist_ok=True)
+        rows = report["estimates"].get("per_replication")
+        # both files are complete before either is renamed into place
+        with contextlib.ExitStack() as files:
+            fh = files.enter_context(
+                atomic_write(os.path.join(out_dir, f"{cfg.kind}.report.json")))
+            json.dump(_finite_or_null(report), fh, indent=2, allow_nan=False)
+            fh.write("\n")
             if rows:
-                csv_path = os.path.join(out_dir, f"{cfg.kind}.estimates.csv")
+                fh = files.enter_context(
+                    atomic_write(os.path.join(out_dir, f"{cfg.kind}.estimates.csv")))
                 keys = sorted(rows[0])
                 columns = [np.array([row[k] for row in rows]) for k in keys]
-                with open(csv_path, "w") as fh:
-                    fh.write("replication," + ",".join(keys) + "\n")
-                    write_rows(fh, "%d" + ",%.17g" * len(keys) + "\n",
-                               np.arange(len(rows)), *columns)
-                written.append(csv_path)
-        except Exception:
-            for path in written:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-            raise
+                fh.write("replication," + ",".join(keys) + "\n")
+                write_rows(fh, "%d" + ",%.17g" * len(keys) + "\n",
+                           np.arange(len(rows)), *columns)
     return report

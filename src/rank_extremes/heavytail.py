@@ -175,13 +175,71 @@ def theoretical_mm_theta(dep: DependenceSpec, k: float) -> float:
     return float(a.max() / a.sum())
 
 
-def _frechet(rng: np.random.Generator, scale: float, k: float, n: int) -> np.ndarray:
+def _frechet(rng: np.random.Generator, scale: float, k: float, n: int, *,
+             out=None) -> np.ndarray:
     """Fréchet draws with survival ``1 - exp(-scale * z**-k) ~ scale * z**-k``,
-    ``(scale / E)**(1/k)`` computed in place over the exponential draws."""
-    z = rng.standard_exponential(n)  # the same stream as exponential(size=n)
+    ``(scale / E)**(1/k)`` computed in place over the exponential draws
+    (in ``out``, a float64 array of length ``n``, when given)."""
+    z = rng.standard_exponential(n, out=out)  # the same stream as exponential(size=n)
     np.divide(scale, z, out=z)
     z **= 1.0 / k
     return z
+
+
+class SequenceStream:
+    """One stationary sequence for ``seq``, drawn block after block: the
+    blocks that :meth:`fill` writes concatenate to
+    ``sample_sequence(seq, n, rng)`` bit for bit.
+
+    An i.i.d. sequence takes the next uniforms of its stream for each block.
+    A moving-maxima sequence takes the next Fréchet innovations and carries
+    its last ``lag = m - 1`` into the next block.  A stream drawn in
+    consecutive chunks gives the values of one draw, and every transform is
+    elementwise, so the block boundaries leave no trace in the values.
+    """
+
+    def __init__(self, seq: SequenceSpec, rng: int | np.random.Generator):
+        self.tail = seq.tail
+        self.coeffs = np.asarray(seq.dep.coeffs, dtype=float)
+        self.lag = len(self.coeffs) - 1
+        self.rng = as_generator(rng, STREAMS["column"], 0)
+        self._scale = seq.tail.c / float(np.sum(self.coeffs**seq.tail.k))
+        self._carry = None  # the previous block's last `lag` innovations
+
+    def fill(self, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Write the next ``len(out) >= 1`` values into ``out`` and return it.
+
+        ``work`` is float64 scratch of at least ``len(out) + lag`` values,
+        allocated when not given; an i.i.d. sequence needs none.
+        """
+        rows = len(out)
+        if not self.lag:
+            return sample_pareto(self.tail, rows, self.rng, out=out)
+        m1 = self.lag
+        z = (np.empty(rows + m1) if work is None else work)[: rows + m1]
+        fresh = z
+        if self._carry is not None:
+            z[:m1] = self._carry
+            fresh = z[m1:]
+        _frechet(self.rng, self._scale, self.tail.k, len(fresh), out=fresh)
+        self._carry = z[rows:].copy()
+        # Y_t = max_j a_j * Z_{t-j}: a_0 always enters, later zero lags are
+        # skipped, and a unit coefficient takes its innovations as they are
+        path = term = None
+        for j, a in enumerate(self.coeffs):
+            if a == 0.0 and j > 0:
+                continue
+            lagged = z[m1 - j : m1 - j + rows]
+            if a != 1.0:
+                if path is None:
+                    lagged = np.multiply(a, lagged, out=out)
+                else:
+                    term = np.empty(rows) if term is None else term
+                    lagged = np.multiply(a, lagged, out=term)
+            path = lagged if path is None else np.maximum(path, lagged, out=out)
+        if path is not out:
+            out[:] = path
+        return out
 
 
 def gen_moving_maxima(seq: SequenceSpec, n: int, rng: int | np.random.Generator, *,
@@ -194,26 +252,13 @@ def gen_moving_maxima(seq: SequenceSpec, n: int, rng: int | np.random.Generator,
     ``max_j a_j**k / sum_j a_j**k``.
 
     A single-coefficient spec degenerates to an i.i.d. path, drawn as exact
-    Pareto so marginal tails are sharp.  The path is written into ``out``
-    (a float64 array of length ``n``) when given.
+    Pareto so marginal tails are sharp.  The path is one block of a
+    :class:`SequenceStream`, written into ``out`` (a float64 array of
+    length ``n``) when given.
     """
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
-    a = np.asarray(seq.dep.coeffs, dtype=float)
-    m = len(a)
-    rng = as_generator(rng, STREAMS["column"], 0)
-    if m == 1:
-        return sample_pareto(seq.tail, n, rng, out=out)
-    k = seq.tail.k
-    innov_scale = seq.tail.c / float(np.sum(a**k))
-    z = _frechet(rng, innov_scale, k, n + m - 1)
-    path = np.multiply(a[0], z[m - 1 : m - 1 + n], out=out)
-    term = np.empty(n)  # one work buffer for every lagged product
-    for j in range(1, m):
-        if a[j] == 0.0:
-            continue
-        np.maximum(path, np.multiply(a[j], z[m - 1 - j : m - 1 - j + n], out=term), out=path)
-    return path
+    return SequenceStream(seq, rng).fill(np.empty(n) if out is None else out)
 
 
 def sample_sequence(seq: SequenceSpec, n: int, rng: int | np.random.Generator, *,

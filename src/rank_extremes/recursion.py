@@ -19,6 +19,10 @@ and a paired sum-vs-max tail comparison table.
 from __future__ import annotations
 
 import io
+import multiprocessing
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,11 +33,11 @@ from .heavytail import (
     DependenceSpec,
     InDegreeSpec,
     SequenceSpec,
+    SequenceStream,
     TailSpec,
     _power_law_tables,
     sample_pareto,
     sample_power_law_int,
-    sample_sequence,
 )
 from .rng import STREAMS, child_rng
 from .textio import read_rows, write_rows
@@ -189,38 +193,120 @@ def _segment_reduce(values: np.ndarray, counts: np.ndarray, *ufuncs) -> tuple:
     return results
 
 
+# Rows per block of the explicit-column kernel: 512 KB for each float64 block.
+COLUMN_BLOCK_ROWS = 2**16
+
+
+def _column_threads(columns: int) -> int:
+    """Threads that draw explicit columns: one per CPU this process may run
+    on, and no more than there are columns.  A worker process of a pool (a
+    ``--jobs`` replication) draws on one thread, since its siblings already
+    take the other CPUs."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # the call is Linux-only
+        cpus = os.cpu_count() or 1
+    return min(cpus, columns)
+
+
+class _DrawnColumn:
+    """A column drawn whole, handed out block by block like a
+    :class:`SequenceStream`."""
+
+    lag = 0
+
+    def __init__(self, values: np.ndarray):
+        self.values, self.start = values, 0
+
+    def fill(self, out, work=None):
+        self.start += len(out)
+        return self.values[self.start - len(out) : self.start]
+
+
+def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
+    """Sums and maxima over the rows of ``n``-row columns, ``(sums, maxes)``.
+
+    ``columns[j]`` is a :class:`SequenceStream` (or a :class:`_DrawnColumn`).
+    Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
+    given, and only where ``in_deg[t] > j`` when in-degrees are given.
+
+    The columns are drawn in blocks of ``COLUMN_BLOCK_ROWS`` rows on
+    ``_column_threads`` threads, at most twice as many blocks ahead of the
+    reduction, each into its own slot of a ring of preallocated buffers.
+    The calling thread reduces row block after row block and, within one,
+    the columns in order, so every sum keeps its rounding order.  The ring
+    holds no more slots than there are columns, so a column's next block is
+    drawn only after its previous one was reduced.  The pool lives for this
+    call only; an exception from a draw propagates unchanged once every
+    thread is joined.
+    """
+    sums = np.zeros(n)
+    maxes = np.zeros(n)
+    if not columns:
+        return sums, maxes
+    # every row includes the columns below the smallest in-degree
+    min_n = len(columns) if in_deg is None else int(in_deg.min())
+    width = min(COLUMN_BLOCK_ROWS, n)
+    lag = max(col.lag for col in columns)
+    tasks = [(j, slice(start, min(start + width, n)))
+             for start in range(0, n, width) for j in range(len(columns))]
+    threads = _column_threads(len(columns))
+    ring = [(np.empty(width), np.empty(width + lag) if lag else None)
+            for _ in range(min(2 * threads, len(columns)))]
+
+    def draw(i):
+        (j, rows), (out, work) = tasks[i], ring[i % len(ring)]
+        return columns[j].fill(out[: rows.stop - rows.start], work)
+
+    def reduce(i, col):
+        j, rows = tasks[i]
+        if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
+            col *= weights[j]
+        s, m = sums[rows], maxes[rows]
+        if j < min_n:
+            s += col
+            np.maximum(m, col, out=m)
+        else:
+            mask = in_deg[rows] > j  # the rows whose in-degree includes column j + 1
+            np.add(s, col, out=s, where=mask)
+            np.maximum(m, col, out=m, where=mask)
+
+    pending = deque()
+    with ThreadPoolExecutor(threads) as pool:
+        for i in range(len(tasks)):
+            if len(pending) == len(ring):
+                reduce(i - len(ring), pending.popleft().result())
+            pending.append(pool.submit(draw, i))
+        for i in range(len(tasks) - len(pending), len(tasks)):
+            reduce(i, pending.popleft().result())
+    return sums, maxes
+
+
 def _column_contributions(config, n, seed, in_deg):
-    """Follower sum/max terms from explicit stationary columns.
+    """Follower sum/max terms from explicit stationary columns, built in
+    row blocks by :func:`_column_sum_max`.
 
     Returns ``(sums, maxes, in_deg)``; under adversarial coupling the
     returned in-degrees are a rearranged copy and the caller's array is
     left as it was.
     """
     max_n = int(in_deg.max()) if len(in_deg) else 0
-    # every row includes the columns up to the smallest in-degree (the
-    # adversarial rearrangement below permutes in_deg, so keeps its minimum)
-    min_n = int(in_deg.min()) if len(in_deg) else 0
-    sums = np.zeros(n)
-    maxes = np.zeros(n)
-    col = np.empty(n)  # every column is drawn into this one buffer
-    for j in range(1, max_n + 1):
-        sample_sequence(SequenceSpec(config.follower_tail, config.column_dep(j)), n,
-                        child_rng(seed, STREAMS["column"], j), out=col)
-        if config.coupling == COUPLING_ADVERSARIAL and j == 1:
-            # Comonotone rearrangement: large in-degrees align with large
-            # first-column values while both marginals are preserved.
-            order = np.argsort(col, kind="stable")
-            rearranged = np.empty(n, dtype=np.int64)
-            rearranged[order] = np.sort(in_deg)
-            in_deg = rearranged
-        if j <= min_n:
-            sums += col
-            np.maximum(maxes, col, out=maxes)
-        else:
-            mask = in_deg >= j
-            np.add(sums, col, out=sums, where=mask)
-            np.maximum(maxes, col, out=maxes, where=mask)
-    return sums, maxes, in_deg
+    columns = [SequenceStream(SequenceSpec(config.follower_tail, config.column_dep(j)),
+                              child_rng(seed, STREAMS["column"], j))
+               for j in range(1, max_n + 1)]
+    if config.coupling == COUPLING_ADVERSARIAL and max_n:
+        # Comonotone rearrangement: large in-degrees align with large
+        # first-column values while both marginals are preserved.  It needs
+        # the whole first column, whose blocks the reduction then takes.
+        first = columns[0].fill(np.empty(n))
+        order = np.argsort(first, kind="stable")
+        rearranged = np.empty(n, dtype=np.int64)
+        rearranged[order] = np.sort(in_deg)
+        in_deg = rearranged
+        columns[0] = _DrawnColumn(first)
+    return (*_column_sum_max(columns, n, in_deg=in_deg), in_deg)
 
 
 def _add_preference(config, f_sum, f_max, q):
@@ -350,16 +436,12 @@ def sample_weighted_pair(
         raise ParameterError("at least one weighted component required")
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
-    sums = np.zeros(n)
-    maxes = np.zeros(n)
-    for i, (z, seq) in enumerate(components, start=1):
+    for z, _ in components:
         if not z > 0:
             raise ParameterError(f"weights must be positive, got {z}")
-        col = sample_sequence(seq, n, child_rng(seed, STREAMS["column"], i))
-        col *= z
-        sums += col
-        np.maximum(maxes, col, out=maxes)
-    return sums, maxes
+    columns = [SequenceStream(seq, child_rng(seed, STREAMS["column"], i))
+               for i, (_, seq) in enumerate(components, start=1)]
+    return _column_sum_max(columns, n, weights=[z for z, _ in components])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 Both directions work in blocks of ``BLOCK_ROWS`` lines.  Writers format a
 block with one ``%`` operation; readers parse a block with one
 ``np.loadtxt`` call and look for the offending line only after that call
-has failed.
+has failed.  Every output file is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 import warnings
 from itertools import islice
 
@@ -18,6 +21,25 @@ from .errors import DataError
 # Rows formatted per write: bounds the transient row strings to a few MB
 # whatever the length of the columns.
 BLOCK_ROWS = 1 << 16
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """A text file to write in place of ``path``: it is written under a
+    temporary name in the same directory and renamed over ``path`` once the
+    block completes, so a failure leaves no partial file and keeps any
+    previous one."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_rows(fileobj, row_format: str, *columns) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import rank_extremes
 from rank_extremes import cli, experiments, recursion
 from rank_extremes.cli import main
-from rank_extremes.errors import ConfigurationError
+from rank_extremes.errors import ConfigurationError, ParameterError
 from rank_extremes.estimators import definition_theta, upper_order_statistics
 from rank_extremes.experiments import (
     DEFAULTS,
@@ -291,6 +292,110 @@ class TestRunExperiment:
         assert (
             a["estimates"]["per_replication"] == b["estimates"]["per_replication"]
         )
+
+
+FOLLOWERS = dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1", fixed_in_degree=3,
+                 n=3000, replications=3)
+
+
+class TestFailingReplication:
+    @staticmethod
+    def fail_in_column_draws(monkeypatch, exc_type=FloatingPointError):
+        def failing(stream, out, work=None):
+            raise exc_type("sampler failed")
+
+        monkeypatch.setattr(recursion.SequenceStream, "fill", failing)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replication_is_named_and_keeps_its_type(self, jobs, monkeypatch):
+        self.fail_in_column_draws(monkeypatch)
+        monkeypatch.setattr(recursion, "_column_threads", lambda columns: min(2, columns))
+        cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="sampler failed") as info:
+            run_experiment(cfg, jobs=jobs)
+        seed = replication_seed(cfg.params["seed"], 0)
+        assert info.value.__notes__ == [f"in verify-thm4 replication 0, seed {seed}"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_definition_replication_is_named(self, jobs, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("in-degree sampler failed")
+
+        monkeypatch.setattr(recursion, "sample_power_law_int", failing)
+        params = ExperimentConfig.default(
+            "verify-thm4", def_replications=100, def_n=2000).params
+        with pytest.raises(FloatingPointError) as info:
+            experiments._definition_stage(params, jobs)
+        seed = replication_seed(params["seed"], 0)
+        assert info.value.__notes__ == [
+            f"in verify-thm4 definition-stage replication 0, seed {seed}"]
+
+    def test_cli_prints_the_note(self, monkeypatch, capsys):
+        self.fail_in_column_draws(monkeypatch, ParameterError)
+        argv = ["verify", "thm4"] + [f"--set={k}={v}" for k, v in FOLLOWERS.items()]
+        assert main(argv) == 2
+        seed = replication_seed(DEFAULTS["verify-thm4"]["seed"], 0)
+        assert capsys.readouterr().err == (
+            f"error: sampler failed\n  in verify-thm4 replication 0, seed {seed}\n")
+
+
+class TestAtomicWrites:
+    def test_failed_simulate_keeps_the_previous_file(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "--set", "n=2000", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        before = (tmp_path / "path.csv").read_bytes()
+
+        def partial(path, fh):
+            fh.write("# damping=0.5\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(recursion.AggregatePath, "write_csv", partial)
+        assert main(argv + ["--seed", "7"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["path.csv"]
+        assert (tmp_path / "path.csv").read_bytes() == before
+
+    def test_failed_report_keeps_both_previous_files(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.default("verify-thm2", **FAST_THM2)
+        run_experiment(cfg, out_dir=str(tmp_path))
+        names = sorted(os.listdir(tmp_path))
+        assert names == ["verify-thm2.estimates.csv", "verify-thm2.report.json"]
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+
+        def partial(fh, *args):
+            fh.write("0,1")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiments, "write_rows", partial)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(ExperimentConfig.default("verify-thm2", **FAST_THM2, seed=3),
+                           out_dir=str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == names
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+    def test_written_bytes_equal_a_direct_write(self, tmp_path):
+        path = recursion.sample_aggregate(
+            experiments.recursion_config_from_params(experiments.MODEL_DEFAULTS), 3000, 5)
+        assert main(["simulate", "--set", "n=3000", "--seed", "5", "--out",
+                     str(tmp_path)]) == 0
+        assert (tmp_path / "path.csv").read_text() == path.to_csv()
+
+
+class TestThreadAndJobIndependence:
+    @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (2, 2)])
+    def test_followers_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
+        monkeypatch.setattr(recursion, "COLUMN_BLOCK_ROWS", 1000)
+        outputs = []
+        for t, j, out in ((1, 1, tmp_path / "ref"), (threads, jobs, tmp_path / "got")):
+            monkeypatch.setattr(recursion, "_column_threads", lambda columns, t=t: min(t, columns))
+            run_experiment(cfg, jobs=j, out_dir=str(out))
+            report = json.loads((out / "verify-thm4.report.json").read_text())
+            del report["timestamp"]
+            outputs.append((report, (out / "verify-thm4.estimates.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestCliCommands:

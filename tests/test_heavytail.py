@@ -19,6 +19,7 @@ from rank_extremes.heavytail import (
     DependenceSpec,
     InDegreeSpec,
     SequenceSpec,
+    SequenceStream,
     GUIDE_BUCKETS,
     TailSpec,
     _frechet,
@@ -365,6 +366,57 @@ class TestInPlaceSamplers:
         want = expression_power_law_int(spec, n, stream(seed))
         got = sample_power_law_int(spec, n, stream(seed))
         assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+
+def split(n, sizes):
+    """Consecutive block lengths covering ``n`` rows, cycling ``sizes``."""
+    out, i = [], 0
+    while n > 0:
+        out.append(min(sizes[i % len(sizes)], n))
+        n -= out[-1]
+        i += 1
+    return out
+
+
+class TestSequenceStream:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, k=TAIL_K,
+           coeffs=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=4)
+           .filter(any),
+           n=st.integers(1, 200), sizes=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+           with_work=st.booleans())
+    def test_blocks_concatenate_to_the_whole_path(self, seed, k, coeffs, n, sizes, with_work):
+        seq = SequenceSpec(TailSpec(k, 1.5), DependenceSpec.moving_maxima(*coeffs))
+        want = sample_sequence(seq, n, stream(seed))
+        source = SequenceStream(seq, stream(seed))
+        blocks = []
+        for rows in split(n, sizes):
+            out = np.full(rows, np.nan)
+            work = np.full(rows + source.lag + 3, np.nan) if with_work else None
+            got = source.fill(out, work)
+            assert got is out
+            blocks.append(got.copy())
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    def test_integer_seed_picks_the_column_stream(self):
+        seq = SequenceSpec(TailSpec(2.0), DependenceSpec.moving_maxima(1, 1))
+        got = SequenceStream(seq, SEED).fill(np.empty(300))
+        assert got.tobytes() == sample_sequence(seq, 300, SEED).tobytes()
+
+    # the property the block source relies on: a stream drawn in consecutive
+    # chunks gives the values of one draw
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 500),
+           sizes=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+           method=st.sampled_from(["random", "standard_exponential"]))
+    def test_chunked_draws_equal_one_draw(self, seed, n, sizes, method):
+        want = getattr(np.random.default_rng(seed), method)(n)
+        rng, got = np.random.default_rng(seed), np.empty(n)
+        start = 0
+        for rows in split(n, sizes):
+            getattr(rng, method)(out=got[start : start + rows])
+            start += rows
         assert got.tobytes() == want.tobytes()
 
 

@@ -1,8 +1,13 @@
 """Random-length aggregates, branching-tree expansion, paired tail ratios."""
 
+import contextlib
 import io
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -156,6 +161,19 @@ class TestAggregate:
             make_config(fixed_in_degree=51)  # exceeds n_max columns
 
 
+BLOCK_ROWS_CASES = st.sampled_from([1, 2, 5, 16, recursion.COLUMN_BLOCK_ROWS])
+
+
+@contextlib.contextmanager
+def column_kernel(block_rows, threads):
+    """The explicit-column kernel at ``block_rows`` rows per block and at most
+    ``threads`` drawing threads, for the duration of a ``with`` block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "COLUMN_BLOCK_ROWS", block_rows)
+        mp.setattr(recursion, "_column_threads", lambda columns: min(threads, columns))
+        yield
+
+
 class TestWeightedPair:
     def test_sum_dominates_max(self):
         from rank_extremes.heavytail import SequenceSpec
@@ -174,9 +192,9 @@ class TestWeightedPair:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           zs=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4),
-           n=st.integers(1, 300))
-    def test_matches_expression_bit_for_bit(self, seed, zs, n):
+           zs=st.lists(st.one_of(st.just(1.0), st.floats(0.01, 10.0)), min_size=1, max_size=4),
+           n=st.integers(1, 300), block_rows=BLOCK_ROWS_CASES, threads=st.sampled_from([1, 2]))
+    def test_matches_expression_bit_for_bit(self, seed, zs, n, block_rows, threads):
         deps = (DependenceSpec.iid(), DependenceSpec.moving_maxima(1, 1))
         comps = [(z, SequenceSpec(TailSpec(1.5), deps[i % 2])) for i, z in enumerate(zs)]
         sums, maxes = np.zeros(n), np.zeros(n)
@@ -184,7 +202,8 @@ class TestWeightedPair:
             col = z * sample_sequence(seq, n, child_rng(seed, STREAMS["column"], i))
             sums += col
             np.maximum(maxes, col, out=maxes)
-        got = sample_weighted_pair(comps, n, seed)
+        with column_kernel(block_rows, threads):
+            got = sample_weighted_pair(comps, n, seed)
         assert got[0].tobytes() == sums.tobytes()
         assert got[1].tobytes() == maxes.tobytes()
 
@@ -336,6 +355,114 @@ class TestColumnContributions:
         assert got[2].tobytes() == expected_deg.tobytes()
         # the rearrangement is returned, never written into the caller's array
         assert np.array_equal(caller_deg, in_deg)
+
+
+# dependence specs of 1 to 4 coefficients, zeros among them
+DEPS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=4).filter(
+    any).map(lambda a: DependenceSpec.moving_maxima(*a))
+
+
+class TestBlockedColumnKernel:
+    N_MAX = 6
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(1, 3),
+           offset=st.integers(-1, 1), threads=st.sampled_from([1, 2]),
+           deps=st.lists(DEPS, min_size=1, max_size=3),
+           in_degrees=st.sampled_from(["power", 0, 1, N_MAX]),
+           coupling=st.sampled_from([COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL]))
+    def test_equals_the_whole_column_oracle(self, seed, block_rows, blocks, offset, threads,
+                                            deps, in_degrees, coupling):
+        # n below, at and just past a multiple of the block
+        n = max(1, block_rows * blocks + offset)
+        config = make_config(in_degree=InDegreeSpec(alpha=1.5, n_max=self.N_MAX),
+                             follower_deps=tuple(deps), coupling=coupling)
+        if in_degrees == "power":
+            in_deg = sample_power_law_int(config.in_degree, n, seed)
+        else:
+            in_deg = np.full(n, in_degrees, dtype=np.int64)
+        expected_deg = in_deg.copy()
+        want = masked_column_contributions(config, n, seed, expected_deg)
+        with column_kernel(block_rows, threads):
+            got = _column_contributions(config, n, seed, in_deg.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == expected_deg.tobytes()
+
+    # up to three drawing threads, with the interpreter switching threads
+    # every 10 us
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_column_is_never_drawn_twice_at_once(self, threads, monkeypatch):
+        active, seen = set(), []
+        lock = threading.Lock()
+        fill = recursion.SequenceStream.fill
+
+        def tracked(stream, out, work=None):
+            with lock:
+                assert stream not in active
+                active.add(stream)
+                seen.append(len(active))
+            try:
+                return fill(stream, out, work)
+            finally:
+                with lock:
+                    active.discard(stream)
+
+        monkeypatch.setattr(recursion.SequenceStream, "fill", tracked)
+        config = make_config(follower_deps=(DependenceSpec.moving_maxima(1, 1),),
+                             fixed_in_degree=5)
+        in_deg = np.full(40, 5, dtype=np.int64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with column_kernel(4, threads):
+                got = _column_contributions(config, 40, SEED, in_deg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 5 * 10 and max(seen) <= threads
+        want = masked_column_contributions(config, 40, SEED, in_deg.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failing_draw_raises_unchanged_and_joins_the_pool(self, threads, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        fill = recursion.SequenceStream.fill
+        calls = itertools.count(1)  # next() is atomic: the GIL covers the C call
+
+        def failing(stream, out, work=None):
+            if next(calls) == 7:
+                raise Boom("column draw failed")
+            return fill(stream, out, work)
+
+        monkeypatch.setattr(recursion.SequenceStream, "fill", failing)
+        config = make_config(fixed_in_degree=5)
+        before = threading.active_count()
+        with column_kernel(4, threads), pytest.raises(Boom, match="column draw failed"):
+            _column_contributions(config, 40, SEED, np.full(40, 5, dtype=np.int64))
+        assert threading.active_count() == before
+
+    def test_thread_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert recursion._column_threads(100) == 3
+        assert recursion._column_threads(2) == 2
+        assert recursion._column_threads(1) == 1
+
+    def test_thread_count_without_cpu_affinity(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
+        monkeypatch.delattr(recursion.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(recursion.os, "cpu_count", lambda: 4)
+        assert recursion._column_threads(100) == 4
+        assert recursion._column_threads(3) == 3
+        monkeypatch.setattr(recursion.os, "cpu_count", lambda: None)
+        assert recursion._column_threads(100) == 1
+
+    def test_a_pool_worker_draws_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(recursion._column_threads, 100).result() == 1
 
 
 def looped_segment_sum_max(values, counts):
