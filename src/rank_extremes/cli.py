@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import experiments, graphrank
-from .errors import ConfigurationError, RankExtremesError
+from .errors import ConfigurationError, ConvergenceError, RankExtremesError
 from .estimators import (
     EstimateReport,
     ThresholdRule,
@@ -282,8 +282,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RankExtremesError, OSError) as exc:
         # bad input, or an input file that is missing or unreadable; a note
-        # names the replication that raised it
-        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ",
+        # names the replication that raised it, and a solver that did not
+        # converge gives its last residual and iteration count
+        solver = []
+        if isinstance(exc, ConvergenceError):
+            solver = [f"{key}: {getattr(exc, key)!r}" for key in ("residual", "iterations")
+                      if getattr(exc, key) is not None]
+        print(f"error: {exc}", *solver, *getattr(exc, "__notes__", ()), sep="\n  ",
               file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ and a paired sum-vs-max tail comparison table.
 
 from __future__ import annotations
 
+import functools
 import io
 import multiprocessing
 import os
@@ -39,7 +40,7 @@ from .heavytail import (
     sample_pareto,
     sample_power_law_int,
 )
-from .rng import STREAMS, child_rng
+from .rng import STREAMS, child_rng, child_rng_at
 from .textio import read_rows, write_rows
 
 SUM = "sum"
@@ -196,19 +197,44 @@ def _segment_reduce(values: np.ndarray, counts: np.ndarray, *ufuncs) -> tuple:
 # Rows per block of the explicit-column kernel: 512 KB for each float64 block.
 COLUMN_BLOCK_ROWS = 2**16
 
+# Rows per block of the i.i.d.-column kernel: 512 KB for each float64 array
+# of a block, plus the block's follower draws.
+PAIR_BLOCK_ROWS = 2**16
 
-def _column_threads(columns: int) -> int:
-    """Threads that draw explicit columns: one per CPU this process may run
-    on, and no more than there are columns.  A worker process of a pool (a
-    ``--jobs`` replication) draws on one thread, since its siblings already
-    take the other CPUs."""
+
+def _column_threads(tasks: int) -> int:
+    """Threads that draw the blocks of a kernel: one per CPU this process
+    may run on, and no more than there are ``tasks`` to run at once.  A
+    worker process of a pool (a ``--jobs`` replication) draws on one thread,
+    since its siblings already take the other CPUs."""
     if multiprocessing.parent_process() is not None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # the call is Linux-only
         cpus = os.cpu_count() or 1
-    return min(cpus, columns)
+    return min(cpus, tasks)
+
+
+def _in_order(tasks, threads: int, ahead: int):
+    """The results of the callables that the iterable ``tasks`` yields, in
+    its order, each callable run on a pool of ``threads`` threads.
+
+    The next callable is taken from ``tasks`` and submitted only once fewer
+    than ``ahead`` results wait to be yielded, so a consumer that handles
+    each result before it asks for the next one has handled result
+    ``i - ahead`` before task ``i`` is taken.  The pool lives as long as the
+    iteration; an exception from a task propagates unchanged once every
+    thread is joined.
+    """
+    pending = deque()
+    with ThreadPoolExecutor(threads) as pool:
+        for task in tasks:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task))
+        while pending:
+            yield pending.popleft().result()
 
 
 class _DrawnColumn:
@@ -232,15 +258,13 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
     Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
     given, and only where ``in_deg[t] > j`` when in-degrees are given.
 
-    The columns are drawn in blocks of ``COLUMN_BLOCK_ROWS`` rows on
-    ``_column_threads`` threads, at most twice as many blocks ahead of the
-    reduction, each into its own slot of a ring of preallocated buffers.
-    The calling thread reduces row block after row block and, within one,
-    the columns in order, so every sum keeps its rounding order.  The ring
-    holds no more slots than there are columns, so a column's next block is
-    drawn only after its previous one was reduced.  The pool lives for this
-    call only; an exception from a draw propagates unchanged once every
-    thread is joined.
+    The columns are drawn in blocks of ``COLUMN_BLOCK_ROWS`` rows by
+    :func:`_in_order` on ``_column_threads`` threads, at most twice as many
+    blocks ahead of the reduction, each into its own slot of a ring of
+    preallocated buffers.  The calling thread reduces row block after row
+    block and, within one, the columns in order, so every sum keeps its
+    rounding order.  The ring holds no more slots than there are columns, so
+    a column's next block is drawn only after its previous one was reduced.
     """
     sums = np.zeros(n)
     maxes = np.zeros(n)
@@ -260,8 +284,9 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
         (j, rows), (out, work) = tasks[i], ring[i % len(ring)]
         return columns[j].fill(out[: rows.stop - rows.start], work)
 
-    def reduce(i, col):
-        j, rows = tasks[i]
+    drawn = _in_order((functools.partial(draw, i) for i in range(len(tasks))),
+                      threads, len(ring))
+    for (j, rows), col in zip(tasks, drawn):
         if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
             col *= weights[j]
         s, m = sums[rows], maxes[rows]
@@ -272,15 +297,6 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
             mask = in_deg[rows] > j  # the rows whose in-degree includes column j + 1
             np.add(s, col, out=s, where=mask)
             np.maximum(m, col, out=m, where=mask)
-
-    pending = deque()
-    with ThreadPoolExecutor(threads) as pool:
-        for i in range(len(tasks)):
-            if len(pending) == len(ring):
-                reduce(i - len(ring), pending.popleft().result())
-            pending.append(pool.submit(draw, i))
-        for i in range(len(tasks) - len(pending), len(tasks)):
-            reduce(i, pending.popleft().result())
     return sums, maxes
 
 
@@ -309,50 +325,89 @@ def _column_contributions(config, n, seed, in_deg):
     return (*_column_sum_max(columns, n, in_deg=in_deg), in_deg)
 
 
-def _add_preference(config, f_sum, f_max, q):
-    """``c * f_sum + pref_term`` and ``max(c * f_max, pref_term)``, written
-    in place over the follower terms, with ``pref_term = (1 - c) * q``."""
+def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
+    """``c * f_sum + pref_term`` and ``max(c * f_max, pref_term)``, with
+    ``pref_term = (1 - c) * q``, written into ``sums`` and ``maxes`` (in
+    place over the follower terms when not given)."""
+    sums = f_sum if sums is None else sums
+    maxes = f_max if maxes is None else maxes
     c = config.damping
     pref_term = config.z_star * q
-    np.multiply(c, f_sum, out=f_sum)
-    np.add(f_sum, pref_term, out=f_sum)
-    np.multiply(c, f_max, out=f_max)
-    np.maximum(f_max, pref_term, out=f_max)
-    return f_sum, f_max
+    np.multiply(c, f_sum, out=sums)
+    np.add(sums, pref_term, out=sums)
+    np.multiply(c, f_max, out=maxes)
+    np.maximum(maxes, pref_term, out=maxes)
+    return sums, maxes
 
 
-def _iid_draw_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int):
-    """The draws of an i.i.d.-column config, ``block_rows`` rows at a time.
-
-    Yields ``(in_deg, q, draws)`` for consecutive row blocks: the in-degrees,
-    the raw preference draws and the block's follower draws, row ``t`` taking
-    the next ``in_deg[t]`` of them.  With i.i.d. columns the values entering
-    a row are fresh draws, so this flat buffer has exactly the law of the
-    column construction.  Each of the ``in_degree``, ``preference`` and
-    ``column`` streams is drawn block after block; a stream drawn in
-    consecutive chunks gives the values of one draw, and a block's column
-    draws end with its last row, so the blocks concatenated equal the whole
-    path bit for bit.
-    """
-    deg_rng = child_rng(seed, STREAMS["in_degree"])
-    pref_rng = child_rng(seed, STREAMS["preference"])
-    col_rng = child_rng(seed, STREAMS["column"])
-    for start in range(0, n, block_rows):
-        rows = min(block_rows, n - start)
-        in_deg = _draw_in_degrees(config, rows, deg_rng)
-        q = sample_pareto(config.preference_tail, rows, pref_rng)
-        total = int(in_deg.sum())
-        draws = sample_pareto(config.follower_tail, max(total, 1), col_rng)
-        yield in_deg, q, draws[:total]
-
-
-def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int):
+def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, *,
+                     out=None, maxima=False):
     """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a
-    time: yields ``(sums, maxes, in_deg, q)`` for the blocks of
-    :func:`_iid_draw_blocks`."""
-    for in_deg, q, draws in _iid_draw_blocks(config, n, seed, block_rows):
-        f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
-        yield (*_add_preference(config, f_sum, f_max, q), in_deg, q)
+    time and in row order: yields ``(sums, maxes, in_deg, q)`` per block.
+
+    With i.i.d. columns the values entering a row are fresh draws, so row
+    ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
+    this has exactly the law of the column construction.  The calling
+    thread draws the in-degrees block after block.  Each block's draws and
+    reduction then run by :func:`_in_order` on ``_column_threads`` threads,
+    at most twice as many blocks ahead of the consumer.  A block starting at
+    row ``start`` takes its preference draws from offset ``start`` of the
+    ``preference`` stream, and its follower draws from offset ``follow``, the
+    sum of the earlier in-degrees, of the ``column`` stream
+    (:func:`child_rng_at`).  Every row lies inside one block, so every value
+    equals that of the whole path drawn at once, bit for bit, whatever the
+    block size and thread count.
+
+    ``out``, four ``n``-length arrays ``(sums, maxes, in_deg, q)``, receives
+    the blocks in place of fresh arrays.  With ``maxima``, a block yields its
+    largest sum value and its largest max value in place of ``sums`` and
+    ``maxes``; no max path is built, since multiplying by ``c > 0`` is
+    monotone under rounding and every follower draw lies in a nonempty row.
+    """
+    c = config.damping
+
+    def block(in_deg, sums, maxes, q, start, follow, total):
+        sample_pareto(config.preference_tail, len(q),
+                      child_rng_at(seed, start, STREAMS["preference"]), out=q)
+        draws = np.empty(0)
+        if total:
+            draws = sample_pareto(config.follower_tail, total,
+                                  child_rng_at(seed, follow, STREAMS["column"]))
+        # reduceat allocates the follower terms: given out=, it holds the GIL,
+        # and the blocks would no longer reduce in parallel
+        if not maxima:
+            f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
+            return (*_add_preference(config, f_sum, f_max, q, sums, maxes), in_deg, q)
+        # maxima only: no max path is built, and maxes holds the preference terms
+        (f_sum,) = _segment_reduce(draws, in_deg, np.add)
+        pref_term = np.multiply(config.z_star, q, out=maxes)
+        np.multiply(c, f_sum, out=sums)
+        np.add(sums, pref_term, out=sums)
+        max_max = pref_term.max()
+        if total:
+            max_max = max(c * draws.max(), max_max)
+        return sums.max(), max_max, in_deg, q
+
+    def tasks():
+        deg_rng = child_rng(seed, STREAMS["in_degree"])
+        follow = 0
+        for start in range(0, n, block_rows):
+            rows = slice(start, min(start + block_rows, n))
+            in_deg = _draw_in_degrees(config, rows.stop - start, deg_rng)
+            # The arrays a block hands out are allocated on this thread: what
+            # a drawing thread allocates returns, once freed, to its own
+            # malloc arena, which keeps it resident.
+            if out is None:
+                arrays = [np.empty(len(in_deg)) for _ in range(3)]
+            else:
+                out[2][rows] = in_deg
+                arrays = [out[i][rows] for i in (0, 1, 3)]
+            total = int(in_deg.sum())
+            yield functools.partial(block, in_deg, *arrays, start, follow, total)
+            follow += total
+
+    threads = _column_threads(-(-n // block_rows))
+    return _in_order(tasks(), threads, 2 * threads)
 
 
 def _check_pair_args(config: RecursionConfig, n: int) -> None:
@@ -369,7 +424,11 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
     """Simulate both aggregates of length ``n`` from one set of draws."""
     _check_pair_args(config, n)
     if config.all_iid_columns():
-        sums, maxes, in_deg, q = next(_iid_pair_blocks(config, n, seed, n))
+        sums, maxes, q = np.empty(n), np.empty(n), np.empty(n)
+        in_deg = np.empty(n, dtype=np.int64)
+        for _ in _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS,
+                                  out=(sums, maxes, in_deg, q)):
+            pass  # each block is written into its rows of the outputs
     else:
         in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
         q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
@@ -403,23 +462,16 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int) -> tuple[float, floa
     """The largest sum and the largest max value of the pair
     ``sample_aggregate_pair(config, n, seed)``, and its raw preference draws.
 
-    With i.i.d. columns no max path is built: multiplying by ``c > 0`` is
-    monotone under rounding and every follower draw lies in a nonempty row,
-    so the largest max value is exactly ``max(c * max(draws), (1 - c) * max(q))``.
+    With i.i.d. columns no max path is built: each block of
+    :func:`_iid_pair_blocks` reduces only to its two maxima.
     """
     _check_pair_args(config, n)
     if not config.all_iid_columns():
         pair = sample_aggregate_pair(config, n, seed)
         return float(pair.sum_values.max()), float(pair.max_values.max()), pair.preference
-    in_deg, q, draws = next(_iid_draw_blocks(config, n, seed, n))
-    (sums,) = _segment_reduce(draws, in_deg, np.add)
-    pref_term = config.z_star * q
-    np.multiply(config.damping, sums, out=sums)
-    np.add(sums, pref_term, out=sums)
-    max_max = pref_term.max()
-    if len(draws):
-        max_max = max(config.damping * draws.max(), max_max)
-    return float(sums.max()), float(max_max), q
+    sum_maxes, max_maxes, _, qs = zip(*_iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS,
+                                                        maxima=True))
+    return float(max(sum_maxes)), float(max(max_maxes)), np.concatenate(qs)
 
 
 def sample_weighted_pair(
@@ -569,10 +621,6 @@ class TailRatioRow:
 # Rows with fewer exceedances than this on either side are flagged.
 MIN_RELIABLE_EXCEEDANCES = 50
 
-# Rows per block of the streamed i.i.d.-column comparison: 2 MB for each
-# float64 array of a block, plus the block's follower draws.
-PAIR_BLOCK_ROWS = 2**18
-
 
 def compare_tail_sum_max(
     config: RecursionConfig, n: int, thresholds: list[float], seed: int
@@ -583,12 +631,13 @@ def compare_tail_sum_max(
     (nearest rank).  The confidence band is a Wald interval on the log
     ratio using the paired exceedance counts.
 
-    An i.i.d.-column config is generated and reduced in blocks of
-    ``PAIR_BLOCK_ROWS`` rows, so memory is O(block + count) with
-    ``count = n - min(rank)`` the largest number of max values a threshold
-    needs.  The reduction keeps the top ``count`` max values and the sum
-    values above their running ``count``-th largest, a lower bound on every
-    threshold, so thresholds and counts equal those of the whole path.
+    An i.i.d.-column config is generated and reduced by
+    :func:`_iid_pair_blocks`, ``PAIR_BLOCK_ROWS`` rows at a time, so memory
+    is O(threads * block + count) with ``count = n - min(rank)`` the largest
+    number of max values a threshold needs.  The reduction keeps the top
+    ``count`` max values and the sum values above their running
+    ``count``-th largest, a lower bound on every threshold, so thresholds
+    and counts equal those of the whole path.
     Explicit-column configs are built whole and reduced as one block.
     """
     for qv in thresholds:

@@ -37,6 +37,19 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(seed, *path))
 
 
+def child_rng_at(seed: int, offset: int, *path: int) -> np.random.Generator:
+    """``child_rng(seed, *path)`` with its first ``offset`` outputs skipped.
+
+    The default bit generator, PCG64, jumps ahead in ``O(log offset)`` steps.
+    ``Generator.random`` takes one 64-bit output per double, so the
+    generator's ``random(b)`` equals the last ``b`` values of
+    ``child_rng(seed, *path).random(offset + b)``.
+    """
+    rng = child_rng(seed, *path)
+    rng.bit_generator.advance(offset)
+    return rng
+
+
 def as_generator(rng: int | np.random.Generator, *path: int) -> np.random.Generator:
     """``rng`` as given when it is a ``Generator``; for an integer root
     seed, the default stream ``child_rng(rng, *path)``."""

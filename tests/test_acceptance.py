@@ -13,11 +13,13 @@ import numpy as np
 from rank_extremes.estimators import (
     ThresholdRule,
     blocks_theta,
-    definition_theta,
+    definition_theta_from_maxima,
+    definition_top_count,
     hill,
     intervals_theta,
     mean_cluster_size,
     nearest_rank_quantile,
+    upper_order_statistics,
 )
 from rank_extremes.experiments import ExperimentConfig, run_experiment
 from rank_extremes.graphrank import gen_power_law_graph, pagerank
@@ -203,13 +205,17 @@ def test_criterion_8_estimator_calibration():
             intervals_theta(path, nearest_rank_quantile(path, 0.995)).estimate
         )
         hills.append(hill(path, ThresholdRule.top_count(10**4)).estimate)
-    paths = np.empty((500, 10**5))
+    # the definition estimate over 500 paths of 10^5, drawn and reduced path
+    # by path: each hands in its maximum and its top `count` values, which
+    # hold u_n, the nearest-rank 1 - 1/n quantile of all 5 * 10^7 values
+    count = definition_top_count(500, 10**5, 1.0)
+    maxima, tops = np.empty(500), []
     for rep in range(500):
-        paths[rep] = sample_pareto(
-            TailSpec(k_true), 10**5, replication_seed(SEED, 1000 + rep)
-        )
-    definition = definition_theta(paths, tau=1.0).estimate
-    del paths
+        path = sample_pareto(TailSpec(k_true), 10**5, replication_seed(SEED, 1000 + rep))
+        maxima[rep] = path.max()
+        tops.append(upper_order_statistics(path, count))
+    u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
+    definition = definition_theta_from_maxima(maxima, 10**5, 1.0, u_n).estimate
     b, i, h = (float(np.median(v)) for v in (blocks, intervals, hills))
     hill_rel = abs(h - k_true) / k_true
     ok = (0.9 <= b <= 1.1 and 0.9 <= i <= 1.1 and 0.9 <= definition <= 1.1

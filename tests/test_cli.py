@@ -1,5 +1,6 @@
 """Experiment configs, reports, and the command-line entry points."""
 
+import functools
 import json
 import os
 import threading
@@ -9,10 +10,14 @@ import numpy as np
 import pytest
 
 import rank_extremes
-from rank_extremes import cli, experiments, recursion
+from rank_extremes import cli, experiments, graphrank, recursion
 from rank_extremes.cli import main
-from rank_extremes.errors import ConfigurationError, ParameterError
-from rank_extremes.estimators import definition_theta, upper_order_statistics
+from rank_extremes.errors import ConfigurationError, ConvergenceError, ParameterError
+from rank_extremes.estimators import (
+    definition_theta_from_maxima,
+    definition_top_count,
+    upper_order_statistics,
+)
 from rank_extremes.experiments import (
     DEFAULTS,
     KINDS,
@@ -231,18 +236,21 @@ class TestRunExperiment:
     def test_streamed_definition_stage_equals_block_estimate(self, jobs, def_n, tau):
         params = ExperimentConfig.default(
             "verify-thm4", def_replications=100, def_n=def_n, tau=tau).params
-        pairs = [recursion.sample_aggregate_pair(
-            experiments.recursion_config_from_params(params), def_n,
-            replication_seed(params["seed"], rep)) for rep in range(100)]
-        q_paths = np.array([p.preference for p in pairs])
-        want = {
-            "definition_sum": definition_theta(
-                np.array([p.sum_values for p in pairs]), tau, calibration_paths=q_paths),
-            "definition_max": definition_theta(
-                np.array([p.max_values for p in pairs]), tau, calibration_paths=q_paths),
-        }
-        got = experiments._definition_stage(params, jobs)
-        assert got == {key: est.estimate for key, est in want.items()}
+        config = experiments.recursion_config_from_params(params)
+        # the reference draws each whole pair and keeps its two maxima and
+        # the top `count` of its preference draws, which hold u_n
+        count = definition_top_count(100, def_n, tau)
+        sum_maxima, max_maxima, tops = np.empty(100), np.empty(100), []
+        for rep in range(100):
+            pair = recursion.sample_aggregate_pair(config, def_n,
+                                                   replication_seed(params["seed"], rep))
+            sum_maxima[rep], max_maxima[rep] = pair.sum_values.max(), pair.max_values.max()
+            tops.append(upper_order_statistics(pair.preference, min(count, def_n)))
+        u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
+        want = {key: definition_theta_from_maxima(maxima, def_n, tau, u_n).estimate
+                for key, maxima in (("definition_sum", sum_maxima),
+                                    ("definition_max", max_maxima))}
+        assert experiments._definition_stage(params, jobs) == want
 
     @pytest.mark.parametrize("deps", ["iid", "mm:1,1"])
     @pytest.mark.parametrize("fixed_in_degree", [-1, 0, 1])
@@ -384,18 +392,41 @@ class TestAtomicWrites:
 
 
 class TestThreadAndJobIndependence:
+    @staticmethod
+    def outputs(cfg, runs, tmp_path, monkeypatch):
+        """The report (without ``timestamp``) and the other files that ``cfg``
+        writes, run at each ``(threads, jobs)`` of ``runs``."""
+        report_name = f"{cfg.kind}.report.json"
+        outputs = []
+        for i, (threads, jobs) in enumerate(runs):
+            out = tmp_path / str(i)
+            monkeypatch.setattr(recursion, "_column_threads",
+                                lambda tasks, t=threads: min(t, tasks))
+            run_experiment(cfg, jobs=jobs, out_dir=str(out))
+            report = json.loads((out / report_name).read_text())
+            del report["timestamp"]
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != report_name}
+            outputs.append((report, files))
+        return outputs
+
     @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (2, 2)])
     def test_followers_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
         cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
         monkeypatch.setattr(recursion, "COLUMN_BLOCK_ROWS", 1000)
-        outputs = []
-        for t, j, out in ((1, 1, tmp_path / "ref"), (threads, jobs, tmp_path / "got")):
-            monkeypatch.setattr(recursion, "_column_threads", lambda columns, t=t: min(t, columns))
-            run_experiment(cfg, jobs=j, out_dir=str(out))
-            report = json.loads((out / "verify-thm4.report.json").read_text())
-            del report["timestamp"]
-            outputs.append((report, (out / "verify-thm4.estimates.csv").read_bytes()))
-        assert outputs[0] == outputs[1]
+        ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path, monkeypatch)
+        assert ref == got
+
+    @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (3, 1), (2, 2)])
+    def test_iid_kernel_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
+        # the tail regime and its paired tail comparison, both on the
+        # i.i.d.-column kernel in blocks of 1000 rows
+        monkeypatch.setattr(recursion, "PAIR_BLOCK_ROWS", 1000)
+        for cfg in (ExperimentConfig.default("verify-thm4", regime="tail", n=5500,
+                                             replications=3),
+                    ExperimentConfig.default("tail-eq", n=5500, quantile=0.99)):
+            ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path / cfg.kind,
+                                    monkeypatch)
+            assert ref == got
 
 
 class TestCliCommands:
@@ -467,6 +498,26 @@ class TestCliCommands:
         assert abs(scores[:, 1].sum() - 1.0) < 1e-9
         hitting = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert hitting["mean"] >= 0
+
+    def test_unconverged_solver_exits_2_with_residual_and_iterations(
+            self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path)
+        assert main(["graph", "gen", "--nodes", "400", "--seed", "3", "--out", out]) == 0
+        edges = os.path.join(out, "graph.edges")
+        # the real solver with a budget of three iterations
+        budgeted = functools.partial(graphrank.pagerank, max_iter=3)
+        monkeypatch.setattr(graphrank, "pagerank", budgeted)
+        with open(edges) as fh:
+            g = graphrank.DirectedGraph.read_edge_list(fh)
+        with pytest.raises(ConvergenceError) as raised:
+            budgeted(g, 0.85, np.full(g.n, 1.0 / g.n))
+        capsys.readouterr()
+        assert main(["graph", "pagerank", "--graph", edges, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert raised.value.iterations == 3
+        assert err.startswith(f"error: {raised.value}\n")
+        assert f"\n  residual: {raised.value.residual!r}\n" in err
+        assert err.endswith("\n  iterations: 3\n")
 
     def test_unreadable_path_csv_exits_2(self, tmp_path, capsys):
         path_csv = tmp_path / "path.csv"

@@ -264,6 +264,31 @@ class TestIntervalsTheta:
         assert abs(b - i) <= 0.12
 
 
+def block_definition_theta(paths, tau, calibration_paths=None):
+    """Reference for the definition estimator on a 2-D block of replicated
+    paths, from its definition: ``u_n`` is the nearest-rank ``1 - tau/n``
+    quantile of the pooled calibration values (the paths by default), read
+    from a full sort, and ``theta = -log(mean 1{M_n <= u_n}) / tau`` over the
+    row maxima ``M_n``, clamped to (0, 1].
+
+    Returns ``(u_n, theta, clamped, below)`` with ``below`` the number of
+    maxima at or below ``u_n``; ``theta`` is None when ``below`` is 0.
+    """
+    r, n = paths.shape
+    pooled = np.sort(paths if calibration_paths is None else calibration_paths, axis=None)
+    rank = math.ceil((1.0 - tau / n) * pooled.size) - 1
+    u_n = float(pooled[min(max(rank, 0), pooled.size - 1)])
+    below = int(np.count_nonzero(paths.max(axis=1) <= u_n))
+    if below == 0:
+        return u_n, None, False, below
+    theta = -math.log(below / r) / tau
+    if theta > 1.0:
+        return u_n, 1.0, True, below
+    if theta <= 0.0:
+        return u_n, float(np.nextafter(0.0, 1.0)), True, below
+    return u_n, theta, False, below
+
+
 class TestDefinitionTheta:
     def _paths(self, seq, r, n, base_seed):
         out = np.empty((r, n))
@@ -271,18 +296,36 @@ class TestDefinitionTheta:
             out[rep] = gen_moving_maxima(seq, n, replication_seed(base_seed, rep))
         return out
 
+    def _streamed(self, seq, r, n, base_seed, tau):
+        """The definition estimate over ``r`` replicated paths, drawn and
+        reduced path by path: each hands in its maximum and its top
+        ``count`` values, which hold ``u_n``."""
+        count = definition_top_count(r, n, tau)
+        maxima, tops = np.empty(r), []
+        for rep in range(r):
+            path = gen_moving_maxima(seq, n, replication_seed(base_seed, rep))
+            maxima[rep] = path.max()
+            tops.append(upper_order_statistics(path, min(count, n)))
+        u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
+        return definition_theta_from_maxima(maxima, n, tau, u_n)
+
     def test_iid_near_one(self):
-        seq = SequenceSpec(TailSpec(1.0))
-        paths = self._paths(seq, 500, 10**5, SEED)
-        est = definition_theta(paths, tau=1.0)
+        est = self._streamed(SequenceSpec(TailSpec(1.0)), 500, 10**5, SEED, tau=1.0)
         assert 0.85 <= est.estimate <= 1.15
         assert est.replications == 500
         assert "maxima_below" in est.details
 
     def test_moving_maxima_half(self):
-        paths = self._paths(MM_HALF, 500, 10**5, SEED + 7)
-        est = definition_theta(paths, tau=1.0)
+        est = self._streamed(MM_HALF, 500, 10**5, SEED + 7, tau=1.0)
         assert 0.4 <= est.estimate <= 0.6
+
+    def test_small_block_equals_the_reference(self):
+        seq = SequenceSpec(TailSpec(1.0))
+        paths = self._paths(seq, 120, 2000, SEED)
+        u_n, theta, clamped, below = block_definition_theta(paths, 0.5)
+        est = self._streamed(seq, 120, 2000, SEED, tau=0.5)
+        assert (est.threshold, est.estimate, est.clamped) == (u_n, theta, clamped)
+        assert est.details == {"tau": 0.5, "maxima_below": below}
 
     def test_small_tau_reports_metadata(self):
         seq = SequenceSpec(TailSpec(1.0))
@@ -330,17 +373,21 @@ class TestDefinitionTheta:
         count = definition_top_count(r, n, tau, pooled.size)
         tops = np.concatenate([upper_order_statistics(row, min(count, n)) for row in pooled])
         u_n = float(upper_order_statistics(tops, count)[-1])
-        try:
-            want = definition_theta(paths, tau, calibration_paths=calib)
-        except DataError:
+        ref_u_n, theta, clamped, below = block_definition_theta(paths, tau, calib)
+        assert u_n == ref_u_n
+        if below == 0:
             with pytest.raises(DataError):
                 definition_theta_from_maxima(paths.max(axis=1), n, tau, u_n)
+            with pytest.raises(DataError):
+                definition_theta(paths, tau, calibration_paths=calib)
             return
         got = definition_theta_from_maxima(paths.max(axis=1), n, tau, u_n)
-        assert got.threshold == want.threshold
-        assert got.estimate == want.estimate
-        assert got.details == want.details and got.clamped == want.clamped
-        assert want.exceedances == int(np.count_nonzero(paths > u_n))
+        assert (got.threshold, got.estimate, got.clamped) == (u_n, theta, clamped)
+        assert got.details == {"tau": tau, "maxima_below": below}
+        # the 2-D adapter is the streamed form of the whole block
+        block = definition_theta(paths, tau, calibration_paths=calib)
+        assert (block.threshold, block.estimate, block.clamped) == (u_n, theta, clamped)
+        assert block.exceedances == int(np.count_nonzero(paths > u_n))
 
 
 class TestMeanClusterSize:

@@ -46,7 +46,7 @@ from rank_extremes.recursion import (
     sample_weighted_pair,
     simulate_tbt,
 )
-from rank_extremes.rng import STREAMS, child_rng
+from rank_extremes.rng import STREAMS, child_rng, child_rng_at
 from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 555001
@@ -771,3 +771,162 @@ class TestStreamedComparison:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+def whole_iid_draws(config, n, seed):
+    """The draws of an i.i.d.-column config in one serial pass over the whole
+    path: the in-degrees, the raw preference draws, and the follower draws,
+    row ``t`` taking the next ``in_deg[t]`` of them."""
+    deg_rng = child_rng(seed, STREAMS["in_degree"])
+    pref_rng = child_rng(seed, STREAMS["preference"])
+    col_rng = child_rng(seed, STREAMS["column"])
+    in_deg = _draw_in_degrees(config, n, deg_rng)
+    q = sample_pareto(config.preference_tail, n, pref_rng)
+    total = int(in_deg.sum())
+    draws = sample_pareto(config.follower_tail, max(total, 1), col_rng)
+    return in_deg, q, draws[:total]
+
+
+def whole_iid_pair(config, n, seed):
+    """``(sums, maxes, in_deg, q)`` of :func:`whole_iid_draws`, written out as
+    the expressions of the two aggregates."""
+    in_deg, q, draws = whole_iid_draws(config, n, seed)
+    f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
+    pref_term = config.z_star * q
+    c = config.damping
+    return c * f_sum + pref_term, np.maximum(c * f_max, pref_term), in_deg, q
+
+
+@contextlib.contextmanager
+def iid_kernel(block_rows, threads):
+    """The i.i.d.-column kernel at ``block_rows`` rows per block and at most
+    ``threads`` drawing threads, for the duration of a ``with`` block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "PAIR_BLOCK_ROWS", block_rows)
+        mp.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
+        yield
+
+
+class TestThreadedIidKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(1, 4),
+           offset=st.integers(-1, 1), threads=st.integers(1, 3),
+           in_degrees=st.sampled_from(sorted(IN_DEGREES)),
+           damping=st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.01, 0.99),
+           thresholds=st.lists(st.sampled_from([0.901, 0.95, 0.99, 0.999]), min_size=1,
+                               max_size=3))
+    def test_all_three_callers_equal_the_whole_path_oracle(
+            self, seed, block_rows, blocks, offset, threads, in_degrees, damping, thresholds):
+        # n below, at and just past a multiple of the block
+        n = max(1, block_rows * blocks + offset)
+        config = make_config(damping=damping, **IN_DEGREES[in_degrees])
+        sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
+        with iid_kernel(block_rows, threads):
+            pair = sample_aggregate_pair(config, n, seed)
+            maxima = pair_maxima(config, n, seed)
+            rows = compare_tail_sum_max(config, n, thresholds, seed)
+        assert pair.sum_values.tobytes() == sums.tobytes()
+        assert pair.max_values.tobytes() == maxes.tobytes()
+        assert pair.in_degrees.tobytes() == in_deg.tobytes()
+        assert pair.preference.tobytes() == q.tobytes()
+        assert maxima[:2] == (float(sums.max()), float(maxes.max()))
+        assert maxima[2].tobytes() == q.tobytes()
+        ordered = np.sort(maxes)
+        want = []
+        for qv in thresholds:
+            x = float(ordered[min(math.ceil(qv * n) - 1, n - 1)])
+            want.append((x, int(np.sum(sums > x)), int(np.sum(maxes > x))))
+        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, head=st.integers(0, 300) | st.integers(2**16, 2**20),
+           tail=st.integers(1, 300), stream=st.sampled_from(["in_degree", "preference",
+                                                             "column"]))
+    def test_an_advanced_stream_continues_the_stream(self, seed, head, tail, stream):
+        whole = child_rng(seed, STREAMS[stream]).random(head + tail)
+        rng = child_rng(seed, STREAMS[stream])
+        first = rng.random(head)
+        rest = child_rng_at(seed, head, STREAMS[stream]).random(tail)
+        assert np.concatenate([first, rest]).tobytes() == whole.tobytes()
+        # the continuation is that of the generator that drew the head
+        assert rng.random(tail).tobytes() == rest.tobytes()
+
+    @pytest.mark.parametrize("fixed_in_degree", [0, 1])
+    def test_a_block_draws_exactly_its_followers(self, fixed_in_degree, monkeypatch):
+        drawn = []
+        pareto = recursion.sample_pareto
+
+        def counted(spec, n, rng, **kwargs):
+            drawn.append((spec, n))
+            return pareto(spec, n, rng, **kwargs)
+
+        monkeypatch.setattr(recursion, "sample_pareto", counted)
+        config = make_config(fixed_in_degree=fixed_in_degree)
+        with iid_kernel(16, 2):
+            pair = sample_aggregate_pair(config, 40, SEED)
+        sizes = {spec: [] for spec in (config.follower_tail, config.preference_tail)}
+        for spec, size in drawn:
+            sizes[spec].append(size)
+        assert sorted(sizes[config.preference_tail]) == [8, 16, 16]
+        assert sorted(sizes[config.follower_tail]) == ([8, 16, 16] if fixed_in_degree else [])
+        want = whole_iid_pair(config, 40, SEED)
+        assert pair.sum_values.tobytes() == want[0].tobytes()
+        assert pair.max_values.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_at_most_twice_the_threads_of_blocks_are_in_flight(self, threads, monkeypatch):
+        config = make_config()
+        started = []  # list.append is atomic under the GIL
+        pareto = recursion.sample_pareto
+
+        def counted(spec, n, rng, **kwargs):
+            if spec == config.preference_tail:  # one preference draw per block
+                started.append(n)
+            return pareto(spec, n, rng, **kwargs)
+
+        monkeypatch.setattr(recursion, "sample_pareto", counted)
+        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
+        ahead = []
+        for done, _ in enumerate(_iid_pair_blocks(config, 200, SEED, 5), start=1):
+            ahead.append(len(started) - done)
+        assert len(ahead) == 40 and max(ahead) <= 2 * threads
+
+    def test_threads_writing_adjacent_rows_lose_no_value(self):
+        # three drawing threads on two-row blocks write neighbouring slices
+        # of the same outputs, with the interpreter switching every 10 us
+        config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20))
+        want = whole_iid_pair(config, 2001, SEED)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with iid_kernel(2, 3):
+                pair = sample_aggregate_pair(config, 2001, SEED)
+        finally:
+            sys.setswitchinterval(interval)
+        got = (pair.sum_values, pair.max_values, pair.in_degrees, pair.preference)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("caller", ["pair", "maxima", "compare"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failing_block_raises_unchanged_and_joins_the_pool(self, caller, threads,
+                                                                 monkeypatch):
+        class Boom(Exception):
+            pass
+
+        pareto = recursion.sample_pareto
+        calls = itertools.count(1)  # next() is atomic: the GIL covers the C call
+
+        def failing(spec, n, rng, **kwargs):
+            if next(calls) == 7:
+                raise Boom("block draw failed")
+            return pareto(spec, n, rng, **kwargs)
+
+        monkeypatch.setattr(recursion, "sample_pareto", failing)
+        config = make_config()
+        run = {"pair": lambda: sample_aggregate_pair(config, 200, SEED),
+               "maxima": lambda: pair_maxima(config, 200, SEED),
+               "compare": lambda: compare_tail_sum_max(config, 200, [0.95], SEED)}[caller]
+        before = threading.active_count()
+        with iid_kernel(10, threads), pytest.raises(Boom, match="block draw failed"):
+            run()
+        assert threading.active_count() == before
