@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +44,7 @@ from .heavytail import (
 )
 from .recursion import (
     MIN_RELIABLE_EXCEEDANCES,
+    BlockRing,
     RecursionConfig,
     compare_tail_sum_max,
     pair_maxima,
@@ -425,33 +427,44 @@ def _named_replication(kind: str, rep: int, seed: int):
         raise
 
 
-def _definition_replication(args) -> tuple[float, float, np.ndarray]:
-    """One definition-stage replication, ``(params, rep, count) ->`` the
-    maxima of its sum and max paths and the top ``count`` of its preference
-    draws (all of them when ``count >= def_n``)."""
-    params, rep, count = args
-    n_def = params["def_n"]
-    seed = replication_seed(params["seed"], rep)
-    with _named_replication(f"{VERIFY_THM4} definition-stage", rep, seed):
-        sum_max, max_max, q = pair_maxima(recursion_config_from_params(params), n_def, seed)
-        return sum_max, max_max, upper_order_statistics(q, min(count, n_def))
+def _definition_run(args) -> list[tuple[float, float, np.ndarray]]:
+    """A run of contiguous definition-stage replications, ``(params, reps,
+    count) ->`` for each replication of ``reps`` the maxima of its sum and
+    max paths and the top ``count`` of its preference draws (all of them
+    when ``count >= def_n``).  The run shares one ring of block buffers."""
+    params, reps, count = args
+    config = recursion_config_from_params(params)
+    ring = BlockRing()
+    out = []
+    for rep in reps:
+        seed = replication_seed(params["seed"], rep)
+        with _named_replication(f"{VERIFY_THM4} definition-stage", rep, seed):
+            out.append(pair_maxima(config, params["def_n"], seed, count, ring=ring))
+    return out
+
+
+def _definition_runs(r: int, jobs: int) -> list[range]:
+    """The runs of the definition stage's ``r`` replications, one task each:
+    all of them at ``jobs = 1``, else a few runs per worker, so the round
+    trips stay few."""
+    size = r if jobs <= 1 else max(1, r // (4 * jobs))
+    return [range(lo, min(lo + size, r)) for lo in range(0, r, size)]
 
 
 def _definition_stage(params, jobs: int) -> dict:
     """Definition-based theta of the preference regime: replicated paths, threshold
     calibrated on the i.i.d. preference draws (the defining normalization).
 
-    The replications are streamed through the worker pool: each hands in
-    two maxima and its top ``count`` preference draws, and ``u_n``, the
-    ``count``-th largest pooled draw, is taken once for both estimates.
+    The replications are streamed through the worker pool in runs of
+    contiguous replications: each hands in two maxima and its top ``count``
+    preference draws, and ``u_n``, the ``count``-th largest pooled draw, is
+    taken once for both estimates.
     """
     count = _definition_count(params)
     r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
-    args = [(params, rep, count) for rep in range(r)]
-    # short replications: a few chunks per worker keep the round trips few
-    chunksize = max(1, r // (4 * jobs))
-    sum_maxima, max_maxima, tops = zip(*_map_reps(_definition_replication, args, jobs,
-                                                  chunksize))
+    args = [(params, reps, count) for reps in _definition_runs(r, jobs)]
+    sum_maxima, max_maxima, tops = zip(*itertools.chain.from_iterable(
+        _map_reps(_definition_run, args, jobs)))
     u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
     def_sum = definition_theta_from_maxima(sum_maxima, n_def, tau, u_n)
     def_max = definition_theta_from_maxima(max_maxima, n_def, tau, u_n)
@@ -588,15 +601,17 @@ def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _map_reps(worker: Callable, args: list, jobs: int, chunksize: int = 1) -> list:
-    """``[worker(a) for a in args]``, on a pool of ``jobs`` processes when
-    ``jobs > 1``, which take ``args`` in contiguous chunks of ``chunksize``.
-    ``pool.map`` returns results in argument order, so reports are
-    reproducible regardless of worker scheduling."""
-    if jobs <= 1:
+def _map_reps(worker: Callable, args: list, jobs: int) -> list:
+    """``[worker(a) for a in args]``, on a pool of ``min(jobs, len(args))``
+    processes when that is above 1 (a forking pool starts every worker at
+    once, so no more than there are tasks).  ``pool.map`` returns results in
+    argument order, so reports are reproducible regardless of worker
+    scheduling."""
+    workers = min(jobs, len(args))
+    if workers <= 1:
         return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args, chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, args))
 
 
 def _collect_estimates(rows: list[dict]) -> dict:

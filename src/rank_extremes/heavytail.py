@@ -157,6 +157,16 @@ def sample_pareto(spec: TailSpec, n: int, rng: int | np.random.Generator, *,
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
     x = as_generator(rng, STREAMS["column"], 0).random(n, out=out)
+    return pareto_transform(spec, x)
+
+
+def pareto_transform(spec: TailSpec, x: np.ndarray) -> np.ndarray:
+    """The Pareto values of the uniforms ``x`` in [0, 1), computed in place
+    and returned: each value depends only on its own uniform, so a copy of
+    any of the uniforms transforms to the same values bit for bit.
+
+    Each step is monotone in the uniform, ``pow`` up to its rounding error.
+    """
     np.subtract(1.0, x, out=x)  # uniform on (0, 1]; avoids division by zero
     np.divide(spec.c, x, out=x)
     x **= 1.0 / spec.k  # the operator, so NumPy's scalar-power fast paths apply
@@ -267,28 +277,43 @@ def sample_sequence(seq: SequenceSpec, n: int, rng: int | np.random.Generator, *
     return gen_moving_maxima(seq, n, rng, out=out)
 
 
-def sample_power_law_int(spec: InDegreeSpec, n: int,
-                         rng: int | np.random.Generator) -> np.ndarray:
-    """Draw ``n`` i.i.d. integers from the truncated power law of ``spec``."""
+def sample_power_law_int(spec: InDegreeSpec, n: int, rng: int | np.random.Generator, *,
+                         out=None, work=None) -> np.ndarray:
+    """Draw ``n`` i.i.d. integers from the truncated power law of ``spec``.
+
+    The draws are written into ``out`` (an int64 array of length ``n``) when
+    given, and ``work`` (an intp array of length ``n``) is the lookup's
+    scratch, so a caller that passes both allocates no array of ``n``.
+    """
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    u = as_generator(rng, STREAMS["in_degree"], 0).random(n)
-    return _power_law_lookup(spec, u)
+    out = np.empty(n, np.int64) if out is None else out
+    # the uniforms take the memory of the draws, which the lookup writes last
+    u = as_generator(rng, STREAMS["in_degree"], 0).random(n, out=out.view(np.float64))
+    return _power_law_lookup(spec, u, out, work)
 
 
-def _power_law_lookup(spec: InDegreeSpec, u: np.ndarray) -> np.ndarray:
+def _power_law_lookup(spec: InDegreeSpec, u: np.ndarray, out=None,
+                      buckets=None) -> np.ndarray:
     """Inverse cdf of the truncated law at uniforms ``u`` in [0, 1): equal to
     ``np.searchsorted(cdf, u, "right") + 1``, read from the guide table, with
-    a search only for the draws in buckets that a cdf entry splits."""
+    a search only for the draws in buckets that a cdf entry splits.
+
+    The draws are written into ``out`` (int64, which may be ``u``'s memory)
+    and ``buckets`` (intp) is scratch, each of ``len(u)`` and allocated when
+    not given."""
+    out = np.empty(len(u), np.int64) if out is None else out
+    buckets = np.empty(len(u), np.intp) if buckets is None else buckets
     guide, split = _power_law_guide(spec)
     # the product is exact and nonnegative, so the cast takes its floor
-    buckets = np.multiply(u, GUIDE_BUCKETS, out=np.empty(len(u), np.intp), casting="unsafe")
-    draws = guide.take(buckets, mode="clip")  # every bucket is in range
-    searched = split.take(buckets, mode="clip")
-    if searched.any():
+    np.multiply(u, GUIDE_BUCKETS, out=buckets, casting="unsafe")
+    searched = np.flatnonzero(split.take(buckets, mode="clip"))
+    u_searched = u[searched]  # read before out overwrites u
+    guide.take(buckets, out=out, mode="clip")  # every bucket is in range
+    if len(searched):
         _, cdf = _power_law_tables(spec)
-        draws[searched] = np.searchsorted(cdf, u[searched], side="right") + 1
-    return draws
+        out[searched] = np.searchsorted(cdf, u_searched, side="right") + 1
+    return out
 
 
 def _tail_sum(spec: InDegreeSpec, n) -> np.ndarray:

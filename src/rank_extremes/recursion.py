@@ -37,6 +37,7 @@ from .heavytail import (
     SequenceStream,
     TailSpec,
     _power_law_tables,
+    pareto_transform,
     sample_pareto,
     sample_power_law_int,
 )
@@ -165,10 +166,16 @@ class AggregatePair:
     seed: int
 
 
-def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    if config.fixed_in_degree is not None:
+def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator, *,
+                     out=None, work=None) -> np.ndarray:
+    """``n`` in-degrees, written into ``out`` when given (``work`` as in
+    :func:`sample_power_law_int`)."""
+    if config.fixed_in_degree is None:
+        return sample_power_law_int(config.in_degree, n, rng, out=out, work=work)
+    if out is None:
         return np.full(n, config.fixed_in_degree, dtype=np.int64)
-    return sample_power_law_int(config.in_degree, n, rng)
+    out.fill(config.fixed_in_degree)
+    return out
 
 
 def _segment_reduce(values: np.ndarray, counts: np.ndarray, *ufuncs) -> tuple:
@@ -228,10 +235,14 @@ def _in_order(tasks, threads: int, ahead: int):
     thread is joined.
     """
     pending = deque()
+    tasks = iter(tasks)
     with ThreadPoolExecutor(threads) as pool:
-        for task in tasks:
+        while True:
             if len(pending) == ahead:
                 yield pending.popleft().result()
+            task = next(tasks, None)
+            if task is None:
+                break
             pending.append(pool.submit(task))
         while pending:
             yield pending.popleft().result()
@@ -340,33 +351,64 @@ def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
     return sums, maxes
 
 
-def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, *,
-                     out=None, maxima=False):
-    """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a
-    time and in row order: yields ``(sums, maxes, in_deg, q)`` per block.
+def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, block, arrays):
+    """The results of ``block(in_deg, start, follow, total, *rest)`` for the
+    blocks of ``block_rows`` rows of an i.i.d.-column config, in row order.
 
     With i.i.d. columns the values entering a row are fresh draws, so row
     ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
     this has exactly the law of the column construction.  The calling
     thread draws the in-degrees block after block.  Each block's draws and
     reduction then run by :func:`_in_order` on ``_column_threads`` threads,
-    at most twice as many blocks ahead of the consumer.  A block starting at
-    row ``start`` takes its preference draws from offset ``start`` of the
-    ``preference`` stream, and its follower draws from offset ``follow``, the
-    sum of the earlier in-degrees, of the ``column`` stream
-    (:func:`child_rng_at`).  Every row lies inside one block, so every value
-    equals that of the whole path drawn at once, bit for bit, whatever the
-    block size and thread count.
+    at most ``2 × threads`` blocks ahead of the consumer.  A block starting
+    at row ``start`` takes its preference draws from offset ``start`` of the
+    ``preference`` stream, and its ``total`` follower draws from offset
+    ``follow``, the sum of the earlier blocks' in-degrees, of the ``column``
+    stream (:func:`child_rng_at`).  Every row lies inside one block, so every
+    value equals that of the whole path drawn at once, bit for bit, whatever
+    the block size and thread count.
+
+    ``arrays(slot, rows)`` gives the in-degree array of the block of
+    ``rows`` (``None`` to allocate it), the scratch of its draw and the
+    arrays ``rest``; ``slot`` is the block's place in a ring of
+    ``2 × threads``, whose previous block has returned by then.
+    """
+    threads = _column_threads(-(-n // block_rows))
+
+    def tasks():
+        deg_rng = child_rng(seed, STREAMS["in_degree"])
+        follow = 0
+        for i, start in enumerate(range(0, n, block_rows)):
+            rows = slice(start, min(start + block_rows, n))
+            in_deg, work, *rest = arrays(i % (2 * threads), rows)
+            in_deg = _draw_in_degrees(config, rows.stop - start, deg_rng,
+                                      out=in_deg, work=work)
+            total = int(in_deg.sum())
+            yield functools.partial(block, in_deg, start, follow, total, *rest)
+            follow += total
+
+    return _in_order(tasks(), threads, 2 * threads)
+
+
+def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, *,
+                     out=None):
+    """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a
+    time and in row order (:func:`_iid_blocks`): yields
+    ``(sums, maxes, in_deg, q)`` per block.
 
     ``out``, four ``n``-length arrays ``(sums, maxes, in_deg, q)``, receives
-    the blocks in place of fresh arrays.  With ``maxima``, a block yields its
-    largest sum value and its largest max value in place of ``sums`` and
-    ``maxes``; no max path is built, since multiplying by ``c > 0`` is
-    monotone under rounding and every follower draw lies in a nonempty row.
+    the blocks in place of fresh arrays.
     """
-    c = config.damping
 
-    def block(in_deg, sums, maxes, q, start, follow, total):
+    def arrays(slot, rows):
+        # The arrays a block hands out are allocated on this thread: what a
+        # drawing thread allocates returns, once freed, to its own malloc
+        # arena, which keeps it resident.
+        if out is None:
+            return None, None, *(np.empty(rows.stop - rows.start) for _ in range(3))
+        return out[2][rows], None, out[0][rows], out[1][rows], out[3][rows]
+
+    def block(in_deg, start, follow, total, sums, maxes, q):
         sample_pareto(config.preference_tail, len(q),
                       child_rng_at(seed, start, STREAMS["preference"]), out=q)
         draws = np.empty(0)
@@ -375,39 +417,139 @@ def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int
                                   child_rng_at(seed, follow, STREAMS["column"]))
         # reduceat allocates the follower terms: given out=, it holds the GIL,
         # and the blocks would no longer reduce in parallel
-        if not maxima:
-            f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
-            return (*_add_preference(config, f_sum, f_max, q, sums, maxes), in_deg, q)
-        # maxima only: no max path is built, and maxes holds the preference terms
-        (f_sum,) = _segment_reduce(draws, in_deg, np.add)
-        pref_term = np.multiply(config.z_star, q, out=maxes)
-        np.multiply(c, f_sum, out=sums)
-        np.add(sums, pref_term, out=sums)
-        max_max = pref_term.max()
+        f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
+        return (*_add_preference(config, f_sum, f_max, q, sums, maxes), in_deg, q)
+
+    return _iid_blocks(config, n, seed, block_rows, block, arrays)
+
+
+class _Buffers:
+    """Named arrays, each grown to the largest size asked of it."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` values of the array ``name``."""
+        a = self._arrays.get(name)
+        if a is None or len(a) < size:
+            # by a quarter at least: a follower count a little above the
+            # last one grows it once
+            grown = size if a is None else max(size, len(a) * 5 // 4)
+            a = self._arrays[name] = np.empty(grown, dtype)
+        return a[:size]
+
+
+class BlockRing:
+    """The block buffers of :func:`pair_maxima`, one set per slot of its
+    ring: a ring given to successive calls allocates its arrays once, so a
+    run of replications does not map and fault in fresh pages for each.
+    A ring serves one call at a time."""
+
+    def __init__(self):
+        self._slots = []
+
+    def slot(self, i: int) -> _Buffers:
+        while len(self._slots) <= i:
+            self._slots.append(_Buffers())
+        return self._slots[i]
+
+
+# Relative error allowed for NumPy's ``pow``, which need not round correctly
+# nor be monotone: far above the few units of 2^-53 of libm's and SVML's.
+POW_MARGIN = 2.0**-40
+
+
+def _draw_bound(spec: TailSpec, u_max: float) -> float:
+    """At least the Pareto value of every uniform up to ``u_max``: that of
+    ``u_max``, times ``1 + POW_MARGIN``.  Each step of the transform is
+    monotone in the uniform, ``pow`` up to its rounding error."""
+    return float(pareto_transform(spec, np.array([u_max]))[0]) * (1.0 + POW_MARGIN)
+
+
+def _sum_bounds(in_deg, pref, cx: float, most: int, out) -> np.ndarray:
+    """At least each row's computed sum ``fl(fl(c * F) + P)``, where ``F``
+    is the rounded sum of the row's ``N <= most`` draws, each at most ``X``,
+    ``P`` its preference term and ``cx = c * X``: ``fl(fl(N * w) + P)``,
+    written into ``out``, with ``w = cx * (1 + (most + 1) * 2^-50)``.
+
+    The margin is far above the ``N`` roundings of ``fl(c * F)`` and the
+    four of ``fl(N * w)``, so ``fl(N * w) >= fl(c * F)``; a row without
+    draws has ``F = 0``.  Rounding is monotone, so adding ``P`` to both
+    keeps their order.
+    """
+    np.multiply(in_deg, cx * (1.0 + (most + 1) * 2.0**-50), out=out)
+    return np.add(out, pref, out=out)
+
+
+def _picked_positions(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions of the draws of ``rows`` (ascending, nonempty) among
+    draws that fill rows of ``counts`` in order, row after row."""
+    # each row's first position: the counts before the first row, then the
+    # sums of the counts between consecutive rows
+    between = np.add.reduceat(counts, rows)
+    starts = np.cumsum(between) - between + counts[: rows[0]].sum()
+    picked = counts[rows]
+    ends = np.cumsum(picked)
+    return np.repeat(starts - (ends - picked), picked) + np.arange(ends[-1])
+
+
+def _iid_block_maxima(config: RecursionConfig, n: int, seed: int, block_rows: int,
+                      top: int, ring: BlockRing):
+    """Each block's largest sum value, largest max value and top ``top``
+    raw preference draws, ``(sum_max, max_max, q_top)``, of the pair that
+    :func:`_iid_pair_blocks` draws, bit for bit: bound and refine.
+
+    A block draws its in-degrees, its preference values and only the
+    uniforms of its follower draws.  The transform of its largest uniform
+    bounds every follower draw by ``X`` (:func:`_draw_bound`), and so each
+    row's sum by :func:`_sum_bounds`.  No sum falls below its preference
+    term ``P``, since ``fl(c * F) >= 0``, so the largest ``P`` is a floor of
+    the block's largest sum.  Only the rows whose bound reaches the floor
+    are transformed and reduced, each as the whole block reduces it.  The
+    largest max value is the largest ``P`` while ``fl(c * X)`` is below it,
+    and is taken from all draws otherwise.
+
+    The arrays of a block live in its slot of ``ring``; the preference draws
+    are partitioned in place to take their top ``top``.
+    """
+    c, follower = config.damping, config.follower_tail
+    most = (config.in_degree.n_max if config.fixed_in_degree is None
+            else config.fixed_in_degree)  # no in-degree is larger
+
+    def arrays(slot, rows):
+        buf = ring.slot(slot)
+        size = rows.stop - rows.start
+        return buf.get("in_deg", size, np.int64), buf.get("work", size, np.intp), buf
+
+    def block(in_deg, start, follow, total, buf):
+        rows = len(in_deg)
+        q = sample_pareto(config.preference_tail, rows,
+                          child_rng_at(seed, start, STREAMS["preference"]),
+                          out=buf.get("q", rows))
+        pref = np.multiply(config.z_star, q, out=buf.get("pref", rows))
+        floor = pref.max()
+        u = buf.get("u", total)
+        x = 0.0
         if total:
-            max_max = max(c * draws.max(), max_max)
-        return sums.max(), max_max, in_deg, q
+            child_rng_at(seed, follow, STREAMS["column"]).random(total, out=u)
+            x = _draw_bound(follower, u.max())
+        bound = _sum_bounds(in_deg, pref, c * x, most, buf.get("bound", rows))
+        # a bound of nan (0 * inf, where a draw overflows) keeps its row
+        below = np.less(bound, floor, out=buf.get("below", rows, np.bool_))
+        reach = np.flatnonzero(np.logical_not(below, out=below))
+        picked = pareto_transform(follower, u[_picked_positions(in_deg, reach)])
+        (sums,) = _segment_reduce(picked, in_deg[reach], np.add)
+        np.multiply(c, sums, out=sums)
+        np.add(sums, pref[reach], out=sums)
+        max_max = floor
+        if total and not c * x < floor:
+            max_max = max(c * pareto_transform(follower, u).max(), floor)
+        k = rows - min(top, rows)
+        q.partition(k)  # the block is done with its preference draws
+        return sums.max(), max_max, q[k:].copy()
 
-    def tasks():
-        deg_rng = child_rng(seed, STREAMS["in_degree"])
-        follow = 0
-        for start in range(0, n, block_rows):
-            rows = slice(start, min(start + block_rows, n))
-            in_deg = _draw_in_degrees(config, rows.stop - start, deg_rng)
-            # The arrays a block hands out are allocated on this thread: what
-            # a drawing thread allocates returns, once freed, to its own
-            # malloc arena, which keeps it resident.
-            if out is None:
-                arrays = [np.empty(len(in_deg)) for _ in range(3)]
-            else:
-                out[2][rows] = in_deg
-                arrays = [out[i][rows] for i in (0, 1, 3)]
-            total = int(in_deg.sum())
-            yield functools.partial(block, in_deg, *arrays, start, follow, total)
-            follow += total
-
-    threads = _column_threads(-(-n // block_rows))
-    return _in_order(tasks(), threads, 2 * threads)
+    return _iid_blocks(config, n, seed, block_rows, block, arrays)
 
 
 def _check_pair_args(config: RecursionConfig, n: int) -> None:
@@ -458,20 +600,29 @@ def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePat
     )
 
 
-def pair_maxima(config: RecursionConfig, n: int, seed: int) -> tuple[float, float, np.ndarray]:
+def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
+                ring: BlockRing | None = None) -> tuple[float, float, np.ndarray]:
     """The largest sum and the largest max value of the pair
-    ``sample_aggregate_pair(config, n, seed)``, and its raw preference draws.
+    ``sample_aggregate_pair(config, n, seed)``, and the ``min(top, n)``
+    largest of its raw preference draws, in descending order.
 
-    With i.i.d. columns no max path is built: each block of
-    :func:`_iid_pair_blocks` reduces only to its two maxima.
+    With i.i.d. columns no path is built: each block of
+    :func:`_iid_block_maxima` bounds its rows and refines the few that can
+    reach its maxima.  Its buffers live in ``ring``, which successive calls
+    may share.
     """
     _check_pair_args(config, n)
+    if top < 1:
+        raise ParameterError(f"top must be >= 1, got {top}")
+    top = min(top, n)
     if not config.all_iid_columns():
         pair = sample_aggregate_pair(config, n, seed)
-        return float(pair.sum_values.max()), float(pair.max_values.max()), pair.preference
-    sum_maxes, max_maxes, _, qs = zip(*_iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS,
-                                                        maxima=True))
-    return float(max(sum_maxes)), float(max(max_maxes)), np.concatenate(qs)
+        return (float(pair.sum_values.max()), float(pair.max_values.max()),
+                upper_order_statistics(pair.preference, top))
+    sum_maxes, max_maxes, tops = zip(*_iid_block_maxima(
+        config, n, seed, PAIR_BLOCK_ROWS, top, BlockRing() if ring is None else ring))
+    return (float(max(sum_maxes)), float(max(max_maxes)),
+            upper_order_statistics(np.concatenate(tops), top))
 
 
 def sample_weighted_pair(

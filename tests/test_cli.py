@@ -262,10 +262,11 @@ class TestRunExperiment:
             fixed_in_degree=fixed_in_degree, damping=damping).params
         count = experiments._definition_count(params)
         config = experiments.recursion_config_from_params(params)
-        for rep in (0, 41):
+        # one run of two replications, which share its block buffers
+        run = experiments._definition_run((params, [0, 41], count))
+        for rep, (sum_max, max_max, top) in zip((0, 41), run):
             pair = recursion.sample_aggregate_pair(
                 config, def_n, replication_seed(params["seed"], rep))
-            sum_max, max_max, top = experiments._definition_replication((params, rep, count))
             assert sum_max == float(pair.sum_values.max())
             assert max_max == float(pair.max_values.max())
             want = upper_order_statistics(pair.preference, min(count, def_n))
@@ -306,6 +307,15 @@ FOLLOWERS = dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1", fixed_i
                  n=3000, replications=3)
 
 
+def runs_of(size):
+    """A stand-in for ``experiments._definition_runs``: runs of ``size``
+    replications (all of them when ``size`` is ``None``), whatever the jobs."""
+    def runs(r, jobs):
+        step = size or r
+        return [range(lo, min(lo + step, r)) for lo in range(0, r, step)]
+    return runs
+
+
 class TestFailingReplication:
     @staticmethod
     def fail_in_column_draws(monkeypatch, exc_type=FloatingPointError):
@@ -339,6 +349,25 @@ class TestFailingReplication:
         seed = replication_seed(params["seed"], 0)
         assert info.value.__notes__ == [
             f"in verify-thm4 definition-stage replication 0, seed {seed}"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failure_inside_a_run_names_its_replication(self, jobs, monkeypatch):
+        params = ExperimentConfig.default(
+            "verify-thm4", def_replications=100, def_n=2000).params
+        bad = replication_seed(params["seed"], 9)  # the third of a run of 7
+        pair_maxima = experiments.pair_maxima
+
+        def failing(config, n, seed, top, **kwargs):
+            if seed == bad:
+                raise FloatingPointError("definition draw failed")
+            return pair_maxima(config, n, seed, top, **kwargs)
+
+        monkeypatch.setattr(experiments, "pair_maxima", failing)
+        monkeypatch.setattr(experiments, "_definition_runs", runs_of(7))
+        with pytest.raises(FloatingPointError, match="definition draw failed") as info:
+            experiments._definition_stage(params, jobs)
+        assert info.value.__notes__ == [
+            f"in verify-thm4 definition-stage replication 9, seed {bad}"]
 
     def test_cli_prints_the_note(self, monkeypatch, capsys):
         self.fail_in_column_draws(monkeypatch, ParameterError)
@@ -416,6 +445,29 @@ class TestThreadAndJobIndependence:
         ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path, monkeypatch)
         assert ref == got
 
+    # the preference regime on 1000-row blocks, its definition stage in one
+    # run of all 100 replications, at one thread and one job
+    PREFERENCE = dict(def_replications=100, def_n=2500, n=20000, replications=2)
+
+    @pytest.fixture(scope="class")
+    def preference_reference(self, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "PAIR_BLOCK_ROWS", 1000)
+            mp.setattr(experiments, "_definition_runs", runs_of(None))
+            cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
+            return self.outputs(cfg, [(1, 1)], tmp_path_factory.mktemp("ref"), mp)
+
+    @pytest.mark.parametrize("run", [1, 7, None])
+    @pytest.mark.parametrize("threads, jobs", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+    def test_definition_stage_outputs_are_identical(self, run, threads, jobs, tmp_path,
+                                                    monkeypatch, preference_reference):
+        monkeypatch.setattr(recursion, "PAIR_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(experiments, "_definition_runs", runs_of(run))
+        cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
+        got = self.outputs(cfg, [(threads, jobs)], tmp_path, monkeypatch)
+        assert got == preference_reference
+        assert {"definition_sum", "definition_max"} <= set(got[0][0]["estimates"])
+
     @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (3, 1), (2, 2)])
     def test_iid_kernel_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
         # the tail regime and its paired tail comparison, both on the
@@ -427,6 +479,49 @@ class TestThreadAndJobIndependence:
             ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path / cfg.kind,
                                     monkeypatch)
             assert ref == got
+
+
+class RecordingPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records the workers asked
+    for and maps in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs, tasks, workers", [
+        (8, 2, [2]), (8, 20, [8]), (2, 5, [2]), (8, 1, []), (1, 5, []), (4, 0, [])])
+    def test_the_pool_is_capped_at_the_tasks(self, jobs, tasks, workers, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "workers", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        assert experiments._map_reps(abs, list(range(-tasks, 0)), jobs) == \
+            list(range(tasks, 0, -1))
+        assert RecordingPool.workers == workers
+
+    def test_verify_starts_no_more_workers_than_replications(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(RecordingPool, "workers", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig.default("verify-thm2", n=20000, replications=2)
+        run_experiment(cfg, jobs=8, out_dir=str(tmp_path))
+        assert RecordingPool.workers == [2]
+
+    @pytest.mark.parametrize("jobs, runs", [(1, 1), (2, 8), (4, 16)])
+    def test_definition_runs_are_contiguous(self, jobs, runs):
+        got = experiments._definition_runs(500, jobs)
+        assert len(got) in (runs, runs + 1)
+        assert [rep for run in got for rep in run] == list(range(500))
 
 
 class TestCliCommands:

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from rank_extremes import recursion
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
-from rank_extremes.estimators import ThresholdRule, hill, nearest_rank_quantile
+from rank_extremes.estimators import (
+    ThresholdRule,
+    hill,
+    nearest_rank_quantile,
+    upper_order_statistics,
+)
 from rank_extremes.heavytail import (
     DependenceSpec,
     InDegreeSpec,
@@ -693,23 +698,25 @@ class TestPairMaxima:
     @settings(max_examples=120, deadline=None)
     @given(seed=SEEDS, damping=st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.01, 0.99),
            n=st.integers(1, 300), in_degrees=st.sampled_from(sorted(IN_DEGREES)),
-           explicit=st.booleans())
-    def test_equals_the_pair(self, seed, damping, n, in_degrees, explicit):
+           explicit=st.booleans(), top=st.integers(1, 400))
+    def test_equals_the_pair(self, seed, damping, n, in_degrees, explicit, top):
         deps = ((DependenceSpec.moving_maxima(1, 1),) if explicit
                 else (DependenceSpec.iid(),))
         config = make_config(damping=damping, follower_deps=deps, **IN_DEGREES[in_degrees])
-        sum_max, max_max, q = pair_maxima(config, n, seed)
+        sum_max, max_max, q_top = pair_maxima(config, n, seed, top)
         pair = sample_aggregate_pair(config, n, seed)
         assert type(sum_max) is type(max_max) is float
         assert sum_max == float(pair.sum_values.max())
         assert max_max == float(pair.max_values.max())
-        assert q.tobytes() == pair.preference.tobytes()
+        assert q_top.tobytes() == upper_order_statistics(pair.preference, min(top, n)).tobytes()
 
     def test_checks_its_arguments(self):
         with pytest.raises(ParameterError):
-            pair_maxima(make_config(), 0, SEED)
+            pair_maxima(make_config(), 0, SEED, 1)
+        with pytest.raises(ParameterError):
+            pair_maxima(make_config(), 10, SEED, 0)
         with pytest.raises(ConfigurationError):
-            pair_maxima(make_config(coupling=COUPLING_ADVERSARIAL), 10, SEED)
+            pair_maxima(make_config(coupling=COUPLING_ADVERSARIAL), 10, SEED, 1)
 
 
 class TestStreamedComparison:
@@ -823,14 +830,14 @@ class TestThreadedIidKernel:
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
         with iid_kernel(block_rows, threads):
             pair = sample_aggregate_pair(config, n, seed)
-            maxima = pair_maxima(config, n, seed)
+            maxima = pair_maxima(config, n, seed, 3)
             rows = compare_tail_sum_max(config, n, thresholds, seed)
         assert pair.sum_values.tobytes() == sums.tobytes()
         assert pair.max_values.tobytes() == maxes.tobytes()
         assert pair.in_degrees.tobytes() == in_deg.tobytes()
         assert pair.preference.tobytes() == q.tobytes()
         assert maxima[:2] == (float(sums.max()), float(maxes.max()))
-        assert maxima[2].tobytes() == q.tobytes()
+        assert maxima[2].tobytes() == upper_order_statistics(q, min(3, n)).tobytes()
         ordered = np.sort(maxes)
         want = []
         for qv in thresholds:
@@ -924,9 +931,164 @@ class TestThreadedIidKernel:
         monkeypatch.setattr(recursion, "sample_pareto", failing)
         config = make_config()
         run = {"pair": lambda: sample_aggregate_pair(config, 200, SEED),
-               "maxima": lambda: pair_maxima(config, 200, SEED),
+               "maxima": lambda: pair_maxima(config, 200, SEED, 5),
                "compare": lambda: compare_tail_sum_max(config, 200, [0.95], SEED)}[caller]
         before = threading.active_count()
         with iid_kernel(10, threads), pytest.raises(Boom, match="block draw failed"):
             run()
         assert threading.active_count() == before
+
+
+# (follower tail, preference tail) pairs: the preference dominates (k > beta,
+# few rows reach the floor), heavy followers (k < beta, many do), k = beta,
+# and tied draws, whose sums and bounds often equal the floor
+BOUNDED_TAILS = {
+    "preference": (TailSpec(3.0), TailSpec(1.0)),
+    "followers": (TailSpec(1.2), TailSpec(3.0)),
+    "equal": (TailSpec(2.0), TailSpec(2.0)),
+    "tied": (TIED, TIED),
+}
+BOUNDED_DEGREES = (st.sampled_from([0, 1]).map(lambda d: dict(fixed_in_degree=d))
+                   | st.builds(lambda alpha, n_max: dict(in_degree=InDegreeSpec(alpha, n_max)),
+                               st.sampled_from([0.5, 1.2, 2.0]),
+                               st.sampled_from([1, 3, 100, 10**4])))
+
+
+def refinement_counts(monkeypatch):
+    """Records, per block of the maxima kernel, the rows it refines and the
+    sizes of the follower draws it transforms."""
+    rows, transformed = [], []
+    reduce, transform = recursion._segment_reduce, recursion.pareto_transform
+
+    def counted_reduce(values, counts, *ufuncs):
+        rows.append(len(counts))
+        return reduce(values, counts, *ufuncs)
+
+    def counted_transform(spec, x):
+        transformed.append(len(x))
+        return transform(spec, x)
+
+    monkeypatch.setattr(recursion, "_segment_reduce", counted_reduce)
+    monkeypatch.setattr(recursion, "pareto_transform", counted_transform)
+    return rows, transformed
+
+
+class TestBoundAndRefine:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, tails=st.sampled_from(sorted(BOUNDED_TAILS)), degrees=BOUNDED_DEGREES,
+           damping=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
+           block_rows=st.sampled_from([1, 2, 5, 16]), threads=st.integers(1, 3),
+           sizes=st.lists(st.integers(1, 120), min_size=1, max_size=3),
+           top=st.integers(1, 150))
+    def test_equals_the_whole_path_oracle(self, seed, tails, degrees, damping, block_rows,
+                                          threads, sizes, top):
+        follower, preference = BOUNDED_TAILS[tails]
+        config = make_config(damping=damping, follower_tail=follower,
+                             preference_tail=preference, **degrees)
+        # one ring for calls of several lengths, as a run of replications shares it
+        ring = recursion.BlockRing()
+        with iid_kernel(block_rows, threads):
+            got = [pair_maxima(config, n, seed + i, top, ring=ring)
+                   for i, n in enumerate(sizes)]
+        for i, (n, (sum_max, max_max, q_top)) in enumerate(zip(sizes, got)):
+            sums, maxes, _, q = whole_iid_pair(config, n, seed + i)
+            assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
+            assert q_top.tobytes() == upper_order_statistics(q, min(top, n)).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, spec=st.sampled_from([TailSpec(3.0), TailSpec(0.5, 2.0), TIED]),
+           n=st.integers(1, 300))
+    def test_the_draw_bound_holds_for_a_pow_off_by_a_few_ulps(self, seed, spec, n):
+        transform = recursion.pareto_transform
+
+        def inexact(spec, x):
+            # errs by up to 4 ulps either way, by a rule of the value's bits
+            # that is not monotone
+            y = transform(spec, x)
+            bits = y.view(np.int64)
+            bits += bits * 2654435761 % 9 - 4
+            return y
+
+        u = np.random.default_rng(seed).random(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "pareto_transform", inexact)
+            bound = recursion._draw_bound(spec, u.max())
+            draws = inexact(spec, u.copy())
+        assert draws.max() <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, x=st.floats(1.0, 1e6), damping=st.floats(0.01, 0.99),
+           most=st.sampled_from([1, 3, 100, 10**4]), rows=st.integers(1, 200),
+           spread=st.sampled_from([0.0, 1e-12, 0.5]))
+    def test_a_row_never_sums_above_its_bound(self, seed, x, damping, most, rows, spread):
+        # draws at or just below their bound x, whose sums round up the most
+        rng = np.random.default_rng(seed)
+        in_deg = rng.integers(0, most + 1, rows)
+        draws = x * (1.0 - spread * rng.random(int(in_deg.sum())))
+        pref = rng.random(rows) * x
+        (f_sum,) = _segment_reduce(draws, in_deg, np.add)
+        sums = np.add(np.multiply(damping, f_sum), pref)
+        bounds = recursion._sum_bounds(in_deg, pref, damping * x, most, np.empty(rows))
+        assert np.all(sums <= bounds)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_preference_defaults_refine_a_few_rows(self, seed, monkeypatch):
+        # the verify-thm4 preference defaults: k = 3, alpha = 2, beta = 1,
+        # n_max = 100, damping 0.5, replications of 10^5 rows (two blocks)
+        config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
+                             follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
+        rows, transformed = refinement_counts(monkeypatch)
+        got = pair_maxima(config, 10**5, seed, 501)
+        sums, maxes, _, q = whole_iid_pair(config, 10**5, seed)
+        assert got[:2] == (float(sums.max()), float(maxes.max()))
+        assert len(rows) == 2 and all(1 <= r <= 8 for r in rows)
+        # the largest uniform of each block, then the draws of its refined
+        # rows: the about 1.4 * 10^5 follower draws are never all transformed
+        assert len(transformed) == 4 and max(transformed) < 1000
+
+    def test_heavy_followers_take_the_max_path_from_the_draws(self, monkeypatch):
+        config = make_config(follower_tail=TailSpec(0.5), preference_tail=TailSpec(3.0))
+        _, transformed = refinement_counts(monkeypatch)
+        got = pair_maxima(config, 5000, SEED, 10)
+        sums, maxes, _, q = whole_iid_pair(config, 5000, SEED)
+        assert got[:2] == (float(sums.max()), float(maxes.max()))
+        # the largest max value is a follower term, not a preference term
+        assert maxes.max() > config.z_star * q.max()
+        assert sum(transformed) > 5000  # every draw of the block, for its max
+
+    def test_threads_sharing_a_ring_lose_no_value(self):
+        # three drawing threads on two-row blocks take turns in the four
+        # slots of one ring over several calls, with the interpreter
+        # switching every 10 us
+        config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20),
+                             follower_tail=TailSpec(1.5), preference_tail=TailSpec(1.5))
+        ring = recursion.BlockRing()
+        want = [whole_iid_pair(config, 501, SEED + i) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with iid_kernel(2, 3):
+                got = [pair_maxima(config, 501, SEED + i, 20, ring=ring) for i in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for (sum_max, max_max, q_top), (sums, maxes, _, q) in zip(got, want):
+            assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
+            assert q_top.tobytes() == upper_order_statistics(q, 20).tobytes()
+
+    def test_a_shared_ring_allocates_its_buffers_once(self):
+        config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
+                             follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
+        ring = recursion.BlockRing()
+        for seed in (SEED, SEED + 1):  # the follower buffer grows to a last size
+            pair_maxima(config, 10**5, seed, 501, ring=ring)
+        peaks = []
+        for r in (None, ring):
+            tracemalloc.start()
+            try:
+                pair_maxima(config, 10**5, SEED + 2, 501, ring=r)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a fresh ring holds several 512 KB arrays per slot; a shared one
+        # leaves the 64 KB of the in-degree lookup's bucket flags
+        assert peaks[0] > 4 * 2**20 and peaks[1] < 2**18
