@@ -14,6 +14,7 @@ from scipy import sparse
 
 from .errors import ConvergenceError, ParameterError
 from .heavytail import InDegreeSpec, sample_power_law_int
+from .recursion import _ranges
 from .rng import STREAMS, child_rng
 from .textio import read_rows, write_rows
 
@@ -98,12 +99,6 @@ class RankVector:
         write_rows(fileobj, "%d,%.17g\n", np.arange(len(self.scores)), self.scores)
 
 
-def _block_slots(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + l)`` over the ``(starts, lengths)`` pairs."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-
-
 def _distinct_draws(rng: np.random.Generator, n: int, counts: np.ndarray):
     """``counts[t]`` distinct uniform ids out of ``n`` for every owner ``t``.
 
@@ -128,7 +123,7 @@ def _distinct_draws(rng: np.random.Generator, n: int, counts: np.ndarray):
             break
         ids[redo] = rng.integers(0, n, size=len(redo))
         bad = np.unique(owner[redo])
-        slots = _block_slots(starts[bad], counts[bad])
+        slots = _ranges(starts[bad], counts[bad])
     return owner, ids
 
 

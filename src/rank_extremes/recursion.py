@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResourceError
-from .estimators import upper_order_statistics
+from .estimators import nearest_rank_index, upper_order_statistics
 from .heavytail import (
     DependenceSpec,
     InDegreeSpec,
@@ -181,24 +181,61 @@ def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator, 
 def _segment_reduce(values: np.ndarray, counts: np.ndarray, *ufuncs) -> tuple:
     """Each ufunc's reduction of each of ``len(counts)`` consecutive segments
     of ``values``, segment ``i`` holding the next ``counts[i]`` values
-    (``counts.sum() == len(values)``).  An empty segment gives 0.
+    (``counts.sum() == len(values)``).
 
-    When every segment is nonempty (every power-law in-degree is at least 1)
-    the ``reduceat`` offsets are the segment starts as they are; otherwise
-    the empty segments are masked out of the same ``reduceat`` calls.
+    Every count is at least 1 (a power-law in-degree, or a fixed one of at
+    least 1), or there are no values and every segment gives 0 (a fixed
+    in-degree of 0); the ``reduceat`` offsets are then the segment starts.
     """
-    n = len(counts)
-    offsets = np.zeros(n, dtype=np.int64)
+    if not len(values):
+        return tuple(np.zeros(len(counts)) for _ in ufuncs)
+    if counts.min() < 1:
+        raise ValueError("every segment of a nonempty reduction needs a value")
+    offsets = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
-    if n and counts.min() >= 1:
-        return tuple(ufunc.reduceat(values, offsets) for ufunc in ufuncs)
-    results = tuple(np.zeros(n) for _ in ufuncs)
-    if len(values):
-        nonzero = counts > 0
-        starts = offsets[nonzero]
-        for out, ufunc in zip(results, ufuncs):
-            out[nonzero] = ufunc.reduceat(values, starts)
-    return results
+    return tuple(ufunc.reduceat(values, offsets) for ufunc in ufuncs)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` over the ``(starts, lengths)`` pairs."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
+class BlockRing:
+    """The block buffers of the blocked kernels: named arrays in each slot of
+    a ring of blocks in flight, each grown to the largest size asked of it.
+    A ring given to successive calls allocates its arrays once, so a run of
+    replications does not map and fault in fresh pages for each.  A ring
+    serves one call at a time, on the thread that runs the call.
+
+    ``out`` maps names to arrays of all the rows of a call: a block's array
+    of such a name is its rows of that array, written in place.
+    """
+
+    def __init__(self, out: dict | None = None):
+        self._slots = []
+        self._out = out or {}
+
+    def get(self, slot: int, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` values of the array ``name`` of slot ``slot``."""
+        while len(self._slots) <= slot:
+            self._slots.append({})
+        arrays = self._slots[slot]
+        a = arrays.get(name)
+        if a is None or len(a) < size:
+            # by a quarter at least: a follower count a little above the
+            # last one grows it once
+            grown = size if a is None else max(size, len(a) * 5 // 4)
+            a = arrays[name] = np.empty(grown, dtype)
+        return a[:size]
+
+    def rows(self, slot: int, name: str, rows: slice, dtype=np.float64) -> np.ndarray:
+        """The array ``name`` of the block of ``rows``: those rows of
+        ``out[name]`` when given, else an array of slot ``slot``."""
+        if name in self._out:
+            return self._out[name][rows]
+        return self.get(slot, name, rows.stop - rows.start, dtype)
 
 
 # Rows per block of the explicit-column kernel: 512 KB for each float64 block.
@@ -227,12 +264,14 @@ def _in_order(tasks, threads: int, ahead: int):
     """The results of the callables that the iterable ``tasks`` yields, in
     its order, each callable run on a pool of ``threads`` threads.
 
-    The next callable is taken from ``tasks`` and submitted only once fewer
-    than ``ahead`` results wait to be yielded, so a consumer that handles
-    each result before it asks for the next one has handled result
-    ``i - ahead`` before task ``i`` is taken.  The pool lives as long as the
-    iteration; an exception from a task propagates unchanged once every
-    thread is joined.
+    Task ``i`` is taken from ``tasks`` and submitted only once result
+    ``i - ahead`` was yielded and the consumer asked for the next one.  So
+    when each task takes its buffers, as it is taken, from a ring of
+    ``ahead`` slots, a yielded block stays valid until the consumer asks for
+    the next one: that takes the task ``ahead`` places later, into the
+    block's slot.
+    The pool lives as long as the iteration; an exception from a task
+    propagates unchanged once every thread is joined.
     """
     pending = deque()
     tasks = iter(tasks)
@@ -270,12 +309,12 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
     given, and only where ``in_deg[t] > j`` when in-degrees are given.
 
     The columns are drawn in blocks of ``COLUMN_BLOCK_ROWS`` rows by
-    :func:`_in_order` on ``_column_threads`` threads, at most twice as many
-    blocks ahead of the reduction, each into its own slot of a ring of
-    preallocated buffers.  The calling thread reduces row block after row
-    block and, within one, the columns in order, so every sum keeps its
-    rounding order.  The ring holds no more slots than there are columns, so
-    a column's next block is drawn only after its previous one was reduced.
+    :func:`_in_order` on ``_column_threads`` threads, into the slots of a
+    :class:`BlockRing` of ``min(2 × threads, columns)`` slots, one per block
+    ahead of the reduction.  The calling thread reduces row block after row block
+    and, within one, the columns in order, so every sum keeps its rounding
+    order.  The ring holds no more slots than there are columns, so a
+    column's next block is drawn only after its previous one was reduced.
     """
     sums = np.zeros(n)
     maxes = np.zeros(n)
@@ -288,15 +327,15 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
     tasks = [(j, slice(start, min(start + width, n)))
              for start in range(0, n, width) for j in range(len(columns))]
     threads = _column_threads(len(columns))
-    ring = [(np.empty(width), np.empty(width + lag) if lag else None)
-            for _ in range(min(2 * threads, len(columns)))]
+    ring, slots = BlockRing(), min(2 * threads, len(columns))
 
-    def draw(i):
-        (j, rows), (out, work) = tasks[i], ring[i % len(ring)]
-        return columns[j].fill(out[: rows.stop - rows.start], work)
+    def draws():
+        for i, (j, rows) in enumerate(tasks):
+            size = rows.stop - rows.start
+            work = ring.get(i % slots, "work", size + lag) if lag else None
+            yield functools.partial(columns[j].fill, ring.get(i % slots, "out", size), work)
 
-    drawn = _in_order((functools.partial(draw, i) for i in range(len(tasks))),
-                      threads, len(ring))
+    drawn = _in_order(draws(), threads, slots)
     for (j, rows), col in zip(tasks, drawn):
         if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
             col *= weights[j]
@@ -351,8 +390,9 @@ def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
     return sums, maxes
 
 
-def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, block, arrays):
-    """The results of ``block(in_deg, start, follow, total, *rest)`` for the
+def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
+                ring: BlockRing, block, names: dict):
+    """The results of ``block(in_deg, start, follow, draws, *rest)`` for the
     blocks of ``block_rows`` rows of an i.i.d.-column config, in row order.
 
     With i.i.d. columns the values entering a row are fresh draws, so row
@@ -362,97 +402,62 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, blo
     reduction then run by :func:`_in_order` on ``_column_threads`` threads,
     at most ``2 × threads`` blocks ahead of the consumer.  A block starting
     at row ``start`` takes its preference draws from offset ``start`` of the
-    ``preference`` stream, and its ``total`` follower draws from offset
+    ``preference`` stream, and its ``len(draws)`` follower draws from offset
     ``follow``, the sum of the earlier blocks' in-degrees, of the ``column``
     stream (:func:`child_rng_at`).  Every row lies inside one block, so every
     value equals that of the whole path drawn at once, bit for bit, whatever
     the block size and thread count.
 
-    ``arrays(slot, rows)`` gives the in-degree array of the block of
-    ``rows`` (``None`` to allocate it), the scratch of its draw and the
-    arrays ``rest``; ``slot`` is the block's place in a ring of
-    ``2 × threads``, whose previous block has returned by then.
+    The calling thread takes block ``i``'s arrays from slot
+    ``i % (2 × threads)`` of ``ring``: ``in_deg``, ``draws`` for its
+    follower draws, and ``rest``, an array of its rows for each
+    ``name: dtype`` of ``names``.  (What a drawing thread allocates returns,
+    once freed, to its own malloc arena, which keeps it resident.)  It draws
+    the in-degrees one block at a time, so their scratch is one array, in
+    slot 0.  A yielded block stays valid until the consumer asks for the
+    next one.
     """
     threads = _column_threads(-(-n // block_rows))
+    slots = 2 * threads
 
     def tasks():
         deg_rng = child_rng(seed, STREAMS["in_degree"])
         follow = 0
         for i, start in enumerate(range(0, n, block_rows)):
-            rows = slice(start, min(start + block_rows, n))
-            in_deg, work, *rest = arrays(i % (2 * threads), rows)
+            rows, slot = slice(start, min(start + block_rows, n)), i % slots
             in_deg = _draw_in_degrees(config, rows.stop - start, deg_rng,
-                                      out=in_deg, work=work)
+                                      out=ring.rows(slot, "in_deg", rows, np.int64),
+                                      work=ring.get(0, "work", rows.stop - start, np.intp))
             total = int(in_deg.sum())
-            yield functools.partial(block, in_deg, start, follow, total, *rest)
+            rest = [ring.rows(slot, name, rows, dtype) for name, dtype in names.items()]
+            yield functools.partial(block, in_deg, start, follow,
+                                    ring.get(slot, "draws", total), *rest)
             follow += total
 
-    return _in_order(tasks(), threads, 2 * threads)
+    return _in_order(tasks(), threads, slots)
 
 
-def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int, *,
-                     out=None):
+def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
+                     ring: BlockRing):
     """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a
     time and in row order (:func:`_iid_blocks`): yields
-    ``(sums, maxes, in_deg, q)`` per block.
-
-    ``out``, four ``n``-length arrays ``(sums, maxes, in_deg, q)``, receives
-    the blocks in place of fresh arrays.
+    ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
+    names (the rows of its ``out`` arrays where it has them).
     """
 
-    def arrays(slot, rows):
-        # The arrays a block hands out are allocated on this thread: what a
-        # drawing thread allocates returns, once freed, to its own malloc
-        # arena, which keeps it resident.
-        if out is None:
-            return None, None, *(np.empty(rows.stop - rows.start) for _ in range(3))
-        return out[2][rows], None, out[0][rows], out[1][rows], out[3][rows]
-
-    def block(in_deg, start, follow, total, sums, maxes, q):
+    def block(in_deg, start, follow, draws, sums, maxes, q):
         sample_pareto(config.preference_tail, len(q),
                       child_rng_at(seed, start, STREAMS["preference"]), out=q)
-        draws = np.empty(0)
-        if total:
-            draws = sample_pareto(config.follower_tail, total,
-                                  child_rng_at(seed, follow, STREAMS["column"]))
+        if len(draws):
+            sample_pareto(config.follower_tail, len(draws),
+                          child_rng_at(seed, follow, STREAMS["column"]), out=draws)
         # reduceat allocates the follower terms: given out=, it holds the GIL,
         # and the blocks would no longer reduce in parallel
         f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
         return (*_add_preference(config, f_sum, f_max, q, sums, maxes), in_deg, q)
 
-    return _iid_blocks(config, n, seed, block_rows, block, arrays)
-
-
-class _Buffers:
-    """Named arrays, each grown to the largest size asked of it."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """The first ``size`` values of the array ``name``."""
-        a = self._arrays.get(name)
-        if a is None or len(a) < size:
-            # by a quarter at least: a follower count a little above the
-            # last one grows it once
-            grown = size if a is None else max(size, len(a) * 5 // 4)
-            a = self._arrays[name] = np.empty(grown, dtype)
-        return a[:size]
-
-
-class BlockRing:
-    """The block buffers of :func:`pair_maxima`, one set per slot of its
-    ring: a ring given to successive calls allocates its arrays once, so a
-    run of replications does not map and fault in fresh pages for each.
-    A ring serves one call at a time."""
-
-    def __init__(self):
-        self._slots = []
-
-    def slot(self, i: int) -> _Buffers:
-        while len(self._slots) <= i:
-            self._slots.append(_Buffers())
-        return self._slots[i]
+    return _iid_blocks(config, n, seed, block_rows, ring, block,
+                       dict.fromkeys(("sums", "maxes", "q"), np.float64))
 
 
 # Relative error allowed for NumPy's ``pow``, which need not round correctly
@@ -488,10 +493,7 @@ def _picked_positions(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # each row's first position: the counts before the first row, then the
     # sums of the counts between consecutive rows
     between = np.add.reduceat(counts, rows)
-    starts = np.cumsum(between) - between + counts[: rows[0]].sum()
-    picked = counts[rows]
-    ends = np.cumsum(picked)
-    return np.repeat(starts - (ends - picked), picked) + np.arange(ends[-1])
+    return _ranges(np.cumsum(between) - between + counts[: rows[0]].sum(), counts[rows])
 
 
 def _iid_block_maxima(config: RecursionConfig, n: int, seed: int, block_rows: int,
@@ -517,39 +519,33 @@ def _iid_block_maxima(config: RecursionConfig, n: int, seed: int, block_rows: in
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
 
-    def arrays(slot, rows):
-        buf = ring.slot(slot)
-        size = rows.stop - rows.start
-        return buf.get("in_deg", size, np.int64), buf.get("work", size, np.intp), buf
-
-    def block(in_deg, start, follow, total, buf):
+    def block(in_deg, start, follow, u, q, pref, bound, below):
         rows = len(in_deg)
-        q = sample_pareto(config.preference_tail, rows,
-                          child_rng_at(seed, start, STREAMS["preference"]),
-                          out=buf.get("q", rows))
-        pref = np.multiply(config.z_star, q, out=buf.get("pref", rows))
+        sample_pareto(config.preference_tail, rows,
+                      child_rng_at(seed, start, STREAMS["preference"]), out=q)
+        np.multiply(config.z_star, q, out=pref)
         floor = pref.max()
-        u = buf.get("u", total)
         x = 0.0
-        if total:
-            child_rng_at(seed, follow, STREAMS["column"]).random(total, out=u)
+        if len(u):  # the uniforms of the follower draws
+            child_rng_at(seed, follow, STREAMS["column"]).random(len(u), out=u)
             x = _draw_bound(follower, u.max())
-        bound = _sum_bounds(in_deg, pref, c * x, most, buf.get("bound", rows))
+        _sum_bounds(in_deg, pref, c * x, most, bound)
         # a bound of nan (0 * inf, where a draw overflows) keeps its row
-        below = np.less(bound, floor, out=buf.get("below", rows, np.bool_))
+        np.less(bound, floor, out=below)
         reach = np.flatnonzero(np.logical_not(below, out=below))
         picked = pareto_transform(follower, u[_picked_positions(in_deg, reach)])
         (sums,) = _segment_reduce(picked, in_deg[reach], np.add)
         np.multiply(c, sums, out=sums)
         np.add(sums, pref[reach], out=sums)
         max_max = floor
-        if total and not c * x < floor:
+        if len(u) and not c * x < floor:
             max_max = max(c * pareto_transform(follower, u).max(), floor)
         k = rows - min(top, rows)
         q.partition(k)  # the block is done with its preference draws
         return sums.max(), max_max, q[k:].copy()
 
-    return _iid_blocks(config, n, seed, block_rows, block, arrays)
+    return _iid_blocks(config, n, seed, block_rows, ring, block,
+                       dict(q=np.float64, pref=np.float64, bound=np.float64, below=np.bool_))
 
 
 def _check_pair_args(config: RecursionConfig, n: int) -> None:
@@ -568,8 +564,8 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
     if config.all_iid_columns():
         sums, maxes, q = np.empty(n), np.empty(n), np.empty(n)
         in_deg = np.empty(n, dtype=np.int64)
-        for _ in _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS,
-                                  out=(sums, maxes, in_deg, q)):
+        ring = BlockRing(out=dict(sums=sums, maxes=maxes, in_deg=in_deg, q=q))
+        for _ in _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS, ring):
             pass  # each block is written into its rows of the outputs
     else:
         in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
@@ -783,13 +779,13 @@ def compare_tail_sum_max(
     ratio using the paired exceedance counts.
 
     An i.i.d.-column config is generated and reduced by
-    :func:`_iid_pair_blocks`, ``PAIR_BLOCK_ROWS`` rows at a time, so memory
-    is O(threads * block + count) with ``count = n - min(rank)`` the largest
-    number of max values a threshold needs.  The reduction keeps the top
-    ``count`` max values and the sum values above their running
-    ``count``-th largest, a lower bound on every threshold, so thresholds
-    and counts equal those of the whole path.
-    Explicit-column configs are built whole and reduced as one block.
+    :func:`_iid_pair_blocks`, ``PAIR_BLOCK_ROWS`` rows at a time in the
+    slots of one :class:`BlockRing`, so memory is O(threads * block + count)
+    with ``count = n - min(rank)`` the largest number of max values a
+    threshold needs.  The reduction keeps the top ``count`` max values and
+    the sum values above their running ``count``-th largest, a lower bound
+    on every threshold, so thresholds and counts equal those of the whole
+    path.  Explicit-column configs are built whole and reduced as one block.
     """
     for qv in thresholds:
         if not (0.9 < qv < 1.0):
@@ -798,10 +794,10 @@ def compare_tail_sum_max(
     if not thresholds:
         return rows
     _check_pair_args(config, n)
-    ranks = [min(int(np.ceil(qv * n)) - 1, n - 1) for qv in thresholds]
+    ranks = [nearest_rank_index(qv, n) for qv in thresholds]
     count = n - min(ranks)
     if config.all_iid_columns():
-        blocks = _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS)
+        blocks = _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS, BlockRing())
     else:
         pair = sample_aggregate_pair(config, n, seed)
         blocks = [(pair.sum_values, pair.max_values)]

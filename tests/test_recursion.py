@@ -37,6 +37,7 @@ from rank_extremes.recursion import (
     MAX,
     SUM,
     AggregatePath,
+    BlockRing,
     RecursionConfig,
     _column_contributions,
     _draw_in_degrees,
@@ -490,13 +491,9 @@ def looped_segment_sum_max(values, counts):
 
 class TestSegmentSumMax:
     @settings(max_examples=300, deadline=None)
-    @given(lead=st.integers(0, 3), left=st.lists(st.integers(0, 20), max_size=10),
-           right=st.lists(st.integers(0, 20), max_size=10), trail=st.integers(0, 3),
-           data=st.data())
-    def test_matches_per_segment_loop(self, lead, left, right, trail, data):
-        # zero-length segments at the start, in the middle and at the end;
-        # all counts are zero (no values) when left and right hold only 0
-        counts = np.array([0] * lead + left + [0] + right + [0] * trail, dtype=np.int64)
+    @given(counts=st.lists(st.integers(1, 20), max_size=21), data=st.data())
+    def test_matches_per_segment_loop(self, counts, data):
+        counts = np.array(counts, dtype=np.int64)
         total = int(counts.sum())
         # multiples of 2^-16 below 2^30 in magnitude: every partial sum is
         # exact, so NumPy's order of addition and the loop's give equal bits
@@ -513,36 +510,13 @@ class TestSegmentSumMax:
                                       np.add, np.maximum)
         assert sums.tobytes() == maxes.tobytes() == np.zeros(4).tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=40),
-           gaps=st.data(), seed=SEEDS)
-    def test_direct_path_equals_masked_path(self, counts, gaps, seed):
-        # counts >= 1 take reduceat on the offsets as they are; the same
-        # segments with empty ones between them take the masked path.  The
-        # values are exact partial sums, as in the test above, so the loop
-        # gives the same bits too
-        values = np.random.default_rng(seed).integers(-2**46, 2**46, sum(counts)) / 2**16
-        direct = _segment_reduce(values, np.array(counts), np.add, np.maximum)
-        zeros = gaps.draw(st.lists(st.integers(0, 2), min_size=len(counts) + 1,
-                                   max_size=len(counts) + 1))
-        padded = [0] * zeros[0]
-        for count, gap in zip(counts, zeros[1:]):
-            padded += [count] + [0] * gap
-        padded = np.array(padded)
-        masked = _segment_reduce(values, padded, np.add, np.maximum)
-        looped = looped_segment_sum_max(values, np.array(counts))
-        for got, via_mask, want in zip(direct, masked, looped):
-            assert got.tobytes() == via_mask[padded > 0].tobytes() == want.tobytes()
-            assert not via_mask[padded == 0].any()
-        # on rounded sums the two paths still run the same reduceat segments
-        draws = sample_pareto(TailSpec(1.5), sum(counts), seed)
-        direct = _segment_reduce(draws, np.array(counts), np.add, np.maximum)
-        masked = _segment_reduce(draws, padded, np.add, np.maximum)
-        for got, via_mask in zip(direct, masked):
-            assert got.tobytes() == via_mask[padded > 0].tobytes()
+    @pytest.mark.parametrize("counts", [[0, 3, 0, 3], [3, 3, 0], [0, 6]])
+    def test_an_empty_segment_among_values_is_refused(self, counts):
+        with pytest.raises(ValueError, match="needs a value"):
+            _segment_reduce(np.arange(6.0), np.array(counts), np.add)
 
     @pytest.mark.parametrize("ufuncs", [(np.add,), (np.maximum,), (np.maximum, np.add)])
-    @pytest.mark.parametrize("counts", [[3, 1, 2], [0, 3, 0, 3]])
+    @pytest.mark.parametrize("counts", [[3, 1, 2], [1, 1, 4]])
     def test_each_ufunc_reduces_alone(self, ufuncs, counts):
         values = np.arange(6.0)[::-1]
         both = dict(zip((np.add, np.maximum),
@@ -747,7 +721,9 @@ class TestStreamedComparison:
            in_degrees=st.sampled_from(sorted(IN_DEGREES)))
     def test_concatenated_blocks_equal_the_pair(self, seed, block_rows, n, in_degrees):
         config = make_config(**IN_DEGREES[in_degrees])
-        blocks = list(_iid_pair_blocks(config, n, seed, block_rows))
+        # a block's arrays are a ring's, valid until the next block is asked for
+        blocks = [tuple(a.copy() for a in block)
+                  for block in _iid_pair_blocks(config, n, seed, block_rows, BlockRing())]
         assert [len(b[0]) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
         pair = sample_aggregate_pair(config, n, seed)
         sums, maxes, in_deg, q = (np.concatenate(parts) for parts in zip(*blocks))
@@ -894,24 +870,29 @@ class TestThreadedIidKernel:
         monkeypatch.setattr(recursion, "sample_pareto", counted)
         monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
         ahead = []
-        for done, _ in enumerate(_iid_pair_blocks(config, 200, SEED, 5), start=1):
+        blocks = _iid_pair_blocks(config, 200, SEED, 5, BlockRing())
+        for done, _ in enumerate(blocks, start=1):
             ahead.append(len(started) - done)
         assert len(ahead) == 40 and max(ahead) <= 2 * threads
 
     def test_threads_writing_adjacent_rows_lose_no_value(self):
         # three drawing threads on two-row blocks write neighbouring slices
-        # of the same outputs, with the interpreter switching every 10 us
+        # of the same outputs, and the comparison's blocks take turns in the
+        # six slots of its ring, with the interpreter switching every 10 us
         config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20))
         want = whole_iid_pair(config, 2001, SEED)
+        want_rows = whole_path_rows(config, 2001, [0.95, 0.99], SEED)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with iid_kernel(2, 3):
                 pair = sample_aggregate_pair(config, 2001, SEED)
+                rows = compare_tail_sum_max(config, 2001, [0.95, 0.99], SEED)
         finally:
             sys.setswitchinterval(interval)
         got = (pair.sum_values, pair.max_values, pair.in_degrees, pair.preference)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want_rows
 
     @pytest.mark.parametrize("caller", ["pair", "maxima", "compare"])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -937,6 +918,75 @@ class TestThreadedIidKernel:
         with iid_kernel(10, threads), pytest.raises(Boom, match="block draw failed"):
             run()
         assert threading.active_count() == before
+
+
+@pytest.fixture
+def ring_records(monkeypatch):
+    """Every slot array a :class:`BlockRing` of ``recursion`` hands out, with
+    its slot, and every block the blocked kernels yield to their consumer."""
+    handed, slots, blocks = [], [], []
+
+    class RecordingRing(BlockRing):
+        def get(self, slot, name, size, dtype=np.float64):
+            slots.append(slot)
+            handed.append(super().get(slot, name, size, dtype))
+            return handed[-1]
+
+    in_order = recursion._in_order
+
+    def recording(tasks, threads, ahead):
+        for result in in_order(tasks, threads, ahead):
+            blocks.append(result)
+            yield result
+
+    monkeypatch.setattr(recursion, "BlockRing", RecordingRing)
+    monkeypatch.setattr(recursion, "_in_order", recording)
+    return handed, slots, blocks
+
+
+def in_ring(array, handed):
+    return any(np.shares_memory(array, a) for a in handed)
+
+
+class TestOneBlockRing:
+    def test_streamed_comparison_blocks_live_in_the_ring(self, ring_records):
+        handed, slots, blocks = ring_records
+        config = make_config()
+        want = whole_path_rows(config, 40, [0.95], SEED)
+        for record in ring_records:
+            record.clear()
+        with iid_kernel(5, 2):
+            rows = compare_tail_sum_max(config, 40, [0.95], SEED)
+        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
+        # eight blocks in the four slots of two threads
+        assert len(blocks) == 8 and sorted(set(slots)) == [0, 1, 2, 3]
+        assert all(in_ring(a, handed) for block in blocks for a in block)
+        # block i + 4 reuses the arrays of block i
+        assert all(np.shares_memory(a, b)
+                   for i in range(4) for a, b in zip(blocks[i], blocks[i + 4]))
+
+    def test_pair_blocks_are_the_rows_of_its_outputs(self, ring_records):
+        handed, _, blocks = ring_records
+        with iid_kernel(5, 2):
+            pair = sample_aggregate_pair(make_config(), 40, SEED)
+        outputs = (pair.sum_values, pair.max_values, pair.in_degrees, pair.preference)
+        for i, block in enumerate(blocks):
+            rows = slice(5 * i, 5 * i + 5)
+            assert all(np.shares_memory(a, out[rows]) for a, out in zip(block, outputs))
+            assert not any(in_ring(a, handed) for a in block)
+
+    @pytest.mark.parametrize("threads, columns", [(1, 3), (2, 3), (3, 2)])
+    def test_column_blocks_live_in_the_ring(self, ring_records, threads, columns):
+        handed, slots, blocks = ring_records
+        specs = [SequenceSpec(TailSpec(1.5), DependenceSpec.moving_maxima(1, 0.5)),
+                 SequenceSpec(TailSpec(2.0))] * 2
+        with column_kernel(4, threads):
+            sample_weighted_pair([(0.5, seq) for seq in specs[:columns]], 40, SEED)
+        assert len(blocks) == 10 * columns and all(in_ring(a, handed) for a in blocks)
+        # no more slots than columns: a column's blocks are drawn one at a time
+        ring_slots = min(2 * threads, columns)
+        assert max(slots) == ring_slots - 1
+        assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[ring_slots:]))
 
 
 # (follower tail, preference tail) pairs: the preference dominates (k > beta,
@@ -1026,7 +1076,9 @@ class TestBoundAndRefine:
         in_deg = rng.integers(0, most + 1, rows)
         draws = x * (1.0 - spread * rng.random(int(in_deg.sum())))
         pref = rng.random(rows) * x
-        (f_sum,) = _segment_reduce(draws, in_deg, np.add)
+        # a row without draws sums to 0; the others reduce as the kernel does
+        f_sum = np.zeros(rows)
+        f_sum[in_deg > 0] = _segment_reduce(draws, in_deg[in_deg > 0], np.add)[0]
         sums = np.add(np.multiply(damping, f_sum), pref)
         bounds = recursion._sum_bounds(in_deg, pref, damping * x, most, np.empty(rows))
         assert np.all(sums <= bounds)
