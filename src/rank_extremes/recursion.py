@@ -262,17 +262,21 @@ def _column_threads(tasks: int) -> int:
 
 def _in_order(tasks, threads: int, ahead: int):
     """The results of the callables that the iterable ``tasks`` yields, in
-    its order, each callable run on a pool of ``threads`` threads.
+    its order, each callable run on a pool of ``threads`` threads, or on
+    the calling thread when ``threads`` is 1.
 
     Task ``i`` is taken from ``tasks`` and submitted only once result
-    ``i - ahead`` was yielded and the consumer asked for the next one.  So
-    when each task takes its buffers, as it is taken, from a ring of
-    ``ahead`` slots, a yielded block stays valid until the consumer asks for
-    the next one: that takes the task ``ahead`` places later, into the
-    block's slot.
+    ``i - ahead`` was yielded and the consumer asked for the next one (run
+    inline, once result ``i - 1`` was).  So when each task takes its
+    buffers, as it is taken, from a ring of ``ahead`` slots, a yielded block
+    stays valid until the consumer asks for the next one: that takes the
+    task ``ahead`` places later, into the block's slot.
     The pool lives as long as the iteration; an exception from a task
     propagates unchanged once every thread is joined.
     """
+    if threads == 1:
+        yield from (task() for task in tasks)
+        return
     pending = deque()
     tasks = iter(tasks)
     with ThreadPoolExecutor(threads) as pool:
@@ -400,11 +404,13 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
     this has exactly the law of the column construction.  The calling
     thread draws the in-degrees block after block.  Each block's draws and
     reduction then run by :func:`_in_order` on ``_column_threads`` threads,
-    at most ``2 × threads`` blocks ahead of the consumer.  A block starting
-    at row ``start`` takes its preference draws from offset ``start`` of the
-    ``preference`` stream, and its ``len(draws)`` follower draws from offset
-    ``follow``, the sum of the earlier blocks' in-degrees, of the ``column``
-    stream (:func:`child_rng_at`).  Every row lies inside one block, so every
+    at most ``2 × threads`` blocks ahead of the consumer, or inline as the
+    consumer asks for them when that is one thread (every ``--jobs``
+    worker).  A block starting at row ``start`` takes its preference draws
+    from offset ``start`` of the ``preference`` stream, and its
+    ``len(draws)`` follower draws from offset ``follow``, the sum of the
+    earlier blocks' in-degrees, of the ``column`` stream
+    (:func:`child_rng_at`).  Every row lies inside one block, so every
     value equals that of the whole path drawn at once, bit for bit, whatever
     the block size and thread count.
 

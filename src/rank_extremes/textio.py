@@ -1,9 +1,21 @@
 """Array-at-a-time text I/O behind the path CSV, edge list and rank CSV.
 
-Both directions work in blocks of ``BLOCK_ROWS`` lines.  Writers format a
-block with one ``%`` operation; readers parse a block with one
-``np.loadtxt`` call and look for the offending line only after that call
-has failed.  Every output file is written through :func:`atomic_write`.
+Writers format ``BLOCK_ROWS`` lines with one ``%`` operation and write each
+file through :func:`atomic_write`.  Readers parse chunks of whole lines,
+about ``CHUNK_CHARS`` characters each.  A chunk whose every line is
+``columns`` fields apart by single spaces, each ``-?digits`` (for floats
+also ``-?digits.digits``) of 1 to 18 digits, is checked as a vector of bytes
+and parsed by one ``np.fromstring`` of its digits as int64 significands
+``m``.  Any other chunk (blank or ``#`` lines, exponents, ``inf``, ``nan``,
+``+``, tabs, CR, 19 digits, no final newline, ...) takes one ``np.loadtxt``
+call, and is searched for its offending line only after that call failed.
+
+A float is ``m / 10**f`` for its ``f`` fraction digits, in a long double:
+``|m| < 2**63`` and ``10**f`` are exact in its 64-bit significand, so this
+rounds the decimal once, and rounding again to float64 is correct (as in
+``float()``) except from the exact midpoint of two doubles (the one half a
+gap below a power of two included), which ``float()`` then reads.  Where
+the long double is narrower, float chunks take ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -12,7 +24,6 @@ import contextlib
 import os
 import secrets
 import warnings
-from itertools import islice
 
 import numpy as np
 
@@ -21,6 +32,14 @@ from .errors import DataError
 # Rows formatted per write: bounds the transient row strings to a few MB
 # whatever the length of the columns.
 BLOCK_ROWS = 1 << 16
+
+# Characters per chunk that a reader parses at once: bounds the transient
+# text and arrays of a read to a few MB whatever the length of the file.
+CHUNK_CHARS = 1 << 16
+
+# The fast route's floats need a long double of at least a 64-bit significand.
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+_POW10 = (10 ** np.arange(19)).astype(np.longdouble)  # each exact
 
 
 @contextlib.contextmanager
@@ -68,6 +87,61 @@ def _load(lines: list[str], columns: int, dtype):
     return rows if rows.shape[1] == columns else None
 
 
+def _exact(text: str, columns: int, dtype):
+    """The fast route: ``text`` as a ``(rows, columns)`` array of ``dtype``
+    (int64 or float64), or ``None`` if it does not fit the route."""
+    floats = np.dtype(dtype) == np.float64
+    fits = _EXACT_LONG_DOUBLE if floats else np.dtype(dtype) == np.int64
+    if not (fits and text.endswith("\n") and text.isascii()):
+        return None
+    b = np.frombuffer(raw := text.encode("ascii"), np.uint8)
+    digit = (b - np.uint8(48)) < 10
+    sep = ~digit & (b != 45) & (b != 46)  # all that is not digit, "-" or "."
+    ends = np.flatnonzero(sep)
+    if len(ends) % columns or (b[ends].reshape(-1, columns) != [32] * (columns - 1) + [10]).any():
+        return None
+    minus, dot = np.flatnonzero(b == 45), np.flatnonzero(b == 46)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    negative = b[starts] == 45
+    field = np.searchsorted(ends, dot)  # the field of each "."
+    digits = ends - starts - negative
+    digits[field] -= 1
+    # a "-" opens its field, a "." stands between digits (b[-1] is "\n"), and
+    # no field holds two
+    if not (sep[minus - 1].all() and digit[minus + 1].all() and digit[dot - 1].all()
+            and digit[dot + 1].all() and (floats or not len(dot)) and (np.diff(field) > 0).all()
+            and 1 <= digits.min() and digits.max() <= 18):
+        return None
+    m = np.fromstring(raw.replace(b".", b""), np.int64, sep=" ")
+    if not floats:
+        return m.reshape(-1, columns)
+    scale = np.zeros(len(m), np.intp)
+    scale[field] = ends[field] - dot - 1
+    exact = m.astype(np.longdouble) / _POW10[scale]
+    values = exact.astype(np.float64)
+    # twice the rounding error reaches the next double only from a midpoint
+    error = (exact - values).astype(np.float64)
+    for i in np.flatnonzero((error != 0) & ((values + 2 * error) - values == 2 * error)):
+        values[i] = float(text[starts[i] : ends[i]])
+    np.copysign(values, -1.0, out=values, where=negative)  # "-0" reads as -0.0
+    return values.reshape(-1, columns)
+
+
+def _chunks(fileobj, head: str = ""):
+    """``head`` and the rest of ``fileobj``, in chunks of whole lines of
+    about ``CHUNK_CHARS`` characters (or one longer line); only the last
+    may lack its newline."""
+    pieces = [head]
+    while more := fileobj.read(CHUNK_CHARS):
+        cut = more.rfind("\n") + 1
+        if cut:
+            yield "".join(pieces) + more[:cut]
+            pieces = []
+        pieces.append(more[cut:])
+    if rest := "".join(pieces):
+        yield rest
+
+
 def read_rows(fileobj, columns: int, dtype, title: str | None = None) -> np.ndarray:
     """Parse the lines of ``fileobj`` into a ``(rows, columns)`` array of ``dtype``.
 
@@ -76,29 +150,28 @@ def read_rows(fileobj, columns: int, dtype, title: str | None = None) -> np.ndar
     must hold exactly ``columns`` whitespace-separated numbers; the first
     one that does not raises :class:`DataError` naming its line number.
     """
-    lines = iter(fileobj)
-    block = []
-    before = 0  # file lines ahead of the current block
+    head, before = "", 0  # before: file lines ahead of the current chunk
     if title is not None:
-        for line in lines:
+        for line in iter(fileobj.readline, ""):
             if line.strip() and not line.startswith(("#", title)):
-                block = [line]
+                head = line
                 break
             before += 1
-    block += islice(lines, BLOCK_ROWS)
     parts = []
-    while block:
-        rows = _load(block, columns, dtype)
-        if rows is None:
-            # a block that fails holds a line that fails on its own
-            bad = next(i for i, line in enumerate(block) if _load([line], columns, dtype) is None)
-            name = getattr(fileobj, "name", "<input>")
-            raise DataError(
-                f"{name}:{before + bad + 1}: expected {columns} "
-                f"{np.dtype(dtype).name} value(s), got {block[bad].strip()!r}"
-            )
+    for text in _chunks(fileobj, head):
+        rows, block = _exact(text, columns, dtype), None
+        if rows is None:  # any other chunk takes np.loadtxt
+            block = text.split("\n")
+            rows = _load(block, columns, dtype)
+            if rows is None:
+                # a block that fails holds a line that fails on its own
+                bad = next(i for i, line in enumerate(block)
+                           if _load([line], columns, dtype) is None)
+                name = getattr(fileobj, "name", "<input>")
+                raise DataError(
+                    f"{name}:{before + bad + 1}: expected {columns} "
+                    f"{np.dtype(dtype).name} value(s), got {block[bad].strip()!r}"
+                )
         parts.append(rows)
-        before += len(block)
-        block = list(islice(lines, BLOCK_ROWS))
+        before += len(rows) if block is None else len(block) - 1
     return np.concatenate(parts) if parts else np.empty((0, columns), dtype=dtype)
-

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rank_extremes import textio
 from rank_extremes.errors import ConvergenceError, DataError, ParameterError
 from rank_extremes.graphrank import (
     DirectedGraph,
@@ -20,7 +21,7 @@ from rank_extremes.graphrank import (
 )
 from rank_extremes.heavytail import InDegreeSpec, sample_power_law_int
 from rank_extremes.rng import STREAMS, child_rng
-from rank_extremes.textio import BLOCK_ROWS
+from rank_extremes.textio import BLOCK_ROWS, read_rows
 
 SEED = 7788
 BLOCK_LENGTHS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
@@ -260,6 +261,30 @@ class TestGraphGeneration:
     def test_edge_list_names_first_bad_line(self, text, lineno):
         with pytest.raises(DataError, match=f":{lineno}: "):
             DirectedGraph.read_edge_list(io.StringIO(text))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_chunks_equal_loadtxt(self, monkeypatch, chunk_routes, seed):
+        fast = ["3 4", "0 12", "-1 5", "-0 7", "999999999999999999 0"]
+        loadtxt_only = ["1234567890123456789 2", "# c", "", "7 8 ", "  9 10", "1  2",
+                        "1\t2", "5 6\r", "+3 4"]
+        rng = np.random.default_rng(seed)
+        text = "\n".join(rng.choice(loadtxt_only) if rng.random() < 0.1 else rng.choice(fast)
+                         for _ in range(300))  # no final newline
+        monkeypatch.setattr(textio, "CHUNK_CHARS", 64)
+        back = read_rows(io.StringIO(text), 2, np.int64)
+        expected = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        assert back.dtype == np.int64 and np.array_equal(back, expected)
+        assert False in chunk_routes and True in chunk_routes
+
+    @pytest.mark.parametrize("bad", ["4", "1 2 3", "1 2.0", "1 -", "1 x", "-"])
+    def test_bad_line_in_third_chunk(self, monkeypatch, chunk_routes, bad):
+        body = ["0 1", "# c"] + ["2 3"] * 60  # 16 lines a chunk
+        body.insert(40, bad)
+        monkeypatch.setattr(textio, "CHUNK_CHARS", 64)
+        message = f"<input>:41: expected 2 int64 value(s), got {bad!r}"
+        with pytest.raises(DataError) as info:
+            DirectedGraph.read_edge_list(io.StringIO("\n".join(body) + "\n"))
+        assert str(info.value) == message and chunk_routes == [False, True, False]
 
     def test_empty_edge_list_rejected(self):
         for text in ("", "# no edges\n\n"):

@@ -8,13 +8,14 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank_extremes import recursion
+from rank_extremes import recursion, textio
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import (
     ThresholdRule,
@@ -335,6 +336,133 @@ class TestCsvExport:
         text = "# n=1\nvalue\n" + body
         with pytest.raises(DataError, match=f":{lineno}: "):
             read_path_csv(io.StringIO(text))
+
+
+def fast_read(strings):
+    """``strings`` as the fast route reads them, one a line, or ``None``
+    if it declines them."""
+    rows = textio._exact("".join(s + "\n" for s in strings), 1, float)
+    return None if rows is None else rows.ravel()
+
+
+def as_floats(strings):
+    return np.array([float(s) for s in strings])
+
+
+@st.composite
+def decimals(draw, digits=st.integers(1, 18)):
+    """``-?digits`` or ``-?digits.digits`` with ``digits`` digits in all,
+    leading and trailing zeros included."""
+    count = draw(digits)
+    body = draw(st.text("0123456789", min_size=count, max_size=count))
+    point = draw(st.integers(0, count))
+    if 0 < point < count:
+        body = body[:point] + "." + body[point:]
+    return draw(st.sampled_from(["", "-"])) + body
+
+
+needs_long_double = pytest.mark.skipif(
+    not textio._EXACT_LONG_DOUBLE, reason="floats take np.loadtxt on this platform")
+
+# Decimals whose long-double quotient lands exactly on the midpoint of two
+# doubles (an x87 64-bit significand), although the decimal does not.
+QUOTIENTS_ON_A_MIDPOINT = [
+    "-0.242243", "-0.0051273", "-0.000619246", "-2387851.283612706",
+    "48055893.87794156", "0.4480172765151684", "255.086142486220254",
+]
+
+
+class TestExactRead:
+    @needs_long_double
+    @settings(max_examples=300, deadline=None)
+    @given(strings=st.lists(decimals(), min_size=1, max_size=30))
+    @example(["-0", "-0.0", "0", "000", "-000.000", "0.5", "007", "-0.00000000000000001"])
+    @example(["999999999999999999", "-99999999999999999.9", "0.00000000000000001",
+              "123456789012345678", "1.23456789012345678"])
+    def test_fast_route_equals_float(self, strings):
+        values = fast_read(strings)
+        assert values is not None
+        assert values.tobytes() == as_floats(strings).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(strings=st.lists(decimals(st.integers(19, 24)), min_size=1, max_size=5))
+    def test_19_digits_take_loadtxt(self, strings):
+        assert fast_read(strings) is None
+        back = read_path_csv(io.StringIO("value\n" + "\n".join(strings) + "\n"))
+        assert back.tobytes() == as_floats(strings).tobytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("9007199254740993", 2.0**53),  # 2**53 + 1: to the even 2**53
+        ("9007199254740995", 2.0**53 + 4),
+        ("-36028797018963972", -(2.0**55)),
+        ("4503599627370497.5", 2.0**52 + 2),
+        ("2251799813685248.25", 2.0**51),
+        # 2**54 - 1 is half the gap below 2**54, a quarter of the gap above
+        ("18014398509481983", 2.0**54),
+        ("18014398509481981", 2.0**54 - 4),
+    ])
+    @pytest.mark.parametrize("long_double", [True, False])
+    def test_midpoints_round_to_even(self, monkeypatch, text, expected, long_double):
+        monkeypatch.setattr(textio, "_EXACT_LONG_DOUBLE", long_double and textio._EXACT_LONG_DOUBLE)
+        assert float(text) == expected
+        assert read_path_csv(io.StringIO(text + "\n")).tobytes() == np.array([expected]).tobytes()
+
+    @needs_long_double
+    @pytest.mark.parametrize("text", QUOTIENTS_ON_A_MIDPOINT)
+    def test_quotient_on_a_midpoint_reads_as_float(self, text):
+        assert fast_read([text]).tobytes() == as_floats([text]).tobytes()
+
+    @pytest.mark.parametrize("long_double", [True, False])
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+           plain=st.lists(st.floats(0.1, 1e16) | st.floats(-1e16, -0.1), max_size=40))
+    def test_written_bit_patterns_read_back(self, bits, plain, long_double):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        # the plain range is written without an exponent: the fast route
+        values = np.concatenate([values[np.isfinite(values)], plain])
+        with mock.patch.object(textio, "_EXACT_LONG_DOUBLE",
+                               long_double and textio._EXACT_LONG_DOUBLE):
+            back = read_path_csv(io.StringIO(path_of(values).to_csv()))
+        assert back.dtype == np.float64 and back.tobytes() == values.tobytes()
+
+
+# Lines that only np.loadtxt reads, and lines that the fast route reads too.
+LOADTXT_LINES = ["1e5", "-2.5E-3", "inf", "-inf", "nan", "# c", "", "+1.5", "7.25  ",
+                 "  8", "3.0\r", "1234567890123456789", "0.0000000000000000001", "1\t",
+                 "# a comment longer than a chunk" + "." * 300]
+FAST_LINES = ["1.0774962788531306", "-0", "42", "0.000001", "-17.5", "0.30000000000000004"]
+
+
+class TestReadRoutes:
+    @pytest.mark.parametrize("long_double", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_chunks_equal_loadtxt(self, monkeypatch, chunk_routes, seed, long_double):
+        rng = np.random.default_rng(seed)
+        lines = [rng.choice(LOADTXT_LINES) if rng.random() < 0.1 else rng.choice(FAST_LINES)
+                 for _ in range(400)]
+        text = "\n".join(lines)  # no final newline
+        monkeypatch.setattr(textio, "CHUNK_CHARS", 64)
+        monkeypatch.setattr(textio, "_EXACT_LONG_DOUBLE", long_double and textio._EXACT_LONG_DOUBLE)
+        back = read_path_csv(io.StringIO(text))
+        expected = np.loadtxt(io.StringIO(text), comments="#")
+        assert back.tobytes() == expected.tobytes()
+        assert False in chunk_routes and (True in chunk_routes) == textio._EXACT_LONG_DOUBLE
+
+    @pytest.mark.parametrize("long_double", [True, False])
+    @pytest.mark.parametrize("bad", ["x", "1.5.2", "--1", "1 2", "1-", ".5.", "value"])
+    def test_bad_line_in_third_chunk(self, monkeypatch, chunk_routes, bad, long_double):
+        # an all-fast chunk after one that took np.loadtxt
+        body = ["1.5", "# c", ""] + ["2.25"] * 40
+        body.insert(30, bad)
+        text = "# n=43\nvalue\n" + "\n".join(body) + "\n"
+        lineno = 3 + 30
+        monkeypatch.setattr(textio, "CHUNK_CHARS", 64)
+        monkeypatch.setattr(textio, "_EXACT_LONG_DOUBLE", long_double and textio._EXACT_LONG_DOUBLE)
+        message = f"<input>:{lineno}: expected 1 float64 value(s), got {bad!r}"
+        with pytest.raises(DataError) as info:
+            read_path_csv(io.StringIO(text))
+        assert str(info.value) == message
+        assert chunk_routes == [False, textio._EXACT_LONG_DOUBLE, False]
 
 
 class TestColumnContributions:
