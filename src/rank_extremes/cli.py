@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import experiments, graphrank
-from .errors import ConfigurationError, ConvergenceError, RankExtremesError
+from .errors import ConfigurationError, ConvergenceError, DataError, RankExtremesError
 from .estimators import (
     EstimateReport,
     ThresholdRule,
@@ -52,7 +52,7 @@ def _collect_overrides(args, kind: str | None = None) -> dict:
         overrides["seed"] = args.seed
     if kind is not None:
         named = overrides.pop("kind", kind)
-        if experiments.canonical_kind(named) != kind:
+        if named != kind:
             raise ConfigurationError(
                 f"the config names kind '{named}', but this command runs {kind}")
     return overrides
@@ -87,6 +87,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     with open(args.input) as fh:
         path = read_path_csv(fh)
+    finite = np.isfinite(path)
+    if not finite.all():  # a threshold or estimate of inf or nan is no JSON number
+        first = int(np.argmin(finite))
+        raise DataError(f"{args.input}: value {first + 1} is {float(path[first])}, "
+                        "not a finite number")
     if args.method == "hill":
         if args.top_count is not None:
             rule = ThresholdRule.top_count(args.top_count)

@@ -180,23 +180,11 @@ MODEL_DEFAULTS = {
     "deps": "iid",
     "fixed_in_degree": -1,
     "aggregate": "sum",
-    "coupling": "independent",
     "n": 100_000,
     "seed": 20260824,
 }
 
 KINDS = tuple(DEFAULTS)
-
-# Long-form alias accepted anywhere a kind name is read.
-_KIND_ALIASES = {"tail-equivalence": TAIL_EQUIVALENCE}
-
-
-def canonical_kind(kind: str) -> str:
-    """``kind`` with a long-form alias resolved; an unknown kind is refused."""
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in DEFAULTS:
-        raise ConfigurationError(f"unknown experiment kind '{kind}'")
-    return kind
 
 
 def split_kv(item: str, where: str) -> tuple[str, str]:
@@ -270,7 +258,8 @@ class ExperimentConfig:
 
     @classmethod
     def default(cls, kind: str, **overrides) -> "ExperimentConfig":
-        kind = canonical_kind(kind)
+        if kind not in DEFAULTS:
+            raise ConfigurationError(f"unknown experiment kind '{kind}'")
         return cls(kind, apply_overrides(DEFAULTS[kind], overrides, kind))
 
     def serialize(self) -> str:
@@ -343,7 +332,6 @@ def recursion_config_from_params(params) -> RecursionConfig:
         follower_deps=parse_deps(params["deps"]),
         aggregate=params.get("aggregate", "sum"),
         fixed_in_degree=None if fixed < 0 else int(fixed),
-        coupling=params.get("coupling", "independent"),
     )
 
 

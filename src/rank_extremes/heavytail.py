@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ParameterError
 from .rng import STREAMS, as_generator
@@ -314,54 +313,3 @@ def _power_law_lookup(spec: InDegreeSpec, u: np.ndarray, out=None,
         _, cdf = _power_law_tables(spec)
         out[searched] = np.searchsorted(cdf, u_searched, side="right") + 1
     return out
-
-
-def _tail_sum(spec: InDegreeSpec, n) -> np.ndarray:
-    """``sum_{l = n+1}^{n_max} l**-(alpha + 1)`` for ``0 <= n <= n_max``, as a
-    difference of Hurwitz zeta values: it cancels only at the scale of the
-    tail itself, where ``1 - cdf`` cancels at the scale of 1."""
-    s = spec.alpha + 1.0
-    return zeta(s, np.asarray(n, dtype=float) + 1.0) - zeta(s, spec.n_max + 1.0)
-
-
-def power_law_survival(spec: InDegreeSpec, x) -> np.ndarray:
-    """Exact ``P{N > x}`` of the truncated law, in closed form."""
-    n = np.clip(np.floor(np.asarray(x, dtype=float)), 0, spec.n_max)
-    return _tail_sum(spec, n) / _tail_sum(spec, 0)
-
-
-@dataclass(frozen=True)
-class VonMisesDiagnostic:
-    """Ratio sequence ``n * P{N = n} / P{N > n}`` with truncation flags.
-
-    ``truncated[i]`` marks points where the finite support removes more
-    than 1% of the untruncated tail mass, so the ratio no longer tracks
-    ``alpha`` there.
-    """
-
-    n: np.ndarray
-    ratio: np.ndarray
-    alpha: float
-    truncated: np.ndarray
-
-
-def von_mises_check(spec: InDegreeSpec, n) -> VonMisesDiagnostic:
-    """Evaluate the Fréchet-domain ratio diagnostic at the points ``n``,
-    integers in ``1..n_max-1``.
-
-    For the truncated power law the ratio approaches ``alpha`` well inside
-    the support and diverges near ``n_max`` (flagged).  Both the ratio and
-    the flags are closed forms in the Hurwitz zeta function, so no
-    ``O(n_max)`` table is built.
-    """
-    if spec.n_max < 10:
-        raise ParameterError("von Mises diagnostic needs n_max >= 10")
-    ns = np.asarray(n, dtype=np.int64)
-    if ns.size and not (ns.min() >= 1 and ns.max() < spec.n_max):
-        raise ParameterError(f"von Mises points must lie in 1..{spec.n_max - 1}")
-    tail = _tail_sum(spec, ns)
-    # n * P{N = n} / P{N > n}: the normalising constant cancels
-    ratio = ns.astype(float) ** -spec.alpha / tail
-    # tail mass the truncation removes, relative to the untruncated tail
-    missing = zeta(spec.alpha + 1.0, spec.n_max + 1.0) / zeta(spec.alpha + 1.0, ns + 1.0)
-    return VonMisesDiagnostic(n=ns, ratio=ratio, alpha=spec.alpha, truncated=missing > 0.01)

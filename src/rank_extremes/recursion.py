@@ -24,7 +24,7 @@ import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ from .textio import read_rows, write_rows
 SUM = "sum"
 MAX = "max"
 
-COUPLING_INDEPENDENT = "independent"
-COUPLING_ADVERSARIAL = "adversarial"
-
 
 @dataclass(frozen=True)
 class RecursionConfig:
@@ -60,9 +57,7 @@ class RecursionConfig:
     ``z_star = 1 - damping``.  ``follower_deps`` is cycled over columns
     ``1..n_max``; ``fixed_in_degree`` pins ``N_t`` to a constant instead of
     drawing from ``in_degree`` (the equal-inclusion setting used by the
-    followers-dominant verification).  ``coupling`` optionally rearranges
-    the in-degrees comonotonically with the first follower column to probe
-    robustness against N-follower dependence.
+    followers-dominant verification).
     """
 
     damping: float
@@ -72,15 +67,12 @@ class RecursionConfig:
     follower_deps: tuple[DependenceSpec, ...] = (DependenceSpec.iid(),)
     aggregate: str = SUM
     fixed_in_degree: int | None = None
-    coupling: str = COUPLING_INDEPENDENT
 
     def __post_init__(self):
         if not (0 < self.damping < 1):
             raise ParameterError(f"damping must be in (0, 1), got {self.damping}")
         if self.aggregate not in (SUM, MAX):
             raise ParameterError(f"aggregate must be '{SUM}' or '{MAX}'")
-        if self.coupling not in (COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL):
-            raise ParameterError(f"unknown coupling '{self.coupling}'")
         if len(self.follower_deps) == 0:
             raise ConfigurationError("at least one follower dependence spec required")
         if self.fixed_in_degree is not None and self.fixed_in_degree < 0:
@@ -111,15 +103,13 @@ class AggregatePath:
     config: RecursionConfig
     seed: int
     n: int
-    in_degrees: np.ndarray = field(repr=False)
-    preference: np.ndarray = field(repr=False)  # raw q_t draws, unscaled
 
     def write_csv(self, fileobj) -> None:
         """Single-column CSV with a ``# key=value`` metadata header.
 
         Keys appear in a fixed documented order: damping, alpha, n_max,
         fixed_in_degree, follower_k, follower_c, follower_deps, beta,
-        preference_c, aggregate, coupling, n, seed.
+        preference_c, aggregate, n, seed.
         """
         cfg = self.config
         deps = ";".join(",".join(repr(a) for a in d.coeffs) for d in cfg.follower_deps)
@@ -134,7 +124,6 @@ class AggregatePath:
             ("beta", cfg.preference_tail.k),
             ("preference_c", cfg.preference_tail.c),
             ("aggregate", cfg.aggregate),
-            ("coupling", cfg.coupling),
             ("n", self.n),
             ("seed", self.seed),
         ]
@@ -291,24 +280,10 @@ def _in_order(tasks, threads: int, ahead: int):
             yield pending.popleft().result()
 
 
-class _DrawnColumn:
-    """A column drawn whole, handed out block by block like a
-    :class:`SequenceStream`."""
-
-    lag = 0
-
-    def __init__(self, values: np.ndarray):
-        self.values, self.start = values, 0
-
-    def fill(self, out, work=None):
-        self.start += len(out)
-        return self.values[self.start - len(out) : self.start]
-
-
 def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
     """Sums and maxima over the rows of ``n``-row columns, ``(sums, maxes)``.
 
-    ``columns[j]`` is a :class:`SequenceStream` (or a :class:`_DrawnColumn`).
+    ``columns[j]`` is a :class:`SequenceStream`.
     Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
     given, and only where ``in_deg[t] > j`` when in-degrees are given.
 
@@ -356,27 +331,12 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
 
 def _column_contributions(config, n, seed, in_deg):
     """Follower sum/max terms from explicit stationary columns, built in
-    row blocks by :func:`_column_sum_max`.
-
-    Returns ``(sums, maxes, in_deg)``; under adversarial coupling the
-    returned in-degrees are a rearranged copy and the caller's array is
-    left as it was.
-    """
+    row blocks by :func:`_column_sum_max`: ``(sums, maxes)``."""
     max_n = int(in_deg.max()) if len(in_deg) else 0
     columns = [SequenceStream(SequenceSpec(config.follower_tail, config.column_dep(j)),
                               child_rng(seed, STREAMS["column"], j))
                for j in range(1, max_n + 1)]
-    if config.coupling == COUPLING_ADVERSARIAL and max_n:
-        # Comonotone rearrangement: large in-degrees align with large
-        # first-column values while both marginals are preserved.  It needs
-        # the whole first column, whose blocks the reduction then takes.
-        first = columns[0].fill(np.empty(n))
-        order = np.argsort(first, kind="stable")
-        rearranged = np.empty(n, dtype=np.int64)
-        rearranged[order] = np.sort(in_deg)
-        in_deg = rearranged
-        columns[0] = _DrawnColumn(first)
-    return (*_column_sum_max(columns, n, in_deg=in_deg), in_deg)
+    return _column_sum_max(columns, n, in_deg=in_deg)
 
 
 def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
@@ -554,19 +514,14 @@ def _iid_block_maxima(config: RecursionConfig, n: int, seed: int, block_rows: in
                        dict(q=np.float64, pref=np.float64, bound=np.float64, below=np.bool_))
 
 
-def _check_pair_args(config: RecursionConfig, n: int) -> None:
+def _check_pair_args(n: int) -> None:
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
-    if config.coupling == COUPLING_ADVERSARIAL and config.all_iid_columns():
-        raise ConfigurationError(
-            "adversarial coupling requires explicit follower columns; "
-            "configure at least one non-i.i.d. dependence spec"
-        )
 
 
 def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
     """Simulate both aggregates of length ``n`` from one set of draws."""
-    _check_pair_args(config, n)
+    _check_pair_args(n)
     if config.all_iid_columns():
         sums, maxes, q = np.empty(n), np.empty(n), np.empty(n)
         in_deg = np.empty(n, dtype=np.int64)
@@ -576,7 +531,7 @@ def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> Aggrega
     else:
         in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
         q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
-        f_sum, f_max, in_deg = _column_contributions(config, n, seed, in_deg)
+        f_sum, f_max = _column_contributions(config, n, seed, in_deg)
         sums, maxes = _add_preference(config, f_sum, f_max, q)
     return AggregatePair(
         sum_values=sums,
@@ -597,8 +552,6 @@ def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePat
         config=config,
         seed=seed,
         n=n,
-        in_degrees=pair.in_degrees,
-        preference=pair.preference,
     )
 
 
@@ -613,7 +566,7 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     reach its maxima.  Its buffers live in ``ring``, which successive calls
     may share.
     """
-    _check_pair_args(config, n)
+    _check_pair_args(n)
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")
     top = min(top, n)
@@ -799,7 +752,7 @@ def compare_tail_sum_max(
     rows: list[TailRatioRow] = []
     if not thresholds:
         return rows
-    _check_pair_args(config, n)
+    _check_pair_args(n)
     ranks = [nearest_rank_index(qv, n) for qv in thresholds]
     count = n - min(ranks)
     if config.all_iid_columns():

@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -71,6 +73,17 @@ class TestPackageSurface:
         # the path CSV reader lives beside its writer; cli keeps the name
         assert cli.read_path_csv is recursion.read_path_csv
 
+    def test_cli_import_loads_no_scipy_special(self):
+        # scipy.special costs every command about 0.1 s and 5 MB at start,
+        # and no command uses it
+        src = os.path.dirname(os.path.dirname(rank_extremes.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, rank_extremes.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert run.stdout == "[]\n"
+
 
 class TestDepCodec:
     def test_round_trip(self):
@@ -103,10 +116,6 @@ class TestExperimentConfig:
         b = ExperimentConfig.default("verify-thm2", seed=1)
         assert a.hash() != b.hash()
         assert a.hash() == ExperimentConfig.default("verify-thm2").hash()
-
-    def test_long_form_kind_alias(self):
-        cfg = ExperimentConfig.default("tail-equivalence")
-        assert cfg.kind == "tail-eq"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -620,6 +629,21 @@ class TestCliCommands:
         assert main(["estimate", "--input", str(path_csv), "--method", "hill"]) == 2
         assert f"error: {path_csv}:4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["hill", "blocks", "intervals", "cluster"])
+    def test_non_finite_path_value_exits_2(self, tmp_path, capsys, method):
+        path_csv = tmp_path / "path.csv"
+        values = np.linspace(1.0, 50.0, 2000).tolist()
+        values[1200:1200] = [float("inf")] * 40 + [float("nan")] * 3
+        path_csv.write_text("# n=2043\nvalue\n" + "".join(f"{v!r}\n" for v in values))
+        out = tmp_path / "out"
+        rc = main(["estimate", "--input", str(path_csv), "--method", method,
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path_csv}: value 1201 is inf, not a finite number\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_three_field_edge_line_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "graph.edges"
         edges.write_text("0 1\n1 2\n2 0 1\n")
@@ -719,8 +743,11 @@ class TestCliCommands:
         assert rc == 2
         assert "top count must be an integer >= 1" in capsys.readouterr().err
 
-    def test_invalid_config_exits_2(self, capsys):
+    def test_invalid_config_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sample_aggregate", refuse_to_sample)
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2
+        assert main(["simulate", "--set", "coupling=adversarial"]) == 2
+        assert "error: unknown parameter 'coupling' for simulate" in capsys.readouterr().err
 
     def test_graph_rejects_config_and_set(self, tmp_path, capsys):
         cfg_file = tmp_path / "graph.cfg"

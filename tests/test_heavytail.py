@@ -27,12 +27,10 @@ from rank_extremes.heavytail import (
     _power_law_lookup,
     _power_law_tables,
     gen_moving_maxima,
-    power_law_survival,
     sample_pareto,
     sample_power_law_int,
     sample_sequence,
     theoretical_mm_theta,
-    von_mises_check,
 )
 
 SEED = 918273
@@ -162,8 +160,6 @@ class TestPowerLawInt:
         z = 1.0 + 2.0**-3 + 3.0**-3
         p1 = 1.0 / z
         assert p1 == pytest.approx(0.8606, abs=5e-4)
-        surv = power_law_survival(spec, 1)
-        assert float(surv) == pytest.approx(1.0 - p1, rel=1e-12)
         draws = sample_power_law_int(spec, 10**6, SEED)
         emp = np.mean(draws == 1)
         assert abs(emp - p1) <= 3 * binom_se(p1, 10**6)
@@ -197,85 +193,6 @@ class TestPowerLawInt:
             InDegreeSpec(alpha=-1.0, n_max=10)
         with pytest.raises(ParameterError):
             InDegreeSpec(alpha=1.0, n_max=0)
-
-
-class TestVonMises:
-    def test_ratio_approaches_alpha_inside_support(self):
-        diag = von_mises_check(InDegreeSpec(alpha=2.0, n_max=10**5), [1000])
-        assert diag.n.tolist() == [1000]
-        assert abs(diag.ratio[0] - 2.0) / 2.0 < 0.01
-        assert not diag.truncated[0]
-
-    def test_ratio_heavy_alpha_needs_wide_support(self):
-        # With alpha = 0.5 the truncation bias decays slowly; at n_max = 1e5
-        # the ratio at n = 1e3 is still ~11% off and the point is flagged.
-        narrow = von_mises_check(InDegreeSpec(alpha=0.5, n_max=10**5), [1000])
-        assert abs(narrow.ratio[0] - 0.5) / 0.5 > 0.02
-        assert narrow.truncated[0]
-        wide = von_mises_check(InDegreeSpec(alpha=0.5, n_max=10**7), [1000])
-        assert abs(wide.ratio[0] - 0.5) / 0.5 < 0.02
-
-    def test_divergence_near_truncation_flagged(self):
-        diag = von_mises_check(InDegreeSpec(alpha=2.0, n_max=1000), [999])
-        assert diag.truncated[-1]
-        assert abs(diag.ratio[-1] - 2.0) > 1.0  # ratio blows up at the edge
-
-    def test_small_support_rejected(self):
-        with pytest.raises(ParameterError):
-            von_mises_check(InDegreeSpec(alpha=1.0, n_max=5), [2])
-
-    @pytest.mark.parametrize("n", [0, 1000, -3])
-    def test_points_outside_the_support_rejected(self, n):
-        with pytest.raises(ParameterError):
-            von_mises_check(InDegreeSpec(alpha=1.0, n_max=1000), [5, n])
-
-    def test_last_point_at_alpha_2(self):
-        # 1 - cdf cancelled here: the ratio read -1 855 and the survival
-        # function was <= 0 at 51 points of n_max = 1e5
-        spec = InDegreeSpec(alpha=2.0, n_max=10**5)
-        ns = np.arange(1, spec.n_max)
-        diag = von_mises_check(spec, ns)
-        # at n = n_max - 1 the tail is the single point n_max
-        assert diag.ratio[-1] == pytest.approx(ns[-1] ** -2.0 / spec.n_max ** -3.0, rel=1e-9)
-        assert diag.ratio[-1] == pytest.approx(100_002, rel=1e-4)
-        assert np.all(diag.ratio > 0)
-        surv = power_law_survival(spec, ns)
-        assert np.all((surv > 0) & (surv <= 1))
-
-
-def reverse_fsum_tails(alpha, n_max, points):
-    """``sum_{l > n} l**-(alpha+1)`` at each point and the total, each one a
-    correctly rounded sum of the terms (independent of the library)."""
-    weights = [l ** -(alpha + 1.0) for l in range(1, n_max + 1)]
-    return [math.fsum(weights[n:]) for n in points], math.fsum(weights)
-
-
-class TestClosedFormSurvival:
-    @settings(max_examples=40, deadline=None)
-    @given(alpha=st.floats(0.1, 3.0), n_max=st.integers(10, 2 * 10**4), data=st.data())
-    def test_matches_reverse_fsum(self, alpha, n_max, data):
-        spec = InDegreeSpec(alpha=alpha, n_max=n_max)
-        inner = data.draw(st.lists(st.integers(1, n_max - 1), max_size=5))
-        # always the last 100 points, where 1 - cdf cancelled
-        points = sorted(set(range(max(1, n_max - 100), n_max)) | set(inner))
-        tails, total = reverse_fsum_tails(alpha, n_max, points)
-        tails = np.array(tails)
-        ns = np.array(points)
-        surv = power_law_survival(spec, ns)
-        np.testing.assert_allclose(surv, tails / total, rtol=1e-8)
-        assert np.all((surv > 0) & (surv <= 1))
-        diag = von_mises_check(spec, ns)
-        np.testing.assert_allclose(diag.ratio, ns * ns ** -(alpha + 1.0) / tails, rtol=1e-8)
-        assert np.all(diag.ratio > 0)
-
-    @pytest.mark.parametrize("x,want", [(-2.0, 1.0), (0.0, 1.0), (0.99, 1.0), (1000, 0.0),
-                                        (5000.5, 0.0)])
-    def test_outside_the_support(self, x, want):
-        assert float(power_law_survival(InDegreeSpec(alpha=1.5, n_max=1000), x)) == want
-
-    def test_real_points_floor(self):
-        spec = InDegreeSpec(alpha=1.5, n_max=1000)
-        assert power_law_survival(spec, 7.9) == power_law_survival(spec, 7)
 
 
 # The samplers transform their draws in place; these are the expressions

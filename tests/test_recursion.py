@@ -33,8 +33,6 @@ from rank_extremes.heavytail import (
     sample_sequence,
 )
 from rank_extremes.recursion import (
-    COUPLING_ADVERSARIAL,
-    COUPLING_INDEPENDENT,
     MAX,
     SUM,
     AggregatePath,
@@ -134,31 +132,6 @@ class TestAggregate:
         assert np.array_equal(a.sum_values, b.sum_values)
         assert np.array_equal(a.in_degrees, b.in_degrees)
 
-    def test_adversarial_coupling_needs_explicit_columns(self):
-        with pytest.raises(ConfigurationError):
-            sample_aggregate_pair(
-                make_config(coupling="adversarial"), 1000, SEED
-            )
-
-    def test_adversarial_coupling_runs_and_preserves_marginals(self):
-        config = make_config(
-            coupling="adversarial",
-            follower_deps=(DependenceSpec.moving_maxima(1, 1),),
-            in_degree=InDegreeSpec(alpha=2.0, n_max=10),
-        )
-        pair = sample_aggregate_pair(config, 10**4, SEED)
-        plain = sample_aggregate_pair(
-            make_config(
-                follower_deps=(DependenceSpec.moving_maxima(1, 1),),
-                in_degree=InDegreeSpec(alpha=2.0, n_max=10),
-            ),
-            10**4,
-            SEED,
-        )
-        # the rearrangement permutes in-degrees without changing their law
-        assert np.array_equal(np.sort(pair.in_degrees), np.sort(plain.in_degrees))
-        assert not np.array_equal(pair.sum_values, plain.sum_values)
-
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             make_config(damping=1.0)
@@ -218,15 +191,14 @@ class TestWeightedPair:
 class TestAggregatePairCombination:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), damping=st.floats(0.05, 0.95),
-           columns=st.sampled_from(["iid", "explicit", "adversarial"]),
+           columns=st.sampled_from(["iid", "explicit"]),
            n=st.integers(1, 300))
     def test_matches_expression_bit_for_bit(self, seed, damping, columns, n):
         deps = ((DependenceSpec.iid(),) if columns == "iid"
                 else (DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()))
         config = make_config(
             damping=damping, in_degree=InDegreeSpec(alpha=1.5, n_max=12),
-            follower_deps=deps,
-            coupling=COUPLING_ADVERSARIAL if columns == "adversarial" else COUPLING_INDEPENDENT)
+            follower_deps=deps)
         in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
         q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
         if columns == "iid":
@@ -253,8 +225,7 @@ SPECIAL_VALUES = np.array([
 
 def path_of(values):
     n = len(values)
-    return AggregatePath(values=values, config=make_config(), seed=SEED, n=n,
-                         in_degrees=np.ones(n, dtype=np.int64), preference=values)
+    return AggregatePath(values=values, config=make_config(), seed=SEED, n=n)
 
 
 def csv_body(path):
@@ -276,11 +247,6 @@ def masked_column_contributions(config, n, seed, in_deg):
     for j in range(1, max_n + 1):
         col = sample_sequence(SequenceSpec(config.follower_tail, config.column_dep(j)), n,
                               child_rng(seed, STREAMS["column"], j))
-        if config.coupling == COUPLING_ADVERSARIAL and j == 1:
-            order = np.argsort(col, kind="stable")
-            rearranged = np.empty(n, dtype=np.int64)
-            rearranged[order] = np.sort(in_deg)
-            in_deg[:] = rearranged
         mask = in_deg >= j
         sums[mask] += col[mask]
         np.maximum(maxes, np.where(mask, col, 0.0), out=maxes)
@@ -296,7 +262,7 @@ class TestCsvExport:
         assert keys == [
             "damping", "alpha", "n_max", "fixed_in_degree", "follower_k",
             "follower_c", "follower_deps", "beta", "preference_c",
-            "aggregate", "coupling", "n", "seed",
+            "aggregate", "n", "seed",
         ]
         values = read_path_csv(io.StringIO(text))
         assert np.allclose(values, path.values)
@@ -468,27 +434,20 @@ class TestReadRoutes:
 class TestColumnContributions:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.1, 3.0),
-           coupling=st.sampled_from([COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL]),
            floor=st.integers(0, 12))
-    def test_matches_mask_formulation(self, seed, alpha, coupling, floor):
+    def test_matches_mask_formulation(self, seed, alpha, floor):
         config = make_config(
             in_degree=InDegreeSpec(alpha=alpha, n_max=12),
             follower_deps=(DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()),
-            coupling=coupling,
         )
         n = 400
         # power-law in-degrees; raising the smallest ones to `floor` makes
         # the first columns include every row (all 12 when floor = 12)
         in_deg = np.maximum(sample_power_law_int(config.in_degree, n, seed), floor)
-        expected_deg = in_deg.copy()
-        want = masked_column_contributions(config, n, seed, expected_deg)
-        caller_deg = in_deg.copy()
-        got = _column_contributions(config, n, seed, caller_deg)
+        want = masked_column_contributions(config, n, seed, in_deg)
+        got = _column_contributions(config, n, seed, in_deg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tobytes() == expected_deg.tobytes()
-        # the rearrangement is returned, never written into the caller's array
-        assert np.array_equal(caller_deg, in_deg)
 
 
 # dependence specs of 1 to 4 coefficients, zeros among them
@@ -503,25 +462,22 @@ class TestBlockedColumnKernel:
     @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(1, 3),
            offset=st.integers(-1, 1), threads=st.sampled_from([1, 2]),
            deps=st.lists(DEPS, min_size=1, max_size=3),
-           in_degrees=st.sampled_from(["power", 0, 1, N_MAX]),
-           coupling=st.sampled_from([COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL]))
+           in_degrees=st.sampled_from(["power", 0, 1, N_MAX]))
     def test_equals_the_whole_column_oracle(self, seed, block_rows, blocks, offset, threads,
-                                            deps, in_degrees, coupling):
+                                            deps, in_degrees):
         # n below, at and just past a multiple of the block
         n = max(1, block_rows * blocks + offset)
         config = make_config(in_degree=InDegreeSpec(alpha=1.5, n_max=self.N_MAX),
-                             follower_deps=tuple(deps), coupling=coupling)
+                             follower_deps=tuple(deps))
         if in_degrees == "power":
             in_deg = sample_power_law_int(config.in_degree, n, seed)
         else:
             in_deg = np.full(n, in_degrees, dtype=np.int64)
-        expected_deg = in_deg.copy()
-        want = masked_column_contributions(config, n, seed, expected_deg)
+        want = masked_column_contributions(config, n, seed, in_deg)
         with column_kernel(block_rows, threads):
-            got = _column_contributions(config, n, seed, in_deg.copy())
+            got = _column_contributions(config, n, seed, in_deg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tobytes() == expected_deg.tobytes()
 
     # up to three drawing threads, with the interpreter switching threads
     # every 10 us
@@ -817,8 +773,6 @@ class TestPairMaxima:
             pair_maxima(make_config(), 0, SEED, 1)
         with pytest.raises(ParameterError):
             pair_maxima(make_config(), 10, SEED, 0)
-        with pytest.raises(ConfigurationError):
-            pair_maxima(make_config(coupling=COUPLING_ADVERSARIAL), 10, SEED, 1)
 
 
 class TestStreamedComparison:
@@ -860,10 +814,9 @@ class TestStreamedComparison:
         assert in_deg.tobytes() == pair.in_degrees.tobytes()
         assert q.tobytes() == pair.preference.tobytes()
 
-    @pytest.mark.parametrize("coupling", [COUPLING_INDEPENDENT, COUPLING_ADVERSARIAL])
-    def test_explicit_columns_give_the_whole_path_rows(self, coupling):
+    def test_explicit_columns_give_the_whole_path_rows(self):
         config = make_config(follower_deps=(DependenceSpec.moving_maxima(1, 1),
-                                            DependenceSpec.iid()), coupling=coupling)
+                                            DependenceSpec.iid()))
         thresholds = [0.95, 0.99, 0.999]
         rows = compare_tail_sum_max(config, 20000, thresholds, SEED)
         want = whole_path_rows(config, 20000, thresholds, SEED)
