@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -100,7 +101,10 @@ def _cmd_estimate(args) -> int:
         report = hill(path, rule)
     else:
         # the theta estimators share one --quantile threshold
-        u = nearest_rank_quantile(path, args.quantile)
+        level = args.quantile
+        if level is None:
+            level = _blocks_level(path, args.block_length) if args.method == "blocks" else 0.99
+        u = nearest_rank_quantile(path, level)
         if args.method == "blocks":
             report = blocks_theta(path, u, args.block_length)
         elif args.method == "intervals":
@@ -123,6 +127,23 @@ def _cmd_estimate(args) -> int:
         print(f"wrote {target}")
     print(report.to_json())
     return 0
+
+
+def _blocks_level(path: np.ndarray, b: int | None) -> float:
+    """The default ``--quantile`` of ``estimate --method blocks``: the first
+    of 0.99, 0.999, 0.9999, ... whose nearest-rank quantile leaves some
+    block of ``b`` values (``isqrt(n)`` by default) at or below it, so 0.99
+    wherever it leaves one.  At 0.99 and 10^6 values a block of 1 000 holds
+    about 10 exceedances, and every block may exceed the threshold."""
+    n = len(path)
+    b = math.isqrt(n) if b is None else b
+    nines = 2
+    if 1 <= b <= n // 10:  # else blocks_theta refuses the block length
+        ends = n // b * b
+        lowest = np.maximum.reduceat(path[:ends], np.arange(0, ends, b)).min()
+        while nearest_rank_quantile(path, 1.0 - 10.0**-nines) < lowest:
+            nines += 1
+    return 1.0 - 10.0**-nines
 
 
 def _print_checks(report: dict) -> int:
@@ -244,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="path CSV from 'simulate'")
     p.add_argument("--method", required=True,
                    choices=["hill", "blocks", "intervals", "cluster"])
-    p.add_argument("--quantile", type=float, default=0.99,
-                   help="threshold quantile for theta estimators")
+    p.add_argument("--quantile", type=float,
+                   help="threshold quantile for theta estimators (default 0.99; "
+                        "blocks: the first of 0.99, 0.999, ... that leaves a block "
+                        "below the threshold)")
     p.add_argument("--fraction", type=float, default=0.01,
                    help="hill: top fraction of order statistics")
     p.add_argument("--top-count", type=int, help="hill: top order-statistic count")

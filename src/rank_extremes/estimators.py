@@ -10,6 +10,14 @@ whole sample: :func:`upper_order_statistics` partitions once and sorts only
 the selected top slice, and :func:`nearest_rank_quantile` selects its rank
 by partition.  Tied values are equal, so the results are identical to those
 of a full sort.
+
+A path enters :func:`hill`, :func:`nearest_rank_quantile`,
+:func:`blocks_theta`, :func:`intervals_theta` and :func:`mean_cluster_size`
+as a 1-D array or as a :class:`TailSample`, which keeps only a path's upper
+tail, fed block by block.  Each estimator asks a path two questions, the
+``count`` largest values and the positions of the values above ``u``, and
+both forms answer them with the same values, so the estimates are the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -55,15 +63,16 @@ class ThresholdRule:
     def quantile(cls, q: float) -> "ThresholdRule":
         return cls("quantile", float(q))
 
-    def order_count(self, values: np.ndarray) -> int:
-        """Number of upper order statistics the rule selects from ``values``."""
+    def order_count(self, values) -> int:
+        """Number of upper order statistics the rule selects from ``values``,
+        a 1-D array or a :class:`TailSample`."""
         n = len(values)
         if self.kind == "top_fraction":
             return int(math.floor(self.value * n))
         if self.kind == "top_count":
             return int(self.value)
         u = nearest_rank_quantile(values, self.value)
-        return int(np.count_nonzero(values > u))
+        return len(_tail(values).above(u))
 
 
 def upper_order_statistics(values: np.ndarray, count: int) -> np.ndarray:
@@ -93,22 +102,127 @@ def upper_order_statistics(values: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.partition(values, k)[k:])[::-1]
 
 
+class TailSample:
+    """The upper tail of a path of ``n`` values, fed block by block in path
+    order: each value at or above a running floor, with its position, in
+    position order.
+
+    The floor is the ``top``-th largest value kept, raised whenever more
+    than ``2 * top`` values are kept (or twice what the last raise kept,
+    when ties hold more), so the sample holds at most that many plus one
+    block.  Given ``floor_of``, another sample fed first with each block,
+    the floor is that sample's instead, and no ``largest`` is answered.  A
+    floor never exceeds the ``top``-th largest value of the whole path, so
+    the sample answers both questions an estimator asks exactly as the
+    whole path would: :meth:`largest` up to ``top`` values, and
+    :meth:`above` any threshold at or above the floor.
+
+    :meth:`whole` wraps a 1-D array as the sample that keeps every value.
+    Values are assumed not to be NaN.
+    """
+
+    def __init__(self, top: int, floor_of: "TailSample | None" = None):
+        if top < 1:
+            raise ParameterError(f"a tail sample keeps its top count >= 1, got {top}")
+        self.top = top
+        self.n = 0
+        self.floor = -math.inf
+        self._floor_of = floor_of
+        self._limit = 2 * top
+        self._values, self._positions = np.empty(0), np.empty(0, np.intp)
+        self._parts = []
+        self._kept = 0
+
+    @classmethod
+    def whole(cls, values) -> "TailSample":
+        """The 1-D array ``values`` as a sample of all its values (a float64
+        array is not copied)."""
+        sample = cls(1)
+        sample._values = np.asarray(values, dtype=float)
+        sample.n = sample.top = len(sample._values)
+        sample._positions = None  # every position, in order
+        return sample
+
+    def __len__(self) -> int:
+        return self.n
+
+    def feed(self, block: np.ndarray) -> None:
+        """Take the next ``len(block)`` values of the path (copied)."""
+        if self._floor_of is not None:
+            self.floor = self._floor_of.floor
+        keep = np.flatnonzero(block >= self.floor)
+        self._parts.append((block[keep], keep + self.n))
+        self.n += len(block)
+        self._kept += len(keep)
+        if self._kept > self._limit:
+            self._prune()
+
+    def _gather(self) -> None:
+        if self._parts:
+            values, positions = zip(*self._parts)
+            self._values = np.concatenate((self._values, *values))
+            self._positions = np.concatenate((self._positions, *positions))
+            self._parts = []
+
+    def _prune(self) -> None:
+        self._gather()
+        values = self._values
+        if self._floor_of is None:  # more than 2 * top values are kept
+            self.floor = np.partition(values, len(values) - self.top)[-self.top]
+        else:
+            self.floor = self._floor_of.floor
+        keep = values >= self.floor
+        self._values, self._positions = values[keep], self._positions[keep]
+        self._kept = len(self._values)
+        self._limit = 2 * max(self.top, self._kept)
+
+    def largest(self, count: int) -> np.ndarray:
+        """The ``count`` largest values, in descending order
+        (:func:`upper_order_statistics`)."""
+        if self._positions is not None:  # not a whole path
+            if not 1 <= count <= self.n:
+                raise ParameterError(f"count must be in [1, {self.n}], got {count}")
+            if count > self.top or self._floor_of is not None:
+                raise ParameterError(f"a tail sample keeps its {self.top} largest values, "
+                                     f"not {count}")
+            self._gather()
+        return upper_order_statistics(self._values, count)
+
+    def above(self, u: float) -> np.ndarray:
+        """The positions of the values above ``u``, ascending."""
+        if u < self.floor:
+            raise ParameterError(f"threshold {u} is below the tail sample's floor "
+                                 f"{self.floor}: values above it were not kept")
+        self._gather()
+        if self._positions is None:
+            return np.flatnonzero(self._values > u)
+        return self._positions[self._values > u]
+
+
+def _tail(path) -> TailSample:
+    """``path``, a 1-D array or a :class:`TailSample`, as a tail sample."""
+    return path if isinstance(path, TailSample) else TailSample.whole(path)
+
+
 def nearest_rank_index(q: float, size: int) -> int:
     """0-based ascending rank of the nearest-rank ``q`` quantile among
     ``size`` values: the ``size - index`` largest values reach down to it."""
     return min(max(int(math.ceil(q * size)) - 1, 0), size - 1)
 
 
-def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
+def nearest_rank_quantile(values, q: float) -> float:
     """Nearest-rank empirical quantile (no interpolation), pooled over all
-    values of a 1-D or 2-D sample."""
+    values of a 1-D or 2-D sample, or of a :class:`TailSample`'s path."""
     if not (0 < q < 1):
         raise ParameterError(f"quantile level must be in (0, 1), got {q}")
-    values = np.asarray(values)
-    n = values.size
+    sample = isinstance(values, TailSample)
+    values = values if sample else np.asarray(values)
+    n = len(values) if sample else values.size
     if n == 0:
         raise DataError("quantile of an empty sample")
     idx = nearest_rank_index(q, n)
+    if sample:
+        return float(values.largest(n - idx)[-1])
     if values.ndim == 1:
         return float(np.partition(values, idx)[idx])
     return float(upper_order_statistics(values, n - idx)[-1])
@@ -151,7 +265,7 @@ def _clamp_theta(theta: float) -> tuple[float, bool]:
     return theta, False
 
 
-def hill(path: np.ndarray, rule: ThresholdRule) -> EstimateReport:
+def hill(path, rule: ThresholdRule) -> EstimateReport:
     """Hill estimator of the tail index over the upper order statistics.
 
     ``k_hat = 1 / mean(log(X_(i) / X_(m+1)))`` over the top ``m`` order
@@ -159,7 +273,7 @@ def hill(path: np.ndarray, rule: ThresholdRule) -> EstimateReport:
     sorted; tied values are equal, so the estimate equals that of a full
     sort.
     """
-    path = np.asarray(path, dtype=float)
+    path = _tail(path)
     n = len(path)
     m = rule.order_count(path)
     # Callers should supply >= 10 upper order statistics for a meaningful
@@ -168,7 +282,7 @@ def hill(path: np.ndarray, rule: ThresholdRule) -> EstimateReport:
         raise DataError(f"need at least 2 upper order statistics, rule selected {m}")
     if m >= n:
         raise DataError(f"rule selected {m} order statistics out of n={n}")
-    order = upper_order_statistics(path, m + 1)
+    order = path.largest(m + 1)
     top = order[:m]
     ref = order[m]
     if ref <= 0 or top[-1] <= 0:
@@ -186,7 +300,7 @@ def hill(path: np.ndarray, rule: ThresholdRule) -> EstimateReport:
 
 
 def blocks_theta(
-    path: np.ndarray,
+    path,
     u: float,
     b: int | None = None,
     exceed_prob: float | None = None,
@@ -198,9 +312,10 @@ def blocks_theta(
     exceedance frequency; pass ``exceed_prob`` to calibrate against a
     reference law instead (used by the preference-dominant verification,
     where the defining threshold sequence is tied to the preference
-    variable rather than to the aggregate itself).
+    variable rather than to the aggregate itself).  A block's maximum is
+    at most ``u`` when no exceedance of ``u`` falls in it.
     """
-    path = np.asarray(path, dtype=float)
+    path = _tail(path)
     n = len(path)
     if b is None:
         b = int(math.isqrt(n))
@@ -208,16 +323,16 @@ def blocks_theta(
         raise ParameterError(f"block length must be >= 1, got {b}")
     if n < 10 * b:
         raise ParameterError(f"need n >= 10*b, got n={n}, b={b}")
-    exceed = path > u
-    n_exc = int(np.count_nonzero(exceed))
+    idx = path.above(u)
+    n_exc = len(idx)
     p_u = n_exc / n if exceed_prob is None else float(exceed_prob)
     if exceed_prob is None and n_exc == 0:
         raise DataError("no exceedances of the threshold")
     if not (0 < p_u < 1):
         raise DataError(f"exceedance probability {p_u} outside (0, 1)")
     n_b = n // b
-    block_max = np.maximum.reduceat(path[: n_b * b], np.arange(0, n_b * b, b))
-    below = float(np.mean(block_max <= u))
+    blocks_below = n_b - len(np.unique(idx[idx < n_b * b] // b))
+    below = blocks_below / n_b
     if below == 0.0:
         raise DataError("every block exceeds the threshold; threshold too low")
     theta = math.log(below) / (b * math.log1p(-p_u))
@@ -230,20 +345,20 @@ def blocks_theta(
         exceedances=n_exc,
         block_length=b,
         clamped=clamped,
-        details={"blocks": n_b, "blocks_below": int(round(below * n_b))},
+        details={"blocks": n_b, "blocks_below": blocks_below},
     )
 
 
-def intervals_theta(path: np.ndarray, u: float) -> EstimateReport:
+def intervals_theta(path, u: float) -> EstimateReport:
     """Interexceedance-time moment estimator of the extremal index.
 
     With gaps ``T_1..T_{N-1}`` between consecutive exceedances of ``u``:
     ``theta_hat = min(1, 2 (sum T)^2 / ((N-1) sum T^2))``, switching to the
     ``(T - 1)`` variant when ``max T > 2``.
     """
-    path = np.asarray(path, dtype=float)
+    path = _tail(path)
     n = len(path)
-    idx = np.flatnonzero(path > u)
+    idx = path.above(u)
     n_exc = len(idx)
     if n_exc < 2:
         raise DataError(f"need at least 2 exceedances, got {n_exc}")
@@ -349,20 +464,20 @@ class ClusterStats:
     theta_runs: float
 
 
-def mean_cluster_size(path: np.ndarray, u: float, run_gap: int | None = None) -> ClusterStats:
+def mean_cluster_size(path, u: float, run_gap: int | None = None) -> ClusterStats:
     """Runs declustering of the exceedances of ``u``.
 
     A new cluster starts when consecutive exceedances are separated by at
     least ``run_gap`` non-exceedances.  ``theta_runs = clusters /
     exceedances`` and the mean cluster size is its reciprocal (exactly).
     """
-    path = np.asarray(path, dtype=float)
+    path = _tail(path)
     n = len(path)
     if run_gap is None:
         run_gap = int(math.ceil(math.log(n)))
     if run_gap < 1:
         raise ParameterError(f"run gap must be >= 1, got {run_gap}")
-    idx = np.flatnonzero(path > u)
+    idx = path.above(u)
     n_exc = len(idx)
     if n_exc == 0:
         raise DataError("no exceedances of the threshold")

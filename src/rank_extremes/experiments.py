@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -27,12 +28,14 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResourceError
 from .estimators import (
+    TailSample,
     ThresholdRule,
     blocks_theta,
     definition_theta_from_maxima,
     definition_top_count,
     hill,
     intervals_theta,
+    nearest_rank_index,
     nearest_rank_quantile,
     upper_order_statistics,
 )
@@ -46,10 +49,10 @@ from .recursion import (
     MIN_RELIABLE_EXCEEDANCES,
     BlockRing,
     RecursionConfig,
+    aggregate_pair_blocks,
     compare_tail_sum_max,
     pair_maxima,
-    sample_aggregate_pair,
-    sample_weighted_pair,
+    weighted_pair_blocks,
 )
 from .theory import (
     FOLLOWERS_DOMINATE,
@@ -491,7 +494,24 @@ REGIMES = {
 }
 
 
-def _estimate(name: str, path: np.ndarray, params: dict, blocks_at) -> float:
+def _tail_count(regime: Regime, params: dict) -> int:
+    """How many of a path's largest values the regime's estimators read at
+    most: each quantile threshold's nearest-rank count, and Hill's top
+    ``m + 1``; with a q threshold, that threshold's count of q values."""
+    n = params["n"]
+    if regime.q_threshold:
+        levels = [1.0 - params["blocks_exceed_prob"]]
+    else:
+        levels = [params[f"{name}_quantile"] for name in regime.estimators if name != "hill"]
+    # an estimator refuses a level or fraction outside (0, 1) itself
+    counts = [n - nearest_rank_index(level, n) for level in levels if 0 < level < 1]
+    fraction = params["hill_fraction"]
+    if "hill" in regime.estimators and 0 < fraction < 1:
+        counts.append(math.floor(fraction * n) + 1)
+    return max(counts, default=1)
+
+
+def _estimate(name: str, path: TailSample, params: dict, blocks_at) -> float:
     """One estimator on one path; ``blocks_at`` is a ``(u, exceed_prob)``
     blocks threshold fixed by the regime, or None for the path's own."""
     if name == "hill":
@@ -506,25 +526,36 @@ def _estimate(name: str, path: np.ndarray, params: dict, blocks_at) -> float:
 def _replication(args) -> dict:
     """One replication of experiment ``kind``, ``(kind, params, rep) -> row``:
     the regime's estimators on a sum and a max path drawn from the same
-    inputs.  An exception leaves with a note naming the replication."""
+    inputs.  An exception leaves with a note naming the replication.
+
+    No path is held: each block of the pair feeds a :class:`TailSample` of
+    each path (and of q, whose floor the paths then share, in a regime with
+    a q threshold), so a replication holds its block ring and O(K) values
+    per path, ``K`` from :func:`_tail_count`, whatever ``n``."""
     kind, params, rep = args
     regime_name = params.get("regime", FIXED_LENGTH)
     regime = REGIMES[regime_name]
     seed = replication_seed(params["seed"], regime.seed_offset + rep)
+    n = params["n"]
     with _named_replication(kind, rep, seed):
         if regime_name == FIXED_LENGTH:
-            sum_path, max_path = sample_weighted_pair(
-                _fixed_length_components(params), params["n"], seed)
+            blocks = weighted_pair_blocks(_fixed_length_components(params), n, seed)
         else:
-            config = recursion_config_from_params(params)
-            pair = sample_aggregate_pair(config, params["n"], seed)
-            sum_path, max_path, q = pair.sum_values, pair.max_values, pair.preference
+            blocks = aggregate_pair_blocks(recursion_config_from_params(params), n, seed)
+        top = _tail_count(regime, params)
+        q = TailSample(top) if regime.q_threshold else None
+        paths = {"sum": TailSample(top, floor_of=q), "max": TailSample(top, floor_of=q)}
+        for sums, maxes, *inputs in blocks:
+            if q is not None:
+                q.feed(inputs[1])  # inputs: the block's in-degrees and q
+            paths["sum"].feed(sums)
+            paths["max"].feed(maxes)
         blocks_at = None
-        if regime.q_threshold:
+        if q is not None:
             u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
-            blocks_at = (u, float(np.count_nonzero(q > u)) / params["n"])
+            blocks_at = (u, float(len(q.above(u))) / n)
         row = {}
-        for label, path in (("sum", sum_path), ("max", max_path)):
+        for label, path in paths.items():
             for name in regime.estimators:
                 if name != "hill" or params["hill_fraction"] > 0:
                     row[f"{name}_{label}"] = _estimate(name, path, params, blocks_at)

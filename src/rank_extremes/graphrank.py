@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, ParameterError
 from .heavytail import InDegreeSpec, sample_power_law_int
@@ -220,6 +219,9 @@ def pagerank(
     contraction with factor ``c`` and the result is a probability vector.
     Raises :class:`ConvergenceError` when ``max_iter`` is exhausted.
     """
+    # imported here, at its only use, so that no other command pays for it
+    from scipy import sparse
+
     q = _validate_rank_inputs(g, c, q)
     a = sparse.csr_matrix(
         (_edge_weights(g), (g.dst, g.src)), shape=(g.n, g.n), dtype=float

@@ -13,7 +13,9 @@ sum/max comparisons are exact.
 
 Also provided: fixed-length weighted aggregates (the deterministic-``l``
 setting), depth-truncated branching-tree simulation of the rank recursion,
-and a paired sum-vs-max tail comparison table.
+and a paired sum-vs-max tail comparison table.  Both kinds of pair also
+come one row block at a time (:func:`aggregate_pair_blocks`,
+:func:`weighted_pair_blocks`), for consumers that hold no path.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import io
 import multiprocessing
 import os
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResourceError
-from .estimators import nearest_rank_index, upper_order_statistics
+from .estimators import TailSample, nearest_rank_index, upper_order_statistics
 from .heavytail import (
     DependenceSpec,
     InDegreeSpec,
@@ -196,7 +199,8 @@ class BlockRing:
     a ring of blocks in flight, each grown to the largest size asked of it.
     A ring given to successive calls allocates its arrays once, so a run of
     replications does not map and fault in fresh pages for each.  A ring
-    serves one call at a time, on the thread that runs the call.
+    serves one call at a time, on the thread that runs the call; a drawing
+    thread only takes arrays that thread has already sized.
 
     ``out`` maps names to arrays of all the rows of a call: a block's array
     of such a name is its rows of that array, written in place.
@@ -280,33 +284,33 @@ def _in_order(tasks, threads: int, ahead: int):
             yield pending.popleft().result()
 
 
-def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
-    """Sums and maxima over the rows of ``n``-row columns, ``(sums, maxes)``.
+def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of=None):
+    """Sums and maxima over the rows of ``n``-row columns, one finished row
+    block after another: yields ``(rows, sums, maxes, in_deg)`` per block of
+    ``COLUMN_BLOCK_ROWS`` rows, ``sums`` and ``maxes`` the ``ring`` arrays
+    of those names (the rows of its ``out`` arrays where it has them).
 
     ``columns[j]`` is a :class:`SequenceStream`.
     Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
-    given, and only where ``in_deg[t] > j`` when in-degrees are given.
+    given, and only where ``in_deg[t] > j`` when ``in_deg_of`` is given: it
+    is called once per block, in row order, with the block's ``rows`` and
+    returns their in-degrees, ``in_deg`` (else ``None``).
 
-    The columns are drawn in blocks of ``COLUMN_BLOCK_ROWS`` rows by
-    :func:`_in_order` on ``_column_threads`` threads, into the slots of a
-    :class:`BlockRing` of ``min(2 × threads, columns)`` slots, one per block
-    ahead of the reduction.  The calling thread reduces row block after row block
-    and, within one, the columns in order, so every sum keeps its rounding
-    order.  The ring holds no more slots than there are columns, so a
-    column's next block is drawn only after its previous one was reduced.
+    The columns are drawn in blocks by :func:`_in_order` on
+    ``_column_threads`` threads, into the slots of ``ring``, ``min(2 ×
+    threads, columns)`` of them, one per block ahead of the reduction.  The
+    calling thread reduces row block after row block and, within one, the
+    columns in order, so every sum keeps its rounding order.  The ring holds
+    no more slots than there are columns, so a column's next block is drawn
+    only after its previous one was reduced.  A yielded block stays valid
+    until the consumer asks for the next one.
     """
-    sums = np.zeros(n)
-    maxes = np.zeros(n)
-    if not columns:
-        return sums, maxes
-    # every row includes the columns below the smallest in-degree
-    min_n = len(columns) if in_deg is None else int(in_deg.min())
     width = min(COLUMN_BLOCK_ROWS, n)
-    lag = max(col.lag for col in columns)
+    lag = max((col.lag for col in columns), default=0)
     tasks = [(j, slice(start, min(start + width, n)))
              for start in range(0, n, width) for j in range(len(columns))]
-    threads = _column_threads(len(columns))
-    ring, slots = BlockRing(), min(2 * threads, len(columns))
+    threads = _column_threads(max(len(columns), 1))
+    slots = min(2 * threads, len(columns))
 
     def draws():
         for i, (j, rows) in enumerate(tasks):
@@ -315,28 +319,69 @@ def _column_sum_max(columns, n: int, *, weights=None, in_deg=None):
             yield functools.partial(columns[j].fill, ring.get(i % slots, "out", size), work)
 
     drawn = _in_order(draws(), threads, slots)
-    for (j, rows), col in zip(tasks, drawn):
-        if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
-            col *= weights[j]
-        s, m = sums[rows], maxes[rows]
-        if j < min_n:
-            s += col
-            np.maximum(m, col, out=m)
-        else:
-            mask = in_deg[rows] > j  # the rows whose in-degree includes column j + 1
-            np.add(s, col, out=s, where=mask)
-            np.maximum(m, col, out=m, where=mask)
-    return sums, maxes
+    for start in range(0, n, width):
+        rows = slice(start, min(start + width, n))
+        in_deg = None if in_deg_of is None else in_deg_of(rows)
+        # every row includes the columns below the block's smallest in-degree
+        min_n = len(columns) if in_deg is None else int(in_deg.min())
+        sums, maxes = ring.rows(0, "sums", rows), ring.rows(0, "maxes", rows)
+        sums.fill(0.0)
+        maxes.fill(0.0)
+        for j in range(len(columns)):
+            col = next(drawn)
+            if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
+                col *= weights[j]
+            if j < min_n:
+                sums += col
+                np.maximum(maxes, col, out=maxes)
+            else:
+                mask = in_deg > j  # the rows whose in-degree includes column j + 1
+                np.add(sums, col, out=sums, where=mask)
+                np.maximum(maxes, col, out=maxes, where=mask)
+        yield rows, sums, maxes, in_deg
 
 
-def _column_contributions(config, n, seed, in_deg):
-    """Follower sum/max terms from explicit stationary columns, built in
-    row blocks by :func:`_column_sum_max`: ``(sums, maxes)``."""
-    max_n = int(in_deg.max()) if len(in_deg) else 0
-    columns = [SequenceStream(SequenceSpec(config.follower_tail, config.column_dep(j)),
-                              child_rng(seed, STREAMS["column"], j))
-               for j in range(1, max_n + 1)]
-    return _column_sum_max(columns, n, in_deg=in_deg)
+def _follower_columns(config, seed, count):
+    """The streams of follower columns ``1..count``."""
+    return [SequenceStream(SequenceSpec(config.follower_tail, config.column_dep(j)),
+                           child_rng(seed, STREAMS["column"], j))
+            for j in range(1, count + 1)]
+
+
+def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockRing):
+    """Both aggregates of an explicit-column config, ``COLUMN_BLOCK_ROWS``
+    rows at a time and in row order (:func:`_column_sum_max`): yields
+    ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
+    names (the rows of its ``out`` arrays where it has them).
+
+    The calling thread draws each block's in-degrees from the ``in_degree``
+    stream as the block's reduction starts, and its preference values from
+    offset ``start`` of the ``preference`` stream (:func:`child_rng_at`), so
+    every value equals that of the whole path drawn at once.  A power-law
+    in-degree first takes one pass over its stream for the largest
+    in-degree, the number of columns to draw.
+    """
+    width = min(COLUMN_BLOCK_ROWS, n)
+
+    def in_degrees():
+        rng = child_rng(seed, STREAMS["in_degree"])
+        for start in range(0, n, width):
+            rows = slice(start, min(start + width, n))
+            yield _draw_in_degrees(config, rows.stop - start, rng,
+                                   out=ring.rows(0, "in_deg", rows, np.int64),
+                                   work=ring.get(0, "deg_work", rows.stop - start, np.intp))
+
+    most = config.fixed_in_degree
+    if most is None:
+        most = max(int(in_deg.max()) for in_deg in in_degrees())
+    degrees = in_degrees()
+    blocks = _column_sum_max(_follower_columns(config, seed, most), n, ring,
+                             in_deg_of=lambda rows: next(degrees))
+    for rows, f_sum, f_max, in_deg in blocks:
+        q = sample_pareto(config.preference_tail, rows.stop - rows.start,
+                          child_rng_at(seed, rows.start, STREAMS["preference"]),
+                          out=ring.rows(0, "q", rows))
+        yield (*_add_preference(config, f_sum, f_max, q), in_deg, q)
 
 
 def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
@@ -375,16 +420,29 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
     the block size and thread count.
 
     The calling thread takes block ``i``'s arrays from slot
-    ``i % (2 × threads)`` of ``ring``: ``in_deg``, ``draws`` for its
-    follower draws, and ``rest``, an array of its rows for each
-    ``name: dtype`` of ``names``.  (What a drawing thread allocates returns,
-    once freed, to its own malloc arena, which keeps it resident.)  It draws
-    the in-degrees one block at a time, so their scratch is one array, in
-    slot 0.  A yielded block stays valid until the consumer asks for the
-    next one.
+    ``i % (2 × threads)`` of ``ring``: ``in_deg`` and ``rest``, an array of
+    its rows for each ``name: dtype`` of ``names``.  It draws the in-degrees
+    one block at a time, so their scratch is one array, in slot 0.  A block's
+    follower draws live only while it runs, so there are ``threads`` draw
+    buffers, slots ``0..threads - 1`` of the name ``draws``: a running block
+    takes a free one and gives it back when it returns.  The calling thread
+    grows every draw buffer to a block's draws before handing the block on.
+    (What a drawing thread allocates returns, once freed, to its own malloc
+    arena, which keeps it resident.)  A yielded block stays valid until the
+    consumer asks for the next one.
     """
     threads = _column_threads(-(-n // block_rows))
     slots = 2 * threads
+    free = queue.SimpleQueue()  # the draw buffers no running block holds
+    for i in range(threads):
+        free.put(i)
+
+    def run(in_deg, start, follow, total, rest):
+        i = free.get()
+        try:
+            return block(in_deg, start, follow, ring.get(i, "draws", total), *rest)
+        finally:
+            free.put(i)
 
     def tasks():
         deg_rng = child_rng(seed, STREAMS["in_degree"])
@@ -393,11 +451,12 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
             rows, slot = slice(start, min(start + block_rows, n)), i % slots
             in_deg = _draw_in_degrees(config, rows.stop - start, deg_rng,
                                       out=ring.rows(slot, "in_deg", rows, np.int64),
-                                      work=ring.get(0, "work", rows.stop - start, np.intp))
+                                      work=ring.get(0, "deg_work", rows.stop - start, np.intp))
             total = int(in_deg.sum())
+            for d in range(threads):  # a buffer only grows, so a block finds its size
+                ring.get(d, "draws", total)
             rest = [ring.rows(slot, name, rows, dtype) for name, dtype in names.items()]
-            yield functools.partial(block, in_deg, start, follow,
-                                    ring.get(slot, "draws", total), *rest)
+            yield functools.partial(run, in_deg, start, follow, total, rest)
             follow += total
 
     return _in_order(tasks(), threads, slots)
@@ -519,20 +578,32 @@ def _check_pair_args(n: int) -> None:
         raise ParameterError(f"path length must be >= 1, got {n}")
 
 
+def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
+                          ring: BlockRing | None = None):
+    """The rows of ``sample_aggregate_pair(config, n, seed)`` one block at a
+    time, in row order: yields ``(sums, maxes, in_deg, q)`` per block, each
+    array valid until the next block is asked for.
+
+    An i.i.d.-column config takes the blocks of :func:`_iid_pair_blocks`,
+    an explicit-column config those of :func:`_column_pair_blocks`.  Their
+    arrays live in ``ring`` (a fresh one by default), whose ``out`` arrays,
+    where it has them, receive every block's rows.
+    """
+    _check_pair_args(n)
+    ring = BlockRing() if ring is None else ring
+    if config.all_iid_columns():
+        return _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS, ring)
+    return _column_pair_blocks(config, n, seed, ring)
+
+
 def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
     """Simulate both aggregates of length ``n`` from one set of draws."""
     _check_pair_args(n)
-    if config.all_iid_columns():
-        sums, maxes, q = np.empty(n), np.empty(n), np.empty(n)
-        in_deg = np.empty(n, dtype=np.int64)
-        ring = BlockRing(out=dict(sums=sums, maxes=maxes, in_deg=in_deg, q=q))
-        for _ in _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS, ring):
-            pass  # each block is written into its rows of the outputs
-    else:
-        in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
-        q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
-        f_sum, f_max = _column_contributions(config, n, seed, in_deg)
-        sums, maxes = _add_preference(config, f_sum, f_max, q)
+    sums, maxes, q = np.empty(n), np.empty(n), np.empty(n)
+    in_deg = np.empty(n, dtype=np.int64)
+    ring = BlockRing(out=dict(sums=sums, maxes=maxes, in_deg=in_deg, q=q))
+    for _ in aggregate_pair_blocks(config, n, seed, ring):
+        pass  # each block is written into its rows of the outputs
     return AggregatePair(
         sum_values=sums,
         max_values=maxes,
@@ -561,23 +632,48 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     ``sample_aggregate_pair(config, n, seed)``, and the ``min(top, n)``
     largest of its raw preference draws, in descending order.
 
-    With i.i.d. columns no path is built: each block of
+    No path is built.  With i.i.d. columns each block of
     :func:`_iid_block_maxima` bounds its rows and refines the few that can
-    reach its maxima.  Its buffers live in ``ring``, which successive calls
-    may share.
+    reach its maxima; explicit columns reduce the blocks of
+    :func:`aggregate_pair_blocks`.  The buffers live in ``ring``, which
+    successive calls may share.
     """
     _check_pair_args(n)
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")
     top = min(top, n)
-    if not config.all_iid_columns():
-        pair = sample_aggregate_pair(config, n, seed)
-        return (float(pair.sum_values.max()), float(pair.max_values.max()),
-                upper_order_statistics(pair.preference, top))
-    sum_maxes, max_maxes, tops = zip(*_iid_block_maxima(
-        config, n, seed, PAIR_BLOCK_ROWS, top, BlockRing() if ring is None else ring))
-    return (float(max(sum_maxes)), float(max(max_maxes)),
-            upper_order_statistics(np.concatenate(tops), top))
+    ring = BlockRing() if ring is None else ring
+    if config.all_iid_columns():
+        sum_maxes, max_maxes, tops = zip(*_iid_block_maxima(
+            config, n, seed, PAIR_BLOCK_ROWS, top, ring))
+        return (float(max(sum_maxes)), float(max(max_maxes)),
+                upper_order_statistics(np.concatenate(tops), top))
+    q_tail = TailSample(top)
+    sum_max = max_max = -np.inf
+    for sums, maxes, _, q in aggregate_pair_blocks(config, n, seed, ring):
+        sum_max, max_max = max(sum_max, sums.max()), max(max_max, maxes.max())
+        q_tail.feed(q)
+    return float(sum_max), float(max_max), q_tail.largest(top)
+
+
+def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, seed: int,
+                         ring: BlockRing | None = None):
+    """The rows of ``sample_weighted_pair(components, n, seed)`` one block at
+    a time, in row order (:func:`_column_sum_max`): yields ``(sums, maxes)``
+    per block, arrays of ``ring`` (a fresh one by default) valid until the
+    next block is asked for.  The components are checked at the call."""
+    if len(components) == 0:
+        raise ParameterError("at least one weighted component required")
+    if n < 1:
+        raise ParameterError(f"path length must be >= 1, got {n}")
+    for z, _ in components:
+        if not z > 0:
+            raise ParameterError(f"weights must be positive, got {z}")
+    columns = [SequenceStream(seq, child_rng(seed, STREAMS["column"], i))
+               for i, (_, seq) in enumerate(components, start=1)]
+    blocks = _column_sum_max(columns, n, BlockRing() if ring is None else ring,
+                             weights=[z for z, _ in components])
+    return ((sums, maxes) for _, sums, maxes, _ in blocks)
 
 
 def sample_weighted_pair(
@@ -590,16 +686,11 @@ def sample_weighted_pair(
     ``max_path[t] = max_i z_i * Y_t^(i)``, with mutually independent
     columns drawn from disjoint RNG streams.
     """
-    if len(components) == 0:
-        raise ParameterError("at least one weighted component required")
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
-    for z, _ in components:
-        if not z > 0:
-            raise ParameterError(f"weights must be positive, got {z}")
-    columns = [SequenceStream(seq, child_rng(seed, STREAMS["column"], i))
-               for i, (_, seq) in enumerate(components, start=1)]
-    return _column_sum_max(columns, n, weights=[z for z, _ in components])
+    sums, maxes = np.empty(n), np.empty(n)
+    ring = BlockRing(out=dict(sums=sums, maxes=maxes))
+    for _ in weighted_pair_blocks(components, n, seed, ring):
+        pass  # each block is written into its rows of the outputs
+    return sums, maxes
 
 
 @dataclass(frozen=True)
@@ -737,14 +828,12 @@ def compare_tail_sum_max(
     (nearest rank).  The confidence band is a Wald interval on the log
     ratio using the paired exceedance counts.
 
-    An i.i.d.-column config is generated and reduced by
-    :func:`_iid_pair_blocks`, ``PAIR_BLOCK_ROWS`` rows at a time in the
-    slots of one :class:`BlockRing`, so memory is O(threads * block + count)
-    with ``count = n - min(rank)`` the largest number of max values a
-    threshold needs.  The reduction keeps the top ``count`` max values and
-    the sum values above their running ``count``-th largest, a lower bound
-    on every threshold, so thresholds and counts equal those of the whole
-    path.  Explicit-column configs are built whole and reduced as one block.
+    The pair is reduced block by block as :func:`aggregate_pair_blocks`
+    yields it, so memory is O(threads * block + count) with
+    ``count = n - min(rank)`` the largest number of max values a threshold
+    needs.  A :class:`TailSample` keeps the top ``count`` max values, and
+    another the sum values at or above its running floor, a lower bound on
+    every threshold, so thresholds and counts equal those of the whole path.
     """
     for qv in thresholds:
         if not (0.9 < qv < 1.0):
@@ -755,26 +844,17 @@ def compare_tail_sum_max(
     _check_pair_args(n)
     ranks = [nearest_rank_index(qv, n) for qv in thresholds]
     count = n - min(ranks)
-    if config.all_iid_columns():
-        blocks = _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS, BlockRing())
-    else:
-        pair = sample_aggregate_pair(config, n, seed)
-        blocks = [(pair.sum_values, pair.max_values)]
-    top_max = np.empty(0)
-    sum_kept = np.empty(0)
-    floor = -np.inf  # the count-th largest max so far, once count are seen
-    for sums, maxes, *_ in blocks:
-        top_max = np.concatenate([top_max, maxes[maxes > floor]])
-        if len(top_max) >= count:
-            top_max = np.partition(top_max, len(top_max) - count)[len(top_max) - count:]
-            floor = top_max[0]
-        sum_kept = np.concatenate([sum_kept[sum_kept > floor], sums[sums > floor]])
+    max_tail = TailSample(count)
+    sum_tail = TailSample(count, floor_of=max_tail)
+    for sums, maxes, *_ in aggregate_pair_blocks(config, n, seed):
+        max_tail.feed(maxes)
+        sum_tail.feed(sums)
     # descending top of the max path: rank idx (ascending) sits at n - 1 - idx
-    top_max = upper_order_statistics(top_max, count)
+    top_max = max_tail.largest(count)
     for qv, idx in zip(thresholds, ranks):
         x = float(top_max[n - 1 - idx])
-        k_sum = int(np.count_nonzero(sum_kept > x))
-        k_max = int(np.count_nonzero(top_max > x))
+        k_sum = len(sum_tail.above(x))
+        k_max = len(max_tail.above(x))
         reliable = min(k_sum, k_max) >= MIN_RELIABLE_EXCEEDANCES
         if k_max == 0 or k_sum == 0:
             rows.append(TailRatioRow(qv, x, k_sum, k_max, float("nan"),

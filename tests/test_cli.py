@@ -10,12 +10,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rank_extremes
 from rank_extremes import cli, experiments, graphrank, recursion
 from rank_extremes.cli import main
-from rank_extremes.errors import ConfigurationError, ConvergenceError, ParameterError
+from rank_extremes.errors import ConfigurationError, ConvergenceError, DataError, ParameterError
 from rank_extremes.estimators import (
+    nearest_rank_quantile,
     definition_theta_from_maxima,
     definition_top_count,
     upper_order_statistics,
@@ -75,11 +78,12 @@ class TestPackageSurface:
 
     def test_cli_import_loads_no_scipy_special(self):
         # scipy.special costs every command about 0.1 s and 5 MB at start,
-        # and no command uses it
+        # and no command uses it; scipy.sparse is imported by graph pagerank
+        # alone, when it runs
         src = os.path.dirname(os.path.dirname(rank_extremes.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys, rank_extremes.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=path), check=True)
         assert run.stdout == "[]\n"
@@ -213,8 +217,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("jobs", [0, -3])
     @pytest.mark.parametrize("kind", ["verify-thm2", "verify-thm4", "tail-eq"])
     def test_jobs_below_one_refused_before_sampling(self, monkeypatch, kind, jobs):
-        monkeypatch.setattr(experiments, "sample_weighted_pair", refuse_to_sample)
-        monkeypatch.setattr(experiments, "sample_aggregate_pair", refuse_to_sample)
+        monkeypatch.setattr(experiments, "weighted_pair_blocks", refuse_to_sample)
+        monkeypatch.setattr(experiments, "aggregate_pair_blocks", refuse_to_sample)
         monkeypatch.setattr(experiments, "compare_tail_sum_max", refuse_to_sample)
         with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
             run_experiment(ExperimentConfig.default(kind), jobs=jobs)
@@ -490,6 +494,100 @@ class TestThreadAndJobIndependence:
             assert ref == got
 
 
+# Each replicated regime at small sizes, with thresholds low enough that
+# most replications of a few hundred rows estimate rather than refuse:
+# (kind, overrides).  The explicit-column cases draw moving-maxima columns.
+LOW_THRESHOLDS = dict(blocks_quantile=0.9, intervals_quantile=0.8, hill_fraction=0.1,
+                      blocks_exceed_prob=0.1)
+STREAM_CASES = {
+    "fixed-length": ("verify-thm2", {}),
+    "tail": ("verify-thm4", dict(regime="tail", n_max=6)),
+    "tail-explicit": ("verify-thm4", dict(regime="tail", n_max=6, deps="mm:1,1;iid")),
+    "followers": ("verify-thm4", dict(regime="followers", k=1.2, beta=3.0,
+                                      deps="iid;mm:1,1", fixed_in_degree=3)),
+    "preference": ("verify-thm4", dict(n_max=6)),
+    "preference-explicit": ("verify-thm4", dict(n_max=6, deps="mm:1,1")),
+}
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of the ``DataError``
+    or ``ParameterError`` it raises (without a replication's note)."""
+    try:
+        return run()
+    except (DataError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def whole_path_row(kind, params, rep):
+    """A replication's row from its whole sum, max and q paths, each given
+    to the estimators as a 1-D array, in the order ``_replication`` takes."""
+    regime_name = params.get("regime", experiments.FIXED_LENGTH)
+    regime = experiments.REGIMES[regime_name]
+    seed = replication_seed(params["seed"], regime.seed_offset + rep)
+    n = params["n"]
+    if regime_name == experiments.FIXED_LENGTH:
+        sums, maxes = recursion.sample_weighted_pair(
+            experiments._fixed_length_components(params), n, seed)
+    else:
+        pair = recursion.sample_aggregate_pair(
+            experiments.recursion_config_from_params(params), n, seed)
+        sums, maxes, q = pair.sum_values, pair.max_values, pair.preference
+    blocks_at = None
+    if regime.q_threshold:
+        u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
+        blocks_at = (u, float(np.count_nonzero(q > u)) / n)
+    row = {}
+    for label, path in (("sum", sums), ("max", maxes)):
+        for name in regime.estimators:
+            row[f"{name}_{label}"] = experiments._estimate(name, path, params, blocks_at)
+    for name in regime.pairs:
+        row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
+    return row
+
+
+class TestStreamedReplication:
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(sorted(STREAM_CASES)), block_rows=st.sampled_from([1, 2, 5, 16]),
+           rows=st.integers(100, 300), offset=st.integers(-1, 1), rep=st.integers(0, 5),
+           threads=st.sampled_from([1, 2]), low=st.booleans())
+    def test_equals_the_whole_path_estimates(self, case, block_rows, rows, offset, rep,
+                                             threads, low):
+        # n below, at and just past a multiple of the block
+        n = block_rows * -(-rows // block_rows) + offset
+        kind, overrides = STREAM_CASES[case]
+        params = dict(ExperimentConfig.default(kind, **overrides).params, n=n)
+        if low:
+            params.update(LOW_THRESHOLDS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "PAIR_BLOCK_ROWS", block_rows)
+            mp.setattr(recursion, "COLUMN_BLOCK_ROWS", block_rows)
+            mp.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
+            got = outcome(lambda: experiments._replication((kind, params, rep)))
+        assert got == outcome(lambda: whole_path_row(kind, params, rep))
+
+    @pytest.mark.parametrize("case, overrides", [
+        ("followers", dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1",
+                           fixed_in_degree=10)),
+        ("tail", dict(regime="tail")),
+    ])
+    def test_memory_does_not_grow_with_n(self, case, overrides, monkeypatch):
+        # one drawing thread, as in a --jobs worker, so that no thread's
+        # timing moves the peak; whole paths would add 40 bytes a row
+        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: 1)
+        peaks = []
+        for n in (2 * 10**5, 8 * 10**5):
+            params = ExperimentConfig.default("verify-thm4", **overrides, n=n).params
+            tracemalloc.start()
+            try:
+                experiments._replication(("verify-thm4", params, 0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+        assert max(peaks) < 12 * 2**20
+
+
 class RecordingPool:
     """A stand-in for ``ProcessPoolExecutor`` that records the workers asked
     for and maps in this process."""
@@ -644,6 +742,37 @@ class TestCliCommands:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, block_length", [(10**6, None), (40000, 2000), (40000, None)])
+    def test_blocks_default_quantile_leaves_a_block_below(self, tmp_path, capsys, n,
+                                                          block_length):
+        # 0.99 at 10^6 rows (blocks of 1000) or at blocks of 2000 puts about
+        # 10 or 20 exceedances in every block, so the default moves to the
+        # first of 0.999, 0.9999, ... that works; where 0.99 works it stays
+        assert main(["simulate", "--set", f"n={n}", "--seed", "5", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["estimate", "--input", str(tmp_path / "path.csv"), "--method", "blocks"]
+        if block_length:
+            argv += ["--block-length", str(block_length)]
+        explicit = {}
+        for level in ("0.99", "0.999", "0.9999"):
+            rc = main(argv + ["--quantile", level])
+            explicit[level] = rc, capsys.readouterr().out
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        first = next(level for level, (rc, _) in explicit.items() if rc == 0)
+        assert default == explicit[first][1]
+        assert (first == "0.99") == ((n, block_length) == (40000, None))
+
+    @pytest.mark.parametrize("method", ["intervals", "cluster"])
+    def test_other_theta_estimators_keep_the_099_default(self, tmp_path, capsys, method):
+        assert main(["simulate", "--set", "n=40000", "--seed", "5", "--out", str(tmp_path)]) == 0
+        argv = ["estimate", "--input", str(tmp_path / "path.csv"), "--method", method]
+        capsys.readouterr()
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--quantile", "0.99"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_three_field_edge_line_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "graph.edges"
         edges.write_text("0 1\n1 2\n2 0 1\n")
@@ -717,7 +846,7 @@ class TestCliCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before the definition stage was checked")
 
-        monkeypatch.setattr(experiments, "sample_aggregate_pair", refuse)
+        monkeypatch.setattr(experiments, "aggregate_pair_blocks", refuse)
         out = tmp_path / "out"
         argv = ["verify", "thm4", "--set", "n=20000", "--set", "replications=2"]
         for item in overrides:
@@ -728,7 +857,7 @@ class TestCliCommands:
 
     def test_jobs_0_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         # thm4's definition stage sizes its chunks by jobs, so 0 must not reach it
-        monkeypatch.setattr(experiments, "sample_aggregate_pair", refuse_to_sample)
+        monkeypatch.setattr(experiments, "aggregate_pair_blocks", refuse_to_sample)
         out = tmp_path / "out"
         assert main(["verify", "thm4", "--jobs", "0", "--out", str(out)]) == 2
         assert "jobs must be >= 1, got 0" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rank_extremes.errors import DataError, ParameterError
 from rank_extremes.estimators import (
     EstimateReport,
+    TailSample,
     ThresholdRule,
     blocks_theta,
     definition_theta,
@@ -19,6 +20,7 @@ from rank_extremes.estimators import (
     hill,
     intervals_theta,
     mean_cluster_size,
+    nearest_rank_index,
     nearest_rank_quantile,
     upper_order_statistics,
 )
@@ -432,3 +434,112 @@ class TestEstimateReport:
         payload = json.loads(est.to_json())
         assert list(payload)[:10] == list(EstimateReport.FIELDS)
         assert payload["method"] == "hill"
+
+
+def outcome(run):
+    """``repr`` of what ``run()`` returns, so floats compare bit for bit, or
+    the type and message of the ``DataError`` or ``ParameterError`` it raises."""
+    try:
+        return repr(run())
+    except (DataError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def fed(values, block, top, floor_of=None):
+    """A :class:`TailSample` of ``top`` fed ``values`` ``block`` at a time."""
+    sample = TailSample(top, floor_of)
+    for start in range(0, len(values), block):
+        sample.feed(values[start : start + block])
+    return sample
+
+
+@st.composite
+def tied_paths(draw):
+    """Paths of small integers (many ties, some nonpositive) whose length is
+    below, at or just past a multiple of a feeding block of 1, 2, 5 or 16."""
+    block = draw(st.sampled_from([1, 2, 5, 16]))
+    n = max(1, block * draw(st.integers(1, 12 if block > 2 else 60)) + draw(st.integers(-1, 1)))
+    values = draw(st.lists(st.integers(-2, 40), min_size=n, max_size=n))
+    return np.array(values, dtype=float), block
+
+
+class TestTailSample:
+    @settings(max_examples=400, deadline=None)
+    @given(path=tied_paths(), rule=RULES, level=LEVELS, extra=st.integers(0, 3),
+           b=st.sampled_from([None, 1, 2, 3, 7]), exceed_prob=st.none() | st.floats(0.01, 0.5),
+           kept=st.integers(0, 2**16))
+    def test_estimates_equal_those_of_the_array(self, path, rule, level, extra, b, exceed_prob,
+                                                kept):
+        values, block = path
+        n = len(values)
+        # the rule's Hill top m + 1, and the level's nearest-rank count
+        if rule.kind == "top_fraction":
+            need = math.floor(rule.value * n) + 1
+        elif rule.kind == "top_count":
+            need = int(rule.value) + 1
+        else:
+            need = n - nearest_rank_index(rule.value, n)
+        count = n - nearest_rank_index(level, n)
+        top = max(need, count, 1) + extra
+        sample = fed(values, block, top)
+        before = values.copy()
+        assert outcome(lambda: hill(sample, rule)) == outcome(lambda: hill(values, rule))
+        assert nearest_rank_quantile(sample, level) == nearest_rank_quantile(values, level)
+        # a threshold at a quantile, and one equal to a value the sample keeps
+        desc = np.sort(values)[::-1]
+        for u in (nearest_rank_quantile(values, level), float(desc[kept % min(top, n)])):
+            for est in (lambda p: blocks_theta(p, u, b, exceed_prob),
+                        lambda p: intervals_theta(p, u),
+                        lambda p: mean_cluster_size(p, u, b)):
+                assert outcome(lambda: est(sample)) == outcome(lambda: est(values))
+        assert np.array_equal(values, before)
+        # ties at the floor may hold more than twice the top between prunes
+        ties = int(np.count_nonzero(values >= sample.floor))
+        assert sample._kept <= 2 * max(top, ties) + block
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=tied_paths(), data=st.data(), exceed_prob=st.none() | st.floats(0.01, 0.5))
+    def test_a_path_floored_by_another_sample(self, path, data, exceed_prob):
+        # the preference regime: the paths keep what lies at or above the
+        # running floor of q, and take their threshold from q
+        values, block = path
+        n = len(values)
+        q = np.array(data.draw(st.lists(st.integers(-2, 40), min_size=n, max_size=n)), float)
+        level = data.draw(LEVELS)
+        top = n - nearest_rank_index(level, n)
+        q_tail = TailSample(top)
+        tail = TailSample(top, floor_of=q_tail)
+        for start in range(0, n, block):
+            q_tail.feed(q[start : start + block])
+            tail.feed(values[start : start + block])
+        u = nearest_rank_quantile(q_tail, level)
+        assert u == nearest_rank_quantile(q, level)
+        assert list(q_tail.above(u)) == list(np.flatnonzero(q > u))
+        for est in (lambda p: blocks_theta(p, u, exceed_prob=exceed_prob),
+                    lambda p: intervals_theta(p, u)):
+            assert outcome(lambda: est(tail)) == outcome(lambda: est(values))
+
+    def test_refuses_what_it_did_not_keep(self):
+        values = np.arange(100.0)
+        sample = fed(values, 7, 10)
+        assert sample.floor > 0
+        with pytest.raises(ParameterError, match="keeps its 10 largest"):
+            sample.largest(11)
+        with pytest.raises(ParameterError, match="below the tail sample's floor"):
+            sample.above(sample.floor - 1)
+        assert list(sample.largest(10)) == list(range(99, 89, -1))
+        with pytest.raises(ParameterError, match="count must be in"):
+            fed(values[:5], 2, 10).largest(6)
+        floored = fed(values, 7, 10, floor_of=sample)
+        with pytest.raises(ParameterError, match="keeps its 10 largest"):
+            floored.largest(1)
+
+    def test_holds_at_most_twice_its_top_and_a_block(self):
+        values = np.random.default_rng(SEED).permutation(10**5).astype(float)
+        sample = TailSample(1000)
+        held = []
+        for start in range(0, len(values), 4096):
+            sample.feed(values[start : start + 4096])
+            held.append(sample._kept)
+        assert max(held) <= 2 * 1000 + 4096
+        assert list(sample.largest(1000)) == list(np.sort(values)[::-1][:1000])

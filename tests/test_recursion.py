@@ -38,7 +38,6 @@ from rank_extremes.recursion import (
     AggregatePath,
     BlockRing,
     RecursionConfig,
-    _column_contributions,
     _draw_in_degrees,
     _iid_pair_blocks,
     _segment_reduce,
@@ -237,6 +236,18 @@ def savetxt_body(values):
     buf = io.StringIO()
     np.savetxt(buf, values, fmt="%.17g")
     return buf.getvalue()
+
+
+def column_contributions(config, n, seed, in_deg):
+    """The follower sum/max terms that the explicit-column kernel builds in
+    row blocks, given the whole path's in-degrees: ``(sums, maxes)``."""
+    max_n = int(in_deg.max()) if len(in_deg) else 0
+    sums, maxes = np.empty(n), np.empty(n)
+    ring = BlockRing(out=dict(sums=sums, maxes=maxes))
+    for _ in recursion._column_sum_max(recursion._follower_columns(config, seed, max_n), n,
+                                       ring, in_deg_of=lambda rows: in_deg[rows]):
+        pass
+    return sums, maxes
 
 
 def masked_column_contributions(config, n, seed, in_deg):
@@ -445,7 +456,7 @@ class TestColumnContributions:
         # the first columns include every row (all 12 when floor = 12)
         in_deg = np.maximum(sample_power_law_int(config.in_degree, n, seed), floor)
         want = masked_column_contributions(config, n, seed, in_deg)
-        got = _column_contributions(config, n, seed, in_deg)
+        got = column_contributions(config, n, seed, in_deg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -475,7 +486,7 @@ class TestBlockedColumnKernel:
             in_deg = np.full(n, in_degrees, dtype=np.int64)
         want = masked_column_contributions(config, n, seed, in_deg)
         with column_kernel(block_rows, threads):
-            got = _column_contributions(config, n, seed, in_deg)
+            got = column_contributions(config, n, seed, in_deg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -506,7 +517,7 @@ class TestBlockedColumnKernel:
         sys.setswitchinterval(1e-5)
         try:
             with column_kernel(4, threads):
-                got = _column_contributions(config, 40, SEED, in_deg)
+                got = column_contributions(config, 40, SEED, in_deg)
         finally:
             sys.setswitchinterval(interval)
         assert len(seen) == 5 * 10 and max(seen) <= threads
@@ -531,7 +542,7 @@ class TestBlockedColumnKernel:
         config = make_config(fixed_in_degree=5)
         before = threading.active_count()
         with column_kernel(4, threads), pytest.raises(Boom, match="column draw failed"):
-            _column_contributions(config, 40, SEED, np.full(40, 5, dtype=np.int64))
+            column_contributions(config, 40, SEED, np.full(40, 5, dtype=np.int64))
         assert threading.active_count() == before
 
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
@@ -955,6 +966,22 @@ class TestThreadedIidKernel:
         for done, _ in enumerate(blocks, start=1):
             ahead.append(len(started) - done)
         assert len(ahead) == 40 and max(ahead) <= 2 * threads
+
+    def test_only_running_blocks_hold_follower_draws(self):
+        # two drawing threads and four blocks in flight, each block of 4096
+        # rows drawing 100 followers a row (3.1 MB): the draws live in one
+        # buffer per thread, not in one per slot of the ring
+        config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100), fixed_in_degree=100)
+        rows = 2**12
+        with iid_kernel(rows, 2):
+            tracemalloc.start()
+            try:
+                for _ in _iid_pair_blocks(config, 16 * rows, SEED, rows, BlockRing()):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 3.2 * rows * 100 * 8
 
     def test_threads_writing_adjacent_rows_lose_no_value(self):
         # three drawing threads on two-row blocks write neighbouring slices
