@@ -35,7 +35,7 @@ from .estimators import (
     mean_cluster_size,
     nearest_rank_quantile,
 )
-from .recursion import read_path_csv, sample_aggregate
+from .recursion import read_path_csv, write_path_csv
 from .textio import atomic_write
 
 
@@ -76,12 +76,15 @@ def _cmd_simulate(args) -> int:
     params = experiments.apply_overrides(
         experiments.MODEL_DEFAULTS, _collect_overrides(args), "simulate")
     config = experiments.recursion_config_from_params(params)
-    path = sample_aggregate(config, params["n"], params["seed"])
+
+    def write(fileobj):
+        write_path_csv(fileobj, config, params["n"], params["seed"])
+
     out = _out_dir(args)
     if out:
-        print(f"wrote {_write_file(out, 'path.csv', path.write_csv)}")
+        print(f"wrote {_write_file(out, 'path.csv', write)}")
     else:
-        path.write_csv(sys.stdout)
+        write(sys.stdout)
     return 0
 
 

@@ -114,31 +114,35 @@ class AggregatePath:
         fixed_in_degree, follower_k, follower_c, follower_deps, beta,
         preference_c, aggregate, n, seed.
         """
-        cfg = self.config
-        deps = ";".join(",".join(repr(a) for a in d.coeffs) for d in cfg.follower_deps)
-        meta = [
-            ("damping", cfg.damping),
-            ("alpha", cfg.in_degree.alpha),
-            ("n_max", cfg.in_degree.n_max),
-            ("fixed_in_degree", cfg.fixed_in_degree),
-            ("follower_k", cfg.follower_tail.k),
-            ("follower_c", cfg.follower_tail.c),
-            ("follower_deps", deps),
-            ("beta", cfg.preference_tail.k),
-            ("preference_c", cfg.preference_tail.c),
-            ("aggregate", cfg.aggregate),
-            ("n", self.n),
-            ("seed", self.seed),
-        ]
-        for key, value in meta:
-            fileobj.write(f"# {key}={value}\n")
-        fileobj.write("value\n")
+        _write_path_header(fileobj, self.config, self.n, self.seed)
         write_rows(fileobj, "%.17g\n", self.values)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
+
+
+def _write_path_header(fileobj, cfg: RecursionConfig, n: int, seed: int) -> None:
+    """The header of a path CSV, its ``# key=value`` lines and ``value``."""
+    deps = ";".join(",".join(repr(a) for a in d.coeffs) for d in cfg.follower_deps)
+    meta = [
+        ("damping", cfg.damping),
+        ("alpha", cfg.in_degree.alpha),
+        ("n_max", cfg.in_degree.n_max),
+        ("fixed_in_degree", cfg.fixed_in_degree),
+        ("follower_k", cfg.follower_tail.k),
+        ("follower_c", cfg.follower_tail.c),
+        ("follower_deps", deps),
+        ("beta", cfg.preference_tail.k),
+        ("preference_c", cfg.preference_tail.c),
+        ("aggregate", cfg.aggregate),
+        ("n", n),
+        ("seed", seed),
+    ]
+    for key, value in meta:
+        fileobj.write(f"# {key}={value}\n")
+    fileobj.write("value\n")
 
 
 def read_path_csv(fileobj) -> np.ndarray:
@@ -159,10 +163,12 @@ class AggregatePair:
 
 
 def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator, *,
-                     out=None, work=None) -> np.ndarray:
-    """``n`` in-degrees, written into ``out`` when given (``work`` as in
-    :func:`sample_power_law_int`)."""
+                     out=None, ring=None) -> np.ndarray:
+    """``n`` in-degrees, written into ``out`` when given.  A drawn in-degree
+    takes the lookup's scratch from slot 0 of ``ring`` when given (``work``
+    of :func:`sample_power_law_int`); a fixed one needs none."""
     if config.fixed_in_degree is None:
+        work = None if ring is None else ring.get(0, "deg_work", n, np.intp)
         return sample_power_law_int(config.in_degree, n, rng, out=out, work=work)
     if out is None:
         return np.full(n, config.fixed_in_degree, dtype=np.int64)
@@ -220,6 +226,7 @@ class BlockRing:
             # by a quarter at least: a follower count a little above the
             # last one grows it once
             grown = size if a is None else max(size, len(a) * 5 // 4)
+            arrays[name] = a = None  # freed before its successor, unless a block holds it
             a = arrays[name] = np.empty(grown, dtype)
         return a[:size]
 
@@ -231,12 +238,20 @@ class BlockRing:
         return self.get(slot, name, rows.stop - rows.start, dtype)
 
 
-# Rows per block of the explicit-column kernel: 512 KB for each float64 block.
-COLUMN_BLOCK_ROWS = 2**16
+# Rows per block of the two streamed kernels, the explicit columns of
+# _column_sum_max and the i.i.d. pair of _iid_pair_blocks: 256 KB for each
+# float64 array of a block, plus an i.i.d. block's follower draws.
+STREAM_BLOCK_ROWS = 2**15
 
-# Rows per block of the i.i.d.-column kernel: 512 KB for each float64 array
-# of a block, plus the block's follower draws.
-PAIR_BLOCK_ROWS = 2**16
+# Rows per block of the bound-and-refine maxima of pair_maxima.  Its blocks
+# hand no rows on, and each takes a dozen NumPy calls: at 2^15 rows, 200
+# definition replications of 10^5 rows took 21 % more CPU time on 2 CPUs.
+MAXIMA_BLOCK_ROWS = 2**16
+
+# Follower draws an i.i.d.-column block holds, unless one row alone takes
+# more: a draw buffer stays within 1.25 * max(BLOCK_DRAWS, n_max) values
+# whatever the in-degree's tail.
+BLOCK_DRAWS = 2**17
 
 
 def _column_threads(tasks: int) -> int:
@@ -287,7 +302,7 @@ def _in_order(tasks, threads: int, ahead: int):
 def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of=None):
     """Sums and maxima over the rows of ``n``-row columns, one finished row
     block after another: yields ``(rows, sums, maxes, in_deg)`` per block of
-    ``COLUMN_BLOCK_ROWS`` rows, ``sums`` and ``maxes`` the ``ring`` arrays
+    ``STREAM_BLOCK_ROWS`` rows, ``sums`` and ``maxes`` the ``ring`` arrays
     of those names (the rows of its ``out`` arrays where it has them).
 
     ``columns[j]`` is a :class:`SequenceStream`.
@@ -305,7 +320,7 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
     only after its previous one was reduced.  A yielded block stays valid
     until the consumer asks for the next one.
     """
-    width = min(COLUMN_BLOCK_ROWS, n)
+    width = min(STREAM_BLOCK_ROWS, n)
     lag = max((col.lag for col in columns), default=0)
     tasks = [(j, slice(start, min(start + width, n)))
              for start in range(0, n, width) for j in range(len(columns))]
@@ -349,7 +364,7 @@ def _follower_columns(config, seed, count):
 
 
 def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockRing):
-    """Both aggregates of an explicit-column config, ``COLUMN_BLOCK_ROWS``
+    """Both aggregates of an explicit-column config, ``STREAM_BLOCK_ROWS``
     rows at a time and in row order (:func:`_column_sum_max`): yields
     ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
     names (the rows of its ``out`` arrays where it has them).
@@ -361,15 +376,14 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     in-degree first takes one pass over its stream for the largest
     in-degree, the number of columns to draw.
     """
-    width = min(COLUMN_BLOCK_ROWS, n)
+    width = min(STREAM_BLOCK_ROWS, n)
 
     def in_degrees():
         rng = child_rng(seed, STREAMS["in_degree"])
         for start in range(0, n, width):
             rows = slice(start, min(start + width, n))
             yield _draw_in_degrees(config, rows.stop - start, rng,
-                                   out=ring.rows(0, "in_deg", rows, np.int64),
-                                   work=ring.get(0, "deg_work", rows.stop - start, np.intp))
+                                   out=ring.rows(0, "in_deg", rows, np.int64), ring=ring)
 
     most = config.fixed_in_degree
     if most is None:
@@ -399,36 +413,57 @@ def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
     return sums, maxes
 
 
+def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
+    """``(a, b, draws)`` for consecutive row ranges ``a:b`` that cover the
+    rows of in-degrees ``in_deg``, ``draws`` the sum of their in-degrees:
+    each range the longest from its start whose draws are at most ``cap``,
+    or one row whose in-degree alone exceeds it."""
+    total = int(in_deg.sum())
+    if total <= cap:
+        return [(0, len(in_deg), total)]
+    ends = np.cumsum(in_deg)
+    parts, a, done = [], 0, 0
+    while a < len(in_deg):
+        b = max(a + 1, int(np.searchsorted(ends, done + cap, side="right")))
+        parts.append((a, b, int(ends[b - 1]) - done))
+        a, done = b, int(ends[b - 1])
+    return parts
+
+
 def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
                 ring: BlockRing, block, names: dict):
     """The results of ``block(in_deg, start, follow, draws, *rest)`` for the
-    blocks of ``block_rows`` rows of an i.i.d.-column config, in row order.
+    blocks of an i.i.d.-column config, in row order: the blocks of
+    ``block_rows`` rows, each cut into blocks of at most ``BLOCK_DRAWS``
+    follower draws (:func:`_capped_blocks`).
 
     With i.i.d. columns the values entering a row are fresh draws, so row
     ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
     this has exactly the law of the column construction.  The calling
-    thread draws the in-degrees block after block.  Each block's draws and
-    reduction then run by :func:`_in_order` on ``_column_threads`` threads,
-    at most ``2 × threads`` blocks ahead of the consumer, or inline as the
-    consumer asks for them when that is one thread (every ``--jobs``
+    thread draws the in-degrees ``block_rows`` rows at a time.  Each block's
+    draws and reduction then run by :func:`_in_order` on ``_column_threads``
+    threads, at most ``2 × threads`` blocks ahead of the consumer, or inline
+    as the consumer asks for them when that is one thread (every ``--jobs``
     worker).  A block starting at row ``start`` takes its preference draws
     from offset ``start`` of the ``preference`` stream, and its
     ``len(draws)`` follower draws from offset ``follow``, the sum of the
     earlier blocks' in-degrees, of the ``column`` stream
     (:func:`child_rng_at`).  Every row lies inside one block, so every
     value equals that of the whole path drawn at once, bit for bit, whatever
-    the block size and thread count.
+    the block size, draw cap and thread count.
 
     The calling thread takes block ``i``'s arrays from slot
     ``i % (2 × threads)`` of ``ring``: ``in_deg`` and ``rest``, an array of
     its rows for each ``name: dtype`` of ``names``.  It draws the in-degrees
-    one block at a time, so their scratch is one array, in slot 0.  A block's
-    follower draws live only while it runs, so there are ``threads`` draw
-    buffers, slots ``0..threads - 1`` of the name ``draws``: a running block
-    takes a free one and gives it back when it returns.  The calling thread
-    grows every draw buffer to a block's draws before handing the block on.
-    (What a drawing thread allocates returns, once freed, to its own malloc
-    arena, which keeps it resident.)  A yielded block stays valid until the
+    of ``block_rows`` rows into the slot of their first block; when the draw
+    cap cuts them, it copies them to ``deg_cut`` in slot 0, and from there
+    each block's into its own slot.  A block's follower draws live only
+    while it runs, so there are ``threads`` draw buffers, slots
+    ``0..threads - 1`` of the name ``draws``: a running block takes a free
+    one and gives it back when it returns.  The calling thread grows every
+    draw buffer to a block's draws before handing the block on.  (What a
+    drawing thread allocates returns, once freed, to its own malloc arena,
+    which keeps it resident.)  A yielded block stays valid until the
     consumer asks for the next one.
     """
     threads = _column_threads(-(-n // block_rows))
@@ -446,26 +481,36 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
 
     def tasks():
         deg_rng = child_rng(seed, STREAMS["in_degree"])
-        follow = 0
-        for i, start in enumerate(range(0, n, block_rows)):
-            rows, slot = slice(start, min(start + block_rows, n)), i % slots
-            in_deg = _draw_in_degrees(config, rows.stop - start, deg_rng,
-                                      out=ring.rows(slot, "in_deg", rows, np.int64),
-                                      work=ring.get(0, "deg_work", rows.stop - start, np.intp))
-            total = int(in_deg.sum())
-            for d in range(threads):  # a buffer only grows, so a block finds its size
-                ring.get(d, "draws", total)
-            rest = [ring.rows(slot, name, rows, dtype) for name, dtype in names.items()]
-            yield functools.partial(run, in_deg, start, follow, total, rest)
-            follow += total
+        follow = i = 0
+        for start in range(0, n, block_rows):
+            rows = slice(start, min(start + block_rows, n))
+            drawn = _draw_in_degrees(config, rows.stop - start, deg_rng, ring=ring,
+                                     out=ring.rows(i % slots, "in_deg", rows, np.int64))
+            parts = _capped_blocks(drawn, BLOCK_DRAWS)
+            if len(parts) > 1:  # later blocks take slots that a block in flight may hold
+                cut = ring.get(0, "deg_cut", len(drawn), np.int64)
+                cut[:] = drawn
+                drawn = cut
+            for a, b, total in parts:
+                rows, slot = slice(start + a, start + b), i % slots
+                in_deg = drawn
+                if len(parts) > 1:
+                    in_deg = ring.rows(slot, "in_deg", rows, np.int64)
+                    in_deg[:] = drawn[a:b]
+                for d in range(threads):  # a buffer only grows, so a block finds its size
+                    ring.get(d, "draws", total)
+                rest = [ring.rows(slot, name, rows, dtype) for name, dtype in names.items()]
+                yield functools.partial(run, in_deg, rows.start, follow, total, rest)
+                follow += total
+                i += 1
 
     return _in_order(tasks(), threads, slots)
 
 
 def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
                      ring: BlockRing):
-    """Both aggregates of an i.i.d.-column config, ``block_rows`` rows at a
-    time and in row order (:func:`_iid_blocks`): yields
+    """Both aggregates of an i.i.d.-column config, at most ``block_rows``
+    rows at a time and in row order (:func:`_iid_blocks`): yields
     ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
     names (the rows of its ``out`` arrays where it has them).
     """
@@ -592,7 +637,7 @@ def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
     _check_pair_args(n)
     ring = BlockRing() if ring is None else ring
     if config.all_iid_columns():
-        return _iid_pair_blocks(config, n, seed, PAIR_BLOCK_ROWS, ring)
+        return _iid_pair_blocks(config, n, seed, STREAM_BLOCK_ROWS, ring)
     return _column_pair_blocks(config, n, seed, ring)
 
 
@@ -626,6 +671,16 @@ def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePat
     )
 
 
+def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int) -> None:
+    """Write ``sample_aggregate(config, n, seed).write_csv(fileobj)``, byte
+    for byte, from the blocks of :func:`aggregate_pair_blocks`, so that no
+    path is held."""
+    blocks = aggregate_pair_blocks(config, n, seed)
+    _write_path_header(fileobj, config, n, seed)
+    for sums, maxes, *_ in blocks:
+        write_rows(fileobj, "%.17g\n", sums if config.aggregate == SUM else maxes)
+
+
 def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
                 ring: BlockRing | None = None) -> tuple[float, float, np.ndarray]:
     """The largest sum and the largest max value of the pair
@@ -645,7 +700,7 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     ring = BlockRing() if ring is None else ring
     if config.all_iid_columns():
         sum_maxes, max_maxes, tops = zip(*_iid_block_maxima(
-            config, n, seed, PAIR_BLOCK_ROWS, top, ring))
+            config, n, seed, MAXIMA_BLOCK_ROWS, top, ring))
         return (float(max(sum_maxes)), float(max(max_maxes)),
                 upper_order_statistics(np.concatenate(tops), top))
     q_tail = TailSample(top)

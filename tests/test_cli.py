@@ -397,11 +397,11 @@ class TestAtomicWrites:
         assert main(argv) == 0
         before = (tmp_path / "path.csv").read_bytes()
 
-        def partial(path, fh):
+        def partial(fh, *args):
             fh.write("# damping=0.5\n")
             raise OSError("disk full")
 
-        monkeypatch.setattr(recursion.AggregatePath, "write_csv", partial)
+        monkeypatch.setattr(cli, "write_path_csv", partial)
         assert main(argv + ["--seed", "7"]) == 2
         assert "disk full" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["path.csv"]
@@ -433,6 +433,33 @@ class TestAtomicWrites:
         assert (tmp_path / "path.csv").read_text() == path.to_csv()
 
 
+class TestStreamedSimulate:
+    @pytest.mark.parametrize("overrides", [{}, {"deps": "mm:1,1;iid"}, {"aggregate": "max"}])
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 2500])
+    def test_path_csv_equals_the_whole_path_csv(self, n, overrides, tmp_path, monkeypatch):
+        # n below, at and across multiples of 1000-row blocks
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
+        params = dict(experiments.MODEL_DEFAULTS, n=n, seed=5, **overrides)
+        argv = ["simulate", "--out", str(tmp_path)]
+        for key in ("n", "seed", *overrides):
+            argv += ["--set", f"{key}={params[key]}"]
+        assert main(argv) == 0
+        path = recursion.sample_aggregate(
+            experiments.recursion_config_from_params(params), n, 5)
+        assert (tmp_path / "path.csv").read_text() == path.to_csv()
+
+    def test_memory_holds_no_path(self, tmp_path):
+        # 9.8 MB measured; building the whole pair (four arrays of 8 MB) took
+        # 36.6 MB
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--set", "n=1000000", "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+
 class TestThreadAndJobIndependence:
     @staticmethod
     def outputs(cfg, runs, tmp_path, monkeypatch):
@@ -454,7 +481,7 @@ class TestThreadAndJobIndependence:
     @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (2, 2)])
     def test_followers_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
         cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
-        monkeypatch.setattr(recursion, "COLUMN_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
         ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path, monkeypatch)
         assert ref == got
 
@@ -465,7 +492,8 @@ class TestThreadAndJobIndependence:
     @pytest.fixture(scope="class")
     def preference_reference(self, tmp_path_factory):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recursion, "PAIR_BLOCK_ROWS", 1000)
+            mp.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
+            mp.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
             mp.setattr(experiments, "_definition_runs", runs_of(None))
             cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
             return self.outputs(cfg, [(1, 1)], tmp_path_factory.mktemp("ref"), mp)
@@ -474,7 +502,8 @@ class TestThreadAndJobIndependence:
     @pytest.mark.parametrize("threads, jobs", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
     def test_definition_stage_outputs_are_identical(self, run, threads, jobs, tmp_path,
                                                     monkeypatch, preference_reference):
-        monkeypatch.setattr(recursion, "PAIR_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
         monkeypatch.setattr(experiments, "_definition_runs", runs_of(run))
         cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
         got = self.outputs(cfg, [(threads, jobs)], tmp_path, monkeypatch)
@@ -485,7 +514,7 @@ class TestThreadAndJobIndependence:
     def test_iid_kernel_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
         # the tail regime and its paired tail comparison, both on the
         # i.i.d.-column kernel in blocks of 1000 rows
-        monkeypatch.setattr(recursion, "PAIR_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
         for cfg in (ExperimentConfig.default("verify-thm4", regime="tail", n=5500,
                                              replications=3),
                     ExperimentConfig.default("tail-eq", n=5500, quantile=0.99)):
@@ -560,8 +589,7 @@ class TestStreamedReplication:
         if low:
             params.update(LOW_THRESHOLDS)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recursion, "PAIR_BLOCK_ROWS", block_rows)
-            mp.setattr(recursion, "COLUMN_BLOCK_ROWS", block_rows)
+            mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
             mp.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
             got = outcome(lambda: experiments._replication((kind, params, rep)))
         assert got == outcome(lambda: whole_path_row(kind, params, rep))
@@ -586,6 +614,29 @@ class TestStreamedReplication:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
         assert max(peaks) < 12 * 2**20
+
+    @pytest.mark.parametrize("overrides, bound_mb", [
+        # the benchmark's tail-alpha config on two drawing threads, 3.2
+        # follower draws a row: 8.4-9.3 MB measured, 15.6-18.5 MB with
+        # 2^16-row blocks
+        (dict(k=3.0, alpha=1.2, beta=2.0, n_max=10**4), 12),
+        # 766 draws a row, in blocks of at most 2^17 draws or one row of up to
+        # n_max, on one thread (the rows are one draw of in-degrees): 7.5-8.3
+        # MB measured, 123-135 MB when a block held all its rows' draws
+        (dict(alpha=0.5, n_max=10**6, n=20000), 16),
+    ])
+    def test_block_memory_stays_within_its_bound(self, overrides, bound_mb, monkeypatch):
+        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(2, tasks))
+        params = ExperimentConfig.default("verify-thm4", regime="tail", **overrides).params
+        # a first run caches the in-degree law's tables (16 MB at n_max = 10^6)
+        experiments._replication(("verify-thm4", params, 0))
+        tracemalloc.start()
+        try:
+            experiments._replication(("verify-thm4", params, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, peak
 
 
 class RecordingPool:
@@ -873,7 +924,7 @@ class TestCliCommands:
         assert "top count must be an integer >= 1" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "sample_aggregate", refuse_to_sample)
+        monkeypatch.setattr(cli, "write_path_csv", refuse_to_sample)
         assert main(["verify", "thm2", "--set", "nonsense=1"]) == 2
         assert main(["simulate", "--set", "coupling=adversarial"]) == 2
         assert "error: unknown parameter 'coupling' for simulate" in capsys.readouterr().err

@@ -140,7 +140,7 @@ class TestAggregate:
             make_config(fixed_in_degree=51)  # exceeds n_max columns
 
 
-BLOCK_ROWS_CASES = st.sampled_from([1, 2, 5, 16, recursion.COLUMN_BLOCK_ROWS])
+BLOCK_ROWS_CASES = st.sampled_from([1, 2, 5, 16, recursion.STREAM_BLOCK_ROWS])
 
 
 @contextlib.contextmanager
@@ -148,7 +148,7 @@ def column_kernel(block_rows, threads):
     """The explicit-column kernel at ``block_rows`` rows per block and at most
     ``threads`` drawing threads, for the duration of a ``with`` block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "COLUMN_BLOCK_ROWS", block_rows)
+        mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
         mp.setattr(recursion, "_column_threads", lambda columns: min(threads, columns))
         yield
 
@@ -798,7 +798,7 @@ class TestStreamedComparison:
         n = max(1, block_rows * blocks + offset)
         config = make_config(**IN_DEGREES[in_degrees])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recursion, "PAIR_BLOCK_ROWS", block_rows)
+            mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
             rows = compare_tail_sum_max(config, n, thresholds, seed)
         want = whole_path_rows(config, n, thresholds, seed)
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
@@ -873,13 +873,23 @@ def whole_iid_pair(config, n, seed):
 
 
 @contextlib.contextmanager
-def iid_kernel(block_rows, threads):
-    """The i.i.d.-column kernel at ``block_rows`` rows per block and at most
-    ``threads`` drawing threads, for the duration of a ``with`` block."""
+def iid_kernel(block_rows, threads, draws=None):
+    """The i.i.d.-column kernel at ``block_rows`` rows per block (streamed
+    and bound-and-refine alike), at most ``draws`` follower draws per block
+    when given, and at most ``threads`` drawing threads, for the duration of
+    a ``with`` block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "PAIR_BLOCK_ROWS", block_rows)
+        mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
+        mp.setattr(recursion, "MAXIMA_BLOCK_ROWS", block_rows)
+        if draws is not None:
+            mp.setattr(recursion, "BLOCK_DRAWS", draws)
         mp.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
         yield
+
+
+# follower draws per block: cuts every block of a power-law in-degree, and
+# the default
+DRAW_CAPS = st.sampled_from([1, 3, 7, None])
 
 
 class TestThreadedIidKernel:
@@ -889,14 +899,15 @@ class TestThreadedIidKernel:
            in_degrees=st.sampled_from(sorted(IN_DEGREES)),
            damping=st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.01, 0.99),
            thresholds=st.lists(st.sampled_from([0.901, 0.95, 0.99, 0.999]), min_size=1,
-                               max_size=3))
+                               max_size=3), draws=DRAW_CAPS)
     def test_all_three_callers_equal_the_whole_path_oracle(
-            self, seed, block_rows, blocks, offset, threads, in_degrees, damping, thresholds):
+            self, seed, block_rows, blocks, offset, threads, in_degrees, damping, thresholds,
+            draws):
         # n below, at and just past a multiple of the block
         n = max(1, block_rows * blocks + offset)
         config = make_config(damping=damping, **IN_DEGREES[in_degrees])
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
-        with iid_kernel(block_rows, threads):
+        with iid_kernel(block_rows, threads, draws):
             pair = sample_aggregate_pair(config, n, seed)
             maxima = pair_maxima(config, n, seed, 3)
             rows = compare_tail_sum_max(config, n, thresholds, seed)
@@ -912,6 +923,28 @@ class TestThreadedIidKernel:
             x = float(ordered[min(math.ceil(qv * n) - 1, n - 1)])
             want.append((x, int(np.sum(sums > x)), int(np.sum(maxes > x))))
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=SEEDS, block_rows=st.integers(1, 40), n=st.integers(1, 200),
+           in_degrees=st.sampled_from(sorted(IN_DEGREES)), draws=st.integers(1, 40))
+    def test_a_block_takes_the_most_rows_within_the_draw_cap(self, seed, block_rows, n,
+                                                             in_degrees, draws):
+        config = make_config(**IN_DEGREES[in_degrees])
+        with iid_kernel(block_rows, 2, draws):
+            blocks = [tuple(a.copy() for a in block)
+                      for block in _iid_pair_blocks(config, n, seed, block_rows, BlockRing())]
+        want = whole_iid_pair(config, n, seed)
+        assert [np.concatenate(parts).tobytes() for parts in zip(*blocks)] == [
+            a.tobytes() for a in want]
+        start = 0
+        for (_, _, in_deg, _), after in zip(blocks, blocks[1:] + [None]):
+            end = start + len(in_deg)
+            # within one draw of in-degrees, and past the cap only alone
+            assert start // block_rows == (end - 1) // block_rows
+            assert in_deg.sum() <= draws or len(in_deg) == 1
+            if after is not None and end % block_rows:  # cut by the cap
+                assert in_deg.sum() + after[2][0] > draws
+            start = end
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEEDS, head=st.integers(0, 300) | st.integers(2**16, 2**20),
@@ -947,6 +980,22 @@ class TestThreadedIidKernel:
         want = whole_iid_pair(config, 40, SEED)
         assert pair.sum_values.tobytes() == want[0].tobytes()
         assert pair.max_values.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("deps", [(DependenceSpec.iid(),),
+                                      (DependenceSpec.moving_maxima(1, 1),)])
+    @pytest.mark.parametrize("fixed_in_degree", [None, 3])
+    def test_only_a_drawn_in_degree_takes_lookup_scratch(self, deps, fixed_in_degree):
+        names = set()
+
+        class RecordingRing(BlockRing):
+            def get(self, slot, name, size, dtype=np.float64):
+                names.add(name)
+                return super().get(slot, name, size, dtype)
+
+        config = make_config(follower_deps=deps, fixed_in_degree=fixed_in_degree)
+        for _ in recursion.aggregate_pair_blocks(config, 100, SEED, RecordingRing()):
+            pass
+        assert ("deg_work" in names) == (fixed_in_degree is None)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_at_most_twice_the_threads_of_blocks_are_in_flight(self, threads, monkeypatch):
@@ -1057,6 +1106,17 @@ def in_ring(array, handed):
 
 
 class TestOneBlockRing:
+    def test_a_growing_array_is_let_go_before_its_successor(self):
+        ring = BlockRing()
+        tracemalloc.start()
+        try:
+            ring.get(0, "draws", 2**20)
+            ring.get(0, "draws", 2**21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20 * 8  # 16 MB, not the 8 MB and 16 MB arrays at once
+
     def test_streamed_comparison_blocks_live_in_the_ring(self, ring_records):
         handed, slots, blocks = ring_records
         config = make_config()
@@ -1137,15 +1197,15 @@ class TestBoundAndRefine:
            damping=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
            block_rows=st.sampled_from([1, 2, 5, 16]), threads=st.integers(1, 3),
            sizes=st.lists(st.integers(1, 120), min_size=1, max_size=3),
-           top=st.integers(1, 150))
+           top=st.integers(1, 150), draws=DRAW_CAPS)
     def test_equals_the_whole_path_oracle(self, seed, tails, degrees, damping, block_rows,
-                                          threads, sizes, top):
+                                          threads, sizes, top, draws):
         follower, preference = BOUNDED_TAILS[tails]
         config = make_config(damping=damping, follower_tail=follower,
                              preference_tail=preference, **degrees)
         # one ring for calls of several lengths, as a run of replications shares it
         ring = recursion.BlockRing()
-        with iid_kernel(block_rows, threads):
+        with iid_kernel(block_rows, threads, draws):
             got = [pair_maxima(config, n, seed + i, top, ring=ring)
                    for i, n in enumerate(sizes)]
         for i, (n, (sum_max, max_max, q_top)) in enumerate(zip(sizes, got)):
