@@ -248,7 +248,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override one config key (repeatable)")
     parser.add_argument("--seed", type=int, help="root RNG seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="replication worker pool size")
+                        help="worker processes for the replications; at 1, "
+                             "they run on one thread per CPU")
     parser.add_argument("--out", help="output directory (RANK_EXTREMES_OUT overrides)")
 
 

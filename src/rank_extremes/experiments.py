@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable
@@ -50,7 +50,9 @@ from .recursion import (
     BlockRing,
     RecursionConfig,
     aggregate_pair_blocks,
+    available_cpus,
     compare_tail_sum_max,
+    draw_inline,
     pair_maxima,
     weighted_pair_blocks,
 )
@@ -435,10 +437,12 @@ def _definition_run(args) -> list[tuple[float, float, np.ndarray]]:
 
 
 def _definition_runs(r: int, jobs: int) -> list[range]:
-    """The runs of the definition stage's ``r`` replications, one task each:
-    all of them at ``jobs = 1``, else a few runs per worker, so the round
-    trips stay few."""
-    size = r if jobs <= 1 else max(1, r // (4 * jobs))
+    """The runs of the definition stage's ``r`` replications, one task each
+    of :func:`_map_reps`: a few runs per worker of its pool (processes at
+    ``jobs >= 2``, threads at ``jobs = 1``), so the round trips stay few and
+    the workers end together; all of them when the pool has one worker."""
+    workers = _workers(jobs, r)
+    size = r if workers <= 1 else max(1, r // (4 * workers))
     return [range(lo, min(lo + size, r)) for lo in range(0, r, size)]
 
 
@@ -620,16 +624,30 @@ def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Workers of :func:`_map_reps`'s pool for ``tasks`` tasks: ``jobs``
+    processes at ``jobs >= 2``, else one thread per CPU, and no more than
+    there are tasks (a forking pool starts every worker at once)."""
+    return min(jobs if jobs > 1 else available_cpus(), tasks)
+
+
 def _map_reps(worker: Callable, args: list, jobs: int) -> list:
-    """``[worker(a) for a in args]``, on a pool of ``min(jobs, len(args))``
-    processes when that is above 1 (a forking pool starts every worker at
-    once, so no more than there are tasks).  ``pool.map`` returns results in
-    argument order, so reports are reproducible regardless of worker
-    scheduling."""
-    workers = min(jobs, len(args))
+    """``[worker(a) for a in args]``, one task per worker of a pool of
+    :func:`_workers` workers when that is above 1: processes at ``jobs >=
+    2``, threads at ``jobs = 1``.  A run has one level of parallelism: across
+    its tasks when it has several, else across the blocks of its one task.
+    So a kernel on a task thread draws inline (:func:`draw_inline`), as one
+    in a worker process does, and a run of one task keeps its drawing
+    threads.  ``pool.map`` returns results in argument order, so reports
+    are reproducible regardless of worker scheduling."""
+    workers = _workers(jobs, len(args))
     if workers <= 1:
         return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool = ThreadPoolExecutor(workers, initializer=draw_inline)
+    with pool:
         return list(pool.map(worker, args))
 
 

@@ -15,6 +15,7 @@ function of the seed (see :mod:`rank_extremes.rng` for the splitting rule).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,16 +115,37 @@ class InDegreeSpec:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
 
 
-# pmf/cdf tables are O(n_max); memoize so replication loops do not rebuild them.
-@functools.lru_cache(maxsize=16)
-def _power_law_tables(spec: InDegreeSpec):
-    """Normalized pmf and cdf of the truncated law, cached per spec."""
-    support = np.arange(1, spec.n_max + 1, dtype=float)
-    weights = support ** -(spec.alpha + 1.0)
-    pmf = weights / weights.sum()
-    cdf = np.cumsum(pmf)
+def _power_law_pmf(spec: InDegreeSpec) -> np.ndarray:
+    """Normalized pmf of the truncated law on ``1..n_max``."""
+    weights = np.arange(1, spec.n_max + 1, dtype=float) ** -(spec.alpha + 1.0)
+    return weights / weights.sum()
+
+
+# Serialises the calls of the per-law tables below; reentrant, since the
+# guide table reads the cdf.
+_TABLES_LOCK = threading.RLock()
+
+
+def _per_law(build):
+    """``build(spec)`` cached per law (16 laws at most), so that replication
+    loops do not rebuild their O(n_max) tables, and each law is built once:
+    replication threads that meet a new law together would each build it."""
+    cached = functools.lru_cache(maxsize=16)(build)
+
+    @functools.wraps(build)
+    def table(spec: InDegreeSpec):
+        with _TABLES_LOCK:
+            return cached(spec)
+
+    return table
+
+
+@_per_law
+def _power_law_cdf(spec: InDegreeSpec) -> np.ndarray:
+    """The cdf of the truncated law, cached per spec."""
+    cdf = np.cumsum(_power_law_pmf(spec))
     cdf[-1] = 1.0
-    return pmf, cdf
+    return cdf
 
 
 # Buckets of the guide table: ``u * GUIDE_BUCKETS`` is exact for a double u,
@@ -131,12 +153,12 @@ def _power_law_tables(spec: InDegreeSpec):
 GUIDE_BUCKETS = 2**12
 
 
-@functools.lru_cache(maxsize=16)
+@_per_law
 def _power_law_guide(spec: InDegreeSpec):
     """Guide table of the truncated law's cdf, cached per spec: per bucket,
     the integer every draw in it maps to, and whether a cdf entry splits the
     bucket (its draws then need a search).  Fixed size, whatever ``n_max``."""
-    _, cdf = _power_law_tables(spec)
+    cdf = _power_law_cdf(spec)
     edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
     lowest = np.searchsorted(cdf, edges[:-1], side="right")
     # the answer at the largest double below the upper edge
@@ -310,6 +332,6 @@ def _power_law_lookup(spec: InDegreeSpec, u: np.ndarray, out=None,
     u_searched = u[searched]  # read before out overwrites u
     guide.take(buckets, out=out, mode="clip")  # every bucket is in range
     if len(searched):
-        _, cdf = _power_law_tables(spec)
+        cdf = _power_law_cdf(spec)
         out[searched] = np.searchsorted(cdf, u_searched, side="right") + 1
     return out

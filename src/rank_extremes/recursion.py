@@ -25,6 +25,7 @@ import io
 import multiprocessing
 import os
 import queue
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .heavytail import (
     SequenceSpec,
     SequenceStream,
     TailSpec,
-    _power_law_tables,
+    _power_law_pmf,
     pareto_transform,
     sample_pareto,
     sample_power_law_int,
@@ -254,18 +255,42 @@ MAXIMA_BLOCK_ROWS = 2**16
 BLOCK_DRAWS = 2**17
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU count
+    where that call does not exist (it is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Marks the threads whose kernels draw inline (see draw_inline).
+_inline = threading.local()
+
+
+def draw_inline() -> None:
+    """Make every kernel called later on this thread draw its blocks on it.
+    The initializer of a thread pool whose threads each run whole tasks
+    (``experiments._map_reps``): its siblings already take the other CPUs."""
+    _inline.draws = True
+
+
 def _column_threads(tasks: int) -> int:
     """Threads that draw the blocks of a kernel: one per CPU this process
     may run on, and no more than there are ``tasks`` to run at once.  A
-    worker process of a pool (a ``--jobs`` replication) draws on one thread,
-    since its siblings already take the other CPUs."""
-    if multiprocessing.parent_process() is not None:
+    worker process of a pool (a ``--jobs`` replication) and a thread marked
+    by :func:`draw_inline` (a ``--jobs 1`` replication among several) draw
+    on one thread, since their siblings already take the other CPUs."""
+    if multiprocessing.parent_process() is not None or getattr(_inline, "draws", False):
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # the call is Linux-only
-        cpus = os.cpu_count() or 1
-    return min(cpus, tasks)
+    return min(available_cpus(), tasks)
+
+
+def _ring_slots(threads: int) -> int:
+    """Slots of the block ring of a kernel on ``threads`` drawing threads:
+    two per thread, so that a thread draws one block while the consumer
+    reduces another; one when the kernel draws inline, since a block is then
+    drawn only once the consumer is done with the last."""
+    return 2 * threads if threads > 1 else 1
 
 
 def _in_order(tasks, threads: int, ahead: int):
@@ -312,9 +337,9 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
     returns their in-degrees, ``in_deg`` (else ``None``).
 
     The columns are drawn in blocks by :func:`_in_order` on
-    ``_column_threads`` threads, into the slots of ``ring``, ``min(2 ×
-    threads, columns)`` of them, one per block ahead of the reduction.  The
-    calling thread reduces row block after row block and, within one, the
+    ``_column_threads`` threads, into the slots of ``ring``: those of
+    :func:`_ring_slots`, but no more than there are columns.  The calling
+    thread reduces row block after row block and, within one, the
     columns in order, so every sum keeps its rounding order.  The ring holds
     no more slots than there are columns, so a column's next block is drawn
     only after its previous one was reduced.  A yielded block stays valid
@@ -325,7 +350,7 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
     tasks = [(j, slice(start, min(start + width, n)))
              for start in range(0, n, width) for j in range(len(columns))]
     threads = _column_threads(max(len(columns), 1))
-    slots = min(2 * threads, len(columns))
+    slots = min(_ring_slots(threads), len(columns))
 
     def draws():
         for i, (j, rows) in enumerate(tasks):
@@ -443,17 +468,18 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
     thread draws the in-degrees ``block_rows`` rows at a time.  Each block's
     draws and reduction then run by :func:`_in_order` on ``_column_threads``
     threads, at most ``2 × threads`` blocks ahead of the consumer, or inline
-    as the consumer asks for them when that is one thread (every ``--jobs``
-    worker).  A block starting at row ``start`` takes its preference draws
-    from offset ``start`` of the ``preference`` stream, and its
+    as the consumer asks for them when that is one thread (a ``--jobs``
+    worker, or one of several replications at ``--jobs 1``).  A block
+    starting at row ``start`` takes its preference draws from offset
+    ``start`` of the ``preference`` stream, and its
     ``len(draws)`` follower draws from offset ``follow``, the sum of the
     earlier blocks' in-degrees, of the ``column`` stream
     (:func:`child_rng_at`).  Every row lies inside one block, so every
     value equals that of the whole path drawn at once, bit for bit, whatever
     the block size, draw cap and thread count.
 
-    The calling thread takes block ``i``'s arrays from slot
-    ``i % (2 × threads)`` of ``ring``: ``in_deg`` and ``rest``, an array of
+    The calling thread takes block ``i``'s arrays from slot ``i % slots``
+    of ``ring`` (:func:`_ring_slots`): ``in_deg`` and ``rest``, an array of
     its rows for each ``name: dtype`` of ``names``.  It draws the in-degrees
     of ``block_rows`` rows into the slot of their first block; when the draw
     cap cuts them, it copies them to ``deg_cut`` in slot 0, and from there
@@ -467,7 +493,7 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
     consumer asks for the next one.
     """
     threads = _column_threads(-(-n // block_rows))
-    slots = 2 * threads
+    slots = _ring_slots(threads)
     free = queue.SimpleQueue()  # the draw buffers no running block holds
     for i in range(threads):
         free.put(i)
@@ -766,9 +792,8 @@ TBT_NODE_BUDGET = 10**8
 def _expected_in_degree(config: RecursionConfig) -> float:
     if config.fixed_in_degree is not None:
         return float(config.fixed_in_degree)
-    pmf, _ = _power_law_tables(config.in_degree)
     support = np.arange(1, config.in_degree.n_max + 1, dtype=float)
-    return float(np.dot(support, pmf))
+    return float(np.dot(support, _power_law_pmf(config.in_degree)))
 
 
 def expected_tree_size(config: RecursionConfig, depth: int, n_roots: int) -> float:

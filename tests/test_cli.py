@@ -349,6 +349,25 @@ class TestFailingReplication:
         assert info.value.__notes__ == [f"in verify-thm4 replication 0, seed {seed}"]
         assert threading.active_count() == before
 
+    def test_a_replication_thread_failure_is_named(self, monkeypatch):
+        # replication 1 of 3 fails on one of two threads at --jobs 1
+        cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
+        bad = replication_seed(cfg.params["seed"], 1)
+        blocks = experiments.aggregate_pair_blocks
+
+        def failing(config, n, seed, ring=None):
+            if seed == bad:
+                raise FloatingPointError("pair failed")
+            return blocks(config, n, seed, ring)
+
+        monkeypatch.setattr(experiments, "aggregate_pair_blocks", failing)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="pair failed") as info:
+            run_experiment(cfg, jobs=1)
+        assert info.value.__notes__ == [f"in verify-thm4 replication 1, seed {bad}"]
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_definition_replication_is_named(self, jobs, monkeypatch):
         def failing(*args, **kwargs):
@@ -460,23 +479,54 @@ class TestStreamedSimulate:
         assert peak < 16 * 2**20, peak
 
 
+def written(cfg, jobs, out):
+    """The report (without ``timestamp``) and the other files that ``cfg``
+    writes into ``out``, run at ``jobs``."""
+    report_name = f"{cfg.kind}.report.json"
+    run_experiment(cfg, jobs=jobs, out_dir=str(out))
+    report = json.loads((out / report_name).read_text())
+    del report["timestamp"]
+    return report, {p.name: p.read_bytes() for p in out.iterdir() if p.name != report_name}
+
+
+# Each replicated regime with an odd replication count, so that a round of
+# two threads leaves one idle: (kind, overrides)
+THREAD_CASES = {
+    "thm2": ("verify-thm2", dict(n=20000, replications=3)),
+    "followers": ("verify-thm4", FOLLOWERS),
+    "tail": ("verify-thm4", dict(regime="tail", n=5500, replications=3)),
+    "preference": ("verify-thm4", dict(def_replications=100, def_n=2500, n=20000,
+                                       replications=3)),
+}
+
+
 class TestThreadAndJobIndependence:
     @staticmethod
     def outputs(cfg, runs, tmp_path, monkeypatch):
-        """The report (without ``timestamp``) and the other files that ``cfg``
-        writes, run at each ``(threads, jobs)`` of ``runs``."""
-        report_name = f"{cfg.kind}.report.json"
+        """What :func:`written` gives for ``cfg`` at each ``(threads, jobs)``
+        of ``runs``, ``threads`` the drawing threads of a kernel."""
         outputs = []
         for i, (threads, jobs) in enumerate(runs):
-            out = tmp_path / str(i)
             monkeypatch.setattr(recursion, "_column_threads",
                                 lambda tasks, t=threads: min(t, tasks))
-            run_experiment(cfg, jobs=jobs, out_dir=str(out))
-            report = json.loads((out / report_name).read_text())
-            del report["timestamp"]
-            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != report_name}
-            outputs.append((report, files))
+            outputs.append(written(cfg, jobs, tmp_path / str(i)))
         return outputs
+
+    @pytest.mark.parametrize("case", sorted(THREAD_CASES))
+    def test_replication_threads_leave_outputs_identical(self, case, tmp_path,
+                                                         monkeypatch):
+        # --jobs 1 on a pool of one (every replication and definition run in
+        # turn, on the calling thread), two and three replication threads
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
+        kind, overrides = THREAD_CASES[case]
+        cfg = ExperimentConfig.default(kind, **overrides)
+        got = []
+        for pool in (1, 2, 3):
+            monkeypatch.setattr(experiments, "available_cpus", lambda: pool)
+            got.append(written(cfg, 1, tmp_path / str(pool)))
+        assert got[1] == got[0] and got[2] == got[0]
+        assert got[0][0]["estimates"]["replications"] == 3
 
     @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (2, 2)])
     def test_followers_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
@@ -615,6 +665,22 @@ class TestStreamedReplication:
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
         assert max(peaks) < 12 * 2**20
 
+    def test_two_replication_threads_stay_within_their_bound(self, monkeypatch):
+        # 5.0-5.6 MB measured, each replication drawing inline into a
+        # one-slot ring; 8.0-8.4 MB when each also ran two drawing threads
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+        params = ExperimentConfig.default(
+            "verify-thm4", regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1",
+            fixed_in_degree=10, n=2 * 10**5).params
+        tracemalloc.start()
+        try:
+            experiments._map_reps(experiments._replication,
+                                  [("verify-thm4", params, rep) for rep in (0, 1)], 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20, peak
+
     @pytest.mark.parametrize("overrides, bound_mb", [
         # the benchmark's tail-alpha config on two drawing threads, 3.2
         # follower draws a row: 8.4-9.3 MB measured, 15.6-18.5 MB with
@@ -658,7 +724,34 @@ class RecordingPool:
         return map(fn, args)
 
 
+class RecordingThreadPool(RecordingPool):
+    """A stand-in for ``ThreadPoolExecutor`` that records the threads and the
+    initializer asked for and maps in this thread."""
+
+    workers = []
+    initializers = []
+
+    def __init__(self, max_workers, initializer):
+        super().__init__(max_workers)
+        self.initializers.append(initializer)
+
+
 class TestWorkerPool:
+    @pytest.mark.parametrize("cpus, tasks, threads", [
+        (2, 5, [2]), (2, 3, [2]), (8, 3, [3]), (2, 1, []), (1, 5, [])])
+    def test_jobs_1_maps_on_threads_capped_at_the_cpus(self, cpus, tasks, threads,
+                                                       monkeypatch):
+        monkeypatch.setattr(RecordingPool, "workers", [])
+        monkeypatch.setattr(RecordingThreadPool, "workers", [])
+        monkeypatch.setattr(RecordingThreadPool, "initializers", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingThreadPool)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
+        assert experiments._map_reps(abs, list(range(-tasks, 0)), 1) == \
+            list(range(tasks, 0, -1))
+        assert RecordingThreadPool.workers == threads and RecordingPool.workers == []
+        assert RecordingThreadPool.initializers == [recursion.draw_inline] * len(threads)
+
     @pytest.mark.parametrize("jobs, tasks, workers", [
         (8, 2, [2]), (8, 20, [8]), (2, 5, [2]), (8, 1, []), (1, 5, []), (4, 0, [])])
     def test_the_pool_is_capped_at_the_tasks(self, jobs, tasks, workers, monkeypatch):
@@ -675,11 +768,18 @@ class TestWorkerPool:
         run_experiment(cfg, jobs=8, out_dir=str(tmp_path))
         assert RecordingPool.workers == [2]
 
-    @pytest.mark.parametrize("jobs, runs", [(1, 1), (2, 8), (4, 16)])
-    def test_definition_runs_are_contiguous(self, jobs, runs):
+    # on two CPUs: --jobs 1 maps the runs on two threads, as --jobs 2 on two
+    # processes
+    @pytest.mark.parametrize("jobs, runs", [(1, 8), (2, 8), (4, 16)])
+    def test_definition_runs_are_contiguous(self, jobs, runs, monkeypatch):
+        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1})
         got = experiments._definition_runs(500, jobs)
         assert len(got) in (runs, runs + 1)
         assert [rep for run in got for rep in run] == list(range(500))
+
+    def test_one_cpu_takes_one_definition_run(self, monkeypatch):
+        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0})
+        assert experiments._definition_runs(500, 1) == [range(500)]
 
 
 class TestCliCommands:

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank_extremes import heavytail
 from rank_extremes.errors import ParameterError
 from rank_extremes.rng import STREAMS, child_rng
 from rank_extremes.estimators import (
@@ -23,9 +26,9 @@ from rank_extremes.heavytail import (
     GUIDE_BUCKETS,
     TailSpec,
     _frechet,
+    _power_law_cdf,
     _power_law_guide,
     _power_law_lookup,
-    _power_law_tables,
     gen_moving_maxima,
     sample_pareto,
     sample_power_law_int,
@@ -223,7 +226,7 @@ def expression_moving_maxima(seq, n, rng):
 
 
 def expression_power_law_int(spec, n, rng):
-    _, cdf = _power_law_tables(spec)
+    cdf = _power_law_cdf(spec)
     return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64) + 1
 
 
@@ -388,7 +391,7 @@ class TestGuideTable:
            extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
     def test_lookup_equals_the_search(self, alpha, n_max, extra):
         spec = InDegreeSpec(alpha=alpha, n_max=n_max)
-        _, cdf = _power_law_tables(spec)
+        cdf = _power_law_cdf(spec)
         # the cdf entries and their neighbours split buckets, at both ends
         below_one = cdf[cdf < 1.0]
         near = np.concatenate([below_one[:100], below_one[-100:]])
@@ -411,6 +414,31 @@ class TestGuideTable:
         assert guide.shape == split.shape == (GUIDE_BUCKETS,)
         # few buckets hold a cdf entry, so few draws need the search
         assert split.mean() < 0.02
+
+    # alpha makes each law new to the process
+    @pytest.mark.parametrize("table, alpha", [(_power_law_cdf, 1.03125),
+                                              (_power_law_guide, 1.09375)])
+    def test_threads_meeting_a_new_law_build_it_once(self, table, alpha, monkeypatch):
+        builds = []
+        pmf = heavytail._power_law_pmf
+
+        def counted(spec):
+            builds.append(spec)
+            return pmf(spec)
+
+        monkeypatch.setattr(heavytail, "_power_law_pmf", counted)
+        spec = InDegreeSpec(alpha=alpha, n_max=10**5)
+        threads = 4
+        barrier = threading.Barrier(threads)
+
+        def first_call():
+            barrier.wait(timeout=10)
+            return table(spec)
+
+        with ThreadPoolExecutor(threads) as pool:
+            got = list(pool.map(lambda _: first_call(), range(threads)))
+        assert builds == [spec]
+        assert all(result is got[0] for result in got)
 
     # sha256 prefixes of 10^4 draws from an integer root seed, as the binary
     # search over the cdf drew them

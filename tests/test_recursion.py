@@ -7,7 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank_extremes import recursion, textio
+from rank_extremes import experiments, recursion, textio
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import (
     ThresholdRule,
@@ -564,6 +564,15 @@ class TestBlockedColumnKernel:
         monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         with ProcessPoolExecutor(max_workers=1) as pool:
             assert pool.submit(recursion._column_threads, 100).result() == 1
+
+    def test_a_replication_thread_draws_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+        assert experiments._map_reps(recursion._column_threads, [100, 100, 100], 1) == [1] * 3
+        # a library caller's own thread keeps its drawing threads
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(recursion._column_threads, 100).result() == 4
+        assert recursion._column_threads(100) == 4
 
 
 def looped_segment_sum_max(values, counts):
@@ -1151,8 +1160,9 @@ class TestOneBlockRing:
         with column_kernel(4, threads):
             sample_weighted_pair([(0.5, seq) for seq in specs[:columns]], 40, SEED)
         assert len(blocks) == 10 * columns and all(in_ring(a, handed) for a in blocks)
-        # no more slots than columns: a column's blocks are drawn one at a time
-        ring_slots = min(2 * threads, columns)
+        # no more slots than columns: a column's blocks are drawn one at a
+        # time; one slot when the calling thread draws every block
+        ring_slots = 1 if threads == 1 else min(2 * threads, columns)
         assert max(slots) == ring_slots - 1
         assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[ring_slots:]))
 
