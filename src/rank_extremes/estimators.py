@@ -76,28 +76,16 @@ class ThresholdRule:
 
 
 def upper_order_statistics(values: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` largest values, in descending order.
+    """The ``count`` largest values of a 1-D sample, in descending order.
 
-    A 1-D sample is partitioned once at ``n - count`` and only the top slice
-    is sorted.  A 2-D sample is pooled: each row's top ``count`` values are
-    copied into a ``(rows, count)`` buffer, which is then reduced as one
-    sample, so no copy of the whole block is made (unless ``count`` is at
-    least the row width, when every value may be needed).  ``values`` is
-    not modified.
+    The sample is partitioned once at ``n - count`` and only the top slice
+    is sorted.  ``values`` is not modified.
     """
     values = np.asarray(values)
-    if values.ndim > 2:
-        raise ParameterError(f"expected a 1-D or 2-D sample, got {values.ndim}-D")
+    if values.ndim != 1:
+        raise ParameterError(f"expected a 1-D sample, got {values.ndim}-D")
     if not 1 <= count <= values.size:
         raise ParameterError(f"count must be in [1, {values.size}], got {count}")
-    if values.ndim == 2 and count < values.shape[1]:
-        k = values.shape[1] - count
-        buf = np.empty((values.shape[0], count), dtype=values.dtype)
-        for row, out in zip(values, buf):
-            # copy out of the partitioned row, so the row copy is freed at once
-            out[:] = np.partition(row, k)[k:]
-        values = buf
-    values = values.ravel()
     k = values.size - count
     return np.sort(np.partition(values, k)[k:])[::-1]
 
@@ -211,21 +199,21 @@ def nearest_rank_index(q: float, size: int) -> int:
 
 
 def nearest_rank_quantile(values, q: float) -> float:
-    """Nearest-rank empirical quantile (no interpolation), pooled over all
-    values of a 1-D or 2-D sample, or of a :class:`TailSample`'s path."""
+    """Nearest-rank empirical quantile (no interpolation) of a 1-D sample,
+    or of a :class:`TailSample`'s path."""
     if not (0 < q < 1):
         raise ParameterError(f"quantile level must be in (0, 1), got {q}")
     sample = isinstance(values, TailSample)
     values = values if sample else np.asarray(values)
-    n = len(values) if sample else values.size
+    if not sample and values.ndim != 1:
+        raise ParameterError(f"expected a 1-D sample, got {values.ndim}-D")
+    n = len(values)
     if n == 0:
         raise DataError("quantile of an empty sample")
     idx = nearest_rank_index(q, n)
     if sample:
         return float(values.largest(n - idx)[-1])
-    if values.ndim == 1:
-        return float(np.partition(values, idx)[idx])
-    return float(upper_order_statistics(values, n - idx)[-1])
+    return float(np.partition(values, idx)[idx])
 
 
 @dataclass(frozen=True)
@@ -380,10 +368,9 @@ def intervals_theta(path, u: float) -> EstimateReport:
     )
 
 
-def definition_top_count(r: int, n: int, tau: float, pooled_size: int | None = None) -> int:
+def definition_top_count(r: int, n: int, tau: float) -> int:
     """How many of the largest pooled calibration values reach down to
-    ``u_n``, the nearest-rank ``1 - tau/n`` quantile of ``pooled_size``
-    values (``r * n`` by default).
+    ``u_n``, the nearest-rank ``1 - tau/n`` quantile of ``r * n`` values.
 
     Checks ``r >= 100`` replications and ``0 < tau < n`` first, so a caller
     can refuse a run before it samples anything.  A replication of ``n``
@@ -396,8 +383,7 @@ def definition_top_count(r: int, n: int, tau: float, pooled_size: int | None = N
     level = 1.0 - tau / n
     if not (0 < level < 1):
         raise ParameterError(f"tau={tau} incompatible with path length n={n}")
-    size = r * n if pooled_size is None else pooled_size
-    return size - nearest_rank_index(level, size)
+    return r * n - nearest_rank_index(level, r * n)
 
 
 def definition_theta_from_maxima(maxima, n: int, tau: float, u_n: float) -> EstimateReport:
@@ -428,28 +414,19 @@ def definition_theta_from_maxima(maxima, n: int, tau: float, u_n: float) -> Esti
     )
 
 
-def definition_theta(
-    paths,
-    tau: float,
-    calibration_paths=None,
-) -> EstimateReport:
-    """Definition-based estimator from a block of replicated paths.
-
-    ``u_n`` is the nearest-rank ``1 - tau/n`` quantile pooled over the
-    calibration sample (the paths themselves by default), and
-    ``theta_hat = -log(mean 1{M_n <= u_n}) / tau`` over replications.
-    Pass ``calibration_paths`` to tie ``u_n`` to a reference sequence (the
-    preference draws in the preference-dominant regime).  The estimate is
-    :func:`definition_theta_from_maxima` of the row maxima; ``exceedances``
-    counts the path values above ``u_n``.
+def definition_theta(paths, tau: float, calibration_paths=None) -> EstimateReport:
+    """Definition-based estimator from a 2-D block of replicated paths:
+    :func:`definition_theta_from_maxima` of the row maxima, at ``u_n`` the
+    nearest-rank ``1 - tau/n`` quantile of the pooled calibration values
+    (the paths themselves by default).  ``exceedances`` counts the path
+    values above ``u_n``.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2:
         raise ParameterError("paths must be a 2-D array (replications x length)")
-    r, n = paths.shape
+    n = paths.shape[1]
     calib = paths if calibration_paths is None else np.asarray(calibration_paths, dtype=float)
-    count = definition_top_count(r, n, tau, calib.size)
-    u_n = float(upper_order_statistics(calib, count)[-1])
+    u_n = nearest_rank_quantile(calib.ravel(), 1.0 - tau / n)
     report = definition_theta_from_maxima(paths.max(axis=1), n, tau, u_n)
     return replace(report, exceedances=int(np.count_nonzero(paths > u_n)))
 

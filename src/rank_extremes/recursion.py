@@ -13,9 +13,11 @@ sum/max comparisons are exact.
 
 Also provided: fixed-length weighted aggregates (the deterministic-``l``
 setting), depth-truncated branching-tree simulation of the rank recursion,
-and a paired sum-vs-max tail comparison table.  Both kinds of pair also
-come one row block at a time (:func:`aggregate_pair_blocks`,
-:func:`weighted_pair_blocks`), for consumers that hold no path.
+and a paired sum-vs-max tail comparison table.  Both kinds of pair come
+one row block at a time (:func:`aggregate_pair_blocks`,
+:func:`weighted_pair_blocks`), so their consumers hold no path;
+:func:`sample_aggregate_pair`, :func:`sample_weighted_pair` and
+:func:`sample_aggregate` copy those blocks into whole paths.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,20 +150,8 @@ def _write_path_header(fileobj, cfg: RecursionConfig, n: int, seed: int) -> None
 
 
 def read_path_csv(fileobj) -> np.ndarray:
-    """Values of a path CSV written by ``AggregatePath.write_csv``."""
+    """Values of a path CSV written by :func:`write_path_csv`."""
     return read_rows(fileobj, 1, float, title="value").ravel()
-
-
-@dataclass(frozen=True)
-class AggregatePair:
-    """Sum and max aggregates built from identical underlying draws."""
-
-    sum_values: np.ndarray
-    max_values: np.ndarray
-    in_degrees: np.ndarray
-    preference: np.ndarray  # raw q_t draws, unscaled
-    config: RecursionConfig
-    seed: int
 
 
 def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator, *,
@@ -208,14 +199,10 @@ class BlockRing:
     replications does not map and fault in fresh pages for each.  A ring
     serves one call at a time, on the thread that runs the call; a drawing
     thread only takes arrays that thread has already sized.
-
-    ``out`` maps names to arrays of all the rows of a call: a block's array
-    of such a name is its rows of that array, written in place.
     """
 
-    def __init__(self, out: dict | None = None):
+    def __init__(self):
         self._slots = []
-        self._out = out or {}
 
     def get(self, slot: int, name: str, size: int, dtype=np.float64) -> np.ndarray:
         """The first ``size`` values of the array ``name`` of slot ``slot``."""
@@ -230,13 +217,6 @@ class BlockRing:
             arrays[name] = a = None  # freed before its successor, unless a block holds it
             a = arrays[name] = np.empty(grown, dtype)
         return a[:size]
-
-    def rows(self, slot: int, name: str, rows: slice, dtype=np.float64) -> np.ndarray:
-        """The array ``name`` of the block of ``rows``: those rows of
-        ``out[name]`` when given, else an array of slot ``slot``."""
-        if name in self._out:
-            return self._out[name][rows]
-        return self.get(slot, name, rows.stop - rows.start, dtype)
 
 
 # Rows per block of the two streamed kernels, the explicit columns of
@@ -328,7 +308,7 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
     """Sums and maxima over the rows of ``n``-row columns, one finished row
     block after another: yields ``(rows, sums, maxes, in_deg)`` per block of
     ``STREAM_BLOCK_ROWS`` rows, ``sums`` and ``maxes`` the ``ring`` arrays
-    of those names (the rows of its ``out`` arrays where it has them).
+    of those names.
 
     ``columns[j]`` is a :class:`SequenceStream`.
     Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
@@ -364,7 +344,8 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
         in_deg = None if in_deg_of is None else in_deg_of(rows)
         # every row includes the columns below the block's smallest in-degree
         min_n = len(columns) if in_deg is None else int(in_deg.min())
-        sums, maxes = ring.rows(0, "sums", rows), ring.rows(0, "maxes", rows)
+        size = rows.stop - start
+        sums, maxes = ring.get(0, "sums", size), ring.get(0, "maxes", size)
         sums.fill(0.0)
         maxes.fill(0.0)
         for j in range(len(columns)):
@@ -392,7 +373,7 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     """Both aggregates of an explicit-column config, ``STREAM_BLOCK_ROWS``
     rows at a time and in row order (:func:`_column_sum_max`): yields
     ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
-    names (the rows of its ``out`` arrays where it has them).
+    names.
 
     The calling thread draws each block's in-degrees from the ``in_degree``
     stream as the block's reduction starts, and its preference values from
@@ -406,9 +387,9 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     def in_degrees():
         rng = child_rng(seed, STREAMS["in_degree"])
         for start in range(0, n, width):
-            rows = slice(start, min(start + width, n))
-            yield _draw_in_degrees(config, rows.stop - start, rng,
-                                   out=ring.rows(0, "in_deg", rows, np.int64), ring=ring)
+            size = min(width, n - start)
+            yield _draw_in_degrees(config, size, rng,
+                                   out=ring.get(0, "in_deg", size, np.int64), ring=ring)
 
     most = config.fixed_in_degree
     if most is None:
@@ -417,9 +398,10 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     blocks = _column_sum_max(_follower_columns(config, seed, most), n, ring,
                              in_deg_of=lambda rows: next(degrees))
     for rows, f_sum, f_max, in_deg in blocks:
-        q = sample_pareto(config.preference_tail, rows.stop - rows.start,
+        size = rows.stop - rows.start
+        q = sample_pareto(config.preference_tail, size,
                           child_rng_at(seed, rows.start, STREAMS["preference"]),
-                          out=ring.rows(0, "q", rows))
+                          out=ring.get(0, "q", size))
         yield (*_add_preference(config, f_sum, f_max, q), in_deg, q)
 
 
@@ -509,24 +491,24 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
         deg_rng = child_rng(seed, STREAMS["in_degree"])
         follow = i = 0
         for start in range(0, n, block_rows):
-            rows = slice(start, min(start + block_rows, n))
-            drawn = _draw_in_degrees(config, rows.stop - start, deg_rng, ring=ring,
-                                     out=ring.rows(i % slots, "in_deg", rows, np.int64))
+            size = min(block_rows, n - start)
+            drawn = _draw_in_degrees(config, size, deg_rng, ring=ring,
+                                     out=ring.get(i % slots, "in_deg", size, np.int64))
             parts = _capped_blocks(drawn, BLOCK_DRAWS)
             if len(parts) > 1:  # later blocks take slots that a block in flight may hold
                 cut = ring.get(0, "deg_cut", len(drawn), np.int64)
                 cut[:] = drawn
                 drawn = cut
             for a, b, total in parts:
-                rows, slot = slice(start + a, start + b), i % slots
+                slot = i % slots
                 in_deg = drawn
                 if len(parts) > 1:
-                    in_deg = ring.rows(slot, "in_deg", rows, np.int64)
+                    in_deg = ring.get(slot, "in_deg", b - a, np.int64)
                     in_deg[:] = drawn[a:b]
                 for d in range(threads):  # a buffer only grows, so a block finds its size
                     ring.get(d, "draws", total)
-                rest = [ring.rows(slot, name, rows, dtype) for name, dtype in names.items()]
-                yield functools.partial(run, in_deg, rows.start, follow, total, rest)
+                rest = [ring.get(slot, name, b - a, dtype) for name, dtype in names.items()]
+                yield functools.partial(run, in_deg, start + a, follow, total, rest)
                 follow += total
                 i += 1
 
@@ -538,7 +520,7 @@ def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int
     """Both aggregates of an i.i.d.-column config, at most ``block_rows``
     rows at a time and in row order (:func:`_iid_blocks`): yields
     ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
-    names (the rows of its ``out`` arrays where it has them).
+    names.
     """
 
     def block(in_deg, start, follow, draws, sums, maxes, q):
@@ -651,14 +633,14 @@ def _check_pair_args(n: int) -> None:
 
 def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
                           ring: BlockRing | None = None):
-    """The rows of ``sample_aggregate_pair(config, n, seed)`` one block at a
-    time, in row order: yields ``(sums, maxes, in_deg, q)`` per block, each
-    array valid until the next block is asked for.
+    """Both aggregates of length ``n``, from one set of draws, one block of
+    rows at a time and in row order: yields ``(sums, maxes, in_deg, q)`` per
+    block, ``q`` the raw preference draws, each array valid until the next
+    block is asked for.
 
     An i.i.d.-column config takes the blocks of :func:`_iid_pair_blocks`,
     an explicit-column config those of :func:`_column_pair_blocks`.  Their
-    arrays live in ``ring`` (a fresh one by default), whose ``out`` arrays,
-    where it has them, receive every block's rows.
+    arrays live in ``ring`` (a fresh one by default).
     """
     _check_pair_args(n)
     ring = BlockRing() if ring is None else ring
@@ -667,34 +649,43 @@ def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
     return _column_pair_blocks(config, n, seed, ring)
 
 
+def _drain(blocks, n: int) -> tuple[np.ndarray, ...]:
+    """The ``n``-row arrays that the blocks of a block source concatenate to,
+    one per array of a block.  Each block is copied into its rows as it
+    comes, since the next block reuses the ring's arrays."""
+    whole, start = None, 0
+    for block in blocks:
+        if whole is None:
+            whole = [np.empty(n, a.dtype) for a in block]
+        stop = start + len(block[0])
+        for out, a in zip(whole, block):
+            out[start:stop] = a
+        start = stop
+    return tuple(whole)
+
+
+class AggregatePair(NamedTuple):
+    """Both aggregates of length ``n`` as whole paths, with the in-degrees
+    and raw preference draws they were built from."""
+
+    sum_values: np.ndarray
+    max_values: np.ndarray
+    in_degrees: np.ndarray
+    preference: np.ndarray  # raw q_t draws, unscaled
+
+
 def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
-    """Simulate both aggregates of length ``n`` from one set of draws."""
-    _check_pair_args(n)
-    sums, maxes, q = np.empty(n), np.empty(n), np.empty(n)
-    in_deg = np.empty(n, dtype=np.int64)
-    ring = BlockRing(out=dict(sums=sums, maxes=maxes, in_deg=in_deg, q=q))
-    for _ in aggregate_pair_blocks(config, n, seed, ring):
-        pass  # each block is written into its rows of the outputs
-    return AggregatePair(
-        sum_values=sums,
-        max_values=maxes,
-        in_degrees=in_deg,
-        preference=q,
-        config=config,
-        seed=seed,
-    )
+    """The blocks of :func:`aggregate_pair_blocks` drained into whole paths."""
+    return AggregatePair(*_drain(aggregate_pair_blocks(config, n, seed), n))
 
 
 def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePath:
-    """Simulate the aggregate selected by ``config.aggregate``."""
-    pair = sample_aggregate_pair(config, n, seed)
-    values = pair.sum_values if config.aggregate == SUM else pair.max_values
-    return AggregatePath(
-        values=values,
-        config=config,
-        seed=seed,
-        n=n,
-    )
+    """Simulate the aggregate selected by ``config.aggregate``: the blocks of
+    :func:`aggregate_pair_blocks`, each copied into its rows of one path."""
+    pick = 0 if config.aggregate == SUM else 1
+    blocks = aggregate_pair_blocks(config, n, seed)
+    (values,) = _drain((block[pick:pick + 1] for block in blocks), n)
+    return AggregatePath(values=values, config=config, seed=seed, n=n)
 
 
 def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int) -> None:
@@ -710,7 +701,7 @@ def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int) -> None:
 def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
                 ring: BlockRing | None = None) -> tuple[float, float, np.ndarray]:
     """The largest sum and the largest max value of the pair
-    ``sample_aggregate_pair(config, n, seed)``, and the ``min(top, n)``
+    ``aggregate_pair_blocks(config, n, seed)``, and the ``min(top, n)``
     largest of its raw preference draws, in descending order.
 
     No path is built.  With i.i.d. columns each block of
@@ -739,14 +730,16 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
 
 def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, seed: int,
                          ring: BlockRing | None = None):
-    """The rows of ``sample_weighted_pair(components, n, seed)`` one block at
-    a time, in row order (:func:`_column_sum_max`): yields ``(sums, maxes)``
-    per block, arrays of ``ring`` (a fresh one by default) valid until the
-    next block is asked for.  The components are checked at the call."""
+    """Fixed-length weighted sum and maximum of ``l`` stationary columns,
+    ``sum_i z_i * Y_t^(i)`` and ``max_i z_i * Y_t^(i)`` with mutually
+    independent columns drawn from disjoint RNG streams, one block of rows
+    at a time and in row order (:func:`_column_sum_max`): yields
+    ``(sums, maxes)`` per block, arrays of ``ring`` (a fresh one by default)
+    valid until the next block is asked for.  The components are checked at
+    the call."""
     if len(components) == 0:
         raise ParameterError("at least one weighted component required")
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
+    _check_pair_args(n)
     for z, _ in components:
         if not z > 0:
             raise ParameterError(f"weights must be positive, got {z}")
@@ -757,21 +750,10 @@ def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, s
     return ((sums, maxes) for _, sums, maxes, _ in blocks)
 
 
-def sample_weighted_pair(
-    components: list[tuple[float, SequenceSpec]], n: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-length weighted sum and maximum of ``l`` stationary columns.
-
-    Returns ``(sum_path, max_path)`` where
-    ``sum_path[t] = sum_i z_i * Y_t^(i)`` and
-    ``max_path[t] = max_i z_i * Y_t^(i)``, with mutually independent
-    columns drawn from disjoint RNG streams.
-    """
-    sums, maxes = np.empty(n), np.empty(n)
-    ring = BlockRing(out=dict(sums=sums, maxes=maxes))
-    for _ in weighted_pair_blocks(components, n, seed, ring):
-        pass  # each block is written into its rows of the outputs
-    return sums, maxes
+def sample_weighted_pair(components: list[tuple[float, SequenceSpec]], n: int, seed: int):
+    """The blocks of :func:`weighted_pair_blocks` drained into whole paths:
+    ``(sums, maxes)``, each of length ``n``."""
+    return _drain(weighted_pair_blocks(components, n, seed), n)
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ class TestNearestRankQuantile:
 # values, so every tie-breaking and error branch of the kernel is reached.
 TIED_VALUES = st.lists(st.integers(-2, 6), min_size=1, max_size=60).map(
     lambda xs: np.array(xs, dtype=float))
-TIED_BLOCKS = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
-    lambda shape: st.lists(st.integers(0, 4), min_size=shape[0] * shape[1],
-                           max_size=shape[0] * shape[1]).map(
-        lambda xs: np.array(xs, dtype=float).reshape(shape)))
 LEVELS = st.floats(0.001, 0.999)
 RULES = st.one_of(
     st.floats(0.01, 0.99).map(ThresholdRule.top_fraction),
@@ -73,7 +69,7 @@ RULES = st.one_of(
 
 def full_sort_quantile(values, q):
     """The nearest-rank quantile read off a full sort of all values."""
-    data = np.sort(values.ravel())
+    data = np.sort(values)
     idx = min(max(int(math.ceil(q * data.size)) - 1, 0), data.size - 1)
     return float(data[idx])
 
@@ -101,27 +97,32 @@ def full_sort_hill(path, rule):
 
 class TestOrderStatisticsKernel:
     @settings(max_examples=200, deadline=None)
-    @given(values=st.one_of(TIED_VALUES, TIED_BLOCKS), data=st.data())
+    @given(values=TIED_VALUES, data=st.data())
     def test_upper_order_statistics_match_full_sort(self, values, data):
         count = data.draw(st.integers(1, values.size))
         before = values.copy()
         top = upper_order_statistics(values, count)
-        assert np.array_equal(top, np.sort(values.ravel())[::-1][:count])
+        assert np.array_equal(top, np.sort(values)[::-1][:count])
         assert np.array_equal(values, before)
 
     @settings(max_examples=200, deadline=None)
-    @given(values=st.one_of(TIED_VALUES, TIED_BLOCKS), q=LEVELS)
+    @given(values=TIED_VALUES, q=LEVELS)
     def test_quantile_matches_full_sort(self, values, q):
         before = values.copy()
         assert nearest_rank_quantile(values, q) == full_sort_quantile(values, q)
         assert np.array_equal(values, before)
 
     def test_pooled_quantile_when_count_reaches_row_width(self):
-        # 3 x 2 block, level 0.2: the top 5 of 6 values are needed, more
-        # than a row holds, so every value is pooled
+        # rows pooled as the definition stage pools its replications, each
+        # handing in its top min(count, width) values.  3 x 2 block, level
+        # 0.2: the top 5 of 6 values are needed, more than a row holds, so
+        # every value is pooled
         block = np.array([[4.0, 0.0], [2.0, 2.0], [1.0, 3.0]])
-        assert nearest_rank_quantile(block, 0.2) == 1.0
-        assert nearest_rank_quantile(block, 0.9) == 4.0
+        for level, want in ((0.2, 1.0), (0.9, 4.0)):
+            count = block.size - nearest_rank_index(level, block.size)
+            tops = [upper_order_statistics(row, min(count, len(row))) for row in block]
+            assert upper_order_statistics(np.concatenate(tops), count)[-1] == want
+            assert nearest_rank_quantile(block.ravel(), level) == want
 
     @settings(max_examples=300, deadline=None)
     @given(path=TIED_VALUES, rule=RULES)
@@ -144,6 +145,11 @@ class TestOrderStatisticsKernel:
             upper_order_statistics(np.arange(5.0), 6)
         with pytest.raises(ParameterError):
             upper_order_statistics(np.ones((2, 2, 2)), 1)
+        # a sample is one path: a block of paths is refused, not pooled
+        with pytest.raises(ParameterError):
+            upper_order_statistics(np.ones((2, 2)), 1)
+        with pytest.raises(ParameterError):
+            nearest_rank_quantile(np.ones((2, 2)), 0.5)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(DataError):
@@ -372,7 +378,7 @@ class TestDefinitionTheta:
         if calib_rows:
             calib = rng.integers(0, top + 1, size=(calib_rows, n)).astype(float)
         pooled = paths if calib is None else calib
-        count = definition_top_count(r, n, tau, pooled.size)
+        count = pooled.size - nearest_rank_index(1.0 - tau / n, pooled.size)
         tops = np.concatenate([upper_order_statistics(row, min(count, n)) for row in pooled])
         u_n = float(upper_order_statistics(tops, count)[-1])
         ref_u_n, theta, clamped, below = block_definition_theta(paths, tau, calib)

@@ -49,6 +49,7 @@ from rank_extremes.recursion import (
     sample_aggregate_pair,
     sample_weighted_pair,
     simulate_tbt,
+    weighted_pair_blocks,
 )
 from rank_extremes.rng import STREAMS, child_rng, child_rng_at
 from rank_extremes.textio import BLOCK_ROWS
@@ -90,8 +91,9 @@ class TestAggregate:
         assert np.allclose(pair.max_values, np.maximum(follower, pref))
 
     def test_max_never_below_preference_floor(self):
-        pair = sample_aggregate_pair(make_config(), 10**4, SEED)
-        assert np.all(pair.max_values >= pair.config.z_star * pair.preference)
+        config = make_config()
+        pair = sample_aggregate_pair(config, 10**4, SEED)
+        assert np.all(pair.max_values >= config.z_star * pair.preference)
 
     def test_aggregate_selection(self):
         sum_path = sample_aggregate(make_config(aggregate=SUM), 2000, SEED)
@@ -99,6 +101,28 @@ class TestAggregate:
         pair = sample_aggregate_pair(make_config(), 2000, SEED)
         assert np.array_equal(sum_path.values, pair.sum_values)
         assert np.array_equal(max_path.values, pair.max_values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), n=st.integers(1, 60),
+           aggregate=st.sampled_from([SUM, MAX]), explicit=st.booleans())
+    def test_sample_aggregate_copies_every_block(self, seed, block_rows, n, aggregate,
+                                                 explicit):
+        # each block's rows are copied out before the ring reuses its arrays
+        deps = ((DependenceSpec.moving_maxima(1, 1),) if explicit
+                else (DependenceSpec.iid(),))
+        config = make_config(in_degree=InDegreeSpec(alpha=1.5, n_max=6),
+                             follower_deps=deps, aggregate=aggregate)
+        in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
+        q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
+        if explicit:
+            f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
+            want = (config.damping * f_sum + config.z_star * q if aggregate == SUM
+                    else np.maximum(config.damping * f_max, config.z_star * q))
+        else:
+            want = whole_iid_pair(config, n, seed)[0 if aggregate == SUM else 1]
+        with iid_kernel(block_rows, 2):
+            path = sample_aggregate(config, n, seed)
+        assert path.values.tobytes() == want.tobytes()
 
     def test_fast_and_explicit_paths_share_law(self):
         # the reduceat fast path and the explicit column loop must agree in
@@ -166,8 +190,10 @@ class TestWeightedPair:
         assert len(s) == 10**4
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            sample_weighted_pair([], 100, SEED)
+        # checked at the call, before any block is asked for
+        for zs, n in [((), 100), ((1.0,), 0), ((1.0,), -3), ((0.0,), 100), ((-1.0,), 100)]:
+            with pytest.raises(ParameterError):
+                weighted_pair_blocks([(z, SequenceSpec(TailSpec(2.0))) for z in zs], n, SEED)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -242,12 +268,9 @@ def column_contributions(config, n, seed, in_deg):
     """The follower sum/max terms that the explicit-column kernel builds in
     row blocks, given the whole path's in-degrees: ``(sums, maxes)``."""
     max_n = int(in_deg.max()) if len(in_deg) else 0
-    sums, maxes = np.empty(n), np.empty(n)
-    ring = BlockRing(out=dict(sums=sums, maxes=maxes))
-    for _ in recursion._column_sum_max(recursion._follower_columns(config, seed, max_n), n,
-                                       ring, in_deg_of=lambda rows: in_deg[rows]):
-        pass
-    return sums, maxes
+    blocks = recursion._column_sum_max(recursion._follower_columns(config, seed, max_n), n,
+                                       BlockRing(), in_deg_of=lambda rows: in_deg[rows])
+    return recursion._drain(((sums, maxes) for _, sums, maxes, _ in blocks), n)
 
 
 def masked_column_contributions(config, n, seed, in_deg):
@@ -1042,9 +1065,9 @@ class TestThreadedIidKernel:
         assert peak < 3.2 * rows * 100 * 8
 
     def test_threads_writing_adjacent_rows_lose_no_value(self):
-        # three drawing threads on two-row blocks write neighbouring slices
-        # of the same outputs, and the comparison's blocks take turns in the
-        # six slots of its ring, with the interpreter switching every 10 us
+        # three drawing threads on two-row blocks take turns in the six
+        # slots of the ring, for the drained pair and for the comparison,
+        # with the interpreter switching every 10 us
         config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20))
         want = whole_iid_pair(config, 2001, SEED)
         want_rows = whole_path_rows(config, 2001, [0.95, 0.99], SEED)
@@ -1141,16 +1164,6 @@ class TestOneBlockRing:
         # block i + 4 reuses the arrays of block i
         assert all(np.shares_memory(a, b)
                    for i in range(4) for a, b in zip(blocks[i], blocks[i + 4]))
-
-    def test_pair_blocks_are_the_rows_of_its_outputs(self, ring_records):
-        handed, _, blocks = ring_records
-        with iid_kernel(5, 2):
-            pair = sample_aggregate_pair(make_config(), 40, SEED)
-        outputs = (pair.sum_values, pair.max_values, pair.in_degrees, pair.preference)
-        for i, block in enumerate(blocks):
-            rows = slice(5 * i, 5 * i + 5)
-            assert all(np.shares_memory(a, out[rows]) for a, out in zip(block, outputs))
-            assert not any(in_ring(a, handed) for a in block)
 
     @pytest.mark.parametrize("threads, columns", [(1, 3), (2, 3), (3, 2)])
     def test_column_blocks_live_in_the_ring(self, ring_records, threads, columns):
