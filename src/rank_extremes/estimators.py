@@ -99,22 +99,23 @@ class TailSample:
     than ``2 * top`` values are kept (or twice what the last raise kept,
     when ties hold more), so the sample holds at most that many plus one
     block.  Given ``floor_of``, another sample fed first with each block,
-    the floor is that sample's instead, and no ``largest`` is answered.  A
-    floor never exceeds the ``top``-th largest value of the whole path, so
-    the sample answers both questions an estimator asks exactly as the
-    whole path would: :meth:`largest` up to ``top`` values, and
-    :meth:`above` any threshold at or above the floor.
+    or a number, the floor is that sample's or that number instead, and no
+    ``largest`` is answered.  A floor never exceeds the ``top``-th largest
+    value of the whole path, so the sample answers both questions an
+    estimator asks exactly as the whole path would: :meth:`largest` up to
+    ``top`` values, and :meth:`above` any threshold at or above the floor.
 
     :meth:`whole` wraps a 1-D array as the sample that keeps every value.
     Values are assumed not to be NaN.
     """
 
-    def __init__(self, top: int, floor_of: "TailSample | None" = None):
+    def __init__(self, top: int, floor_of: "TailSample | float | None" = None):
         if top < 1:
             raise ParameterError(f"a tail sample keeps its top count >= 1, got {top}")
         self.top = top
         self.n = 0
-        self.floor = -math.inf
+        fixed = floor_of is not None and not isinstance(floor_of, TailSample)
+        self.floor = float(floor_of) if fixed else -math.inf
         self._floor_of = floor_of
         self._limit = 2 * top
         self._values, self._positions = np.empty(0), np.empty(0, np.intp)
@@ -134,13 +135,18 @@ class TailSample:
     def __len__(self) -> int:
         return self.n
 
-    def feed(self, block: np.ndarray) -> None:
-        """Take the next ``len(block)`` values of the path (copied)."""
-        if self._floor_of is not None:
+    def feed(self, block: np.ndarray, rows: np.ndarray | None = None,
+             size: int | None = None) -> None:
+        """Take the next ``len(block)`` values of the path (copied).  Given
+        ``rows``, take the next ``size`` values instead, of which ``block``
+        holds those at the ascending positions ``rows`` among them: each
+        value it does not hold must lie below the floor.  ``rows`` of
+        ``None`` stands for every position."""
+        if isinstance(self._floor_of, TailSample):
             self.floor = self._floor_of.floor
         keep = np.flatnonzero(block >= self.floor)
-        self._parts.append((block[keep], keep + self.n))
-        self.n += len(block)
+        self._parts.append((block[keep], (keep if rows is None else rows[keep]) + self.n))
+        self.n += len(block) if rows is None else size
         self._kept += len(keep)
         if self._kept > self._limit:
             self._prune()
@@ -157,7 +163,7 @@ class TailSample:
         values = self._values
         if self._floor_of is None:  # more than 2 * top values are kept
             self.floor = np.partition(values, len(values) - self.top)[-self.top]
-        else:
+        elif isinstance(self._floor_of, TailSample):
             self.floor = self._floor_of.floor
         keep = values >= self.floor
         self._values, self._positions = values[keep], self._positions[keep]

@@ -54,6 +54,8 @@ from .recursion import (
     compare_tail_sum_max,
     draw_inline,
     pair_maxima,
+    pair_rows_reaching,
+    preference_blocks,
     weighted_pair_blocks,
 )
 from .theory import (
@@ -527,37 +529,52 @@ def _estimate(name: str, path: TailSample, params: dict, blocks_at) -> float:
     return blocks_theta(path, u, exceed_prob=p).estimate
 
 
+def _q_threshold(config: RecursionConfig, n: int, seed: int, top: int,
+                 exceed_prob: float) -> tuple[float, float]:
+    """The blocks threshold ``(u, exceed_prob)`` of a regime with a q
+    threshold: ``u`` the nearest-rank ``1 - exceed_prob`` quantile of the
+    pair's raw preference draws, and their frequency above it, from a
+    :class:`TailSample` of ``top`` fed those draws alone."""
+    q = TailSample(top)
+    for block in preference_blocks(config, n, seed):
+        q.feed(block)
+    u = nearest_rank_quantile(q, 1.0 - exceed_prob)
+    return u, float(len(q.above(u))) / n
+
+
 def _replication(args) -> dict:
     """One replication of experiment ``kind``, ``(kind, params, rep) -> row``:
     the regime's estimators on a sum and a max path drawn from the same
     inputs.  An exception leaves with a note naming the replication.
 
     No path is held: each block of the pair feeds a :class:`TailSample` of
-    each path (and of q, whose floor the paths then share, in a regime with
-    a q threshold), so a replication holds its block ring and O(K) values
-    per path, ``K`` from :func:`_tail_count`, whatever ``n``."""
+    each path, so a replication holds its block ring and O(K) values per
+    path, ``K`` from :func:`_tail_count`, whatever ``n``.  A regime with a q
+    threshold first takes it from the preference draws alone
+    (:func:`_q_threshold`); its paths then keep only the rows that can reach
+    it (:func:`pair_rows_reaching`), which is all its estimators read."""
     kind, params, rep = args
     regime_name = params.get("regime", FIXED_LENGTH)
     regime = REGIMES[regime_name]
     seed = replication_seed(params["seed"], regime.seed_offset + rep)
     n = params["n"]
     with _named_replication(kind, rep, seed):
+        top = _tail_count(regime, params)
+        floor = blocks_at = None
         if regime_name == FIXED_LENGTH:
             blocks = weighted_pair_blocks(_fixed_length_components(params), n, seed)
+        elif regime.q_threshold:
+            config = recursion_config_from_params(params)
+            blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
+            floor = blocks_at[0]
+            blocks = pair_rows_reaching(config, n, seed, floor)
         else:
-            blocks = aggregate_pair_blocks(recursion_config_from_params(params), n, seed)
-        top = _tail_count(regime, params)
-        q = TailSample(top) if regime.q_threshold else None
-        paths = {"sum": TailSample(top, floor_of=q), "max": TailSample(top, floor_of=q)}
-        for sums, maxes, *inputs in blocks:
-            if q is not None:
-                q.feed(inputs[1])  # inputs: the block's in-degrees and q
-            paths["sum"].feed(sums)
-            paths["max"].feed(maxes)
-        blocks_at = None
-        if q is not None:
-            u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
-            blocks_at = (u, float(len(q.above(u))) / n)
+            pair = aggregate_pair_blocks(recursion_config_from_params(params), n, seed)
+            blocks = ((sums, maxes) for sums, maxes, *_ in pair)
+        paths = {"sum": TailSample(top, floor_of=floor), "max": TailSample(top, floor_of=floor)}
+        for sums, maxes, *rows in blocks:
+            paths["sum"].feed(sums, *rows)
+            paths["max"].feed(maxes, *rows)
         row = {}
         for label, path in paths.items():
             for name in regime.estimators:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,21 +122,40 @@ def _power_law_pmf(spec: InDegreeSpec) -> np.ndarray:
     return weights / weights.sum()
 
 
+# Bytes of the per-law tables below kept across calls: the cdfs of two laws
+# at n_max = 10^6, 8 MB each, and the small tables of many more.
+TABLES_BUDGET_BYTES = 2**24
+
 # Serialises the calls of the per-law tables below; reentrant, since the
 # guide table reads the cdf.
 _TABLES_LOCK = threading.RLock()
+# (build, spec) -> table, the least recently used first
+_TABLES: OrderedDict = OrderedDict()
+
+
+def _table_bytes(table) -> int:
+    return sum(a.nbytes for a in (table if isinstance(table, tuple) else (table,)))
 
 
 def _per_law(build):
-    """``build(spec)`` cached per law (16 laws at most), so that replication
-    loops do not rebuild their O(n_max) tables, and each law is built once:
-    replication threads that meet a new law together would each build it."""
-    cached = functools.lru_cache(maxsize=16)(build)
+    """``build(spec)`` cached per law, so that replication loops do not
+    rebuild their O(n_max) tables, and each law is built once: replication
+    threads that meet a new law together would each build it.  The least
+    recently used tables are let go while those kept take more than
+    ``TABLES_BUDGET_BYTES`` (the last one built stays, whatever its size)."""
 
     @functools.wraps(build)
     def table(spec: InDegreeSpec):
+        key = (build, spec)
         with _TABLES_LOCK:
-            return cached(spec)
+            if key in _TABLES:
+                _TABLES.move_to_end(key)
+                return _TABLES[key]
+            made = _TABLES[key] = build(spec)
+            while (len(_TABLES) > 1
+                   and sum(map(_table_bytes, _TABLES.values())) > TABLES_BUDGET_BYTES):
+                _TABLES.popitem(last=False)
+            return made
 
     return table
 
@@ -190,7 +210,8 @@ def pareto_transform(spec: TailSpec, x: np.ndarray) -> np.ndarray:
     """
     np.subtract(1.0, x, out=x)  # uniform on (0, 1]; avoids division by zero
     np.divide(spec.c, x, out=x)
-    x **= 1.0 / spec.k  # the operator, so NumPy's scalar-power fast paths apply
+    if spec.k != 1.0:  # a power of 1 leaves every value as it is
+        x **= 1.0 / spec.k  # the operator, so NumPy's scalar-power fast paths apply
     return x
 
 

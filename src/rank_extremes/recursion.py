@@ -18,12 +18,15 @@ one row block at a time (:func:`aggregate_pair_blocks`,
 :func:`weighted_pair_blocks`), so their consumers hold no path;
 :func:`sample_aggregate_pair`, :func:`sample_weighted_pair` and
 :func:`sample_aggregate` copy those blocks into whole paths.
+:func:`pair_maxima` and :func:`pair_rows_reaching` bound the rows of an
+i.i.d.-column pair and refine only those that can reach a floor.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 import multiprocessing
 import os
 import queue
@@ -219,9 +222,10 @@ class BlockRing:
         return a[:size]
 
 
-# Rows per block of the two streamed kernels, the explicit columns of
-# _column_sum_max and the i.i.d. pair of _iid_pair_blocks: 256 KB for each
-# float64 array of a block, plus an i.i.d. block's follower draws.
+# Rows per block of the streamed kernels, the explicit columns of
+# _column_sum_max, the i.i.d. pair of _iid_pair_blocks and the refined rows
+# of pair_rows_reaching: 256 KB for each float64 array of a block, plus an
+# i.i.d. block's follower draws.
 STREAM_BLOCK_ROWS = 2**15
 
 # Rows per block of the bound-and-refine maxima of pair_maxima.  Its blocks
@@ -550,80 +554,112 @@ def _draw_bound(spec: TailSpec, u_max: float) -> float:
     return float(pareto_transform(spec, np.array([u_max]))[0]) * (1.0 + POW_MARGIN)
 
 
-def _sum_bounds(in_deg, pref, cx: float, most: int, out) -> np.ndarray:
+def _bound_weight(cx: float, most: int) -> float:
+    """``w`` of :func:`_sum_bounds`."""
+    return cx * (1.0 + (most + 1) * 2.0**-50)
+
+
+def _sum_bounds(in_deg, pref, cx: float, most: int) -> np.ndarray:
     """At least each row's computed sum ``fl(fl(c * F) + P)``, where ``F``
     is the rounded sum of the row's ``N <= most`` draws, each at most ``X``,
     ``P`` its preference term and ``cx = c * X``: ``fl(fl(N * w) + P)``,
-    written into ``out``, with ``w = cx * (1 + (most + 1) * 2^-50)``.
+    with ``w = cx * (1 + (most + 1) * 2^-50)``.
 
     The margin is far above the ``N`` roundings of ``fl(c * F)`` and the
     four of ``fl(N * w)``, so ``fl(N * w) >= fl(c * F)``; a row without
     draws has ``F = 0``.  Rounding is monotone, so adding ``P`` to both
     keeps their order.
     """
-    np.multiply(in_deg, cx * (1.0 + (most + 1) * 2.0**-50), out=out)
+    out = np.multiply(in_deg, _bound_weight(cx, most))
     return np.add(out, pref, out=out)
+
+
+def _least_reaching(floor: float, z: float, cx: float, most: int) -> float:
+    """A raw preference draw below which no row's bound (:func:`_sum_bounds`)
+    reaches ``floor > 0``, or ``-inf``.
+
+    A row's bound is at most ``fl(M + P)``, ``M = fl(most * w)``, since
+    ``N <= most`` and rounding is monotone, and its term is ``P = fl(z *
+    q)``.  A draw ``q`` below ``(floor - M) / z`` by more than ``2^-40 *
+    (floor + M) / z``, far beyond the roundings of the threshold, of ``P``
+    and of ``M + P``, keeps ``fl(M + P)`` below ``floor``.
+    """
+    m = most * _bound_weight(cx, most)
+    least = (floor - m - (floor + m) * 2.0**-40) / z
+    return least if math.isfinite(least) else -math.inf
 
 
 def _picked_positions(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The positions of the draws of ``rows`` (ascending, nonempty) among
     draws that fill rows of ``counts`` in order, row after row."""
     # each row's first position: the counts before the first row, then the
-    # sums of the counts between consecutive rows
-    between = np.add.reduceat(counts, rows)
+    # sums of the counts between consecutive rows (none past the last row)
+    between = np.add.reduceat(counts[: rows[-1] + 1], rows)
     return _ranges(np.cumsum(between) - between + counts[: rows[0]].sum(), counts[rows])
 
 
-def _iid_block_maxima(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                      top: int, ring: BlockRing):
-    """Each block's largest sum value, largest max value and top ``top``
-    raw preference draws, ``(sum_max, max_max, q_top)``, of the pair that
-    :func:`_iid_pair_blocks` draws, bit for bit: bound and refine.
+def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
+                        ring: BlockRing, floor: float | None = None):
+    """The rows of the pair that :func:`_iid_pair_blocks` draws whose values
+    can reach a floor, bit for bit, in the blocks of :func:`_iid_blocks`:
+    bound and refine.  Yields ``(sums, maxes, rows, q)`` per block:
+    ``rows`` the ascending positions within the block of the rows it
+    refined, ``sums`` and ``maxes`` their values, and ``q`` the block's raw
+    preference draws, an array of ``ring``.  Every other row of the block
+    has its sum and max values below the floor: ``floor`` when given, else
+    the block's largest preference term.
 
     A block draws its in-degrees, its preference values and only the
     uniforms of its follower draws.  The transform of its largest uniform
     bounds every follower draw by ``X`` (:func:`_draw_bound`), and so each
-    row's sum by :func:`_sum_bounds`.  No sum falls below its preference
-    term ``P``, since ``fl(c * F) >= 0``, so the largest ``P`` is a floor of
-    the block's largest sum.  Only the rows whose bound reaches the floor
-    are transformed and reduced, each as the whole block reduces it.  The
-    largest max value is the largest ``P`` while ``fl(c * X)`` is below it,
-    and is taken from all draws otherwise.
-
-    The arrays of a block live in its slot of ``ring``; the preference draws
-    are partitioned in place to take their top ``top``.
+    row's sum by :func:`_sum_bounds`, and its max value, which is at most
+    its sum.  Only the rows whose bound reaches the floor are transformed
+    and reduced, each as the whole block reduces it.  No value falls below
+    its row's preference term ``P``, so at the block's largest ``P`` the
+    refined rows hold the block's largest sum and its largest max value.
     """
-    c, follower = config.damping, config.follower_tail
+    c, z, follower = config.damping, config.z_star, config.follower_tail
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
+    spare = {name: child_rng(seed, STREAMS[name]) for name in ("preference", "column")}
+    starts = {name: rng.bit_generator.state for name, rng in spare.items()}
+    drawing = threading.local()  # each drawing thread's generator of each stream
 
-    def block(in_deg, start, follow, u, q, pref, bound, below):
-        rows = len(in_deg)
-        sample_pareto(config.preference_tail, rows,
-                      child_rng_at(seed, start, STREAMS["preference"]), out=q)
-        np.multiply(config.z_star, q, out=pref)
-        floor = pref.max()
+    def stream_at(name, offset):
+        """``child_rng_at(seed, offset, STREAMS[name])``: this thread's
+        generator of the stream, set back to its start and advanced, which
+        saves building one per block.  The first thread takes the one
+        ``starts`` came from."""
+        rng = vars(drawing).get(name)
+        if rng is None:
+            rng = spare.pop(name, None) or child_rng(seed, STREAMS[name])
+            vars(drawing)[name] = rng
+        rng.bit_generator.state = starts[name]
+        rng.bit_generator.advance(offset)
+        return rng
+
+    def block(in_deg, start, follow, u, q):
+        sample_pareto(config.preference_tail, len(q), stream_at("preference", start), out=q)
+        # fl(z * q) is monotone in q: the largest term is that of the largest q
+        at = z * q.max() if floor is None else floor
         x = 0.0
         if len(u):  # the uniforms of the follower draws
-            child_rng_at(seed, follow, STREAMS["column"]).random(len(u), out=u)
+            stream_at("column", follow).random(len(u), out=u)
             x = _draw_bound(follower, u.max())
-        _sum_bounds(in_deg, pref, c * x, most, bound)
+        rows = np.flatnonzero(q >= _least_reaching(at, z, c * x, most))
+        bound = _sum_bounds(in_deg[rows], z * q[rows], c * x, most)
         # a bound of nan (0 * inf, where a draw overflows) keeps its row
-        np.less(bound, floor, out=below)
-        reach = np.flatnonzero(np.logical_not(below, out=below))
-        picked = pareto_transform(follower, u[_picked_positions(in_deg, reach)])
-        (sums,) = _segment_reduce(picked, in_deg[reach], np.add)
-        np.multiply(c, sums, out=sums)
-        np.add(sums, pref[reach], out=sums)
-        max_max = floor
-        if len(u) and not c * x < floor:
-            max_max = max(c * pareto_transform(follower, u).max(), floor)
-        k = rows - min(top, rows)
-        q.partition(k)  # the block is done with its preference draws
-        return sums.max(), max_max, q[k:].copy()
+        rows = rows[np.logical_not(bound < at)]
+        if len(rows) == len(q):  # every row: the draws transform in place
+            picked = pareto_transform(follower, u)
+        elif len(rows):
+            picked = pareto_transform(follower, u[_picked_positions(in_deg, rows)])
+        else:
+            picked = u[:0]
+        f_sum, f_max = _segment_reduce(picked, in_deg[rows], np.add, np.maximum)
+        return (*_add_preference(config, f_sum, f_max, q[rows]), rows, q)
 
-    return _iid_blocks(config, n, seed, block_rows, ring, block,
-                       dict(q=np.float64, pref=np.float64, bound=np.float64, below=np.bool_))
+    return _iid_blocks(config, n, seed, block_rows, ring, block, dict(q=np.float64))
 
 
 def _check_pair_args(n: int) -> None:
@@ -705,10 +741,11 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     largest of its raw preference draws, in descending order.
 
     No path is built.  With i.i.d. columns each block of
-    :func:`_iid_block_maxima` bounds its rows and refines the few that can
+    :func:`_iid_bounded_blocks` bounds its rows and refines the few that can
     reach its maxima; explicit columns reduce the blocks of
     :func:`aggregate_pair_blocks`.  The buffers live in ``ring``, which
-    successive calls may share.
+    successive calls may share; each block's preference draws are
+    partitioned in place to take their top ``top``.
     """
     _check_pair_args(n)
     if top < 1:
@@ -716,16 +753,52 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     top = min(top, n)
     ring = BlockRing() if ring is None else ring
     if config.all_iid_columns():
-        sum_maxes, max_maxes, tops = zip(*_iid_block_maxima(
-            config, n, seed, MAXIMA_BLOCK_ROWS, top, ring))
-        return (float(max(sum_maxes)), float(max(max_maxes)),
-                upper_order_statistics(np.concatenate(tops), top))
-    q_tail = TailSample(top)
+        blocks = _iid_bounded_blocks(config, n, seed, MAXIMA_BLOCK_ROWS, ring)
+    else:
+        blocks = aggregate_pair_blocks(config, n, seed, ring)
     sum_max = max_max = -np.inf
-    for sums, maxes, _, q in aggregate_pair_blocks(config, n, seed, ring):
+    tops = []
+    for sums, maxes, _, q in blocks:
         sum_max, max_max = max(sum_max, sums.max()), max(max_max, maxes.max())
-        q_tail.feed(q)
-    return float(sum_max), float(max_max), q_tail.largest(top)
+        k = len(q) - min(top, len(q))
+        q.partition(k)  # the block is done with its preference draws
+        tops.append(q[k:].copy())
+    return (float(sum_max), float(max_max),
+            upper_order_statistics(np.concatenate(tops), top))
+
+
+def preference_blocks(config: RecursionConfig, n: int, seed: int):
+    """The raw preference draws of the pair ``aggregate_pair_blocks(config,
+    n, seed)`` alone, ``STREAM_BLOCK_ROWS`` rows at a time and in row order,
+    each block valid until the next is asked for.  Every block source draws
+    row ``t``'s from offset ``t`` of the ``preference`` stream, so these are
+    its values bit for bit."""
+    width = min(STREAM_BLOCK_ROWS, n)
+    out, rng = np.empty(width), child_rng(seed, STREAMS["preference"])
+    for start in range(0, n, width):
+        size = min(width, n - start)
+        yield sample_pareto(config.preference_tail, size, rng, out=out[:size])
+
+
+def pair_rows_reaching(config: RecursionConfig, n: int, seed: int, floor: float):
+    """The rows of the pair ``aggregate_pair_blocks(config, n, seed)`` whose
+    values can reach ``floor``, one block at a time and in row order: yields
+    ``(sums, maxes, rows, size)`` per block of ``size`` rows, ``rows`` the
+    ascending positions within the block of the rows whose values ``sums``
+    and ``maxes`` hold (``None`` for every row).  Every other row has its
+    sum and max values below ``floor``.
+
+    An i.i.d.-column config bounds and refines in the blocks of
+    :func:`_iid_bounded_blocks`, on any drawing thread, since each block
+    knows the floor; an explicit-column config gives every row of
+    :func:`aggregate_pair_blocks`.
+    """
+    _check_pair_args(n)
+    if config.all_iid_columns():
+        blocks = _iid_bounded_blocks(config, n, seed, STREAM_BLOCK_ROWS, BlockRing(), floor)
+        return ((sums, maxes, rows, len(q)) for sums, maxes, rows, q in blocks)
+    return ((sums, maxes, None, len(q))
+            for sums, maxes, _, q in aggregate_pair_blocks(config, n, seed))
 
 
 def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, seed: int,

@@ -440,6 +440,27 @@ class TestGuideTable:
         assert builds == [spec]
         assert all(result is got[0] for result in got)
 
+    def test_the_tables_kept_stay_within_their_budget(self, monkeypatch):
+        # three laws new to the process at n_max = 10^6, whose cdfs take
+        # 8 MB each: the budget keeps the two used last
+        builds = []
+        pmf = heavytail._power_law_pmf
+
+        def counted(spec):
+            builds.append(spec.alpha)
+            return pmf(spec)
+
+        monkeypatch.setattr(heavytail, "_power_law_pmf", counted)
+        specs = [InDegreeSpec(alpha=alpha, n_max=10**6) for alpha in (1.15625, 1.21875, 1.28125)]
+        for spec in specs:
+            _power_law_lookup(spec, np.linspace(0.0, 0.999, 100))
+        kept = heavytail._TABLES.values()
+        assert sum(map(heavytail._table_bytes, kept)) <= heavytail.TABLES_BUDGET_BYTES
+        assert sum(heavytail._table_bytes(table) == 8 * 10**6 for table in kept) == 2
+        for spec in specs[::-1]:  # the last two are kept; the first is built again
+            _power_law_cdf(spec)
+        assert builds == [spec.alpha for spec in specs] + [specs[0].alpha]
+
     # sha256 prefixes of 10^4 draws from an integer root seed, as the binary
     # search over the cdf drew them
     @pytest.mark.parametrize("alpha,n_max,seed,digest", [

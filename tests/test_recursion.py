@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rank_extremes import experiments, recursion, textio
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import (
+    TailSample,
     ThresholdRule,
     hill,
     nearest_rank_quantile,
@@ -51,7 +52,7 @@ from rank_extremes.recursion import (
     simulate_tbt,
     weighted_pair_blocks,
 )
-from rank_extremes.rng import STREAMS, child_rng, child_rng_at
+from rank_extremes.rng import STREAMS, child_rng, child_rng_at, replication_seed
 from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 555001
@@ -1271,7 +1272,7 @@ class TestBoundAndRefine:
         f_sum = np.zeros(rows)
         f_sum[in_deg > 0] = _segment_reduce(draws, in_deg[in_deg > 0], np.add)[0]
         sums = np.add(np.multiply(damping, f_sum), pref)
-        bounds = recursion._sum_bounds(in_deg, pref, damping * x, most, np.empty(rows))
+        bounds = recursion._sum_bounds(in_deg, pref, damping * x, most)
         assert np.all(sums <= bounds)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1297,7 +1298,8 @@ class TestBoundAndRefine:
         assert got[:2] == (float(sums.max()), float(maxes.max()))
         # the largest max value is a follower term, not a preference term
         assert maxes.max() > config.z_star * q.max()
-        assert sum(transformed) > 5000  # every draw of the block, for its max
+        # every row's bound reaches the floor, so every draw is transformed
+        assert sum(transformed) > 5000
 
     def test_threads_sharing_a_ring_lose_no_value(self):
         # three drawing threads on two-row blocks take turns in the four
@@ -1332,6 +1334,82 @@ class TestBoundAndRefine:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # a fresh ring holds several 512 KB arrays per slot; a shared one
-        # leaves the 64 KB of the in-degree lookup's bucket flags
-        assert peaks[0] > 4 * 2**20 and peaks[1] < 2**18
+        # a fresh ring holds three 512 KB arrays per slot (in-degrees, their
+        # lookup scratch and q) and the 1.1 MB follower-draw buffer; a shared
+        # one leaves the 64 KB of the in-degree lookup's bucket flags
+        assert peaks[0] > 3 * 2**20 and peaks[1] < 2**18
+
+
+def full_pair_row(params, rep):
+    """A preference replication's row from the whole pair: every block of
+    :func:`_iid_pair_blocks` feeds a :class:`TailSample` of q and one of
+    each path, whose floor is q's, and the blocks threshold is q's."""
+    regime = experiments.REGIMES["preference"]
+    seed = replication_seed(params["seed"], regime.seed_offset + rep)
+    n, top = params["n"], experiments._tail_count(regime, params)
+    config = experiments.recursion_config_from_params(params)
+    q = TailSample(top)
+    paths = {"sum": TailSample(top, floor_of=q), "max": TailSample(top, floor_of=q)}
+    for sums, maxes, _, q_block in _iid_pair_blocks(config, n, seed, recursion.STREAM_BLOCK_ROWS,
+                                                    BlockRing()):
+        q.feed(q_block)
+        paths["sum"].feed(sums)
+        paths["max"].feed(maxes)
+    u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
+    at = (u, float(len(q.above(u))) / n)
+    row = {f"blocks_{label}": experiments._estimate("blocks", path, params, at)
+           for label, path in paths.items()}
+    row["pair_diff_blocks"] = abs(row["blocks_sum"] - row["blocks_max"])
+    return row
+
+
+def row_or_error(run):
+    """``repr`` of the row ``run()`` returns, so floats compare bit for bit,
+    or the type and message of the ``DataError`` it raises."""
+    try:
+        return repr(run())
+    except DataError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBoundedReplication:
+    @settings(max_examples=150, deadline=None)
+    @given(rep=st.integers(0, 2**20), alpha=st.sampled_from([0.5, 1.2, 2.0]),
+           beta=st.sampled_from([1.0, 1.5]), heavier=st.sampled_from([0.0, 0.5, 2.0]),
+           damping=st.sampled_from([0.01, 0.5, 0.85, 0.99]) | st.floats(0.01, 0.99),
+           n_max=st.sampled_from([1, 3, 100, 10**4]), fixed=st.sampled_from([-1, 0, 1]),
+           block_rows=st.sampled_from([40, 64, 128]), blocks=st.integers(1, 6),
+           offset=st.integers(-1, 1), exceed_prob=st.sampled_from([0.02, 0.05, 0.1]),
+           threads=st.integers(1, 2), draws=DRAW_CAPS)
+    def test_row_equals_the_full_pair_row(self, rep, alpha, beta, heavier, damping, n_max,
+                                          fixed, block_rows, blocks, offset, exceed_prob,
+                                          threads, draws):
+        # n below, at and across multiples of the patched block, k >= beta
+        n = max(100, block_rows * blocks + offset)
+        params = dict(experiments.DEFAULTS["verify-thm4"], n=n, alpha=alpha, beta=beta,
+                      k=beta + heavier, damping=damping, n_max=n_max, fixed_in_degree=fixed,
+                      blocks_exceed_prob=exceed_prob)
+        want = row_or_error(lambda: full_pair_row(params, rep))
+        config = experiments.recursion_config_from_params(params)
+        seed = replication_seed(params["seed"], 100_000 + rep)
+        top = experiments._tail_count(experiments.REGIMES["preference"], params)
+        with iid_kernel(block_rows, threads, draws):
+            got = row_or_error(lambda: experiments._replication(("verify-thm4", params, rep)))
+            maxima = pair_maxima(config, n, seed, top)
+        assert got == want
+        sums, maxes, _, q = recursion._drain(
+            _iid_pair_blocks(config, n, seed, recursion.STREAM_BLOCK_ROWS, BlockRing()), n)
+        assert maxima[:2] == (float(sums.max()), float(maxes.max()))
+        assert maxima[2].tobytes() == upper_order_statistics(q, top).tobytes()
+
+    def test_the_acceptance_config_transforms_few_follower_draws(self, monkeypatch):
+        # pref-05, the verify-thm4 defaults, at n = 10^5: its about 1.4 * 10^5
+        # follower draws are bounded, and the rows that can pass the 0.999
+        # quantile of q refined
+        params = dict(experiments.DEFAULTS["verify-thm4"], n=10**5)
+        config = experiments.recursion_config_from_params(params)
+        seed = replication_seed(params["seed"], 100_000)
+        in_deg = _draw_in_degrees(config, 10**5, child_rng(seed, STREAMS["in_degree"]))
+        _, transformed = refinement_counts(monkeypatch)
+        experiments._replication(("verify-thm4", params, 0))
+        assert 0 < sum(transformed) < 0.01 * in_deg.sum()
