@@ -1,6 +1,7 @@
 """Experiment configs, reports, and the command-line entry points."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -477,6 +478,33 @@ class TestStreamedSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+
+# sha256 prefixes of the files that a command writes, taken with NumPy 2.4 on
+# x86-64: a change of kernel that moves one value of a path or of an estimate
+# moves its digest.  (A NumPy whose pow rounds differently moves them too.)
+# (argv, file, digest)
+PINNED_OUTPUTS = {
+    "iid": (["simulate", "--set", "n=70000"], "path.csv", "f507837d12a7942e"),
+    "heavy-tail": (["simulate", "--set", "alpha=0.5", "--set", "n_max=1000000",
+                    "--set", "n=20000"], "path.csv", "49cc98ca2f3d2ab1"),
+    "columns": (["simulate", "--set", "n=70000", "--set", "deps=mm:1,1;iid",
+                 "--set", "aggregate=max"], "path.csv", "f9ccd8a24d9c1de0"),
+    "tail": (["verify", "thm4", "--set", "regime=tail", "--set", "n=70000",
+              "--set", "replications=2"], "verify-thm4.estimates.csv", "480b64a05aa6be80"),
+    "preference": (["verify", "thm4", "--set", "def_replications=100", "--set", "def_n=5000",
+                    "--set", "n=70000", "--set", "replications=2"],
+                   "verify-thm4.estimates.csv", "a5b1fe488cfffbc3"),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+    def test_output_digest_is_pinned(self, case, tmp_path):
+        argv, name, digest = PINNED_OUTPUTS[case]
+        assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 def written(cfg, jobs, out):
