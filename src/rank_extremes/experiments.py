@@ -54,7 +54,6 @@ from .recursion import (
     compare_tail_sum_max,
     draw_inline,
     pair_maxima,
-    pair_rows_reaching,
     preference_blocks,
     weighted_pair_blocks,
 )
@@ -551,8 +550,9 @@ def _replication(args) -> dict:
     each path, so a replication holds its block ring and O(K) values per
     path, ``K`` from :func:`_tail_count`, whatever ``n``.  A regime with a q
     threshold first takes it from the preference draws alone
-    (:func:`_q_threshold`); its paths then keep only the rows that can reach
-    it (:func:`pair_rows_reaching`), which is all its estimators read."""
+    (:func:`_q_threshold`); its pair then gives only the rows that can reach
+    it (the floor of :func:`aggregate_pair_blocks`), which is all its
+    estimators read."""
     kind, params, rep = args
     regime_name = params.get("regime", FIXED_LENGTH)
     regime = REGIMES[regime_name]
@@ -563,14 +563,14 @@ def _replication(args) -> dict:
         floor = blocks_at = None
         if regime_name == FIXED_LENGTH:
             blocks = weighted_pair_blocks(_fixed_length_components(params), n, seed)
-        elif regime.q_threshold:
-            config = recursion_config_from_params(params)
-            blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
-            floor = blocks_at[0]
-            blocks = pair_rows_reaching(config, n, seed, floor)
         else:
-            pair = aggregate_pair_blocks(recursion_config_from_params(params), n, seed)
-            blocks = ((sums, maxes) for sums, maxes, *_ in pair)
+            config = recursion_config_from_params(params)
+            if regime.q_threshold:
+                blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
+                floor = blocks_at[0]
+            pair = aggregate_pair_blocks(config, n, seed,
+                                         floor=-math.inf if floor is None else floor)
+            blocks = ((sums, maxes, rows, len(q)) for sums, maxes, rows, q in pair)
         paths = {"sum": TailSample(top, floor_of=floor), "max": TailSample(top, floor_of=floor)}
         for sums, maxes, *rows in blocks:
             paths["sum"].feed(sums, *rows)

@@ -17,9 +17,10 @@ and a paired sum-vs-max tail comparison table.  Both kinds of pair come
 one row block at a time (:func:`aggregate_pair_blocks`,
 :func:`weighted_pair_blocks`), so their consumers hold no path;
 :func:`sample_aggregate_pair`, :func:`sample_weighted_pair` and
-:func:`sample_aggregate` copy those blocks into whole paths.
-:func:`pair_maxima` and :func:`pair_rows_reaching` bound the rows of an
-i.i.d.-column pair and refine only those that can reach a floor.
+:func:`sample_aggregate` copy those blocks into whole paths.  One kernel
+draws an i.i.d.-column pair (:func:`_iid_bounded_blocks`): given a floor,
+as :func:`aggregate_pair_blocks` and :func:`pair_maxima` may give it, it
+bounds the rows of each block and refines only those that can reach it.
 """
 
 from __future__ import annotations
@@ -223,9 +224,8 @@ class BlockRing:
 
 
 # Rows per block of the streamed kernels, the explicit columns of
-# _column_sum_max, the i.i.d. pair of _iid_pair_blocks and the refined rows
-# of pair_rows_reaching: 256 KB for each float64 array of a block, plus an
-# i.i.d. block's follower draws.
+# _column_sum_max and the i.i.d. pair of aggregate_pair_blocks: 256 KB for
+# each float64 array of a block, plus an i.i.d. block's follower draws.
 STREAM_BLOCK_ROWS = 2**15
 
 # Rows per block of the bound-and-refine maxima of pair_maxima.  Its blocks
@@ -310,7 +310,7 @@ def _in_order(tasks, threads: int, ahead: int):
 
 def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of=None):
     """Sums and maxima over the rows of ``n``-row columns, one finished row
-    block after another: yields ``(rows, sums, maxes, in_deg)`` per block of
+    block after another: yields ``(rows, sums, maxes)`` per block of
     ``STREAM_BLOCK_ROWS`` rows, ``sums`` and ``maxes`` the ``ring`` arrays
     of those names.
 
@@ -318,7 +318,7 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
     Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
     given, and only where ``in_deg[t] > j`` when ``in_deg_of`` is given: it
     is called once per block, in row order, with the block's ``rows`` and
-    returns their in-degrees, ``in_deg`` (else ``None``).
+    returns their in-degrees.
 
     The columns are drawn in blocks by :func:`_in_order` on
     ``_column_threads`` threads, into the slots of ``ring``: those of
@@ -363,7 +363,7 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
                 mask = in_deg > j  # the rows whose in-degree includes column j + 1
                 np.add(sums, col, out=sums, where=mask)
                 np.maximum(maxes, col, out=maxes, where=mask)
-        yield rows, sums, maxes, in_deg
+        yield rows, sums, maxes
 
 
 def _follower_columns(config, seed, count):
@@ -376,8 +376,8 @@ def _follower_columns(config, seed, count):
 def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockRing):
     """Both aggregates of an explicit-column config, ``STREAM_BLOCK_ROWS``
     rows at a time and in row order (:func:`_column_sum_max`): yields
-    ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
-    names.
+    ``(sums, maxes, None, q)`` per block, arrays of ``ring`` of those
+    names (``None``: every row).
 
     The calling thread draws each block's in-degrees from the ``in_degree``
     stream as the block's reduction starts, and its preference values from
@@ -401,12 +401,12 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     degrees = in_degrees()
     blocks = _column_sum_max(_follower_columns(config, seed, most), n, ring,
                              in_deg_of=lambda rows: next(degrees))
-    for rows, f_sum, f_max, in_deg in blocks:
+    for rows, f_sum, f_max in blocks:
         size = rows.stop - rows.start
         q = sample_pareto(config.preference_tail, size,
                           child_rng_at(seed, rows.start, STREAMS["preference"]),
                           out=ring.get(0, "q", size))
-        yield (*_add_preference(config, f_sum, f_max, q), in_deg, q)
+        yield (*_add_preference(config, f_sum, f_max, q), None, q)
 
 
 def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
@@ -442,104 +442,42 @@ def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
 
 
 def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                ring: BlockRing, block, names: dict):
-    """The results of ``block(in_deg, start, follow, draws, *rest)`` for the
-    blocks of an i.i.d.-column config, in row order: the blocks of
-    ``block_rows`` rows, each cut into blocks of at most ``BLOCK_DRAWS``
-    follower draws (:func:`_capped_blocks`).
+                ring: BlockRing, slots: int):
+    """The blocks of an i.i.d.-column config, in row order, as the calling
+    thread lays them out: yields ``(slot, in_deg, start, follow, total)``
+    per block, ``slot`` its slot of ``ring``, ``in_deg`` the in-degrees of
+    its rows, ``start`` its first row, and ``total`` the count of its
+    follower draws, which start at offset ``follow``, the sum of the earlier
+    blocks' in-degrees.
 
-    With i.i.d. columns the values entering a row are fresh draws, so row
-    ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
-    this has exactly the law of the column construction.  The calling
-    thread draws the in-degrees ``block_rows`` rows at a time.  Each block's
-    draws and reduction then run by :func:`_in_order` on ``_column_threads``
-    threads, at most ``2 × threads`` blocks ahead of the consumer, or inline
-    as the consumer asks for them when that is one thread (a ``--jobs``
-    worker, or one of several replications at ``--jobs 1``).  A block
-    starting at row ``start`` takes its preference draws from offset
-    ``start`` of the ``preference`` stream, and its
-    ``len(draws)`` follower draws from offset ``follow``, the sum of the
-    earlier blocks' in-degrees, of the ``column`` stream
-    (:func:`child_rng_at`).  Every row lies inside one block, so every
-    value equals that of the whole path drawn at once, bit for bit, whatever
-    the block size, draw cap and thread count.
-
-    The calling thread takes block ``i``'s arrays from slot ``i % slots``
-    of ``ring`` (:func:`_ring_slots`): ``in_deg`` and ``rest``, an array of
-    its rows for each ``name: dtype`` of ``names``.  It draws the in-degrees
-    of ``block_rows`` rows into the slot of their first block; when the draw
-    cap cuts them, it copies them to ``deg_cut`` in slot 0, and from there
-    each block's into its own slot.  A block's follower draws live only
-    while it runs, so there are ``threads`` draw buffers, slots
-    ``0..threads - 1`` of the name ``draws``: a running block takes a free
-    one and gives it back when it returns.  The calling thread grows every
-    draw buffer to a block's draws before handing the block on.  (What a
-    drawing thread allocates returns, once freed, to its own malloc arena,
-    which keeps it resident.)  A yielded block stays valid until the
-    consumer asks for the next one.
+    The in-degrees are drawn ``block_rows`` rows at a time, and each such
+    run is cut into blocks of at most ``BLOCK_DRAWS`` follower draws
+    (:func:`_capped_blocks`).  Block ``i`` takes slot ``i % slots``.  The
+    in-degrees of ``block_rows`` rows are drawn into the slot of their first
+    block; when the draw cap cuts them, they are copied to ``deg_cut`` in
+    slot 0, and from there each block's into its own slot.  Each block is
+    laid out only once the consumer asks for it, so a block ``slots`` places
+    earlier is done with the slot.
     """
-    threads = _column_threads(-(-n // block_rows))
-    slots = _ring_slots(threads)
-    free = queue.SimpleQueue()  # the draw buffers no running block holds
-    for i in range(threads):
-        free.put(i)
-
-    def run(in_deg, start, follow, total, rest):
-        i = free.get()
-        try:
-            return block(in_deg, start, follow, ring.get(i, "draws", total), *rest)
-        finally:
-            free.put(i)
-
-    def tasks():
-        deg_rng = child_rng(seed, STREAMS["in_degree"])
-        follow = i = 0
-        for start in range(0, n, block_rows):
-            size = min(block_rows, n - start)
-            drawn = _draw_in_degrees(config, size, deg_rng, ring=ring,
-                                     out=ring.get(i % slots, "in_deg", size, np.int64))
-            parts = _capped_blocks(drawn, BLOCK_DRAWS)
-            if len(parts) > 1:  # later blocks take slots that a block in flight may hold
-                cut = ring.get(0, "deg_cut", len(drawn), np.int64)
-                cut[:] = drawn
-                drawn = cut
-            for a, b, total in parts:
-                slot = i % slots
-                in_deg = drawn
-                if len(parts) > 1:
-                    in_deg = ring.get(slot, "in_deg", b - a, np.int64)
-                    in_deg[:] = drawn[a:b]
-                for d in range(threads):  # a buffer only grows, so a block finds its size
-                    ring.get(d, "draws", total)
-                rest = [ring.get(slot, name, b - a, dtype) for name, dtype in names.items()]
-                yield functools.partial(run, in_deg, start + a, follow, total, rest)
-                follow += total
-                i += 1
-
-    return _in_order(tasks(), threads, slots)
-
-
-def _iid_pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                     ring: BlockRing):
-    """Both aggregates of an i.i.d.-column config, at most ``block_rows``
-    rows at a time and in row order (:func:`_iid_blocks`): yields
-    ``(sums, maxes, in_deg, q)`` per block, arrays of ``ring`` of those
-    names.
-    """
-
-    def block(in_deg, start, follow, draws, sums, maxes, q):
-        sample_pareto(config.preference_tail, len(q),
-                      child_rng_at(seed, start, STREAMS["preference"]), out=q)
-        if len(draws):
-            sample_pareto(config.follower_tail, len(draws),
-                          child_rng_at(seed, follow, STREAMS["column"]), out=draws)
-        # reduceat allocates the follower terms: given out=, it holds the GIL,
-        # and the blocks would no longer reduce in parallel
-        f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
-        return (*_add_preference(config, f_sum, f_max, q, sums, maxes), in_deg, q)
-
-    return _iid_blocks(config, n, seed, block_rows, ring, block,
-                       dict.fromkeys(("sums", "maxes", "q"), np.float64))
+    deg_rng = child_rng(seed, STREAMS["in_degree"])
+    follow = i = 0
+    for start in range(0, n, block_rows):
+        size = min(block_rows, n - start)
+        drawn = _draw_in_degrees(config, size, deg_rng, ring=ring,
+                                 out=ring.get(i % slots, "in_deg", size, np.int64))
+        parts = _capped_blocks(drawn, BLOCK_DRAWS)
+        if len(parts) > 1:  # later blocks take slots that a block in flight may hold
+            cut = ring.get(0, "deg_cut", len(drawn), np.int64)
+            cut[:] = drawn
+            drawn = cut
+        for a, b, total in parts:
+            in_deg = drawn
+            if len(parts) > 1:
+                in_deg = ring.get(i % slots, "in_deg", b - a, np.int64)
+                in_deg[:] = drawn[a:b]
+            yield i % slots, in_deg, start + a, follow, total
+            follow += total
+            i += 1
 
 
 # Relative error allowed for NumPy's ``pow``, which need not round correctly
@@ -599,28 +537,59 @@ def _picked_positions(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                        ring: BlockRing, floor: float | None = None):
-    """The rows of the pair that :func:`_iid_pair_blocks` draws whose values
-    can reach a floor, bit for bit, in the blocks of :func:`_iid_blocks`:
-    bound and refine.  Yields ``(sums, maxes, rows, q)`` per block:
-    ``rows`` the ascending positions within the block of the rows it
-    refined, ``sums`` and ``maxes`` their values, and ``q`` the block's raw
+                        ring: BlockRing, floor: float | None = -math.inf):
+    """Both aggregates of an i.i.d.-column config in the blocks of
+    :func:`_iid_blocks`, bound and refined to the rows whose values can
+    reach a floor: yields ``(sums, maxes, rows, q)`` per block, ``rows`` the
+    ascending positions within the block of the rows whose values ``sums``
+    and ``maxes`` hold (``None`` for every row), and ``q`` the block's raw
     preference draws, an array of ``ring``.  Every other row of the block
-    has its sum and max values below the floor: ``floor`` when given, else
-    the block's largest preference term.
+    has its sum and max values below the floor: ``floor``, or the block's
+    largest preference term when that is ``None``.  At a floor of ``-inf``
+    every row passes on without a bound.
 
-    A block draws its in-degrees, its preference values and only the
-    uniforms of its follower draws.  The transform of its largest uniform
-    bounds every follower draw by ``X`` (:func:`_draw_bound`), and so each
-    row's sum by :func:`_sum_bounds`, and its max value, which is at most
-    its sum.  Only the rows whose bound reaches the floor are transformed
-    and reduced, each as the whole block reduces it.  No value falls below
+    With i.i.d. columns the values entering a row are fresh draws, so row
+    ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
+    this has exactly the law of the column construction.  A block starting
+    at row ``start`` takes its preference draws from offset ``start`` of the
+    ``preference`` stream, and its follower draws from offset ``follow`` of
+    the ``column`` stream.  Every row lies inside one block, so every value
+    equals that of the whole path drawn at once, bit for bit, whatever the
+    block size, draw cap, floor and thread count.
+
+    A block draws its preference values and only the uniforms of its
+    follower draws.  Under a finite floor, the transform of its largest
+    uniform bounds every follower draw by ``X`` (:func:`_draw_bound`), and
+    so each row's sum by :func:`_sum_bounds`, and its max value, which is
+    at most its sum.  Only the rows whose bound reaches the floor are
+    transformed and reduced, each as the whole block reduces it; when that
+    is every row, the draws are transformed in place.  No value falls below
     its row's preference term ``P``, so at the block's largest ``P`` the
     refined rows hold the block's largest sum and its largest max value.
+
+    The blocks are drawn and reduced by :func:`_in_order` on
+    ``_column_threads`` threads, no more than the blocks of ``block_rows``
+    rows, or of ``BLOCK_DRAWS`` draws were every in-degree the largest, at
+    most ``2 × threads`` blocks ahead of the consumer; or inline as the
+    consumer asks for them, on one thread (a ``--jobs`` worker, or one of
+    several replications at ``--jobs 1``).  A block's follower draws live
+    only while it runs: there are ``threads`` draw buffers, slots
+    ``0..threads - 1`` of the name ``draws``, and a running block takes a
+    free one and gives it back when it returns.  The calling thread grows
+    every draw buffer to a block's draws before handing the block on.
+    (What a drawing thread allocates returns, once freed, to its own malloc
+    arena, which keeps it resident.)  Each drawing thread keeps one
+    generator per stream.  A yielded block stays valid until the consumer
+    asks for the next one.
     """
     c, z, follower = config.damping, config.z_star, config.follower_tail
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
+    threads = _column_threads(max(-(-n // block_rows), -(-n * most // BLOCK_DRAWS)))
+    slots = _ring_slots(threads)
+    free = queue.SimpleQueue()  # the draw buffers no running block holds
+    for i in range(threads):
+        free.put(i)
     spare = {name: child_rng(seed, STREAMS[name]) for name in ("preference", "column")}
     starts = {name: rng.bit_generator.state for name, rng in spare.items()}
     drawing = threading.local()  # each drawing thread's generator of each stream
@@ -640,26 +609,46 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
 
     def block(in_deg, start, follow, u, q):
         sample_pareto(config.preference_tail, len(q), stream_at("preference", start), out=q)
-        # fl(z * q) is monotone in q: the largest term is that of the largest q
-        at = z * q.max() if floor is None else floor
-        x = 0.0
         if len(u):  # the uniforms of the follower draws
             stream_at("column", follow).random(len(u), out=u)
-            x = _draw_bound(follower, u.max())
-        rows = np.flatnonzero(q >= _least_reaching(at, z, c * x, most))
-        bound = _sum_bounds(in_deg[rows], z * q[rows], c * x, most)
-        # a bound of nan (0 * inf, where a draw overflows) keeps its row
-        rows = rows[np.logical_not(bound < at)]
-        if len(rows) == len(q):  # every row: the draws transform in place
-            picked = pareto_transform(follower, u)
-        elif len(rows):
-            picked = pareto_transform(follower, u[_picked_positions(in_deg, rows)])
+        # fl(z * q) is monotone in q: the largest term is that of the largest q
+        at = z * q.max() if floor is None else floor
+        rows = None
+        if at > -math.inf:
+            x = _draw_bound(follower, u.max()) if len(u) else 0.0
+            rows = np.flatnonzero(q >= _least_reaching(at, z, c * x, most))
+            bound = _sum_bounds(in_deg[rows], z * q[rows], c * x, most)
+            # a bound of nan (0 * inf, where a draw overflows) keeps its row
+            rows = rows[np.logical_not(bound < at)]
+            if len(rows) == len(q):
+                rows = None
+        if rows is None:  # every row: the draws transform in place
+            picked, deg, pref = pareto_transform(follower, u), in_deg, q
         else:
-            picked = u[:0]
-        f_sum, f_max = _segment_reduce(picked, in_deg[rows], np.add, np.maximum)
-        return (*_add_preference(config, f_sum, f_max, q[rows]), rows, q)
+            picked = (pareto_transform(follower, u[_picked_positions(in_deg, rows)])
+                      if len(rows) else u[:0])
+            deg, pref = in_deg[rows], q[rows]
+        # reduceat allocates the follower terms: given out=, it holds the GIL,
+        # and the blocks would no longer reduce in parallel
+        f_sum, f_max = _segment_reduce(picked, deg, np.add, np.maximum)
+        return (*_add_preference(config, f_sum, f_max, pref), rows, q)
 
-    return _iid_blocks(config, n, seed, block_rows, ring, block, dict(q=np.float64))
+    def run(in_deg, start, follow, total, q):
+        i = free.get()
+        try:
+            return block(in_deg, start, follow, ring.get(i, "draws", total), q)
+        finally:
+            free.put(i)
+
+    def tasks():
+        for slot, in_deg, start, follow, total in _iid_blocks(config, n, seed, block_rows,
+                                                               ring, slots):
+            for d in range(threads):  # a buffer only grows, so a block finds its size
+                ring.get(d, "draws", total)
+            yield functools.partial(run, in_deg, start, follow, total,
+                                    ring.get(slot, "q", len(in_deg)))
+
+    return _in_order(tasks(), threads, slots)
 
 
 def _check_pair_args(n: int) -> None:
@@ -668,20 +657,24 @@ def _check_pair_args(n: int) -> None:
 
 
 def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
-                          ring: BlockRing | None = None):
+                          ring: BlockRing | None = None, floor: float = -math.inf):
     """Both aggregates of length ``n``, from one set of draws, one block of
-    rows at a time and in row order: yields ``(sums, maxes, in_deg, q)`` per
-    block, ``q`` the raw preference draws, each array valid until the next
-    block is asked for.
+    rows at a time and in row order: yields ``(sums, maxes, rows, q)`` per
+    block, ``q`` the block's raw preference draws and ``rows`` the ascending
+    positions within the block of the rows whose values ``sums`` and
+    ``maxes`` hold (``None`` for every row), each array valid until the
+    next block is asked for.  Every row left out has its sum and max values
+    below ``floor``.
 
-    An i.i.d.-column config takes the blocks of :func:`_iid_pair_blocks`,
-    an explicit-column config those of :func:`_column_pair_blocks`.  Their
+    An i.i.d.-column config takes the blocks of :func:`_iid_bounded_blocks`,
+    which refine only the rows that can reach a finite floor, an
+    explicit-column config every row of :func:`_column_pair_blocks`.  Their
     arrays live in ``ring`` (a fresh one by default).
     """
     _check_pair_args(n)
     ring = BlockRing() if ring is None else ring
     if config.all_iid_columns():
-        return _iid_pair_blocks(config, n, seed, STREAM_BLOCK_ROWS, ring)
+        return _iid_bounded_blocks(config, n, seed, STREAM_BLOCK_ROWS, ring, floor)
     return _column_pair_blocks(config, n, seed, ring)
 
 
@@ -701,18 +694,18 @@ def _drain(blocks, n: int) -> tuple[np.ndarray, ...]:
 
 
 class AggregatePair(NamedTuple):
-    """Both aggregates of length ``n`` as whole paths, with the in-degrees
-    and raw preference draws they were built from."""
+    """Both aggregates of length ``n`` as whole paths, with the raw
+    preference draws they were built from."""
 
     sum_values: np.ndarray
     max_values: np.ndarray
-    in_degrees: np.ndarray
     preference: np.ndarray  # raw q_t draws, unscaled
 
 
 def sample_aggregate_pair(config: RecursionConfig, n: int, seed: int) -> AggregatePair:
     """The blocks of :func:`aggregate_pair_blocks` drained into whole paths."""
-    return AggregatePair(*_drain(aggregate_pair_blocks(config, n, seed), n))
+    blocks = aggregate_pair_blocks(config, n, seed)
+    return AggregatePair(*_drain(((sums, maxes, q) for sums, maxes, _, q in blocks), n))
 
 
 def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePath:
@@ -740,10 +733,10 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     ``aggregate_pair_blocks(config, n, seed)``, and the ``min(top, n)``
     largest of its raw preference draws, in descending order.
 
-    No path is built.  With i.i.d. columns each block of
-    :func:`_iid_bounded_blocks` bounds its rows and refines the few that can
-    reach its maxima; explicit columns reduce the blocks of
-    :func:`aggregate_pair_blocks`.  The buffers live in ``ring``, which
+    No path is built.  With i.i.d. columns each ``MAXIMA_BLOCK_ROWS``-row
+    block of :func:`_iid_bounded_blocks` bounds its rows and refines the few
+    that can reach its largest preference term; explicit columns reduce the
+    blocks of :func:`aggregate_pair_blocks`.  The buffers live in ``ring``, which
     successive calls may share; each block's preference draws are
     partitioned in place to take their top ``top``.
     """
@@ -753,7 +746,7 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     top = min(top, n)
     ring = BlockRing() if ring is None else ring
     if config.all_iid_columns():
-        blocks = _iid_bounded_blocks(config, n, seed, MAXIMA_BLOCK_ROWS, ring)
+        blocks = _iid_bounded_blocks(config, n, seed, MAXIMA_BLOCK_ROWS, ring, floor=None)
     else:
         blocks = aggregate_pair_blocks(config, n, seed, ring)
     sum_max = max_max = -np.inf
@@ -780,27 +773,6 @@ def preference_blocks(config: RecursionConfig, n: int, seed: int):
         yield sample_pareto(config.preference_tail, size, rng, out=out[:size])
 
 
-def pair_rows_reaching(config: RecursionConfig, n: int, seed: int, floor: float):
-    """The rows of the pair ``aggregate_pair_blocks(config, n, seed)`` whose
-    values can reach ``floor``, one block at a time and in row order: yields
-    ``(sums, maxes, rows, size)`` per block of ``size`` rows, ``rows`` the
-    ascending positions within the block of the rows whose values ``sums``
-    and ``maxes`` hold (``None`` for every row).  Every other row has its
-    sum and max values below ``floor``.
-
-    An i.i.d.-column config bounds and refines in the blocks of
-    :func:`_iid_bounded_blocks`, on any drawing thread, since each block
-    knows the floor; an explicit-column config gives every row of
-    :func:`aggregate_pair_blocks`.
-    """
-    _check_pair_args(n)
-    if config.all_iid_columns():
-        blocks = _iid_bounded_blocks(config, n, seed, STREAM_BLOCK_ROWS, BlockRing(), floor)
-        return ((sums, maxes, rows, len(q)) for sums, maxes, rows, q in blocks)
-    return ((sums, maxes, None, len(q))
-            for sums, maxes, _, q in aggregate_pair_blocks(config, n, seed))
-
-
 def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, seed: int,
                          ring: BlockRing | None = None):
     """Fixed-length weighted sum and maximum of ``l`` stationary columns,
@@ -820,7 +792,7 @@ def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, s
                for i, (_, seq) in enumerate(components, start=1)]
     blocks = _column_sum_max(columns, n, BlockRing() if ring is None else ring,
                              weights=[z for z, _ in components])
-    return ((sums, maxes) for _, sums, maxes, _ in blocks)
+    return ((sums, maxes) for _, sums, maxes in blocks)
 
 
 def sample_weighted_pair(components: list[tuple[float, SequenceSpec]], n: int, seed: int):

@@ -62,6 +62,18 @@ def refuse_to_sample(*args, **kwargs):
     raise AssertionError("sampled before the configuration was checked")
 
 
+# the functions that experiments imports from recursion to draw a pair, its
+# maxima or its preference values
+SAMPLERS = ("aggregate_pair_blocks", "compare_tail_sum_max", "pair_maxima",
+            "preference_blocks", "weighted_pair_blocks")
+
+
+def refuse_sampling(monkeypatch):
+    """Make every sampler of :data:`SAMPLERS` refuse to run in experiments."""
+    for name in SAMPLERS:
+        monkeypatch.setattr(experiments, name, refuse_to_sample)
+
+
 class TestPackageSurface:
     def test_root_exports_only_the_errors_and_entry_points(self):
         assert sorted(rank_extremes.__all__) == [
@@ -72,6 +84,12 @@ class TestPackageSurface:
         exec("from rank_extremes import *", namespace)
         for name in rank_extremes.__all__:
             assert namespace[name] is getattr(rank_extremes, name)
+
+    def test_samplers_name_every_sampler_experiments_imports(self):
+        imported = {name for name, obj in vars(experiments).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == recursion.__name__}
+        others = {"BlockRing", "RecursionConfig", "available_cpus", "draw_inline"}
+        assert imported - others == set(SAMPLERS)
 
     def test_cli_reads_path_csv_through_recursion(self):
         # the path CSV reader lives beside its writer; cli keeps the name
@@ -218,9 +236,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("jobs", [0, -3])
     @pytest.mark.parametrize("kind", ["verify-thm2", "verify-thm4", "tail-eq"])
     def test_jobs_below_one_refused_before_sampling(self, monkeypatch, kind, jobs):
-        monkeypatch.setattr(experiments, "weighted_pair_blocks", refuse_to_sample)
-        monkeypatch.setattr(experiments, "aggregate_pair_blocks", refuse_to_sample)
-        monkeypatch.setattr(experiments, "compare_tail_sum_max", refuse_to_sample)
+        refuse_sampling(monkeypatch)
         with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
             run_experiment(ExperimentConfig.default(kind), jobs=jobs)
 
@@ -356,10 +372,10 @@ class TestFailingReplication:
         bad = replication_seed(cfg.params["seed"], 1)
         blocks = experiments.aggregate_pair_blocks
 
-        def failing(config, n, seed, ring=None):
+        def failing(config, n, seed, **kwargs):
             if seed == bad:
                 raise FloatingPointError("pair failed")
-            return blocks(config, n, seed, ring)
+            return blocks(config, n, seed, **kwargs)
 
         monkeypatch.setattr(experiments, "aggregate_pair_blocks", failing)
         monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
@@ -478,6 +494,26 @@ class TestStreamedSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+    def test_a_heavy_in_degree_tail_draws_on_every_cpu(self, tmp_path, monkeypatch):
+        # 20000 rows are one draw of in-degrees, but their 766 follower
+        # draws a row fill over a hundred blocks of at most 2^17 draws
+        in_order, pools = recursion._in_order, []
+
+        def recording(tasks, threads, ahead):
+            pools.append(threads)
+            return in_order(tasks, threads, ahead)
+
+        monkeypatch.setattr(recursion, "_in_order", recording)
+        written_by = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(recursion, "available_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            assert main(["simulate", "--set", "alpha=0.5", "--set", "n_max=1000000",
+                         "--set", "n=20000", "--out", str(out)]) == 0
+            written_by[cpus] = (out / "path.csv").read_bytes()
+        assert pools == [1, 2]
+        assert written_by[2] == written_by[1]
 
 
 # sha256 prefixes of the files that a command writes, taken with NumPy 2.4 on
@@ -709,18 +745,22 @@ class TestStreamedReplication:
             tracemalloc.stop()
         assert peak < 7 * 2**20, peak
 
-    @pytest.mark.parametrize("overrides, bound_mb", [
+    @pytest.mark.parametrize("overrides, threads, bound_mb", [
         # the benchmark's tail-alpha config on two drawing threads, 3.2
         # follower draws a row: 8.4-9.3 MB measured, 15.6-18.5 MB with
         # 2^16-row blocks
-        (dict(k=3.0, alpha=1.2, beta=2.0, n_max=10**4), 12),
+        pytest.param(dict(k=3.0, alpha=1.2, beta=2.0, n_max=10**4), 2, 12,
+                     id="overrides0-12"),
         # 766 draws a row, in blocks of at most 2^17 draws or one row of up to
-        # n_max, on one thread (the rows are one draw of in-degrees): 7.5-8.3
-        # MB measured, 123-135 MB when a block held all its rows' draws
-        (dict(alpha=0.5, n_max=10**6, n=20000), 16),
+        # n_max: on one thread 7.5-8.3 MB measured, 123-135 MB when a block
+        # held all its rows' draws; on two, each thread's draw buffer grows to
+        # the largest block (up to 10 MB at a row of 10^6 draws): 20.7-26.5 MB
+        pytest.param(dict(alpha=0.5, n_max=10**6, n=20000), 1, 16, id="overrides1-16"),
+        pytest.param(dict(alpha=0.5, n_max=10**6, n=20000), 2, 32, id="overrides2-32"),
     ])
-    def test_block_memory_stays_within_its_bound(self, overrides, bound_mb, monkeypatch):
-        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(2, tasks))
+    def test_block_memory_stays_within_its_bound(self, overrides, threads, bound_mb,
+                                                 monkeypatch):
+        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
         params = ExperimentConfig.default("verify-thm4", regime="tail", **overrides).params
         # a first run caches the in-degree law's tables (16 MB at n_max = 10^6)
         experiments._replication(("verify-thm4", params, 0))
@@ -1022,10 +1062,7 @@ class TestCliCommands:
     ])
     def test_bad_definition_stage_exits_2_before_sampling(self, tmp_path, capsys,
                                                           monkeypatch, overrides, message):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sampled before the definition stage was checked")
-
-        monkeypatch.setattr(experiments, "aggregate_pair_blocks", refuse)
+        refuse_sampling(monkeypatch)
         out = tmp_path / "out"
         argv = ["verify", "thm4", "--set", "n=20000", "--set", "replications=2"]
         for item in overrides:
@@ -1036,7 +1073,7 @@ class TestCliCommands:
 
     def test_jobs_0_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         # thm4's definition stage sizes its chunks by jobs, so 0 must not reach it
-        monkeypatch.setattr(experiments, "aggregate_pair_blocks", refuse_to_sample)
+        refuse_sampling(monkeypatch)
         out = tmp_path / "out"
         assert main(["verify", "thm4", "--jobs", "0", "--out", str(out)]) == 2
         assert "jobs must be >= 1, got 0" in capsys.readouterr().err

@@ -40,7 +40,8 @@ from rank_extremes.recursion import (
     BlockRing,
     RecursionConfig,
     _draw_in_degrees,
-    _iid_pair_blocks,
+    _iid_blocks,
+    _iid_bounded_blocks,
     _segment_reduce,
     compare_tail_sum_max,
     expected_tree_size,
@@ -154,7 +155,8 @@ class TestAggregate:
         a = sample_aggregate_pair(make_config(), 5000, SEED)
         b = sample_aggregate_pair(make_config(), 5000, SEED)
         assert np.array_equal(a.sum_values, b.sum_values)
-        assert np.array_equal(a.in_degrees, b.in_degrees)
+        assert np.array_equal(a.max_values, b.max_values)
+        assert np.array_equal(a.preference, b.preference)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -238,7 +240,6 @@ class TestAggregatePairCombination:
         pair = sample_aggregate_pair(config, n, seed)
         assert pair.sum_values.tobytes() == (damping * f_sum + pref_term).tobytes()
         assert pair.max_values.tobytes() == np.maximum(damping * f_max, pref_term).tobytes()
-        assert np.array_equal(pair.in_degrees, in_deg)
         assert pair.preference.tobytes() == q.tobytes()
 
 
@@ -271,7 +272,7 @@ def column_contributions(config, n, seed, in_deg):
     max_n = int(in_deg.max()) if len(in_deg) else 0
     blocks = recursion._column_sum_max(recursion._follower_columns(config, seed, max_n), n,
                                        BlockRing(), in_deg_of=lambda rows: in_deg[rows])
-    return recursion._drain(((sums, maxes) for _, sums, maxes, _ in blocks), n)
+    return recursion._drain(((sums, maxes) for _, sums, maxes in blocks), n)
 
 
 def masked_column_contributions(config, n, seed, in_deg):
@@ -847,16 +848,19 @@ class TestStreamedComparison:
            in_degrees=st.sampled_from(sorted(IN_DEGREES)))
     def test_concatenated_blocks_equal_the_pair(self, seed, block_rows, n, in_degrees):
         config = make_config(**IN_DEGREES[in_degrees])
-        # a block's arrays are a ring's, valid until the next block is asked for
-        blocks = [tuple(a.copy() for a in block)
-                  for block in _iid_pair_blocks(config, n, seed, block_rows, BlockRing())]
+        # a block's arrays are valid until the next block is asked for; with
+        # no floor every block holds every row
+        blocks = []
+        for sums, maxes, rows, q in _iid_bounded_blocks(config, n, seed, block_rows,
+                                                        BlockRing()):
+            assert rows is None
+            blocks.append((sums.copy(), maxes.copy(), q.copy()))
         assert [len(b[0]) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
-        pair = sample_aggregate_pair(config, n, seed)
-        sums, maxes, in_deg, q = (np.concatenate(parts) for parts in zip(*blocks))
-        assert sums.tobytes() == pair.sum_values.tobytes()
-        assert maxes.tobytes() == pair.max_values.tobytes()
-        assert in_deg.tobytes() == pair.in_degrees.tobytes()
-        assert q.tobytes() == pair.preference.tobytes()
+        want_sums, want_maxes, _, want_q = whole_iid_pair(config, n, seed)
+        sums, maxes, q = (np.concatenate(parts) for parts in zip(*blocks))
+        assert sums.tobytes() == want_sums.tobytes()
+        assert maxes.tobytes() == want_maxes.tobytes()
+        assert q.tobytes() == want_q.tobytes()
 
     def test_explicit_columns_give_the_whole_path_rows(self):
         config = make_config(follower_deps=(DependenceSpec.moving_maxima(1, 1),
@@ -946,7 +950,6 @@ class TestThreadedIidKernel:
             rows = compare_tail_sum_max(config, n, thresholds, seed)
         assert pair.sum_values.tobytes() == sums.tobytes()
         assert pair.max_values.tobytes() == maxes.tobytes()
-        assert pair.in_degrees.tobytes() == in_deg.tobytes()
         assert pair.preference.tobytes() == q.tobytes()
         assert maxima[:2] == (float(sums.max()), float(maxes.max()))
         assert maxima[2].tobytes() == upper_order_statistics(q, min(3, n)).tobytes()
@@ -964,20 +967,25 @@ class TestThreadedIidKernel:
                                                              in_degrees, draws):
         config = make_config(**IN_DEGREES[in_degrees])
         with iid_kernel(block_rows, 2, draws):
-            blocks = [tuple(a.copy() for a in block)
-                      for block in _iid_pair_blocks(config, n, seed, block_rows, BlockRing())]
-        want = whole_iid_pair(config, n, seed)
+            # the layout alone, each block laid out as the kernel asks for it
+            laid = [(in_deg.copy(), *rest) for _, in_deg, *rest in
+                    _iid_blocks(config, n, seed, block_rows, BlockRing(), 1)]
+            blocks = [(sums.copy(), maxes.copy(), q.copy()) for sums, maxes, _, q in
+                      _iid_bounded_blocks(config, n, seed, block_rows, BlockRing())]
+        sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
         assert [np.concatenate(parts).tobytes() for parts in zip(*blocks)] == [
-            a.tobytes() for a in want]
-        start = 0
-        for (_, _, in_deg, _), after in zip(blocks, blocks[1:] + [None]):
+            a.tobytes() for a in (sums, maxes, q)]
+        assert np.concatenate([b[0] for b in laid]).tobytes() == in_deg.tobytes()
+        start = follow = 0
+        for (in_deg, first, offset, total), after in zip(laid, laid[1:] + [None]):
+            assert (first, offset, total) == (start, follow, in_deg.sum())
             end = start + len(in_deg)
             # within one draw of in-degrees, and past the cap only alone
             assert start // block_rows == (end - 1) // block_rows
             assert in_deg.sum() <= draws or len(in_deg) == 1
             if after is not None and end % block_rows:  # cut by the cap
-                assert in_deg.sum() + after[2][0] > draws
-            start = end
+                assert in_deg.sum() + after[0][0] > draws
+            start, follow = end, follow + total
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEEDS, head=st.integers(0, 300) | st.integers(2**16, 2**20),
@@ -994,22 +1002,27 @@ class TestThreadedIidKernel:
 
     @pytest.mark.parametrize("fixed_in_degree", [0, 1])
     def test_a_block_draws_exactly_its_followers(self, fixed_in_degree, monkeypatch):
-        drawn = []
-        pareto = recursion.sample_pareto
+        # the preference values are drawn whole, the follower draws as
+        # uniforms that every row's values transform at no floor
+        drawn, transformed = [], []
+        pareto, transform = recursion.sample_pareto, recursion.pareto_transform
 
         def counted(spec, n, rng, **kwargs):
             drawn.append((spec, n))
             return pareto(spec, n, rng, **kwargs)
 
+        def counted_transform(spec, x):
+            transformed.append((spec, len(x)))
+            return transform(spec, x)
+
         monkeypatch.setattr(recursion, "sample_pareto", counted)
+        monkeypatch.setattr(recursion, "pareto_transform", counted_transform)
         config = make_config(fixed_in_degree=fixed_in_degree)
         with iid_kernel(16, 2):
             pair = sample_aggregate_pair(config, 40, SEED)
-        sizes = {spec: [] for spec in (config.follower_tail, config.preference_tail)}
-        for spec, size in drawn:
-            sizes[spec].append(size)
-        assert sorted(sizes[config.preference_tail]) == [8, 16, 16]
-        assert sorted(sizes[config.follower_tail]) == ([8, 16, 16] if fixed_in_degree else [])
+        assert sorted(drawn) == [(config.preference_tail, size) for size in (8, 16, 16)]
+        sizes = [8, 16, 16] if fixed_in_degree else [0, 0, 0]
+        assert sorted(transformed) == [(config.follower_tail, size) for size in sizes]
         want = whole_iid_pair(config, 40, SEED)
         assert pair.sum_values.tobytes() == want[0].tobytes()
         assert pair.max_values.tobytes() == want[1].tobytes()
@@ -1044,7 +1057,7 @@ class TestThreadedIidKernel:
         monkeypatch.setattr(recursion, "sample_pareto", counted)
         monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
         ahead = []
-        blocks = _iid_pair_blocks(config, 200, SEED, 5, BlockRing())
+        blocks = _iid_bounded_blocks(config, 200, SEED, 5, BlockRing())
         for done, _ in enumerate(blocks, start=1):
             ahead.append(len(started) - done)
         assert len(ahead) == 40 and max(ahead) <= 2 * threads
@@ -1058,7 +1071,7 @@ class TestThreadedIidKernel:
         with iid_kernel(rows, 2):
             tracemalloc.start()
             try:
-                for _ in _iid_pair_blocks(config, 16 * rows, SEED, rows, BlockRing()):
+                for _ in _iid_bounded_blocks(config, 16 * rows, SEED, rows, BlockRing()):
                     pass
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1080,8 +1093,8 @@ class TestThreadedIidKernel:
                 rows = compare_tail_sum_max(config, 2001, [0.95, 0.99], SEED)
         finally:
             sys.setswitchinterval(interval)
-        got = (pair.sum_values, pair.max_values, pair.in_degrees, pair.preference)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        got = (pair.sum_values, pair.max_values, pair.preference)
+        assert [a.tobytes() for a in got] == [want[i].tobytes() for i in (0, 1, 3)]
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want_rows
 
     @pytest.mark.parametrize("caller", ["pair", "maxima", "compare"])
@@ -1159,12 +1172,13 @@ class TestOneBlockRing:
         with iid_kernel(5, 2):
             rows = compare_tail_sum_max(config, 40, [0.95], SEED)
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
-        # eight blocks in the four slots of two threads
+        # eight blocks in the four slots of two threads, each with every row;
+        # its sums and maxima are the reduction's own arrays
         assert len(blocks) == 8 and sorted(set(slots)) == [0, 1, 2, 3]
-        assert all(in_ring(a, handed) for block in blocks for a in block)
-        # block i + 4 reuses the arrays of block i
-        assert all(np.shares_memory(a, b)
-                   for i in range(4) for a, b in zip(blocks[i], blocks[i + 4]))
+        assert all(rows is None for _, _, rows, _ in blocks)
+        assert all(in_ring(q, handed) for *_, q in blocks)
+        # block i + 4 reuses the preference draws of block i
+        assert all(np.shares_memory(blocks[i][3], blocks[i + 4][3]) for i in range(4))
 
     @pytest.mark.parametrize("threads, columns", [(1, 3), (2, 3), (3, 2)])
     def test_column_blocks_live_in_the_ring(self, ring_records, threads, columns):
@@ -1340,21 +1354,59 @@ class TestBoundAndRefine:
         assert peaks[0] > 3 * 2**20 and peaks[1] < 2**18
 
 
+class TestPairFloor:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, tails=st.sampled_from(sorted(BOUNDED_TAILS)), degrees=BOUNDED_DEGREES,
+           damping=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
+           block_rows=st.sampled_from([1, 5, 16]), threads=st.integers(1, 2),
+           n=st.integers(1, 120), level=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]),
+           explicit=st.booleans(), draws=DRAW_CAPS)
+    def test_a_floor_leaves_out_only_rows_below_it(self, seed, tails, degrees, damping,
+                                                   block_rows, threads, n, level, explicit,
+                                                   draws):
+        follower, preference = BOUNDED_TAILS[tails]
+        deps = ((DependenceSpec.moving_maxima(1, 1),) if explicit
+                else (DependenceSpec.iid(),))
+        config = make_config(damping=damping, follower_tail=follower,
+                             preference_tail=preference, follower_deps=deps, **degrees)
+        if explicit:
+            pair = sample_aggregate_pair(config, n, seed)
+            sums, maxes = pair.sum_values, pair.max_values
+        else:
+            sums, maxes, _, _ = whole_iid_pair(config, n, seed)
+        # no floor, or one of the sums, which rows of equal values must reach
+        floor = -math.inf if level is None else float(np.sort(sums)[int(level * (n - 1))])
+        start = 0
+        with iid_kernel(block_rows, threads, draws):
+            for got_sums, got_maxes, rows, q in recursion.aggregate_pair_blocks(
+                    config, n, seed, floor=floor):
+                size = len(q)
+                if rows is None:
+                    rows = np.arange(size)
+                else:
+                    assert not explicit and level is not None
+                assert got_sums.tobytes() == sums[start:start + size][rows].tobytes()
+                assert got_maxes.tobytes() == maxes[start:start + size][rows].tobytes()
+                left_out = np.setdiff1d(np.arange(size), rows) + start
+                assert np.all(sums[left_out] < floor) and np.all(maxes[left_out] < floor)
+                start += size
+        assert start == n
+
+
 def full_pair_row(params, rep):
-    """A preference replication's row from the whole pair: every block of
-    :func:`_iid_pair_blocks` feeds a :class:`TailSample` of q and one of
+    """A preference replication's row from the whole pair of
+    :func:`whole_iid_pair`: it feeds a :class:`TailSample` of q and one of
     each path, whose floor is q's, and the blocks threshold is q's."""
     regime = experiments.REGIMES["preference"]
     seed = replication_seed(params["seed"], regime.seed_offset + rep)
     n, top = params["n"], experiments._tail_count(regime, params)
-    config = experiments.recursion_config_from_params(params)
+    sums, maxes, _, q_whole = whole_iid_pair(experiments.recursion_config_from_params(params),
+                                             n, seed)
     q = TailSample(top)
     paths = {"sum": TailSample(top, floor_of=q), "max": TailSample(top, floor_of=q)}
-    for sums, maxes, _, q_block in _iid_pair_blocks(config, n, seed, recursion.STREAM_BLOCK_ROWS,
-                                                    BlockRing()):
-        q.feed(q_block)
-        paths["sum"].feed(sums)
-        paths["max"].feed(maxes)
+    q.feed(q_whole)
+    paths["sum"].feed(sums)
+    paths["max"].feed(maxes)
     u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
     at = (u, float(len(q.above(u))) / n)
     row = {f"blocks_{label}": experiments._estimate("blocks", path, params, at)
@@ -1397,8 +1449,7 @@ class TestBoundedReplication:
             got = row_or_error(lambda: experiments._replication(("verify-thm4", params, rep)))
             maxima = pair_maxima(config, n, seed, top)
         assert got == want
-        sums, maxes, _, q = recursion._drain(
-            _iid_pair_blocks(config, n, seed, recursion.STREAM_BLOCK_ROWS, BlockRing()), n)
+        sums, maxes, _, q = whole_iid_pair(config, n, seed)
         assert maxima[:2] == (float(sums.max()), float(maxes.max()))
         assert maxima[2].tobytes() == upper_order_statistics(q, top).tobytes()
 
