@@ -409,19 +409,16 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
         yield (*_add_preference(config, f_sum, f_max, q), None, q)
 
 
-def _add_preference(config, f_sum, f_max, q, sums=None, maxes=None):
+def _add_preference(config, f_sum, f_max, q):
     """``c * f_sum + pref_term`` and ``max(c * f_max, pref_term)``, with
-    ``pref_term = (1 - c) * q``, written into ``sums`` and ``maxes`` (in
-    place over the follower terms when not given)."""
-    sums = f_sum if sums is None else sums
-    maxes = f_max if maxes is None else maxes
+    ``pref_term = (1 - c) * q``, written in place over the follower terms."""
     c = config.damping
     pref_term = config.z_star * q
-    np.multiply(c, f_sum, out=sums)
-    np.add(sums, pref_term, out=sums)
-    np.multiply(c, f_max, out=maxes)
-    np.maximum(maxes, pref_term, out=maxes)
-    return sums, maxes
+    np.multiply(c, f_sum, out=f_sum)
+    np.add(f_sum, pref_term, out=f_sum)
+    np.multiply(c, f_max, out=f_max)
+    np.maximum(f_max, pref_term, out=f_max)
+    return f_sum, f_max
 
 
 def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
