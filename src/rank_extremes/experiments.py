@@ -560,21 +560,22 @@ def _replication(args) -> dict:
     n = params["n"]
     with _named_replication(kind, rep, seed):
         top = _tail_count(regime, params)
-        floor = blocks_at = None
+        floor, blocks_at = -math.inf, None
         if regime_name == FIXED_LENGTH:
-            blocks = weighted_pair_blocks(_fixed_length_components(params), n, seed)
+            pair = weighted_pair_blocks(_fixed_length_components(params), n, seed)
+            # every row, so the count fed is the block's own length
+            blocks = ((sums, maxes, None, sums) for sums, maxes in pair)
         else:
             config = recursion_config_from_params(params)
             if regime.q_threshold:
                 blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
                 floor = blocks_at[0]
-            pair = aggregate_pair_blocks(config, n, seed,
-                                         floor=-math.inf if floor is None else floor)
-            blocks = ((sums, maxes, rows, len(q)) for sums, maxes, rows, q in pair)
-        paths = {"sum": TailSample(top, floor_of=floor), "max": TailSample(top, floor_of=floor)}
-        for sums, maxes, *rows in blocks:
-            paths["sum"].feed(sums, *rows)
-            paths["max"].feed(maxes, *rows)
+            blocks = aggregate_pair_blocks(config, n, seed, floor=floor)
+        floor_of = None if blocks_at is None else floor
+        paths = {"sum": TailSample(top, floor_of), "max": TailSample(top, floor_of)}
+        for sums, maxes, rows, q in blocks:
+            paths["sum"].feed(sums, rows, len(q))
+            paths["max"].feed(maxes, rows, len(q))
         row = {}
         for label, path in paths.items():
             for name in regime.estimators:

@@ -565,24 +565,23 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
     refined rows hold the block's largest sum and its largest max value.
 
     The blocks are drawn and reduced by :func:`_in_order` on
-    ``_column_threads`` threads, no more than the blocks of ``block_rows``
-    rows, or of ``BLOCK_DRAWS`` draws were every in-degree the largest, at
-    most ``2 × threads`` blocks ahead of the consumer; or inline as the
-    consumer asks for them, on one thread (a ``--jobs`` worker, or one of
-    several replications at ``--jobs 1``).  A block's follower draws live
-    only while it runs: there are ``threads`` draw buffers, slots
-    ``0..threads - 1`` of the name ``draws``, and a running block takes a
-    free one and gives it back when it returns.  The calling thread grows
-    every draw buffer to a block's draws before handing the block on.
-    (What a drawing thread allocates returns, once freed, to its own malloc
-    arena, which keeps it resident.)  Each drawing thread keeps one
-    generator per stream.  A yielded block stays valid until the consumer
-    asks for the next one.
+    ``_column_threads`` threads, no more than the draws of ``block_rows``
+    in-degrees, at most ``2 × threads`` blocks ahead of the consumer; or
+    inline as the consumer asks for them, on one thread (a ``--jobs``
+    worker, or one of several replications at ``--jobs 1``).  A block's
+    follower draws live only while it runs: there are ``threads`` draw
+    buffers, slots ``0..threads - 1`` of the name ``draws``, and a running
+    block takes a free one and gives it back when it returns.  The calling
+    thread grows every draw buffer to a block's draws before handing the
+    block on.  (What a drawing thread allocates returns, once freed, to its
+    own malloc arena, which keeps it resident.)  Each drawing thread keeps
+    one generator per stream.  A yielded block stays valid until the
+    consumer asks for the next one.
     """
     c, z, follower = config.damping, config.z_star, config.follower_tail
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
-    threads = _column_threads(max(-(-n // block_rows), -(-n * most // BLOCK_DRAWS)))
+    threads = _column_threads(-(-n // block_rows))
     slots = _ring_slots(threads)
     free = queue.SimpleQueue()  # the draw buffers no running block holds
     for i in range(threads):

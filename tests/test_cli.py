@@ -1,8 +1,8 @@
 """Experiment configs, reports, and the command-line entry points."""
 
 import functools
-import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +35,7 @@ from rank_extremes.experiments import (
 from rank_extremes.heavytail import DependenceSpec
 from rank_extremes.rng import replication_seed
 from rank_extremes.theory import Component, ComponentSpec, predict_min_rule
+from test_recursion import whole_pair
 
 FAST_THM2 = dict(n=20000, replications=4)
 
@@ -495,52 +496,49 @@ class TestStreamedSimulate:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
-    def test_a_heavy_in_degree_tail_draws_on_every_cpu(self, tmp_path, monkeypatch):
-        # 20000 rows are one draw of in-degrees, but their 766 follower
-        # draws a row fill over a hundred blocks of at most 2^17 draws
-        in_order, pools = recursion._in_order, []
 
-        def recording(tasks, threads, ahead):
-            pools.append(threads)
-            return in_order(tasks, threads, ahead)
-
-        monkeypatch.setattr(recursion, "_in_order", recording)
-        written_by = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(recursion, "available_cpus", lambda: cpus)
-            out = tmp_path / str(cpus)
-            assert main(["simulate", "--set", "alpha=0.5", "--set", "n_max=1000000",
-                         "--set", "n=20000", "--out", str(out)]) == 0
-            written_by[cpus] = (out / "path.csv").read_bytes()
-        assert pools == [1, 2]
-        assert written_by[2] == written_by[1]
+def whole_path_pair_blocks(config, n, seed, ring=None, floor=-math.inf):
+    """:func:`recursion.aggregate_pair_blocks` as one block of the whole
+    paths that :func:`whole_pair` writes out as expressions, every row
+    given."""
+    sums, maxes, q = whole_pair(config, n, seed)
+    return iter([(sums, maxes, None, q)])
 
 
-# sha256 prefixes of the files that a command writes, taken with NumPy 2.4 on
-# x86-64: a change of kernel that moves one value of a path or of an estimate
-# moves its digest.  (A NumPy whose pow rounds differently moves them too.)
-# (argv, file, digest)
-PINNED_OUTPUTS = {
-    "iid": (["simulate", "--set", "n=70000"], "path.csv", "f507837d12a7942e"),
+# Commands whose files the block sources write in blocks, on threads, and
+# for a q threshold from only the rows that can reach it; the heavy tail
+# cuts its one draw of in-degrees into some 18 blocks of capped draws:
+# (argv, file)
+ORACLE_OUTPUTS = {
+    "iid": (["simulate", "--set", "n=70000"], "path.csv"),
     "heavy-tail": (["simulate", "--set", "alpha=0.5", "--set", "n_max=1000000",
-                    "--set", "n=20000"], "path.csv", "49cc98ca2f3d2ab1"),
+                    "--set", "n=3000"], "path.csv"),
     "columns": (["simulate", "--set", "n=70000", "--set", "deps=mm:1,1;iid",
-                 "--set", "aggregate=max"], "path.csv", "f9ccd8a24d9c1de0"),
+                 "--set", "aggregate=max"], "path.csv"),
     "tail": (["verify", "thm4", "--set", "regime=tail", "--set", "n=70000",
-              "--set", "replications=2"], "verify-thm4.estimates.csv", "480b64a05aa6be80"),
+              "--set", "replications=2"], "verify-thm4.estimates.csv"),
     "preference": (["verify", "thm4", "--set", "def_replications=100", "--set", "def_n=5000",
                     "--set", "n=70000", "--set", "replications=2"],
-                   "verify-thm4.estimates.csv", "a5b1fe488cfffbc3"),
+                   "verify-thm4.estimates.csv"),
 }
 
 
-class TestPinnedOutputs:
-    @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
-    def test_output_digest_is_pinned(self, case, tmp_path):
-        argv, name, digest = PINNED_OUTPUTS[case]
-        assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
-        data = (tmp_path / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest()[:16] == digest
+class TestWholePathOutputs:
+    @pytest.mark.parametrize("case", sorted(ORACLE_OUTPUTS))
+    def test_output_equals_the_whole_path_oracle(self, case, tmp_path, monkeypatch):
+        # the oracle run builds each pair as whole paths from its
+        # expressions and gives every replication's estimators whole paths
+        argv, name = ORACLE_OUTPUTS[case]
+        written_by = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(recursion, "aggregate_pair_blocks", whole_path_pair_blocks)
+                monkeypatch.setattr(experiments, "_replication",
+                                    lambda args: whole_path_row(*args))
+            out = tmp_path / str(oracle)
+            assert main(argv + ["--out", str(out)]) in (0, 1)
+            written_by.append((out / name).read_bytes())
+        assert written_by[0] == written_by[1]
 
 
 def written(cfg, jobs, out):
@@ -745,22 +743,18 @@ class TestStreamedReplication:
             tracemalloc.stop()
         assert peak < 7 * 2**20, peak
 
-    @pytest.mark.parametrize("overrides, threads, bound_mb", [
+    @pytest.mark.parametrize("overrides, bound_mb", [
         # the benchmark's tail-alpha config on two drawing threads, 3.2
         # follower draws a row: 8.4-9.3 MB measured, 15.6-18.5 MB with
         # 2^16-row blocks
-        pytest.param(dict(k=3.0, alpha=1.2, beta=2.0, n_max=10**4), 2, 12,
-                     id="overrides0-12"),
+        (dict(k=3.0, alpha=1.2, beta=2.0, n_max=10**4), 12),
         # 766 draws a row, in blocks of at most 2^17 draws or one row of up to
-        # n_max: on one thread 7.5-8.3 MB measured, 123-135 MB when a block
-        # held all its rows' draws; on two, each thread's draw buffer grows to
-        # the largest block (up to 10 MB at a row of 10^6 draws): 20.7-26.5 MB
-        pytest.param(dict(alpha=0.5, n_max=10**6, n=20000), 1, 16, id="overrides1-16"),
-        pytest.param(dict(alpha=0.5, n_max=10**6, n=20000), 2, 32, id="overrides2-32"),
+        # n_max, on one thread (the rows are one draw of in-degrees): 7.5-8.3
+        # MB measured, 123-135 MB when a block held all its rows' draws
+        (dict(alpha=0.5, n_max=10**6, n=20000), 16),
     ])
-    def test_block_memory_stays_within_its_bound(self, overrides, threads, bound_mb,
-                                                 monkeypatch):
-        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
+    def test_block_memory_stays_within_its_bound(self, overrides, bound_mb, monkeypatch):
+        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(2, tasks))
         params = ExperimentConfig.default("verify-thm4", regime="tail", **overrides).params
         # a first run caches the in-degree law's tables (16 MB at n_max = 10^6)
         experiments._replication(("verify-thm4", params, 0))

@@ -227,20 +227,9 @@ class TestAggregatePairCombination:
         config = make_config(
             damping=damping, in_degree=InDegreeSpec(alpha=1.5, n_max=12),
             follower_deps=deps)
-        in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
-        q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
-        if columns == "iid":
-            total = int(in_deg.sum())
-            draws = sample_pareto(config.follower_tail, max(total, 1),
-                                  child_rng(seed, STREAMS["column"]))[:total]
-            f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
-        else:
-            f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
-        pref_term = config.z_star * q
-        pair = sample_aggregate_pair(config, n, seed)
-        assert pair.sum_values.tobytes() == (damping * f_sum + pref_term).tobytes()
-        assert pair.max_values.tobytes() == np.maximum(damping * f_max, pref_term).tobytes()
-        assert pair.preference.tobytes() == q.tobytes()
+        for got, want in zip(sample_aggregate_pair(config, n, seed), whole_pair(config, n, seed),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 # ties, a subnormal, huge values, both zeros, infinities and NaN
@@ -907,6 +896,21 @@ def whole_iid_pair(config, n, seed):
     pref_term = config.z_star * q
     c = config.damping
     return c * f_sum + pref_term, np.maximum(c * f_max, pref_term), in_deg, q
+
+
+def whole_pair(config, n, seed):
+    """``(sums, maxes, q)`` of either column kind, written out as the
+    expressions of the two aggregates over whole paths: those of
+    :func:`whole_iid_pair`, or of :func:`masked_column_contributions`."""
+    if config.all_iid_columns():
+        sums, maxes, _, q = whole_iid_pair(config, n, seed)
+        return sums, maxes, q
+    in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
+    q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
+    f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
+    pref_term = config.z_star * q
+    c = config.damping
+    return c * f_sum + pref_term, np.maximum(c * f_max, pref_term), q
 
 
 @contextlib.contextmanager
