@@ -50,9 +50,7 @@ from .recursion import (
     BlockRing,
     RecursionConfig,
     aggregate_pair_blocks,
-    available_cpus,
     compare_tail_sum_max,
-    draw_inline,
     pair_maxima,
     preference_blocks,
     weighted_pair_blocks,
@@ -642,6 +640,14 @@ def _run_tail_equivalence(cfg: ExperimentConfig, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU count
+    where that call does not exist (it is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers(jobs: int, tasks: int) -> int:
     """Workers of :func:`_map_reps`'s pool for ``tasks`` tasks: ``jobs``
     processes at ``jobs >= 2``, else one thread per CPU, and no more than
@@ -652,19 +658,17 @@ def _workers(jobs: int, tasks: int) -> int:
 def _map_reps(worker: Callable, args: list, jobs: int) -> list:
     """``[worker(a) for a in args]``, one task per worker of a pool of
     :func:`_workers` workers when that is above 1: processes at ``jobs >=
-    2``, threads at ``jobs = 1``.  A run has one level of parallelism: across
-    its tasks when it has several, else across the blocks of its one task.
-    So a kernel on a task thread draws inline (:func:`draw_inline`), as one
-    in a worker process does, and a run of one task keeps its drawing
-    threads.  ``pool.map`` returns results in argument order, so reports
-    are reproducible regardless of worker scheduling."""
+    2``, threads at ``jobs = 1``.  This is a run's one level of parallelism:
+    every kernel draws its blocks on the thread that runs its task.
+    ``pool.map`` returns results in argument order, so reports are
+    reproducible regardless of worker scheduling."""
     workers = _workers(jobs, len(args))
     if workers <= 1:
         return [worker(a) for a in args]
     if jobs > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
     else:
-        pool = ThreadPoolExecutor(workers, initializer=draw_inline)
+        pool = ThreadPoolExecutor(workers)
     with pool:
         return list(pool.map(worker, args))
 

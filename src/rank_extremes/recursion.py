@@ -25,15 +25,8 @@ bounds the rows of each block and refines only those that can reach it.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
-import multiprocessing
-import os
-import queue
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,10 +154,10 @@ def read_path_csv(fileobj) -> np.ndarray:
 def _draw_in_degrees(config: RecursionConfig, n: int, rng: np.random.Generator, *,
                      out=None, ring=None) -> np.ndarray:
     """``n`` in-degrees, written into ``out`` when given.  A drawn in-degree
-    takes the lookup's scratch from slot 0 of ``ring`` when given (``work``
-    of :func:`sample_power_law_int`); a fixed one needs none."""
+    takes the lookup's scratch from ``ring`` when given (``work`` of
+    :func:`sample_power_law_int`); a fixed one needs none."""
     if config.fixed_in_degree is None:
-        work = None if ring is None else ring.get(0, "deg_work", n, np.intp)
+        work = None if ring is None else ring.get("deg_work", n, np.intp)
         return sample_power_law_int(config.in_degree, n, rng, out=out, work=work)
     if out is None:
         return np.full(n, config.fixed_in_degree, dtype=np.int64)
@@ -197,29 +190,26 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class BlockRing:
-    """The block buffers of the blocked kernels: named arrays in each slot of
-    a ring of blocks in flight, each grown to the largest size asked of it.
-    A ring given to successive calls allocates its arrays once, so a run of
-    replications does not map and fault in fresh pages for each.  A ring
-    serves one call at a time, on the thread that runs the call; a drawing
-    thread only takes arrays that thread has already sized.
+    """The block buffers of the blocked kernels: named arrays, each grown to
+    the largest size asked of it.  A ring given to successive calls
+    allocates its arrays once, so a run of replications does not map and
+    fault in fresh pages for each.  A ring serves one call at a time, and a
+    kernel holds one block in flight: it draws the next block into the
+    arrays only once the consumer asks for it.
     """
 
     def __init__(self):
-        self._slots = []
+        self._arrays = {}
 
-    def get(self, slot: int, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """The first ``size`` values of the array ``name`` of slot ``slot``."""
-        while len(self._slots) <= slot:
-            self._slots.append({})
-        arrays = self._slots[slot]
-        a = arrays.get(name)
+    def get(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` values of the array ``name``."""
+        a = self._arrays.get(name)
         if a is None or len(a) < size:
             # by a quarter at least: a follower count a little above the
             # last one grows it once
             grown = size if a is None else max(size, len(a) * 5 // 4)
-            arrays[name] = a = None  # freed before its successor, unless a block holds it
-            a = arrays[name] = np.empty(grown, dtype)
+            self._arrays[name] = a = None  # freed before its successor, unless a block holds it
+            a = self._arrays[name] = np.empty(grown, dtype)
         return a[:size]
 
 
@@ -239,75 +229,6 @@ MAXIMA_BLOCK_ROWS = 2**16
 BLOCK_DRAWS = 2**17
 
 
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, or the CPU count
-    where that call does not exist (it is Linux-only)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Marks the threads whose kernels draw inline (see draw_inline).
-_inline = threading.local()
-
-
-def draw_inline() -> None:
-    """Make every kernel called later on this thread draw its blocks on it.
-    The initializer of a thread pool whose threads each run whole tasks
-    (``experiments._map_reps``): its siblings already take the other CPUs."""
-    _inline.draws = True
-
-
-def _column_threads(tasks: int) -> int:
-    """Threads that draw the blocks of a kernel: one per CPU this process
-    may run on, and no more than there are ``tasks`` to run at once.  A
-    worker process of a pool (a ``--jobs`` replication) and a thread marked
-    by :func:`draw_inline` (a ``--jobs 1`` replication among several) draw
-    on one thread, since their siblings already take the other CPUs."""
-    if multiprocessing.parent_process() is not None or getattr(_inline, "draws", False):
-        return 1
-    return min(available_cpus(), tasks)
-
-
-def _ring_slots(threads: int) -> int:
-    """Slots of the block ring of a kernel on ``threads`` drawing threads:
-    two per thread, so that a thread draws one block while the consumer
-    reduces another; one when the kernel draws inline, since a block is then
-    drawn only once the consumer is done with the last."""
-    return 2 * threads if threads > 1 else 1
-
-
-def _in_order(tasks, threads: int, ahead: int):
-    """The results of the callables that the iterable ``tasks`` yields, in
-    its order, each callable run on a pool of ``threads`` threads, or on
-    the calling thread when ``threads`` is 1.
-
-    Task ``i`` is taken from ``tasks`` and submitted only once result
-    ``i - ahead`` was yielded and the consumer asked for the next one (run
-    inline, once result ``i - 1`` was).  So when each task takes its
-    buffers, as it is taken, from a ring of ``ahead`` slots, a yielded block
-    stays valid until the consumer asks for the next one: that takes the
-    task ``ahead`` places later, into the block's slot.
-    The pool lives as long as the iteration; an exception from a task
-    propagates unchanged once every thread is joined.
-    """
-    if threads == 1:
-        yield from (task() for task in tasks)
-        return
-    pending = deque()
-    tasks = iter(tasks)
-    with ThreadPoolExecutor(threads) as pool:
-        while True:
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-            task = next(tasks, None)
-            if task is None:
-                break
-            pending.append(pool.submit(task))
-        while pending:
-            yield pending.popleft().result()
-
-
 def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of=None):
     """Sums and maxima over the rows of ``n``-row columns, one finished row
     block after another: yields ``(rows, sums, maxes)`` per block of
@@ -320,40 +241,24 @@ def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of
     is called once per block, in row order, with the block's ``rows`` and
     returns their in-degrees.
 
-    The columns are drawn in blocks by :func:`_in_order` on
-    ``_column_threads`` threads, into the slots of ``ring``: those of
-    :func:`_ring_slots`, but no more than there are columns.  The calling
-    thread reduces row block after row block and, within one, the
-    columns in order, so every sum keeps its rounding order.  The ring holds
-    no more slots than there are columns, so a column's next block is drawn
-    only after its previous one was reduced.  A yielded block stays valid
-    until the consumer asks for the next one.
+    Each column's block is drawn into the ring's ``out`` array and reduced
+    at once, the columns in order, so every sum keeps its rounding order.
+    A yielded block stays valid until the consumer asks for the next one.
     """
     width = min(STREAM_BLOCK_ROWS, n)
     lag = max((col.lag for col in columns), default=0)
-    tasks = [(j, slice(start, min(start + width, n)))
-             for start in range(0, n, width) for j in range(len(columns))]
-    threads = _column_threads(max(len(columns), 1))
-    slots = min(_ring_slots(threads), len(columns))
-
-    def draws():
-        for i, (j, rows) in enumerate(tasks):
-            size = rows.stop - rows.start
-            work = ring.get(i % slots, "work", size + lag) if lag else None
-            yield functools.partial(columns[j].fill, ring.get(i % slots, "out", size), work)
-
-    drawn = _in_order(draws(), threads, slots)
     for start in range(0, n, width):
         rows = slice(start, min(start + width, n))
         in_deg = None if in_deg_of is None else in_deg_of(rows)
         # every row includes the columns below the block's smallest in-degree
         min_n = len(columns) if in_deg is None else int(in_deg.min())
         size = rows.stop - start
-        sums, maxes = ring.get(0, "sums", size), ring.get(0, "maxes", size)
+        sums, maxes = ring.get("sums", size), ring.get("maxes", size)
         sums.fill(0.0)
         maxes.fill(0.0)
-        for j in range(len(columns)):
-            col = next(drawn)
+        work = ring.get("work", size + lag) if lag else None
+        for j, column in enumerate(columns):
+            col = column.fill(ring.get("out", size), work)
             if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
                 col *= weights[j]
             if j < min_n:
@@ -379,8 +284,8 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     ``(sums, maxes, None, q)`` per block, arrays of ``ring`` of those
     names (``None``: every row).
 
-    The calling thread draws each block's in-degrees from the ``in_degree``
-    stream as the block's reduction starts, and its preference values from
+    Each block's in-degrees come from the ``in_degree`` stream as the
+    block's reduction starts, and its preference values from
     offset ``start`` of the ``preference`` stream (:func:`child_rng_at`), so
     every value equals that of the whole path drawn at once.  A power-law
     in-degree first takes one pass over its stream for the largest
@@ -393,7 +298,7 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
         for start in range(0, n, width):
             size = min(width, n - start)
             yield _draw_in_degrees(config, size, rng,
-                                   out=ring.get(0, "in_deg", size, np.int64), ring=ring)
+                                   out=ring.get("in_deg", size, np.int64), ring=ring)
 
     most = config.fixed_in_degree
     if most is None:
@@ -405,7 +310,7 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
         size = rows.stop - rows.start
         q = sample_pareto(config.preference_tail, size,
                           child_rng_at(seed, rows.start, STREAMS["preference"]),
-                          out=ring.get(0, "q", size))
+                          out=ring.get("q", size))
         yield (*_add_preference(config, f_sum, f_max, q), None, q)
 
 
@@ -439,42 +344,27 @@ def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
 
 
 def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                ring: BlockRing, slots: int):
-    """The blocks of an i.i.d.-column config, in row order, as the calling
-    thread lays them out: yields ``(slot, in_deg, start, follow, total)``
-    per block, ``slot`` its slot of ``ring``, ``in_deg`` the in-degrees of
-    its rows, ``start`` its first row, and ``total`` the count of its
+                ring: BlockRing):
+    """The blocks of an i.i.d.-column config, in row order: yields
+    ``(in_deg, start, follow, total)`` per block, ``in_deg`` the in-degrees
+    of its rows, ``start`` its first row, and ``total`` the count of its
     follower draws, which start at offset ``follow``, the sum of the earlier
     blocks' in-degrees.
 
-    The in-degrees are drawn ``block_rows`` rows at a time, and each such
-    run is cut into blocks of at most ``BLOCK_DRAWS`` follower draws
-    (:func:`_capped_blocks`).  Block ``i`` takes slot ``i % slots``.  The
-    in-degrees of ``block_rows`` rows are drawn into the slot of their first
-    block; when the draw cap cuts them, they are copied to ``deg_cut`` in
-    slot 0, and from there each block's into its own slot.  Each block is
-    laid out only once the consumer asks for it, so a block ``slots`` places
-    earlier is done with the slot.
+    The in-degrees are drawn ``block_rows`` rows at a time into the ring's
+    ``in_deg`` array, and each such run is cut into blocks of at most
+    ``BLOCK_DRAWS`` follower draws (:func:`_capped_blocks`), each block's
+    in-degrees a view of its rows of the run.
     """
     deg_rng = child_rng(seed, STREAMS["in_degree"])
-    follow = i = 0
+    follow = 0
     for start in range(0, n, block_rows):
         size = min(block_rows, n - start)
         drawn = _draw_in_degrees(config, size, deg_rng, ring=ring,
-                                 out=ring.get(i % slots, "in_deg", size, np.int64))
-        parts = _capped_blocks(drawn, BLOCK_DRAWS)
-        if len(parts) > 1:  # later blocks take slots that a block in flight may hold
-            cut = ring.get(0, "deg_cut", len(drawn), np.int64)
-            cut[:] = drawn
-            drawn = cut
-        for a, b, total in parts:
-            in_deg = drawn
-            if len(parts) > 1:
-                in_deg = ring.get(i % slots, "in_deg", b - a, np.int64)
-                in_deg[:] = drawn[a:b]
-            yield i % slots, in_deg, start + a, follow, total
+                                 out=ring.get("in_deg", size, np.int64))
+        for a, b, total in _capped_blocks(drawn, BLOCK_DRAWS):
+            yield drawn[a:b], start + a, follow, total
             follow += total
-            i += 1
 
 
 # Relative error allowed for NumPy's ``pow``, which need not round correctly
@@ -552,7 +442,7 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
     ``preference`` stream, and its follower draws from offset ``follow`` of
     the ``column`` stream.  Every row lies inside one block, so every value
     equals that of the whole path drawn at once, bit for bit, whatever the
-    block size, draw cap, floor and thread count.
+    block size, draw cap and floor.
 
     A block draws its preference values and only the uniforms of its
     follower draws.  Under a finite floor, the transform of its largest
@@ -564,54 +454,39 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
     its row's preference term ``P``, so at the block's largest ``P`` the
     refined rows hold the block's largest sum and its largest max value.
 
-    The blocks are drawn and reduced by :func:`_in_order` on
-    ``_column_threads`` threads, no more than the draws of ``block_rows``
-    in-degrees, at most ``2 × threads`` blocks ahead of the consumer; or
-    inline as the consumer asks for them, on one thread (a ``--jobs``
-    worker, or one of several replications at ``--jobs 1``).  A block's
-    follower draws live only while it runs: there are ``threads`` draw
-    buffers, slots ``0..threads - 1`` of the name ``draws``, and a running
-    block takes a free one and gives it back when it returns.  The calling
-    thread grows every draw buffer to a block's draws before handing the
-    block on.  (What a drawing thread allocates returns, once freed, to its
-    own malloc arena, which keeps it resident.)  Each drawing thread keeps
-    one generator per stream.  A yielded block stays valid until the
-    consumer asks for the next one.
+    The blocks are drawn and reduced one at a time, as the consumer asks for
+    them, on its thread.  A block's follower draws take the ring's one
+    ``draws`` buffer and live only while the block runs, so that buffer
+    grows without its old array held.  One generator per stream is set back
+    and advanced to each block's offset.  A yielded block stays valid until
+    the consumer asks for the next one.
     """
     c, z, follower = config.damping, config.z_star, config.follower_tail
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
-    threads = _column_threads(-(-n // block_rows))
-    slots = _ring_slots(threads)
-    free = queue.SimpleQueue()  # the draw buffers no running block holds
-    for i in range(threads):
-        free.put(i)
-    spare = {name: child_rng(seed, STREAMS[name]) for name in ("preference", "column")}
-    starts = {name: rng.bit_generator.state for name, rng in spare.items()}
-    drawing = threading.local()  # each drawing thread's generator of each stream
+    streams = {name: child_rng(seed, STREAMS[name]) for name in ("preference", "column")}
+    starts = {name: rng.bit_generator.state for name, rng in streams.items()}
 
     def stream_at(name, offset):
-        """``child_rng_at(seed, offset, STREAMS[name])``: this thread's
-        generator of the stream, set back to its start and advanced, which
-        saves building one per block.  The first thread takes the one
-        ``starts`` came from."""
-        rng = vars(drawing).get(name)
-        if rng is None:
-            rng = spare.pop(name, None) or child_rng(seed, STREAMS[name])
-            vars(drawing)[name] = rng
+        """``child_rng_at(seed, offset, STREAMS[name])``: the one generator
+        of the stream, set back to its start and advanced, which saves
+        building one per block."""
+        rng = streams[name]
         rng.bit_generator.state = starts[name]
         rng.bit_generator.advance(offset)
         return rng
 
-    def block(in_deg, start, follow, u, q):
-        sample_pareto(config.preference_tail, len(q), stream_at("preference", start), out=q)
-        if len(u):  # the uniforms of the follower draws
-            stream_at("column", follow).random(len(u), out=u)
+    def block(in_deg, start, follow, total):
+        q = sample_pareto(config.preference_tail, len(in_deg), stream_at("preference", start),
+                          out=ring.get("q", len(in_deg)))
+        u = ring.get("draws", total)
+        if total:  # the uniforms of the follower draws
+            stream_at("column", follow).random(total, out=u)
         # fl(z * q) is monotone in q: the largest term is that of the largest q
         at = z * q.max() if floor is None else floor
         rows = None
         if at > -math.inf:
-            x = _draw_bound(follower, u.max()) if len(u) else 0.0
+            x = _draw_bound(follower, u.max()) if total else 0.0
             rows = np.flatnonzero(q >= _least_reaching(at, z, c * x, most))
             bound = _sum_bounds(in_deg[rows], z * q[rows], c * x, most)
             # a bound of nan (0 * inf, where a draw overflows) keeps its row
@@ -625,26 +500,13 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
                       if len(rows) else u[:0])
             deg, pref = in_deg[rows], q[rows]
         # reduceat allocates the follower terms: given out=, it holds the GIL,
-        # and the blocks would no longer reduce in parallel
+        # and the kernels of the replication threads at --jobs 1 would no
+        # longer reduce in parallel
         f_sum, f_max = _segment_reduce(picked, deg, np.add, np.maximum)
         return (*_add_preference(config, f_sum, f_max, pref), rows, q)
 
-    def run(in_deg, start, follow, total, q):
-        i = free.get()
-        try:
-            return block(in_deg, start, follow, ring.get(i, "draws", total), q)
-        finally:
-            free.put(i)
-
-    def tasks():
-        for slot, in_deg, start, follow, total in _iid_blocks(config, n, seed, block_rows,
-                                                               ring, slots):
-            for d in range(threads):  # a buffer only grows, so a block finds its size
-                ring.get(d, "draws", total)
-            yield functools.partial(run, in_deg, start, follow, total,
-                                    ring.get(slot, "q", len(in_deg)))
-
-    return _in_order(tasks(), threads, slots)
+    for in_deg, start, follow, total in _iid_blocks(config, n, seed, block_rows, ring):
+        yield block(in_deg, start, follow, total)
 
 
 def _check_pair_args(n: int) -> None:
@@ -761,12 +623,12 @@ def preference_blocks(config: RecursionConfig, n: int, seed: int):
     n, seed)`` alone, ``STREAM_BLOCK_ROWS`` rows at a time and in row order,
     each block valid until the next is asked for.  Every block source draws
     row ``t``'s from offset ``t`` of the ``preference`` stream, so these are
-    its values bit for bit."""
+    its values bit for bit.  ``n`` is checked at the call."""
+    _check_pair_args(n)
     width = min(STREAM_BLOCK_ROWS, n)
     out, rng = np.empty(width), child_rng(seed, STREAMS["preference"])
-    for start in range(0, n, width):
-        size = min(width, n - start)
-        yield sample_pareto(config.preference_tail, size, rng, out=out[:size])
+    return (sample_pareto(config.preference_tail, len(block), rng, out=block)
+            for block in (out[: n - start] for start in range(0, n, width)))
 
 
 def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, seed: int,
@@ -932,7 +794,7 @@ def compare_tail_sum_max(
     ratio using the paired exceedance counts.
 
     The pair is reduced block by block as :func:`aggregate_pair_blocks`
-    yields it, so memory is O(threads * block + count) with
+    yields it, so memory is O(block + count) with
     ``count = n - min(rank)`` the largest number of max values a threshold
     needs.  A :class:`TailSample` keeps the top ``count`` max values, and
     another the sum values at or above its running floor, a lower bound on

@@ -89,7 +89,7 @@ class TestPackageSurface:
     def test_samplers_name_every_sampler_experiments_imports(self):
         imported = {name for name, obj in vars(experiments).items()
                     if callable(obj) and getattr(obj, "__module__", None) == recursion.__name__}
-        others = {"BlockRing", "RecursionConfig", "available_cpus", "draw_inline"}
+        others = {"BlockRing", "RecursionConfig"}
         assert imported - others == set(SAMPLERS)
 
     def test_cli_reads_path_csv_through_recursion(self):
@@ -358,7 +358,6 @@ class TestFailingReplication:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_replication_is_named_and_keeps_its_type(self, jobs, monkeypatch):
         self.fail_in_column_draws(monkeypatch)
-        monkeypatch.setattr(recursion, "_column_threads", lambda columns: min(2, columns))
         cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="sampler failed") as info:
@@ -505,10 +504,9 @@ def whole_path_pair_blocks(config, n, seed, ring=None, floor=-math.inf):
     return iter([(sums, maxes, None, q)])
 
 
-# Commands whose files the block sources write in blocks, on threads, and
-# for a q threshold from only the rows that can reach it; the heavy tail
-# cuts its one draw of in-degrees into some 18 blocks of capped draws:
-# (argv, file)
+# Commands whose files the block sources write in blocks, and for a q
+# threshold from only the rows that can reach it; the heavy tail cuts its
+# one draw of in-degrees into some 18 blocks of capped draws: (argv, file)
 ORACLE_OUTPUTS = {
     "iid": (["simulate", "--set", "n=70000"], "path.csv"),
     "heavy-tail": (["simulate", "--set", "alpha=0.5", "--set", "n_max=1000000",
@@ -565,12 +563,12 @@ THREAD_CASES = {
 class TestThreadAndJobIndependence:
     @staticmethod
     def outputs(cfg, runs, tmp_path, monkeypatch):
-        """What :func:`written` gives for ``cfg`` at each ``(threads, jobs)``
-        of ``runs``, ``threads`` the drawing threads of a kernel."""
+        """What :func:`written` gives for ``cfg`` at each ``(cpus, jobs)`` of
+        ``runs``, ``cpus`` the CPUs the run may use: at ``jobs = 1`` it maps
+        its tasks on that many threads."""
         outputs = []
-        for i, (threads, jobs) in enumerate(runs):
-            monkeypatch.setattr(recursion, "_column_threads",
-                                lambda tasks, t=threads: min(t, tasks))
+        for i, (cpus, jobs) in enumerate(runs):
+            monkeypatch.setattr(experiments, "available_cpus", lambda c=cpus: c)
             outputs.append(written(cfg, jobs, tmp_path / str(i)))
         return outputs
 
@@ -590,15 +588,15 @@ class TestThreadAndJobIndependence:
         assert got[1] == got[0] and got[2] == got[0]
         assert got[0][0]["estimates"]["replications"] == 3
 
-    @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (2, 2)])
-    def test_followers_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus, jobs", [(1, 2), (2, 1), (2, 2)])
+    def test_followers_outputs_are_identical(self, cpus, jobs, tmp_path, monkeypatch):
         cfg = ExperimentConfig.default("verify-thm4", **FOLLOWERS)
         monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
-        ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path, monkeypatch)
+        ref, got = self.outputs(cfg, [(1, 1), (cpus, jobs)], tmp_path, monkeypatch)
         assert ref == got
 
     # the preference regime on 1000-row blocks, its definition stage in one
-    # run of all 100 replications, at one thread and one job
+    # run of all 100 replications, at one CPU and one job
     PREFERENCE = dict(def_replications=100, def_n=2500, n=20000, replications=2)
 
     @pytest.fixture(scope="class")
@@ -611,26 +609,26 @@ class TestThreadAndJobIndependence:
             return self.outputs(cfg, [(1, 1)], tmp_path_factory.mktemp("ref"), mp)
 
     @pytest.mark.parametrize("run", [1, 7, None])
-    @pytest.mark.parametrize("threads, jobs", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
-    def test_definition_stage_outputs_are_identical(self, run, threads, jobs, tmp_path,
+    @pytest.mark.parametrize("cpus, jobs", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+    def test_definition_stage_outputs_are_identical(self, run, cpus, jobs, tmp_path,
                                                     monkeypatch, preference_reference):
         monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
         monkeypatch.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
         monkeypatch.setattr(experiments, "_definition_runs", runs_of(run))
         cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
-        got = self.outputs(cfg, [(threads, jobs)], tmp_path, monkeypatch)
+        got = self.outputs(cfg, [(cpus, jobs)], tmp_path, monkeypatch)
         assert got == preference_reference
         assert {"definition_sum", "definition_max"} <= set(got[0][0]["estimates"])
 
-    @pytest.mark.parametrize("threads, jobs", [(1, 2), (2, 1), (3, 1), (2, 2)])
-    def test_iid_kernel_outputs_are_identical(self, threads, jobs, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus, jobs", [(1, 2), (2, 1), (3, 1), (2, 2)])
+    def test_iid_kernel_outputs_are_identical(self, cpus, jobs, tmp_path, monkeypatch):
         # the tail regime and its paired tail comparison, both on the
         # i.i.d.-column kernel in blocks of 1000 rows
         monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
         for cfg in (ExperimentConfig.default("verify-thm4", regime="tail", n=5500,
                                              replications=3),
                     ExperimentConfig.default("tail-eq", n=5500, quantile=0.99)):
-            ref, got = self.outputs(cfg, [(1, 1), (threads, jobs)], tmp_path / cfg.kind,
+            ref, got = self.outputs(cfg, [(1, 1), (cpus, jobs)], tmp_path / cfg.kind,
                                     monkeypatch)
             assert ref == got
 
@@ -649,6 +647,56 @@ STREAM_CASES = {
     "preference": ("verify-thm4", dict(n_max=6)),
     "preference-explicit": ("verify-thm4", dict(n_max=6, deps="mm:1,1")),
 }
+
+
+class TestNoDrawingThreads:
+    """A run's one level of parallelism is across its tasks: no block source
+    starts a thread, whatever the CPUs, and a run of one task runs on the
+    calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus_and_no_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # several blocks of each kernel
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 64)
+        monkeypatch.setattr(recursion, "MAXIMA_BLOCK_ROWS", 64)
+
+    CONFIG = dict(regime="tail", n_max=20)
+
+    def config(self, **overrides):
+        params = ExperimentConfig.default("verify-thm4", **self.CONFIG, **overrides).params
+        return experiments.recursion_config_from_params(params)
+
+    @pytest.mark.parametrize("n", [65, 320, 1000])
+    def test_compare_tail_sum_max(self, n):
+        rows = recursion.compare_tail_sum_max(self.config(), n, [0.95, 0.99], 7)
+        assert [r.exceed_sum >= r.exceed_max for r in rows] == [True, True]
+
+    @pytest.mark.parametrize("deps", ["iid", "mm:1,1;iid"])
+    def test_write_path_csv(self, deps, tmp_path):
+        with open(tmp_path / "path.csv", "w") as f:
+            recursion.write_path_csv(f, self.config(deps=deps), 1000, 7)
+        with open(tmp_path / "path.csv") as f:
+            assert len(recursion.read_path_csv(f)) == 1000
+
+    def test_pair_maxima(self):
+        sum_max, max_max, q_top = recursion.pair_maxima(self.config(), 1000, 7, 5)
+        assert sum_max >= max_max and len(q_top) == 5
+
+    def test_a_one_replication_verify(self, tmp_path, monkeypatch):
+        # one replication, and the definition stage in one run: one task each
+        monkeypatch.setattr(experiments, "_definition_runs", runs_of(None))
+        argv = ["verify", "thm4", "--set", "replications=1", "--set", "n=1000",
+                "--set", "def_replications=100", "--set", "def_n=200", "--jobs", "1",
+                "--out", str(tmp_path)]
+        assert main(argv) in (0, 1)
+        assert (tmp_path / "verify-thm4.estimates.csv").exists()
 
 
 def outcome(run):
@@ -691,9 +739,8 @@ class TestStreamedReplication:
     @settings(max_examples=120, deadline=None)
     @given(case=st.sampled_from(sorted(STREAM_CASES)), block_rows=st.sampled_from([1, 2, 5, 16]),
            rows=st.integers(100, 300), offset=st.integers(-1, 1), rep=st.integers(0, 5),
-           threads=st.sampled_from([1, 2]), low=st.booleans())
-    def test_equals_the_whole_path_estimates(self, case, block_rows, rows, offset, rep,
-                                             threads, low):
+           low=st.booleans())
+    def test_equals_the_whole_path_estimates(self, case, block_rows, rows, offset, rep, low):
         # n below, at and just past a multiple of the block
         n = block_rows * -(-rows // block_rows) + offset
         kind, overrides = STREAM_CASES[case]
@@ -702,7 +749,6 @@ class TestStreamedReplication:
             params.update(LOW_THRESHOLDS)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
-            mp.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
             got = outcome(lambda: experiments._replication((kind, params, rep)))
         assert got == outcome(lambda: whole_path_row(kind, params, rep))
 
@@ -711,10 +757,8 @@ class TestStreamedReplication:
                            fixed_in_degree=10)),
         ("tail", dict(regime="tail")),
     ])
-    def test_memory_does_not_grow_with_n(self, case, overrides, monkeypatch):
-        # one drawing thread, as in a --jobs worker, so that no thread's
-        # timing moves the peak; whole paths would add 40 bytes a row
-        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: 1)
+    def test_memory_does_not_grow_with_n(self, case, overrides):
+        # whole paths would add 40 bytes a row
         peaks = []
         for n in (2 * 10**5, 8 * 10**5):
             params = ExperimentConfig.default("verify-thm4", **overrides, n=n).params
@@ -728,8 +772,7 @@ class TestStreamedReplication:
         assert max(peaks) < 12 * 2**20
 
     def test_two_replication_threads_stay_within_their_bound(self, monkeypatch):
-        # 5.0-5.6 MB measured, each replication drawing inline into a
-        # one-slot ring; 8.0-8.4 MB when each also ran two drawing threads
+        # 4.4-4.8 MB measured, each replication drawing into its own ring
         monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
         params = ExperimentConfig.default(
             "verify-thm4", regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1",
@@ -744,17 +787,15 @@ class TestStreamedReplication:
         assert peak < 7 * 2**20, peak
 
     @pytest.mark.parametrize("overrides, bound_mb", [
-        # the benchmark's tail-alpha config on two drawing threads, 3.2
-        # follower draws a row: 8.4-9.3 MB measured, 15.6-18.5 MB with
-        # 2^16-row blocks
+        # the benchmark's tail-alpha config, 3.2 follower draws a row: 3.6 MB
+        # measured
         (dict(k=3.0, alpha=1.2, beta=2.0, n_max=10**4), 12),
         # 766 draws a row, in blocks of at most 2^17 draws or one row of up to
-        # n_max, on one thread (the rows are one draw of in-degrees): 7.5-8.3
-        # MB measured, 123-135 MB when a block held all its rows' draws
+        # n_max: 7.6 MB measured, 123-135 MB when a block held all its rows'
+        # draws
         (dict(alpha=0.5, n_max=10**6, n=20000), 16),
     ])
-    def test_block_memory_stays_within_its_bound(self, overrides, bound_mb, monkeypatch):
-        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(2, tasks))
+    def test_block_memory_stays_within_its_bound(self, overrides, bound_mb):
         params = ExperimentConfig.default("verify-thm4", regime="tail", **overrides).params
         # a first run caches the in-degree law's tables (16 MB at n_max = 10^6)
         experiments._replication(("verify-thm4", params, 0))
@@ -793,7 +834,7 @@ class RecordingThreadPool(RecordingPool):
     workers = []
     initializers = []
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers, initializer=None):
         super().__init__(max_workers)
         self.initializers.append(initializer)
 
@@ -812,7 +853,8 @@ class TestWorkerPool:
         assert experiments._map_reps(abs, list(range(-tasks, 0)), 1) == \
             list(range(tasks, 0, -1))
         assert RecordingThreadPool.workers == threads and RecordingPool.workers == []
-        assert RecordingThreadPool.initializers == [recursion.draw_inline] * len(threads)
+        # a task thread runs its kernels as the calling thread would
+        assert RecordingThreadPool.initializers == [None] * len(threads)
 
     @pytest.mark.parametrize("jobs, tasks, workers", [
         (8, 2, [2]), (8, 20, [8]), (2, 5, [2]), (8, 1, []), (1, 5, []), (4, 0, [])])
@@ -830,17 +872,28 @@ class TestWorkerPool:
         run_experiment(cfg, jobs=8, out_dir=str(tmp_path))
         assert RecordingPool.workers == [2]
 
+    def test_jobs_1_threads_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert experiments._workers(1, 100) == 3
+        assert experiments._workers(1, 2) == 2
+        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert experiments._workers(1, 100) == 4
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._workers(1, 100) == 1
+
     # on two CPUs: --jobs 1 maps the runs on two threads, as --jobs 2 on two
     # processes
     @pytest.mark.parametrize("jobs, runs", [(1, 8), (2, 8), (4, 16)])
     def test_definition_runs_are_contiguous(self, jobs, runs, monkeypatch):
-        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
         got = experiments._definition_runs(500, jobs)
         assert len(got) in (runs, runs + 1)
         assert [rep for run in got for rep in run] == list(range(500))
 
     def test_one_cpu_takes_one_definition_run(self, monkeypatch):
-        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
         assert experiments._definition_runs(500, 1) == [range(500)]
 
 

@@ -2,12 +2,8 @@
 
 import contextlib
 import io
-import itertools
 import math
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -171,12 +167,11 @@ BLOCK_ROWS_CASES = st.sampled_from([1, 2, 5, 16, recursion.STREAM_BLOCK_ROWS])
 
 
 @contextlib.contextmanager
-def column_kernel(block_rows, threads):
-    """The explicit-column kernel at ``block_rows`` rows per block and at most
-    ``threads`` drawing threads, for the duration of a ``with`` block."""
+def column_kernel(block_rows):
+    """The explicit-column kernel at ``block_rows`` rows per block, for the
+    duration of a ``with`` block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
-        mp.setattr(recursion, "_column_threads", lambda columns: min(threads, columns))
         yield
 
 
@@ -201,8 +196,8 @@ class TestWeightedPair:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            zs=st.lists(st.one_of(st.just(1.0), st.floats(0.01, 10.0)), min_size=1, max_size=4),
-           n=st.integers(1, 300), block_rows=BLOCK_ROWS_CASES, threads=st.sampled_from([1, 2]))
-    def test_matches_expression_bit_for_bit(self, seed, zs, n, block_rows, threads):
+           n=st.integers(1, 300), block_rows=BLOCK_ROWS_CASES)
+    def test_matches_expression_bit_for_bit(self, seed, zs, n, block_rows):
         deps = (DependenceSpec.iid(), DependenceSpec.moving_maxima(1, 1))
         comps = [(z, SequenceSpec(TailSpec(1.5), deps[i % 2])) for i, z in enumerate(zs)]
         sums, maxes = np.zeros(n), np.zeros(n)
@@ -210,7 +205,7 @@ class TestWeightedPair:
             col = z * sample_sequence(seq, n, child_rng(seed, STREAMS["column"], i))
             sums += col
             np.maximum(maxes, col, out=maxes)
-        with column_kernel(block_rows, threads):
+        with column_kernel(block_rows):
             got = sample_weighted_pair(comps, n, seed)
         assert got[0].tobytes() == sums.tobytes()
         assert got[1].tobytes() == maxes.tobytes()
@@ -485,11 +480,10 @@ class TestBlockedColumnKernel:
 
     @settings(max_examples=80, deadline=None)
     @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(1, 3),
-           offset=st.integers(-1, 1), threads=st.sampled_from([1, 2]),
-           deps=st.lists(DEPS, min_size=1, max_size=3),
+           offset=st.integers(-1, 1), deps=st.lists(DEPS, min_size=1, max_size=3),
            in_degrees=st.sampled_from(["power", 0, 1, N_MAX]))
-    def test_equals_the_whole_column_oracle(self, seed, block_rows, blocks, offset, threads,
-                                            deps, in_degrees):
+    def test_equals_the_whole_column_oracle(self, seed, block_rows, blocks, offset, deps,
+                                            in_degrees):
         # n below, at and just past a multiple of the block
         n = max(1, block_rows * blocks + offset)
         config = make_config(in_degree=InDegreeSpec(alpha=1.5, n_max=self.N_MAX),
@@ -499,94 +493,10 @@ class TestBlockedColumnKernel:
         else:
             in_deg = np.full(n, in_degrees, dtype=np.int64)
         want = masked_column_contributions(config, n, seed, in_deg)
-        with column_kernel(block_rows, threads):
+        with column_kernel(block_rows):
             got = column_contributions(config, n, seed, in_deg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-
-    # up to three drawing threads, with the interpreter switching threads
-    # every 10 us
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_a_column_is_never_drawn_twice_at_once(self, threads, monkeypatch):
-        active, seen = set(), []
-        lock = threading.Lock()
-        fill = recursion.SequenceStream.fill
-
-        def tracked(stream, out, work=None):
-            with lock:
-                assert stream not in active
-                active.add(stream)
-                seen.append(len(active))
-            try:
-                return fill(stream, out, work)
-            finally:
-                with lock:
-                    active.discard(stream)
-
-        monkeypatch.setattr(recursion.SequenceStream, "fill", tracked)
-        config = make_config(follower_deps=(DependenceSpec.moving_maxima(1, 1),),
-                             fixed_in_degree=5)
-        in_deg = np.full(40, 5, dtype=np.int64)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with column_kernel(4, threads):
-                got = column_contributions(config, 40, SEED, in_deg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen) == 5 * 10 and max(seen) <= threads
-        want = masked_column_contributions(config, 40, SEED, in_deg.copy())
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_failing_draw_raises_unchanged_and_joins_the_pool(self, threads, monkeypatch):
-        class Boom(Exception):
-            pass
-
-        fill = recursion.SequenceStream.fill
-        calls = itertools.count(1)  # next() is atomic: the GIL covers the C call
-
-        def failing(stream, out, work=None):
-            if next(calls) == 7:
-                raise Boom("column draw failed")
-            return fill(stream, out, work)
-
-        monkeypatch.setattr(recursion.SequenceStream, "fill", failing)
-        config = make_config(fixed_in_degree=5)
-        before = threading.active_count()
-        with column_kernel(4, threads), pytest.raises(Boom, match="column draw failed"):
-            column_contributions(config, 40, SEED, np.full(40, 5, dtype=np.int64))
-        assert threading.active_count() == before
-
-    def test_thread_count_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert recursion._column_threads(100) == 3
-        assert recursion._column_threads(2) == 2
-        assert recursion._column_threads(1) == 1
-
-    def test_thread_count_without_cpu_affinity(self, monkeypatch):
-        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
-        monkeypatch.delattr(recursion.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(recursion.os, "cpu_count", lambda: 4)
-        assert recursion._column_threads(100) == 4
-        assert recursion._column_threads(3) == 3
-        monkeypatch.setattr(recursion.os, "cpu_count", lambda: None)
-        assert recursion._column_threads(100) == 1
-
-    def test_a_pool_worker_draws_on_one_thread(self, monkeypatch):
-        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(recursion._column_threads, 100).result() == 1
-
-    def test_a_replication_thread_draws_on_one_thread(self, monkeypatch):
-        monkeypatch.setattr(recursion.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
-        assert experiments._map_reps(recursion._column_threads, [100, 100, 100], 1) == [1] * 3
-        # a library caller's own thread keeps its drawing threads
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(recursion._column_threads, 100).result() == 4
-        assert recursion._column_threads(100) == 4
 
 
 def looped_segment_sum_max(values, counts):
@@ -809,6 +719,14 @@ class TestPairMaxima:
             pair_maxima(make_config(), 10, SEED, 0)
 
 
+class TestPreferenceBlocks:
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_a_bad_length_is_refused_at_the_call(self, n):
+        # before any block is asked for, as every block source does
+        with pytest.raises(ParameterError, match="path length"):
+            recursion.preference_blocks(make_config(), n, SEED)
+
+
 class TestStreamedComparison:
     @settings(max_examples=120, deadline=None)
     @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(0, 6),
@@ -914,17 +832,15 @@ def whole_pair(config, n, seed):
 
 
 @contextlib.contextmanager
-def iid_kernel(block_rows, threads, draws=None):
+def iid_kernel(block_rows, draws=None):
     """The i.i.d.-column kernel at ``block_rows`` rows per block (streamed
-    and bound-and-refine alike), at most ``draws`` follower draws per block
-    when given, and at most ``threads`` drawing threads, for the duration of
-    a ``with`` block."""
+    and bound-and-refine alike) and at most ``draws`` follower draws per
+    block when given, for the duration of a ``with`` block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
         mp.setattr(recursion, "MAXIMA_BLOCK_ROWS", block_rows)
         if draws is not None:
             mp.setattr(recursion, "BLOCK_DRAWS", draws)
-        mp.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
         yield
 
 
@@ -936,19 +852,17 @@ DRAW_CAPS = st.sampled_from([1, 3, 7, None])
 class TestThreadedIidKernel:
     @settings(max_examples=150, deadline=None)
     @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(1, 4),
-           offset=st.integers(-1, 1), threads=st.integers(1, 3),
-           in_degrees=st.sampled_from(sorted(IN_DEGREES)),
+           offset=st.integers(-1, 1), in_degrees=st.sampled_from(sorted(IN_DEGREES)),
            damping=st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.01, 0.99),
            thresholds=st.lists(st.sampled_from([0.901, 0.95, 0.99, 0.999]), min_size=1,
                                max_size=3), draws=DRAW_CAPS)
     def test_all_three_callers_equal_the_whole_path_oracle(
-            self, seed, block_rows, blocks, offset, threads, in_degrees, damping, thresholds,
-            draws):
+            self, seed, block_rows, blocks, offset, in_degrees, damping, thresholds, draws):
         # n below, at and just past a multiple of the block
         n = max(1, block_rows * blocks + offset)
         config = make_config(damping=damping, **IN_DEGREES[in_degrees])
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
-        with iid_kernel(block_rows, threads, draws):
+        with iid_kernel(block_rows, draws):
             pair = sample_aggregate_pair(config, n, seed)
             maxima = pair_maxima(config, n, seed, 3)
             rows = compare_tail_sum_max(config, n, thresholds, seed)
@@ -970,10 +884,10 @@ class TestThreadedIidKernel:
     def test_a_block_takes_the_most_rows_within_the_draw_cap(self, seed, block_rows, n,
                                                              in_degrees, draws):
         config = make_config(**IN_DEGREES[in_degrees])
-        with iid_kernel(block_rows, 2, draws):
+        with iid_kernel(block_rows, draws):
             # the layout alone, each block laid out as the kernel asks for it
-            laid = [(in_deg.copy(), *rest) for _, in_deg, *rest in
-                    _iid_blocks(config, n, seed, block_rows, BlockRing(), 1)]
+            laid = [(in_deg.copy(), *rest) for in_deg, *rest in
+                    _iid_blocks(config, n, seed, block_rows, BlockRing())]
             blocks = [(sums.copy(), maxes.copy(), q.copy()) for sums, maxes, _, q in
                       _iid_bounded_blocks(config, n, seed, block_rows, BlockRing())]
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
@@ -1022,7 +936,7 @@ class TestThreadedIidKernel:
         monkeypatch.setattr(recursion, "sample_pareto", counted)
         monkeypatch.setattr(recursion, "pareto_transform", counted_transform)
         config = make_config(fixed_in_degree=fixed_in_degree)
-        with iid_kernel(16, 2):
+        with iid_kernel(16):
             pair = sample_aggregate_pair(config, 40, SEED)
         assert sorted(drawn) == [(config.preference_tail, size) for size in (8, 16, 16)]
         sizes = [8, 16, 16] if fixed_in_degree else [0, 0, 0]
@@ -1038,41 +952,22 @@ class TestThreadedIidKernel:
         names = set()
 
         class RecordingRing(BlockRing):
-            def get(self, slot, name, size, dtype=np.float64):
+            def get(self, name, size, dtype=np.float64):
                 names.add(name)
-                return super().get(slot, name, size, dtype)
+                return super().get(name, size, dtype)
 
         config = make_config(follower_deps=deps, fixed_in_degree=fixed_in_degree)
         for _ in recursion.aggregate_pair_blocks(config, 100, SEED, RecordingRing()):
             pass
         assert ("deg_work" in names) == (fixed_in_degree is None)
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_at_most_twice_the_threads_of_blocks_are_in_flight(self, threads, monkeypatch):
-        config = make_config()
-        started = []  # list.append is atomic under the GIL
-        pareto = recursion.sample_pareto
-
-        def counted(spec, n, rng, **kwargs):
-            if spec == config.preference_tail:  # one preference draw per block
-                started.append(n)
-            return pareto(spec, n, rng, **kwargs)
-
-        monkeypatch.setattr(recursion, "sample_pareto", counted)
-        monkeypatch.setattr(recursion, "_column_threads", lambda tasks: min(threads, tasks))
-        ahead = []
-        blocks = _iid_bounded_blocks(config, 200, SEED, 5, BlockRing())
-        for done, _ in enumerate(blocks, start=1):
-            ahead.append(len(started) - done)
-        assert len(ahead) == 40 and max(ahead) <= 2 * threads
-
     def test_only_running_blocks_hold_follower_draws(self):
-        # two drawing threads and four blocks in flight, each block of 4096
-        # rows drawing 100 followers a row (3.1 MB): the draws live in one
-        # buffer per thread, not in one per slot of the ring
+        # draws of 4096 rows of 100 followers (3.1 MB), cut into blocks of at
+        # most 2^17 draws (1 MB): the draws live in the ring's one buffer,
+        # 1.1 MB in all measured, 2.2 MB when two drawing threads had one each
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100), fixed_in_degree=100)
         rows = 2**12
-        with iid_kernel(rows, 2):
+        with iid_kernel(rows):
             tracemalloc.start()
             try:
                 for _ in _iid_bounded_blocks(config, 16 * rows, SEED, rows, BlockRing()):
@@ -1080,75 +975,51 @@ class TestThreadedIidKernel:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 3.2 * rows * 100 * 8
+        assert peak < 2 * recursion.BLOCK_DRAWS * 8
 
-    def test_threads_writing_adjacent_rows_lose_no_value(self):
-        # three drawing threads on two-row blocks take turns in the six
-        # slots of the ring, for the drained pair and for the comparison,
-        # with the interpreter switching every 10 us
-        config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20))
-        want = whole_iid_pair(config, 2001, SEED)
-        want_rows = whole_path_rows(config, 2001, [0.95, 0.99], SEED)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+    def test_a_growing_draw_buffer_lets_go_of_its_old_array(self):
+        # alpha = 0.5 at n_max = 10^6: 25 blocks of up to 6 MB of draws, the
+        # buffer growing as they come: 7.4 MB measured, 13.3 MB when a
+        # block's draws outlived the block
+        config = make_config(in_degree=InDegreeSpec(alpha=0.5, n_max=10**6))
+        # the layout alone, which also caches the in-degree law's cdf (8 MB)
+        largest = max(total for *_, total in _iid_blocks(config, 3000, SEED, 2**15,
+                                                          BlockRing()))
+        tracemalloc.start()
         try:
-            with iid_kernel(2, 3):
-                pair = sample_aggregate_pair(config, 2001, SEED)
-                rows = compare_tail_sum_max(config, 2001, [0.95, 0.99], SEED)
+            for _ in _iid_bounded_blocks(config, 3000, SEED, 2**15, BlockRing()):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            sys.setswitchinterval(interval)
-        got = (pair.sum_values, pair.max_values, pair.preference)
-        assert [a.tobytes() for a in got] == [want[i].tobytes() for i in (0, 1, 3)]
-        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want_rows
-
-    @pytest.mark.parametrize("caller", ["pair", "maxima", "compare"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_failing_block_raises_unchanged_and_joins_the_pool(self, caller, threads,
-                                                                 monkeypatch):
-        class Boom(Exception):
-            pass
-
-        pareto = recursion.sample_pareto
-        calls = itertools.count(1)  # next() is atomic: the GIL covers the C call
-
-        def failing(spec, n, rng, **kwargs):
-            if next(calls) == 7:
-                raise Boom("block draw failed")
-            return pareto(spec, n, rng, **kwargs)
-
-        monkeypatch.setattr(recursion, "sample_pareto", failing)
-        config = make_config()
-        run = {"pair": lambda: sample_aggregate_pair(config, 200, SEED),
-               "maxima": lambda: pair_maxima(config, 200, SEED, 5),
-               "compare": lambda: compare_tail_sum_max(config, 200, [0.95], SEED)}[caller]
-        before = threading.active_count()
-        with iid_kernel(10, threads), pytest.raises(Boom, match="block draw failed"):
-            run()
-        assert threading.active_count() == before
-
+            tracemalloc.stop()
+        assert peak < 1.25 * largest * 8 + 2**20
 
 @pytest.fixture
 def ring_records(monkeypatch):
-    """Every slot array a :class:`BlockRing` of ``recursion`` hands out, with
-    its slot, and every block the blocked kernels yield to their consumer."""
-    handed, slots, blocks = [], [], []
+    """Every array a :class:`BlockRing` of ``recursion`` hands out, every
+    block of the i.i.d. kernel and every column block drawn."""
+    handed, blocks = [], []
 
     class RecordingRing(BlockRing):
-        def get(self, slot, name, size, dtype=np.float64):
-            slots.append(slot)
-            handed.append(super().get(slot, name, size, dtype))
+        def get(self, name, size, dtype=np.float64):
+            handed.append(super().get(name, size, dtype))
             return handed[-1]
 
-    in_order = recursion._in_order
+    iid_blocks, fill = recursion._iid_bounded_blocks, recursion.SequenceStream.fill
 
-    def recording(tasks, threads, ahead):
-        for result in in_order(tasks, threads, ahead):
-            blocks.append(result)
-            yield result
+    def recording_blocks(*args, **kwargs):
+        for block in iid_blocks(*args, **kwargs):
+            blocks.append(block)
+            yield block
+
+    def recording_fill(stream, out, work=None):
+        blocks.append(fill(stream, out, work))
+        return blocks[-1]
 
     monkeypatch.setattr(recursion, "BlockRing", RecordingRing)
-    monkeypatch.setattr(recursion, "_in_order", recording)
-    return handed, slots, blocks
+    monkeypatch.setattr(recursion, "_iid_bounded_blocks", recording_blocks)
+    monkeypatch.setattr(recursion.SequenceStream, "fill", recording_fill)
+    return handed, blocks
 
 
 def in_ring(array, handed):
@@ -1160,43 +1031,41 @@ class TestOneBlockRing:
         ring = BlockRing()
         tracemalloc.start()
         try:
-            ring.get(0, "draws", 2**20)
-            ring.get(0, "draws", 2**21)
+            ring.get("draws", 2**20)
+            ring.get("draws", 2**21)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20 * 8  # 16 MB, not the 8 MB and 16 MB arrays at once
 
     def test_streamed_comparison_blocks_live_in_the_ring(self, ring_records):
-        handed, slots, blocks = ring_records
+        handed, blocks = ring_records
         config = make_config()
         want = whole_path_rows(config, 40, [0.95], SEED)
         for record in ring_records:
             record.clear()
-        with iid_kernel(5, 2):
+        with iid_kernel(5):
             rows = compare_tail_sum_max(config, 40, [0.95], SEED)
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
-        # eight blocks in the four slots of two threads, each with every row;
-        # its sums and maxima are the reduction's own arrays
-        assert len(blocks) == 8 and sorted(set(slots)) == [0, 1, 2, 3]
+        # eight blocks, each with every row; its sums and maxima are the
+        # reduction's own arrays
+        assert len(blocks) == 8
         assert all(rows is None for _, _, rows, _ in blocks)
         assert all(in_ring(q, handed) for *_, q in blocks)
-        # block i + 4 reuses the preference draws of block i
-        assert all(np.shares_memory(blocks[i][3], blocks[i + 4][3]) for i in range(4))
+        # each block reuses the preference draws of the one before
+        assert all(np.shares_memory(a[3], b[3]) for a, b in zip(blocks, blocks[1:]))
 
-    @pytest.mark.parametrize("threads, columns", [(1, 3), (2, 3), (3, 2)])
-    def test_column_blocks_live_in_the_ring(self, ring_records, threads, columns):
-        handed, slots, blocks = ring_records
+    @pytest.mark.parametrize("columns", [3, 2])
+    def test_column_blocks_live_in_the_ring(self, ring_records, columns):
+        handed, blocks = ring_records
         specs = [SequenceSpec(TailSpec(1.5), DependenceSpec.moving_maxima(1, 0.5)),
                  SequenceSpec(TailSpec(2.0))] * 2
-        with column_kernel(4, threads):
+        with column_kernel(4):
             sample_weighted_pair([(0.5, seq) for seq in specs[:columns]], 40, SEED)
         assert len(blocks) == 10 * columns and all(in_ring(a, handed) for a in blocks)
-        # no more slots than columns: a column's blocks are drawn one at a
-        # time; one slot when the calling thread draws every block
-        ring_slots = 1 if threads == 1 else min(2 * threads, columns)
-        assert max(slots) == ring_slots - 1
-        assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[ring_slots:]))
+        # each column block is reduced before the next is drawn into the
+        # same array
+        assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
 
 
 # (follower tail, preference tail) pairs: the preference dominates (k > beta,
@@ -1237,17 +1106,17 @@ class TestBoundAndRefine:
     @settings(max_examples=200, deadline=None)
     @given(seed=SEEDS, tails=st.sampled_from(sorted(BOUNDED_TAILS)), degrees=BOUNDED_DEGREES,
            damping=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
-           block_rows=st.sampled_from([1, 2, 5, 16]), threads=st.integers(1, 3),
+           block_rows=st.sampled_from([1, 2, 5, 16]),
            sizes=st.lists(st.integers(1, 120), min_size=1, max_size=3),
            top=st.integers(1, 150), draws=DRAW_CAPS)
     def test_equals_the_whole_path_oracle(self, seed, tails, degrees, damping, block_rows,
-                                          threads, sizes, top, draws):
+                                          sizes, top, draws):
         follower, preference = BOUNDED_TAILS[tails]
         config = make_config(damping=damping, follower_tail=follower,
                              preference_tail=preference, **degrees)
         # one ring for calls of several lengths, as a run of replications shares it
         ring = recursion.BlockRing()
-        with iid_kernel(block_rows, threads, draws):
+        with iid_kernel(block_rows, draws):
             got = [pair_maxima(config, n, seed + i, top, ring=ring)
                    for i, n in enumerate(sizes)]
         for i, (n, (sum_max, max_max, q_top)) in enumerate(zip(sizes, got)):
@@ -1319,25 +1188,6 @@ class TestBoundAndRefine:
         # every row's bound reaches the floor, so every draw is transformed
         assert sum(transformed) > 5000
 
-    def test_threads_sharing_a_ring_lose_no_value(self):
-        # three drawing threads on two-row blocks take turns in the four
-        # slots of one ring over several calls, with the interpreter
-        # switching every 10 us
-        config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20),
-                             follower_tail=TailSpec(1.5), preference_tail=TailSpec(1.5))
-        ring = recursion.BlockRing()
-        want = [whole_iid_pair(config, 501, SEED + i) for i in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with iid_kernel(2, 3):
-                got = [pair_maxima(config, 501, SEED + i, 20, ring=ring) for i in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for (sum_max, max_max, q_top), (sums, maxes, _, q) in zip(got, want):
-            assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
-            assert q_top.tobytes() == upper_order_statistics(q, 20).tobytes()
-
     def test_a_shared_ring_allocates_its_buffers_once(self):
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
                              follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
@@ -1352,22 +1202,20 @@ class TestBoundAndRefine:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # a fresh ring holds three 512 KB arrays per slot (in-degrees, their
-        # lookup scratch and q) and the 1.1 MB follower-draw buffer; a shared
-        # one leaves the 64 KB of the in-degree lookup's bucket flags
-        assert peaks[0] > 3 * 2**20 and peaks[1] < 2**18
+        # a fresh ring holds three 512 KB arrays (in-degrees, their lookup
+        # scratch and q) and the 0.7 MB follower-draw buffer; a shared one
+        # leaves the 64 KB of the in-degree lookup's bucket flags
+        assert peaks[0] > 2 * 2**20 and peaks[1] < 2**18
 
 
 class TestPairFloor:
     @settings(max_examples=150, deadline=None)
     @given(seed=SEEDS, tails=st.sampled_from(sorted(BOUNDED_TAILS)), degrees=BOUNDED_DEGREES,
            damping=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
-           block_rows=st.sampled_from([1, 5, 16]), threads=st.integers(1, 2),
-           n=st.integers(1, 120), level=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]),
+           block_rows=st.sampled_from([1, 5, 16]), n=st.integers(1, 120), level=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]),
            explicit=st.booleans(), draws=DRAW_CAPS)
     def test_a_floor_leaves_out_only_rows_below_it(self, seed, tails, degrees, damping,
-                                                   block_rows, threads, n, level, explicit,
-                                                   draws):
+                                                   block_rows, n, level, explicit, draws):
         follower, preference = BOUNDED_TAILS[tails]
         deps = ((DependenceSpec.moving_maxima(1, 1),) if explicit
                 else (DependenceSpec.iid(),))
@@ -1381,7 +1229,7 @@ class TestPairFloor:
         # no floor, or one of the sums, which rows of equal values must reach
         floor = -math.inf if level is None else float(np.sort(sums)[int(level * (n - 1))])
         start = 0
-        with iid_kernel(block_rows, threads, draws):
+        with iid_kernel(block_rows, draws):
             for got_sums, got_maxes, rows, q in recursion.aggregate_pair_blocks(
                     config, n, seed, floor=floor):
                 size = len(q)
@@ -1436,10 +1284,10 @@ class TestBoundedReplication:
            n_max=st.sampled_from([1, 3, 100, 10**4]), fixed=st.sampled_from([-1, 0, 1]),
            block_rows=st.sampled_from([40, 64, 128]), blocks=st.integers(1, 6),
            offset=st.integers(-1, 1), exceed_prob=st.sampled_from([0.02, 0.05, 0.1]),
-           threads=st.integers(1, 2), draws=DRAW_CAPS)
+           draws=DRAW_CAPS)
     def test_row_equals_the_full_pair_row(self, rep, alpha, beta, heavier, damping, n_max,
                                           fixed, block_rows, blocks, offset, exceed_prob,
-                                          threads, draws):
+                                          draws):
         # n below, at and across multiples of the patched block, k >= beta
         n = max(100, block_rows * blocks + offset)
         params = dict(experiments.DEFAULTS["verify-thm4"], n=n, alpha=alpha, beta=beta,
@@ -1449,7 +1297,7 @@ class TestBoundedReplication:
         config = experiments.recursion_config_from_params(params)
         seed = replication_seed(params["seed"], 100_000 + rep)
         top = experiments._tail_count(experiments.REGIMES["preference"], params)
-        with iid_kernel(block_rows, threads, draws):
+        with iid_kernel(block_rows, draws):
             got = row_or_error(lambda: experiments._replication(("verify-thm4", params, rep)))
             maxima = pair_maxima(config, n, seed, top)
         assert got == want
