@@ -872,17 +872,6 @@ class TestWorkerPool:
         run_experiment(cfg, jobs=8, out_dir=str(tmp_path))
         assert RecordingPool.workers == [2]
 
-    def test_jobs_1_threads_follow_cpu_affinity(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert experiments._workers(1, 100) == 3
-        assert experiments._workers(1, 2) == 2
-        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
-        monkeypatch.delattr(experiments.os, "sched_getaffinity")
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        assert experiments._workers(1, 100) == 4
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert experiments._workers(1, 100) == 1
-
     # on two CPUs: --jobs 1 maps the runs on two threads, as --jobs 2 on two
     # processes
     @pytest.mark.parametrize("jobs, runs", [(1, 8), (2, 8), (4, 16)])

@@ -498,6 +498,23 @@ class TestBlockedColumnKernel:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
+    # the kernel draws on its caller's thread: columns are drawn at once only
+    # by the replication threads of --jobs 1, one per CPU the process may use
+    def test_thread_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert experiments._workers(1, 100) == 3
+        assert experiments._workers(1, 2) == 2
+        assert experiments._workers(1, 1) == 1
+
+    def test_thread_count_without_cpu_affinity(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert experiments._workers(1, 100) == 4
+        assert experiments._workers(1, 3) == 3
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._workers(1, 100) == 1
+
 
 def looped_segment_sum_max(values, counts):
     """Reference for ``_segment_reduce`` by sum and maximum: a Python loop
