@@ -9,8 +9,10 @@ Subcommands::
     graph {gen,pagerank,maxlinear,hitting}   deterministic graph demos
     report                        summarize a report JSON, exit per pass
 
-Shared flags: ``--config`` (flat key=value file), ``--set key=value``
-(repeatable overrides), ``--seed``, ``--jobs``, ``--out``.  The
+Shared flags, each on the commands that read it: ``--config`` (flat
+key=value file) and ``--set key=value`` (repeatable overrides) on
+``simulate``, ``verify`` and ``tail-eq``; ``--seed`` on those and ``graph``;
+``--jobs`` on ``verify``; ``--out`` on all but ``report``.  The
 ``RANK_EXTREMES_OUT`` environment variable overrides ``--out``.
 """
 
@@ -76,6 +78,8 @@ def _cmd_simulate(args) -> int:
     params = experiments.apply_overrides(
         experiments.MODEL_DEFAULTS, _collect_overrides(args), "simulate")
     config = experiments.recursion_config_from_params(params)
+    if params["seed"] < 0:  # refused before anything is written
+        raise ConfigurationError(f"seed must be >= 0, got {params['seed']}")
 
     def write(fileobj):
         write_path_csv(fileobj, config, params["n"], params["seed"])
@@ -169,10 +173,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    if args.config or args.set:
-        raise ConfigurationError(
-            "graph takes its parameters as flags (--nodes, --alpha, ...), "
-            "not --config or --set")
     if args.action != "gen" and not args.graph:
         raise ConfigurationError(f"graph {args.action} needs --graph EDGE_LIST")
     out = _out_dir(args) or "."
@@ -242,14 +242,15 @@ def _report_shape_problem(report) -> str | None:
     return None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one config key (repeatable)")
-    parser.add_argument("--seed", type=int, help="root RNG seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the replications; at 1, "
-                             "they run on one thread per CPU")
+def _add_common(parser: argparse.ArgumentParser, *, config: bool = True,
+                seed: bool = True) -> None:
+    """``--out``, and ``--config``/``--set`` and ``--seed`` unless switched off."""
+    if config:
+        parser.add_argument("--config", help="flat key=value config file")
+        parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                            help="override one config key (repeatable)")
+    if seed:
+        parser.add_argument("--seed", type=int, help="root RNG seed (>= 0)")
     parser.add_argument("--out", help="output directory (RANK_EXTREMES_OUT overrides)")
 
 
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="run one estimator on a path CSV")
-    _add_common(p)
+    _add_common(p, config=False, seed=False)
     p.add_argument("--input", required=True, help="path CSV from 'simulate'")
     p.add_argument("--method", required=True,
                    choices=["hill", "blocks", "intervals", "cluster"])
@@ -283,15 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Monte-Carlo verification experiment")
     p.add_argument("theorem", choices=["thm1", "thm2", "thm3", "thm4"])
     _add_common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the replications; at 1, "
+                        "they run on one thread per CPU")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("tail-eq", help="paired sum/max tail-ratio experiment")
     _add_common(p)
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, jobs=1)  # one task: the paired path
 
     p = sub.add_parser("graph", help="deterministic graph computations")
     p.add_argument("action", choices=["gen", "pagerank", "maxlinear", "hitting"])
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--graph", help="edge-list file for rank/walk actions")

@@ -257,6 +257,8 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be >= 1")
         if self.params.get("n", 1000) < 1000:
             raise ConfigurationError("path length n must be >= 1000")
+        if self.params.get("seed", 0) < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.params['seed']}")
         if self.kind == VERIFY_THM4 and self.params.get("regime") not in THM4_REGIMES:
             raise ConfigurationError(f"unknown thm4 regime '{self.params.get('regime')}'")
 

@@ -41,11 +41,6 @@ class TailSpec:
         if not (self.c > 0 and np.isfinite(self.c)):
             raise ParameterError(f"scale constant c must be positive, got {self.c}")
 
-    @property
-    def support_left(self) -> float:
-        """Left endpoint of the exact-Pareto support."""
-        return self.c ** (1.0 / self.k)
-
     def survival(self, x):
         """Exact survival function of the Pareto realization."""
         x = np.asarray(x, dtype=float)

@@ -45,7 +45,7 @@ from .heavytail import (
     sample_pareto,
     sample_power_law_int,
 )
-from .rng import STREAMS, child_rng, child_rng_at
+from .rng import STREAMS, child_rng
 from .textio import read_rows, write_rows
 
 SUM = "sum"
@@ -284,12 +284,12 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     ``(sums, maxes, None, q)`` per block, arrays of ``ring`` of those
     names (``None``: every row).
 
-    Each block's in-degrees come from the ``in_degree`` stream as the
-    block's reduction starts, and its preference values from
-    offset ``start`` of the ``preference`` stream (:func:`child_rng_at`), so
-    every value equals that of the whole path drawn at once.  A power-law
-    in-degree first takes one pass over its stream for the largest
-    in-degree, the number of columns to draw.
+    Each block's in-degrees are the next draws of the ``in_degree`` stream,
+    taken as the block's reduction starts, and its preference values the
+    next draws of the ``preference`` stream, so every value equals that of
+    the whole path drawn at once.  A power-law in-degree first takes one
+    pass over its stream for the largest in-degree, the number of columns
+    to draw.
     """
     width = min(STREAM_BLOCK_ROWS, n)
 
@@ -306,11 +306,10 @@ def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockR
     degrees = in_degrees()
     blocks = _column_sum_max(_follower_columns(config, seed, most), n, ring,
                              in_deg_of=lambda rows: next(degrees))
+    preference = child_rng(seed, STREAMS["preference"])
     for rows, f_sum, f_max in blocks:
         size = rows.stop - rows.start
-        q = sample_pareto(config.preference_tail, size,
-                          child_rng_at(seed, rows.start, STREAMS["preference"]),
-                          out=ring.get("q", size))
+        q = sample_pareto(config.preference_tail, size, preference, out=ring.get("q", size))
         yield (*_add_preference(config, f_sum, f_max, q), None, q)
 
 
@@ -346,10 +345,8 @@ def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
 def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
                 ring: BlockRing):
     """The blocks of an i.i.d.-column config, in row order: yields
-    ``(in_deg, start, follow, total)`` per block, ``in_deg`` the in-degrees
-    of its rows, ``start`` its first row, and ``total`` the count of its
-    follower draws, which start at offset ``follow``, the sum of the earlier
-    blocks' in-degrees.
+    ``(in_deg, total)`` per block, ``in_deg`` the in-degrees of its rows and
+    ``total`` their sum, the count of its follower draws.
 
     The in-degrees are drawn ``block_rows`` rows at a time into the ring's
     ``in_deg`` array, and each such run is cut into blocks of at most
@@ -357,14 +354,12 @@ def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
     in-degrees a view of its rows of the run.
     """
     deg_rng = child_rng(seed, STREAMS["in_degree"])
-    follow = 0
     for start in range(0, n, block_rows):
         size = min(block_rows, n - start)
         drawn = _draw_in_degrees(config, size, deg_rng, ring=ring,
                                  out=ring.get("in_deg", size, np.int64))
         for a, b, total in _capped_blocks(drawn, BLOCK_DRAWS):
-            yield drawn[a:b], start + a, follow, total
-            follow += total
+            yield drawn[a:b], total
 
 
 # Relative error allowed for NumPy's ``pow``, which need not round correctly
@@ -437,12 +432,12 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
 
     With i.i.d. columns the values entering a row are fresh draws, so row
     ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
-    this has exactly the law of the column construction.  A block starting
-    at row ``start`` takes its preference draws from offset ``start`` of the
-    ``preference`` stream, and its follower draws from offset ``follow`` of
-    the ``column`` stream.  Every row lies inside one block, so every value
-    equals that of the whole path drawn at once, bit for bit, whatever the
-    block size, draw cap and floor.
+    this has exactly the law of the column construction.  A block takes the
+    next draws of the ``preference`` stream, one a row, and the next
+    ``total`` draws of the ``column`` stream.  Every row lies inside one
+    block and the blocks come in row order, so every value equals that of
+    the whole path drawn at once, bit for bit, whatever the block size,
+    draw cap and floor.
 
     A block draws its preference values and only the uniforms of its
     follower draws.  Under a finite floor, the transform of its largest
@@ -457,31 +452,22 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
     The blocks are drawn and reduced one at a time, as the consumer asks for
     them, on its thread.  A block's follower draws take the ring's one
     ``draws`` buffer and live only while the block runs, so that buffer
-    grows without its old array held.  One generator per stream is set back
-    and advanced to each block's offset.  A yielded block stays valid until
-    the consumer asks for the next one.
+    grows without its old array held.  Each stream has one generator per
+    call, which every block draws on in turn.  A yielded block stays valid
+    until the consumer asks for the next one.
     """
     c, z, follower = config.damping, config.z_star, config.follower_tail
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
-    streams = {name: child_rng(seed, STREAMS[name]) for name in ("preference", "column")}
-    starts = {name: rng.bit_generator.state for name, rng in streams.items()}
+    preference = child_rng(seed, STREAMS["preference"])
+    column = child_rng(seed, STREAMS["column"])
 
-    def stream_at(name, offset):
-        """``child_rng_at(seed, offset, STREAMS[name])``: the one generator
-        of the stream, set back to its start and advanced, which saves
-        building one per block."""
-        rng = streams[name]
-        rng.bit_generator.state = starts[name]
-        rng.bit_generator.advance(offset)
-        return rng
-
-    def block(in_deg, start, follow, total):
-        q = sample_pareto(config.preference_tail, len(in_deg), stream_at("preference", start),
+    def block(in_deg, total):
+        q = sample_pareto(config.preference_tail, len(in_deg), preference,
                           out=ring.get("q", len(in_deg)))
         u = ring.get("draws", total)
         if total:  # the uniforms of the follower draws
-            stream_at("column", follow).random(total, out=u)
+            column.random(total, out=u)
         # fl(z * q) is monotone in q: the largest term is that of the largest q
         at = z * q.max() if floor is None else floor
         rows = None
@@ -505,8 +491,8 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
         f_sum, f_max = _segment_reduce(picked, deg, np.add, np.maximum)
         return (*_add_preference(config, f_sum, f_max, pref), rows, q)
 
-    for in_deg, start, follow, total in _iid_blocks(config, n, seed, block_rows, ring):
-        yield block(in_deg, start, follow, total)
+    for in_deg, total in _iid_blocks(config, n, seed, block_rows, ring):
+        yield block(in_deg, total)
 
 
 def _check_pair_args(n: int) -> None:
@@ -622,8 +608,9 @@ def preference_blocks(config: RecursionConfig, n: int, seed: int):
     """The raw preference draws of the pair ``aggregate_pair_blocks(config,
     n, seed)`` alone, ``STREAM_BLOCK_ROWS`` rows at a time and in row order,
     each block valid until the next is asked for.  Every block source draws
-    row ``t``'s from offset ``t`` of the ``preference`` stream, so these are
-    its values bit for bit.  ``n`` is checked at the call."""
+    its blocks' preference values as the next draws of the ``preference``
+    stream, one a row, so these are its values bit for bit.  ``n`` is
+    checked at the call."""
     _check_pair_args(n)
     width = min(STREAM_BLOCK_ROWS, n)
     out, rng = np.empty(width), child_rng(seed, STREAMS["preference"])

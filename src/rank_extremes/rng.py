@@ -1,18 +1,22 @@
 """Deterministic RNG stream derivation.
 
-Every stochastic operation takes a single integer root seed.  Independent
-streams (replications, follower columns, in-degrees, preference draws) are
-derived with :func:`child_rng` from the root seed and a tuple of small
-integers naming the stream.  The splitting rule is
-``SeedSequence(entropy=root_seed, spawn_key=path)``, so a given
+Every stochastic operation takes a single integer root seed, which must be
+nonnegative.  Independent streams (replications, follower columns,
+in-degrees, preference draws) are derived with :func:`child_rng` from the
+root seed and a tuple of small integers naming the stream.  The splitting
+rule is ``SeedSequence(entropy=root_seed, spawn_key=path)``, so a given
 ``(seed, path)`` pair always yields the same bit stream, independent of
-call order or thread scheduling.  A sampler's ``rng`` argument is a root
-seed or a ``Generator``; :func:`as_generator` resolves it.
+call order.  A block source derives each of its streams once and takes
+every block's values from the next draws of that generator, in row order.
+A sampler's ``rng`` argument is a root seed or a ``Generator``;
+:func:`as_generator` resolves it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ParameterError
 
 # Stream name -> spawn-key component.  Keeping the map explicit documents
 # the derivation rule and avoids collisions between modules.
@@ -28,26 +32,16 @@ STREAMS = {
 
 
 def child_seed(seed: int, *path: int) -> np.random.SeedSequence:
-    """Seed sequence for the stream named by ``path`` under ``seed``."""
+    """Seed sequence for the stream named by ``path`` under ``seed``; a
+    negative seed is a ``ParameterError``."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:
     """Fresh generator for the stream named by ``path`` under ``seed``."""
     return np.random.default_rng(child_seed(seed, *path))
-
-
-def child_rng_at(seed: int, offset: int, *path: int) -> np.random.Generator:
-    """``child_rng(seed, *path)`` with its first ``offset`` outputs skipped.
-
-    The default bit generator, PCG64, jumps ahead in ``O(log offset)`` steps.
-    ``Generator.random`` takes one 64-bit output per double, so the
-    generator's ``random(b)`` equals the last ``b`` values of
-    ``child_rng(seed, *path).random(offset + b)``.
-    """
-    rng = child_rng(seed, *path)
-    rng.bit_generator.advance(offset)
-    return rng
 
 
 def as_generator(rng: int | np.random.Generator, *path: int) -> np.random.Generator:

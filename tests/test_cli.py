@@ -154,6 +154,8 @@ class TestExperimentConfig:
             ExperimentConfig.default("verify-thm2", n=500)
         with pytest.raises(ConfigurationError):
             ExperimentConfig.default("verify-thm2", replications=0)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            ExperimentConfig("verify-thm2", dict(DEFAULTS["verify-thm2"], seed=-1))
 
     def test_defaults_are_complete(self):
         for kind, params in DEFAULTS.items():
@@ -1135,8 +1137,54 @@ class TestCliCommands:
         cfg_file.write_text("nodes=50\n")
         for extra in (["--set", "bogus=1"], ["--config", str(cfg_file)]):
             out = tmp_path / "out"
-            assert main(["graph", "gen", "--nodes", "50", "--out", str(out)] + extra) == 2
-            assert "error:" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exit_:
+                main(["graph", "gen", "--nodes", "50", "--out", str(out)] + extra)
+            assert exit_.value.code == 2
+            assert "error: unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+
+    # each command declares only the flags it reads (graph's --config and
+    # --set above)
+    # (the input file need not exist: the parser exits first)
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--input", "path.csv", "--method", "hill"], ["--config", "x.cfg"]),
+        (["estimate", "--input", "path.csv", "--method", "hill"], ["--set", "bogus=1"]),
+        (["estimate", "--input", "path.csv", "--method", "hill"], ["--seed", "1"]),
+        (["estimate", "--input", "path.csv", "--method", "hill"], ["--jobs", "1"]),
+        (["simulate", "--set", "n=2000"], ["--jobs", "0"]),
+        (["tail-eq", "--set", "n=2000"], ["--jobs", "2"]),
+        (["graph", "gen", "--nodes", "50"], ["--jobs", "1"]),
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2(self, argv, flag, tmp_path, capsys,
+                                                      monkeypatch):
+        refuse_sampling(monkeypatch)
+        monkeypatch.setattr(cli, "write_path_csv", refuse_to_sample)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + flag + ["--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--set", "seed=-1"],
+        ["verify", "thm2", "--seed", "-1"],
+        ["verify", "thm4", "--set", "seed=-1", "--jobs", "2"],
+        ["tail-eq", "--seed", "-1"],
+        ["graph", "gen", "--nodes", "50", "--seed", "-1"],
+    ])
+    def test_a_negative_seed_exits_2_before_writing(self, argv, tmp_path, capsys,
+                                                    monkeypatch):
+        # before any worker starts, and before simulate writes its header
+        refuse_sampling(monkeypatch)
+        monkeypatch.setattr(cli, "write_path_csv", refuse_to_sample)
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert "error: seed must be >= 0, got -1" in captured.err
+            assert captured.out == ""
             assert not out.exists()
 
     def test_tail_eq_report_is_strict_json(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank_extremes import experiments, recursion, textio
+from rank_extremes import experiments, recursion, rng, textio
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import (
     TailSample,
@@ -49,7 +49,7 @@ from rank_extremes.recursion import (
     simulate_tbt,
     weighted_pair_blocks,
 )
-from rank_extremes.rng import STREAMS, child_rng, child_rng_at, replication_seed
+from rank_extremes.rng import STREAMS, child_rng, replication_seed
 from rank_extremes.textio import BLOCK_ROWS
 
 SEED = 555001
@@ -744,6 +744,47 @@ class TestPreferenceBlocks:
             recursion.preference_blocks(make_config(), n, SEED)
 
 
+class TestStreamDerivation:
+    @pytest.mark.parametrize("deps", ["iid", "mm:1,1"])
+    @pytest.mark.parametrize("in_degrees", ["one", "power-law"])
+    @pytest.mark.parametrize("source", ["pair", "maxima"])
+    def test_each_stream_is_derived_once_per_call(self, source, in_degrees, deps,
+                                                  monkeypatch):
+        # 300 rows in blocks of 16: every stream serves 19 blocks from one
+        # generator.  The explicit columns draw a power-law in-degree twice,
+        # the first pass for the largest in-degree, the number of columns.
+        derived = []
+        derive = rng.child_seed
+
+        def counted(seed, *path):
+            derived.append(path)
+            return derive(seed, *path)
+
+        monkeypatch.setattr(rng, "child_seed", counted)
+        config = make_config(follower_deps=experiments.parse_deps(deps),
+                             **IN_DEGREES[in_degrees])
+        with iid_kernel(16):
+            if source == "pair":
+                for _ in recursion.aggregate_pair_blocks(config, 300, SEED):
+                    pass
+            else:
+                pair_maxima(config, 300, SEED, 3)
+        counts = {path: derived.count(path) for path in derived}
+        in_degree = (STREAMS["in_degree"],)
+        explicit = deps != "iid"
+        assert counts.pop(in_degree) == (2 if explicit and in_degrees == "power-law" else 1)
+        assert counts.pop((STREAMS["preference"],)) == 1
+        if explicit:
+            assert set(counts) == {(STREAMS["column"], j) for j in range(1, len(counts) + 1)}
+        else:
+            assert set(counts) == {(STREAMS["column"],)}
+        assert set(counts.values()) == {1}
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            rng.child_seed(-1, STREAMS["preference"])
+
+
 class TestStreamedComparison:
     @settings(max_examples=120, deadline=None)
     @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(0, 6),
@@ -903,7 +944,7 @@ class TestThreadedIidKernel:
         config = make_config(**IN_DEGREES[in_degrees])
         with iid_kernel(block_rows, draws):
             # the layout alone, each block laid out as the kernel asks for it
-            laid = [(in_deg.copy(), *rest) for in_deg, *rest in
+            laid = [(in_deg.copy(), total) for in_deg, total in
                     _iid_blocks(config, n, seed, block_rows, BlockRing())]
             blocks = [(sums.copy(), maxes.copy(), q.copy()) for sums, maxes, _, q in
                       _iid_bounded_blocks(config, n, seed, block_rows, BlockRing())]
@@ -911,29 +952,16 @@ class TestThreadedIidKernel:
         assert [np.concatenate(parts).tobytes() for parts in zip(*blocks)] == [
             a.tobytes() for a in (sums, maxes, q)]
         assert np.concatenate([b[0] for b in laid]).tobytes() == in_deg.tobytes()
-        start = follow = 0
-        for (in_deg, first, offset, total), after in zip(laid, laid[1:] + [None]):
-            assert (first, offset, total) == (start, follow, in_deg.sum())
+        start = 0
+        for (in_deg, total), after in zip(laid, laid[1:] + [None]):
+            assert total == in_deg.sum()
             end = start + len(in_deg)
             # within one draw of in-degrees, and past the cap only alone
             assert start // block_rows == (end - 1) // block_rows
-            assert in_deg.sum() <= draws or len(in_deg) == 1
+            assert total <= draws or len(in_deg) == 1
             if after is not None and end % block_rows:  # cut by the cap
-                assert in_deg.sum() + after[0][0] > draws
-            start, follow = end, follow + total
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=SEEDS, head=st.integers(0, 300) | st.integers(2**16, 2**20),
-           tail=st.integers(1, 300), stream=st.sampled_from(["in_degree", "preference",
-                                                             "column"]))
-    def test_an_advanced_stream_continues_the_stream(self, seed, head, tail, stream):
-        whole = child_rng(seed, STREAMS[stream]).random(head + tail)
-        rng = child_rng(seed, STREAMS[stream])
-        first = rng.random(head)
-        rest = child_rng_at(seed, head, STREAMS[stream]).random(tail)
-        assert np.concatenate([first, rest]).tobytes() == whole.tobytes()
-        # the continuation is that of the generator that drew the head
-        assert rng.random(tail).tobytes() == rest.tobytes()
+                assert total + after[0][0] > draws
+            start = end
 
     @pytest.mark.parametrize("fixed_in_degree", [0, 1])
     def test_a_block_draws_exactly_its_followers(self, fixed_in_degree, monkeypatch):
