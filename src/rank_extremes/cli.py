@@ -11,7 +11,8 @@ Subcommands::
 
 Shared flags, each on the commands that read it: ``--config`` (flat
 key=value file) and ``--set key=value`` (repeatable overrides) on
-``simulate``, ``verify`` and ``tail-eq``; ``--seed`` on those and ``graph``;
+``simulate``, ``verify`` and ``tail-eq``; ``--seed`` on those and ``graph``
+(read by ``gen`` and ``hitting``, refused when negative by every action);
 ``--jobs`` on ``verify``; ``--out`` on all but ``report``.  The
 ``RANK_EXTREMES_OUT`` environment variable overrides ``--out``.
 """
@@ -173,11 +174,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    seed = args.seed or 0  # read by gen and hitting alone
+    if seed < 0:  # refused for every action, before anything is read or written
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if args.action != "gen" and not args.graph:
         raise ConfigurationError(f"graph {args.action} needs --graph EDGE_LIST")
     out = _out_dir(args) or "."
     if args.action == "gen":
-        g = graphrank.gen_power_law_graph(args.nodes, args.alpha, args.seed or 0)
+        g = graphrank.gen_power_law_graph(args.nodes, args.alpha, seed)
         target = _write_file(out, "graph.edges", g.write_edge_list)
         print(f"wrote {target} ({g.n} nodes, {g.edge_count} edges)")
         return 0
@@ -193,7 +197,7 @@ def _cmd_graph(args) -> int:
     else:  # hitting
         rv = graphrank.pagerank(g, args.damping, q)
         ht = graphrank.random_walk_hitting(
-            g, args.damping, rv, args.top_p, args.trials, args.seed or 0, q=q
+            g, args.damping, rv, args.top_p, args.trials, seed, q=q
         )
         print(json.dumps({
             "mean": ht.mean, "median": ht.median, "target_size": ht.target_size,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -187,8 +186,6 @@ MODEL_DEFAULTS = {
     "n": 100_000,
     "seed": 20260824,
 }
-
-KINDS = tuple(DEFAULTS)
 
 
 def split_kv(item: str, where: str) -> tuple[str, str]:
@@ -408,59 +405,25 @@ def _definition_count(params) -> int:
     return count
 
 
-@contextlib.contextmanager
-def _named_replication(kind: str, rep: int, seed: int):
-    """Re-raise an exception of the block as it is, with a note naming the
-    replication (the note survives the trip back from a worker process)."""
-    try:
-        yield
-    except Exception as exc:
-        # what BaseException.add_note does, which Python 3.10 lacks
-        note = f"in {kind} replication {rep}, seed {seed}"
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-        raise
-
-
-def _definition_run(args) -> list[tuple[float, float, np.ndarray]]:
-    """A run of contiguous definition-stage replications, ``(params, reps,
-    count) ->`` for each replication of ``reps`` the maxima of its sum and
-    max paths and the top ``count`` of its preference draws (all of them
-    when ``count >= def_n``).  The run shares one ring of block buffers."""
-    params, reps, count = args
+def _definition_replication(params, seed: int, ring: BlockRing):
+    """One definition-stage replication: the maxima of its sum and max paths
+    and the top ``count`` of its preference draws (all when ``count >= def_n``)."""
     config = recursion_config_from_params(params)
-    ring = BlockRing()
-    out = []
-    for rep in reps:
-        seed = replication_seed(params["seed"], rep)
-        with _named_replication(f"{VERIFY_THM4} definition-stage", rep, seed):
-            out.append(pair_maxima(config, params["def_n"], seed, count, ring=ring))
-    return out
-
-
-def _definition_runs(r: int, jobs: int) -> list[range]:
-    """The runs of the definition stage's ``r`` replications, one task each
-    of :func:`_map_reps`: a few runs per worker of its pool (processes at
-    ``jobs >= 2``, threads at ``jobs = 1``), so the round trips stay few and
-    the workers end together; all of them when the pool has one worker."""
-    workers = _workers(jobs, r)
-    size = r if workers <= 1 else max(1, r // (4 * workers))
-    return [range(lo, min(lo + size, r)) for lo in range(0, r, size)]
+    return pair_maxima(config, params["def_n"], seed, _definition_count(params), ring=ring)
 
 
 def _definition_stage(params, jobs: int) -> dict:
     """Definition-based theta of the preference regime: replicated paths, threshold
     calibrated on the i.i.d. preference draws (the defining normalization).
 
-    The replications are streamed through the worker pool in runs of
-    contiguous replications: each hands in two maxima and its top ``count``
-    preference draws, and ``u_n``, the ``count``-th largest pooled draw, is
-    taken once for both estimates.
+    The replications are streamed through :func:`_replicate`: each hands in
+    two maxima and its top ``count`` preference draws, and ``u_n``, the
+    ``count``-th largest pooled draw, is taken once for both estimates.
     """
     count = _definition_count(params)
     r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
-    args = [(params, reps, count) for reps in _definition_runs(r, jobs)]
-    sum_maxima, max_maxima, tops = zip(*itertools.chain.from_iterable(
-        _map_reps(_definition_run, args, jobs)))
+    sum_maxima, max_maxima, tops = zip(*_replicate(
+        _definition_replication, f"{VERIFY_THM4} definition-stage", params, r, 0, jobs))
     u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
     def_sum = definition_theta_from_maxima(sum_maxima, n_def, tau, u_n)
     def_max = definition_theta_from_maxima(max_maxima, n_def, tau, u_n)
@@ -541,10 +504,9 @@ def _q_threshold(config: RecursionConfig, n: int, seed: int, top: int,
     return u, float(len(q.above(u))) / n
 
 
-def _replication(args) -> dict:
-    """One replication of experiment ``kind``, ``(kind, params, rep) -> row``:
-    the regime's estimators on a sum and a max path drawn from the same
-    inputs.  An exception leaves with a note naming the replication.
+def _replication(params, seed: int, ring: BlockRing) -> dict:
+    """One replication of the regime of ``params``: its estimators on a sum
+    and a max path drawn from the same inputs, their block buffers in ``ring``.
 
     No path is held: each block of the pair feeds a :class:`TailSample` of
     each path, so a replication holds its block ring and O(K) values per
@@ -553,37 +515,34 @@ def _replication(args) -> dict:
     (:func:`_q_threshold`); its pair then gives only the rows that can reach
     it (the floor of :func:`aggregate_pair_blocks`), which is all its
     estimators read."""
-    kind, params, rep = args
     regime_name = params.get("regime", FIXED_LENGTH)
     regime = REGIMES[regime_name]
-    seed = replication_seed(params["seed"], regime.seed_offset + rep)
     n = params["n"]
-    with _named_replication(kind, rep, seed):
-        top = _tail_count(regime, params)
-        floor, blocks_at = -math.inf, None
-        if regime_name == FIXED_LENGTH:
-            pair = weighted_pair_blocks(_fixed_length_components(params), n, seed)
-            # every row, so the count fed is the block's own length
-            blocks = ((sums, maxes, None, sums) for sums, maxes in pair)
-        else:
-            config = recursion_config_from_params(params)
-            if regime.q_threshold:
-                blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
-                floor = blocks_at[0]
-            blocks = aggregate_pair_blocks(config, n, seed, floor=floor)
-        floor_of = None if blocks_at is None else floor
-        paths = {"sum": TailSample(top, floor_of), "max": TailSample(top, floor_of)}
-        for sums, maxes, rows, q in blocks:
-            paths["sum"].feed(sums, rows, len(q))
-            paths["max"].feed(maxes, rows, len(q))
-        row = {}
-        for label, path in paths.items():
-            for name in regime.estimators:
-                if name != "hill" or params["hill_fraction"] > 0:
-                    row[f"{name}_{label}"] = _estimate(name, path, params, blocks_at)
-        for name in regime.pairs:
-            row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
-        return row
+    top = _tail_count(regime, params)
+    floor, blocks_at = -math.inf, None
+    if regime_name == FIXED_LENGTH:
+        pair = weighted_pair_blocks(_fixed_length_components(params), n, seed, ring=ring)
+        # every row, so the count fed is the block's own length
+        blocks = ((sums, maxes, None, sums) for sums, maxes in pair)
+    else:
+        config = recursion_config_from_params(params)
+        if regime.q_threshold:
+            blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
+            floor = blocks_at[0]
+        blocks = aggregate_pair_blocks(config, n, seed, ring=ring, floor=floor)
+    floor_of = None if blocks_at is None else floor
+    paths = {"sum": TailSample(top, floor_of), "max": TailSample(top, floor_of)}
+    for sums, maxes, rows, q in blocks:
+        paths["sum"].feed(sums, rows, len(q))
+        paths["max"].feed(maxes, rows, len(q))
+    row = {}
+    for label, path in paths.items():
+        for name in regime.estimators:
+            if name != "hill" or params["hill_fraction"] > 0:
+                row[f"{name}_{label}"] = _estimate(name, path, params, blocks_at)
+    for name in regime.pairs:
+        row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
+    return row
 
 
 def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
@@ -596,8 +555,8 @@ def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
     if regime.hill_tol > 0 and params["hill_fraction"] <= 0:
         raise ConfigurationError(f"the {regime_name} regime needs hill_fraction > 0")
     staged = regime.stage(params, jobs) if regime.stage else {}
-    args = [(cfg.kind, params, rep) for rep in range(params["replications"])]
-    estimates = _collect_estimates(_map_reps(_replication, args, jobs))
+    estimates = _collect_estimates(_replicate(
+        _replication, cfg.kind, params, params["replications"], regime.seed_offset, jobs))
     estimates.update(staged)
     checks = []
     for name in regime.theta_checked:
@@ -650,29 +609,52 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(jobs: int, tasks: int) -> int:
-    """Workers of :func:`_map_reps`'s pool for ``tasks`` tasks: ``jobs``
-    processes at ``jobs >= 2``, else one thread per CPU, and no more than
-    there are tasks (a forking pool starts every worker at once)."""
-    return min(jobs if jobs > 1 else available_cpus(), tasks)
+def _run(task) -> list:
+    """A run of contiguous replications, ``(one, kind, params, reps, offset)
+    ->`` ``[one(params, replication_seed(seed, offset + rep), ring) for rep
+    in reps]``, every replication drawing into the run's one
+    :class:`BlockRing`, so the run maps and faults in its block buffers
+    once.  An exception leaves as it is, with a note naming the replication
+    (the note survives the trip back from a worker process)."""
+    one, kind, params, reps, offset = task
+    ring, out = BlockRing(), []
+    for rep in reps:
+        seed = replication_seed(params["seed"], offset + rep)
+        try:
+            out.append(one(params, seed, ring))
+        except Exception as exc:
+            # what BaseException.add_note does, which Python 3.10 lacks
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             f"in {kind} replication {rep}, seed {seed}"]
+            raise
+    return out
 
 
-def _map_reps(worker: Callable, args: list, jobs: int) -> list:
-    """``[worker(a) for a in args]``, one task per worker of a pool of
-    :func:`_workers` workers when that is above 1: processes at ``jobs >=
-    2``, threads at ``jobs = 1``.  This is a run's one level of parallelism:
-    every kernel draws its blocks on the thread that runs its task.
-    ``pool.map`` returns results in argument order, so reports are
-    reproducible regardless of worker scheduling."""
-    workers = _workers(jobs, len(args))
+def _replicate(one: Callable, kind: str, params: dict, r: int, offset: int,
+               jobs: int) -> list:
+    """The results of replications ``0..r-1`` of ``one``, in order: every
+    replicated stage, the replications of a kind and the definition stage.
+
+    The replications are cut into runs of contiguous ones, each one task of
+    :func:`_run`: a few runs per worker, so the round trips stay few and the
+    workers end together, and one run when there is one worker.  The pool
+    has ``jobs`` processes at ``jobs >= 2``, else one thread per CPU, and
+    no more workers than replications (a forking pool starts every worker
+    at once).  This is a run's one level of parallelism: every kernel draws
+    its blocks on the thread that runs its task.  ``pool.map`` returns
+    results in task order, so reports are reproducible regardless of
+    worker scheduling."""
+    workers = min(jobs if jobs > 1 else available_cpus(), r)
+    size = max(1, r // (4 * workers) if workers > 1 else r)
+    tasks = [(one, kind, params, range(lo, min(lo + size, r)), offset)
+             for lo in range(0, r, size)]
     if workers <= 1:
-        return [worker(a) for a in args]
-    if jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        runs = map(_run, tasks)
     else:
-        pool = ThreadPoolExecutor(workers)
-    with pool:
-        return list(pool.map(worker, args))
+        pool = ProcessPoolExecutor(workers) if jobs > 1 else ThreadPoolExecutor(workers)
+        with pool:
+            runs = list(pool.map(_run, tasks))
+    return [result for run in runs for result in run]
 
 
 def _collect_estimates(rows: list[dict]) -> dict:

@@ -495,9 +495,13 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
         yield block(in_deg, total)
 
 
-def _check_pair_args(n: int) -> None:
+def _check_pair_args(n: int, seed: int) -> None:
+    """Refuse a path length below 1 or a negative seed at the call of a
+    block source, not at its first block."""
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
 def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
@@ -513,9 +517,10 @@ def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
     An i.i.d.-column config takes the blocks of :func:`_iid_bounded_blocks`,
     which refine only the rows that can reach a finite floor, an
     explicit-column config every row of :func:`_column_pair_blocks`.  Their
-    arrays live in ``ring`` (a fresh one by default).
+    arrays live in ``ring`` (a fresh one by default).  ``n`` and ``seed``
+    are checked at the call.
     """
-    _check_pair_args(n)
+    _check_pair_args(n, seed)
     ring = BlockRing() if ring is None else ring
     if config.all_iid_columns():
         return _iid_bounded_blocks(config, n, seed, STREAM_BLOCK_ROWS, ring, floor)
@@ -584,7 +589,7 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     successive calls may share; each block's preference draws are
     partitioned in place to take their top ``top``.
     """
-    _check_pair_args(n)
+    _check_pair_args(n, seed)
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")
     top = min(top, n)
@@ -609,9 +614,9 @@ def preference_blocks(config: RecursionConfig, n: int, seed: int):
     n, seed)`` alone, ``STREAM_BLOCK_ROWS`` rows at a time and in row order,
     each block valid until the next is asked for.  Every block source draws
     its blocks' preference values as the next draws of the ``preference``
-    stream, one a row, so these are its values bit for bit.  ``n`` is
-    checked at the call."""
-    _check_pair_args(n)
+    stream, one a row, so these are its values bit for bit.  ``n`` and
+    ``seed`` are checked at the call."""
+    _check_pair_args(n, seed)
     width = min(STREAM_BLOCK_ROWS, n)
     out, rng = np.empty(width), child_rng(seed, STREAMS["preference"])
     return (sample_pareto(config.preference_tail, len(block), rng, out=block)
@@ -625,11 +630,11 @@ def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, s
     independent columns drawn from disjoint RNG streams, one block of rows
     at a time and in row order (:func:`_column_sum_max`): yields
     ``(sums, maxes)`` per block, arrays of ``ring`` (a fresh one by default)
-    valid until the next block is asked for.  The components are checked at
-    the call."""
+    valid until the next block is asked for.  The components, ``n`` and
+    ``seed`` are checked at the call."""
     if len(components) == 0:
         raise ParameterError("at least one weighted component required")
-    _check_pair_args(n)
+    _check_pair_args(n, seed)
     for z, _ in components:
         if not z > 0:
             raise ParameterError(f"weights must be positive, got {z}")
@@ -793,7 +798,7 @@ def compare_tail_sum_max(
     rows: list[TailRatioRow] = []
     if not thresholds:
         return rows
-    _check_pair_args(n)
+    _check_pair_args(n, seed)
     ranks = [nearest_rank_index(qv, n) for qv in thresholds]
     count = n - min(ranks)
     max_tail = TailSample(count)

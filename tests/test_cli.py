@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ from rank_extremes.estimators import (
 )
 from rank_extremes.experiments import (
     DEFAULTS,
-    KINDS,
     REPORT_FIELDS,
     ExperimentConfig,
     parse_dep,
     run_experiment,
 )
 from rank_extremes.heavytail import DependenceSpec
+from rank_extremes.recursion import BlockRing
 from rank_extremes.rng import replication_seed
 from rank_extremes.theory import Component, ComponentSpec, predict_min_rule
 from test_recursion import whole_pair
@@ -125,7 +126,7 @@ class TestDepCodec:
 
 class TestExperimentConfig:
     def test_serialize_parse_round_trip(self):
-        for kind in KINDS:
+        for kind in DEFAULTS:
             cfg = ExperimentConfig.default(kind)
             assert ExperimentConfig.parse(cfg.serialize()) == cfg
 
@@ -296,7 +297,8 @@ class TestRunExperiment:
         count = experiments._definition_count(params)
         config = experiments.recursion_config_from_params(params)
         # one run of two replications, which share its block buffers
-        run = experiments._definition_run((params, [0, 41], count))
+        run = experiments._run((experiments._definition_replication,
+                                "verify-thm4 definition-stage", params, [0, 41], 0))
         for rep, (sum_max, max_max, top) in zip((0, 41), run):
             pair = recursion.sample_aggregate_pair(
                 config, def_n, replication_seed(params["seed"], rep))
@@ -341,12 +343,19 @@ FOLLOWERS = dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1", fixed_i
 
 
 def runs_of(size):
-    """A stand-in for ``experiments._definition_runs``: runs of ``size``
-    replications (all of them when ``size`` is ``None``), whatever the jobs."""
-    def runs(r, jobs):
+    """A stand-in for ``experiments._replicate`` that cuts runs of ``size``
+    replications (all of them when ``size`` is ``None``), whatever the jobs,
+    and maps them with ``experiments._run``: on two processes at ``jobs >=
+    2``, else on one thread per CPU."""
+    def replicate(one, kind, params, r, offset, jobs):
         step = size or r
-        return [range(lo, min(lo + step, r)) for lo in range(0, r, step)]
-    return runs
+        tasks = [(one, kind, params, range(lo, min(lo + step, r)), offset)
+                 for lo in range(0, r, step)]
+        pool = (ProcessPoolExecutor(2) if jobs > 1
+                else ThreadPoolExecutor(experiments.available_cpus()))
+        with pool:
+            return [result for run in pool.map(experiments._run, tasks) for result in run]
+    return replicate
 
 
 class TestFailingReplication:
@@ -414,7 +423,7 @@ class TestFailingReplication:
             return pair_maxima(config, n, seed, top, **kwargs)
 
         monkeypatch.setattr(experiments, "pair_maxima", failing)
-        monkeypatch.setattr(experiments, "_definition_runs", runs_of(7))
+        monkeypatch.setattr(experiments, "_replicate", runs_of(7))
         with pytest.raises(FloatingPointError, match="definition draw failed") as info:
             experiments._definition_stage(params, jobs)
         assert info.value.__notes__ == [
@@ -534,7 +543,7 @@ class TestWholePathOutputs:
             if oracle:
                 monkeypatch.setattr(recursion, "aggregate_pair_blocks", whole_path_pair_blocks)
                 monkeypatch.setattr(experiments, "_replication",
-                                    lambda args: whole_path_row(*args))
+                                    lambda params, seed, ring: whole_path_row(params, seed))
             out = tmp_path / str(oracle)
             assert main(argv + ["--out", str(out)]) in (0, 1)
             written_by.append((out / name).read_bytes())
@@ -606,7 +615,6 @@ class TestThreadAndJobIndependence:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
             mp.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
-            mp.setattr(experiments, "_definition_runs", runs_of(None))
             cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
             return self.outputs(cfg, [(1, 1)], tmp_path_factory.mktemp("ref"), mp)
 
@@ -616,7 +624,7 @@ class TestThreadAndJobIndependence:
                                                     monkeypatch, preference_reference):
         monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
         monkeypatch.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
-        monkeypatch.setattr(experiments, "_definition_runs", runs_of(run))
+        monkeypatch.setattr(experiments, "_replicate", runs_of(run))
         cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
         got = self.outputs(cfg, [(cpus, jobs)], tmp_path, monkeypatch)
         assert got == preference_reference
@@ -692,8 +700,9 @@ class TestNoDrawingThreads:
         assert sum_max >= max_max and len(q_top) == 5
 
     def test_a_one_replication_verify(self, tmp_path, monkeypatch):
-        # one replication, and the definition stage in one run: one task each
-        monkeypatch.setattr(experiments, "_definition_runs", runs_of(None))
+        # one replication, and on one CPU the definition stage in one run:
+        # one task each
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
         argv = ["verify", "thm4", "--set", "replications=1", "--set", "n=1000",
                 "--set", "def_replications=100", "--set", "def_n=200", "--jobs", "1",
                 "--out", str(tmp_path)]
@@ -710,12 +719,17 @@ def outcome(run):
         return type(exc).__name__, str(exc)
 
 
-def whole_path_row(kind, params, rep):
+def replication_seed_of(params, rep):
+    """The seed of replication ``rep`` of the regime of ``params``."""
+    regime = experiments.REGIMES[params.get("regime", experiments.FIXED_LENGTH)]
+    return replication_seed(params["seed"], regime.seed_offset + rep)
+
+
+def whole_path_row(params, seed):
     """A replication's row from its whole sum, max and q paths, each given
     to the estimators as a 1-D array, in the order ``_replication`` takes."""
     regime_name = params.get("regime", experiments.FIXED_LENGTH)
     regime = experiments.REGIMES[regime_name]
-    seed = replication_seed(params["seed"], regime.seed_offset + rep)
     n = params["n"]
     if regime_name == experiments.FIXED_LENGTH:
         sums, maxes = recursion.sample_weighted_pair(
@@ -749,10 +763,11 @@ class TestStreamedReplication:
         params = dict(ExperimentConfig.default(kind, **overrides).params, n=n)
         if low:
             params.update(LOW_THRESHOLDS)
+        seed = replication_seed_of(params, rep)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
-            got = outcome(lambda: experiments._replication((kind, params, rep)))
-        assert got == outcome(lambda: whole_path_row(kind, params, rep))
+            got = outcome(lambda: experiments._replication(params, seed, BlockRing()))
+        assert got == outcome(lambda: whole_path_row(params, seed))
 
     @pytest.mark.parametrize("case, overrides", [
         ("followers", dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1",
@@ -766,7 +781,7 @@ class TestStreamedReplication:
             params = ExperimentConfig.default("verify-thm4", **overrides, n=n).params
             tracemalloc.start()
             try:
-                experiments._replication(("verify-thm4", params, 0))
+                experiments._replication(params, replication_seed_of(params, 0), BlockRing())
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -781,8 +796,7 @@ class TestStreamedReplication:
             fixed_in_degree=10, n=2 * 10**5).params
         tracemalloc.start()
         try:
-            experiments._map_reps(experiments._replication,
-                                  [("verify-thm4", params, rep) for rep in (0, 1)], 1)
+            experiments._replicate(experiments._replication, "verify-thm4", params, 2, 0, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -799,15 +813,54 @@ class TestStreamedReplication:
     ])
     def test_block_memory_stays_within_its_bound(self, overrides, bound_mb):
         params = ExperimentConfig.default("verify-thm4", regime="tail", **overrides).params
+        seed = replication_seed_of(params, 0)
         # a first run caches the in-degree law's tables (16 MB at n_max = 10^6)
-        experiments._replication(("verify-thm4", params, 0))
+        experiments._replication(params, seed, BlockRing())
         tracemalloc.start()
         try:
-            experiments._replication(("verify-thm4", params, 0))
+            experiments._replication(params, seed, BlockRing())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 2**20, peak
+
+
+# Each replicated regime, the preference one with its q threshold, on blocks
+# of 1000 rows and with fixed in-degrees, so that every block of a ring asks
+# for the sizes the first full one did: (kind, overrides)
+RING_CASES = {
+    "fixed-length": ("verify-thm2", dict(n=20500)),
+    "followers": ("verify-thm4", dict(FOLLOWERS, n=20500)),
+    "tail": ("verify-thm4", dict(regime="tail", fixed_in_degree=3, n=20500)),
+    "preference": ("verify-thm4", dict(fixed_in_degree=3, n=20500)),
+}
+
+
+class TestOneRingPerRun:
+    @pytest.mark.parametrize("case", sorted(RING_CASES))
+    def test_a_run_allocates_each_array_once_and_keeps_every_row(self, case, monkeypatch):
+        monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
+        kind, overrides = RING_CASES[case]
+        params = ExperimentConfig.default(kind, **overrides).params
+        allocated = []
+
+        class RecordingRing(BlockRing):
+            def get(self, name, size, dtype=np.float64):
+                held = self._arrays.get(name)
+                if held is None or len(held) < size:
+                    allocated.append(name)
+                return super().get(name, size, dtype)
+
+        monkeypatch.setattr(experiments, "BlockRing", RecordingRing)
+        regime = experiments.REGIMES[params.get("regime", experiments.FIXED_LENGTH)]
+        rows = experiments._run((experiments._replication, kind, params, range(4),
+                                 regime.seed_offset))
+        # the kernels draw into the run's ring, and no replication grows it
+        assert allocated and sorted(allocated) == sorted(set(allocated))
+        assert [repr(row) for row in rows] == [
+            repr(experiments._replication(params, replication_seed_of(params, rep),
+                                          BlockRing()))
+            for rep in range(4)]
 
 
 class RecordingPool:
@@ -841,6 +894,11 @@ class RecordingThreadPool(RecordingPool):
         self.initializers.append(initializer)
 
 
+def seeds(params, seed, ring):
+    """A replication that returns its seed."""
+    return seed
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("cpus, tasks, threads", [
         (2, 5, [2]), (2, 3, [2]), (8, 3, [3]), (2, 1, []), (1, 5, [])])
@@ -852,8 +910,8 @@ class TestWorkerPool:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingThreadPool)
         monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
-        assert experiments._map_reps(abs, list(range(-tasks, 0)), 1) == \
-            list(range(tasks, 0, -1))
+        assert experiments._replicate(seeds, "verify-thm2", {"seed": 1}, tasks, 0, 1) == \
+            [replication_seed(1, rep) for rep in range(tasks)]
         assert RecordingThreadPool.workers == threads and RecordingPool.workers == []
         # a task thread runs its kernels as the calling thread would
         assert RecordingThreadPool.initializers == [None] * len(threads)
@@ -863,8 +921,8 @@ class TestWorkerPool:
     def test_the_pool_is_capped_at_the_tasks(self, jobs, tasks, workers, monkeypatch):
         monkeypatch.setattr(RecordingPool, "workers", [])
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-        assert experiments._map_reps(abs, list(range(-tasks, 0)), jobs) == \
-            list(range(tasks, 0, -1))
+        assert experiments._replicate(seeds, "verify-thm2", {"seed": 1}, tasks, 0, jobs) == \
+            [replication_seed(1, rep) for rep in range(tasks)]
         assert RecordingPool.workers == workers
 
     def test_verify_starts_no_more_workers_than_replications(self, monkeypatch, tmp_path):
@@ -874,18 +932,31 @@ class TestWorkerPool:
         run_experiment(cfg, jobs=8, out_dir=str(tmp_path))
         assert RecordingPool.workers == [2]
 
+    @staticmethod
+    def runs(r, jobs, monkeypatch):
+        """The runs, in task order, that ``_replicate`` cuts ``r``
+        replications into at ``jobs``, each mapped in this thread."""
+        monkeypatch.setattr(RecordingPool, "workers", [])
+        monkeypatch.setattr(RecordingThreadPool, "workers", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingThreadPool)
+        got = []
+        monkeypatch.setattr(experiments, "_run", lambda task: got.append(task[3]) or [])
+        experiments._replicate(seeds, "verify-thm4", {"seed": 1}, r, 0, jobs)
+        return got
+
     # on two CPUs: --jobs 1 maps the runs on two threads, as --jobs 2 on two
     # processes
     @pytest.mark.parametrize("jobs, runs", [(1, 8), (2, 8), (4, 16)])
     def test_definition_runs_are_contiguous(self, jobs, runs, monkeypatch):
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
-        got = experiments._definition_runs(500, jobs)
+        got = self.runs(500, jobs, monkeypatch)
         assert len(got) in (runs, runs + 1)
         assert [rep for run in got for rep in run] == list(range(500))
 
     def test_one_cpu_takes_one_definition_run(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
-        assert experiments._definition_runs(500, 1) == [range(500)]
+        assert self.runs(500, 1, monkeypatch) == [range(500)]
 
 
 class TestCliCommands:
@@ -1186,6 +1257,19 @@ class TestCliCommands:
             assert "error: seed must be >= 0, got -1" in captured.err
             assert captured.out == ""
             assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["gen", "pagerank", "maxlinear", "hitting"])
+    def test_graph_refuses_a_negative_seed_for_every_action(self, action, tmp_path, capsys):
+        # before the edge list is read, so the missing file goes unnamed, and
+        # before anything is written
+        out = tmp_path / "out"
+        argv = ["graph", action, "--seed", "-5", "--graph", str(tmp_path / "missing.edges"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -5\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_tail_eq_report_is_strict_json(self, tmp_path, capsys):
         # at this level the threshold is the path maximum, so no value

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -502,18 +503,33 @@ class TestBlockedColumnKernel:
     # by the replication threads of --jobs 1, one per CPU the process may use
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert experiments._workers(1, 100) == 3
-        assert experiments._workers(1, 2) == 2
-        assert experiments._workers(1, 1) == 1
+        assert replication_threads(100, monkeypatch) == 3
+        assert replication_threads(2, monkeypatch) == 2
+        assert replication_threads(1, monkeypatch) == 1
 
     def test_thread_count_without_cpu_affinity(self, monkeypatch):
         # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
         monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        assert experiments._workers(1, 100) == 4
-        assert experiments._workers(1, 3) == 3
+        assert replication_threads(100, monkeypatch) == 4
+        assert replication_threads(3, monkeypatch) == 3
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert experiments._workers(1, 100) == 1
+        assert replication_threads(100, monkeypatch) == 1
+
+
+def replication_threads(r, monkeypatch):
+    """The threads that ``experiments._replicate`` maps ``r`` replications
+    on at --jobs 1, 1 when it runs them on the calling thread."""
+    threads = [1]
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            threads.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+    experiments._replicate(lambda params, seed, ring: seed, "verify-thm4", {"seed": 1}, r, 0, 1)
+    return threads[-1]
 
 
 def looped_segment_sum_max(values, counts):
@@ -783,6 +799,24 @@ class TestStreamDerivation:
     def test_a_negative_seed_is_refused(self):
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             rng.child_seed(-1, STREAMS["preference"])
+
+    @pytest.mark.parametrize("deps", ["iid", "mm:1,1"])
+    @pytest.mark.parametrize("source", ["pair", "preference", "maxima", "comparison",
+                                        "weighted"])
+    def test_a_negative_seed_is_refused_at_the_call(self, source, deps):
+        # before any block is asked for, with i.i.d. and explicit columns
+        dep = experiments.parse_dep(deps)
+        config = make_config(follower_deps=(dep,))
+        call = {
+            "pair": lambda: recursion.aggregate_pair_blocks(config, 100, -1),
+            "preference": lambda: recursion.preference_blocks(config, 100, -1),
+            "maxima": lambda: pair_maxima(config, 100, -1, 1),
+            "comparison": lambda: compare_tail_sum_max(config, 100, [0.95], -1),
+            "weighted": lambda: weighted_pair_blocks([(1.0, SequenceSpec(TailSpec(2.0), dep))],
+                                                     100, -1),
+        }[source]
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            call()
 
 
 class TestStreamedComparison:
@@ -1343,7 +1377,7 @@ class TestBoundedReplication:
         seed = replication_seed(params["seed"], 100_000 + rep)
         top = experiments._tail_count(experiments.REGIMES["preference"], params)
         with iid_kernel(block_rows, draws):
-            got = row_or_error(lambda: experiments._replication(("verify-thm4", params, rep)))
+            got = row_or_error(lambda: experiments._replication(params, seed, BlockRing()))
             maxima = pair_maxima(config, n, seed, top)
         assert got == want
         sums, maxes, _, q = whole_iid_pair(config, n, seed)
@@ -1359,5 +1393,5 @@ class TestBoundedReplication:
         seed = replication_seed(params["seed"], 100_000)
         in_deg = _draw_in_degrees(config, 10**5, child_rng(seed, STREAMS["in_degree"]))
         _, transformed = refinement_counts(monkeypatch)
-        experiments._replication(("verify-thm4", params, 0))
+        experiments._replication(params, seed, BlockRing())
         assert 0 < sum(transformed) < 0.01 * in_deg.sum()
