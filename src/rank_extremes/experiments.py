@@ -492,13 +492,14 @@ def _estimate(name: str, path: TailSample, params: dict, blocks_at) -> float:
 
 
 def _q_threshold(config: RecursionConfig, n: int, seed: int, top: int,
-                 exceed_prob: float) -> tuple[float, float]:
+                 exceed_prob: float, ring: BlockRing) -> tuple[float, float]:
     """The blocks threshold ``(u, exceed_prob)`` of a regime with a q
     threshold: ``u`` the nearest-rank ``1 - exceed_prob`` quantile of the
     pair's raw preference draws, and their frequency above it, from a
-    :class:`TailSample` of ``top`` fed those draws alone."""
+    :class:`TailSample` of ``top`` fed those draws alone, drawn into
+    ``ring``."""
     q = TailSample(top)
-    for block in preference_blocks(config, n, seed):
+    for block in preference_blocks(config, n, seed, ring):
         q.feed(block)
     u = nearest_rank_quantile(q, 1.0 - exceed_prob)
     return u, float(len(q.above(u))) / n
@@ -527,7 +528,8 @@ def _replication(params, seed: int, ring: BlockRing) -> dict:
     else:
         config = recursion_config_from_params(params)
         if regime.q_threshold:
-            blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"])
+            blocks_at = _q_threshold(config, n, seed, top, params["blocks_exceed_prob"],
+                                     ring)
             floor = blocks_at[0]
         blocks = aggregate_pair_blocks(config, n, seed, ring=ring, floor=floor)
     floor_of = None if blocks_at is None else floor

@@ -17,10 +17,13 @@ and a paired sum-vs-max tail comparison table.  Both kinds of pair come
 one row block at a time (:func:`aggregate_pair_blocks`,
 :func:`weighted_pair_blocks`), so their consumers hold no path;
 :func:`sample_aggregate_pair`, :func:`sample_weighted_pair` and
-:func:`sample_aggregate` copy those blocks into whole paths.  One kernel
-draws an i.i.d.-column pair (:func:`_iid_bounded_blocks`): given a floor,
-as :func:`aggregate_pair_blocks` and :func:`pair_maxima` may give it, it
-bounds the rows of each block and refines only those that can reach it.
+:func:`sample_aggregate` copy those blocks into whole paths.  One loop
+draws the random-length pair of either column kind (:func:`_pair_blocks`):
+each block's in-degrees and preference values, its follower terms from
+:func:`_iid_followers` or :func:`_column_block`, and the preference term.
+Given a floor, as :func:`aggregate_pair_blocks` and :func:`pair_maxima` may
+give it, i.i.d. columns bound the rows of each block and refine only those
+that can reach it.
 """
 
 from __future__ import annotations
@@ -213,9 +216,11 @@ class BlockRing:
         return a[:size]
 
 
-# Rows per block of the streamed kernels, the explicit columns of
-# _column_sum_max and the i.i.d. pair of aggregate_pair_blocks: 256 KB for
-# each float64 array of a block, plus an i.i.d. block's follower draws.
+# Rows per block of the pair of aggregate_pair_blocks, of every
+# explicit-column block (pair_maxima's too: at 2^16 rows an explicit-column
+# definition replication peaked at twice the memory), of weighted_pair_blocks
+# and of preference_blocks: 256 KB for each float64 array of a block, plus an
+# i.i.d. block's follower draws.
 STREAM_BLOCK_ROWS = 2**15
 
 # Rows per block of the bound-and-refine maxima of pair_maxima.  Its blocks
@@ -229,46 +234,36 @@ MAXIMA_BLOCK_ROWS = 2**16
 BLOCK_DRAWS = 2**17
 
 
-def _column_sum_max(columns, n: int, ring: BlockRing, *, weights=None, in_deg_of=None):
-    """Sums and maxima over the rows of ``n``-row columns, one finished row
-    block after another: yields ``(rows, sums, maxes)`` per block of
-    ``STREAM_BLOCK_ROWS`` rows, ``sums`` and ``maxes`` the ``ring`` arrays
-    of those names.
+def _column_block(columns, size: int, ring: BlockRing, *, weights=None, in_deg=None):
+    """Sums and maxima over the next ``size`` rows of the columns, each
+    ``columns[j]`` a :class:`SequenceStream`: ``(sums, maxes)``, the ``ring``
+    arrays of those names, valid until the next call.
 
-    ``columns[j]`` is a :class:`SequenceStream`.
-    Column ``j`` enters row ``t`` scaled by ``weights[j]`` when weights are
-    given, and only where ``in_deg[t] > j`` when ``in_deg_of`` is given: it
-    is called once per block, in row order, with the block's ``rows`` and
-    returns their in-degrees.
-
-    Each column's block is drawn into the ring's ``out`` array and reduced
-    at once, the columns in order, so every sum keeps its rounding order.
-    A yielded block stays valid until the consumer asks for the next one.
+    Column ``j`` enters a row scaled by ``weights[j]`` when weights are
+    given, and only where the row's in-degree ``in_deg`` exceeds ``j`` when
+    in-degrees are given.  Each column's block is drawn into the ring's
+    ``out`` array and reduced at once, the columns in order, so every sum
+    keeps its rounding order.
     """
-    width = min(STREAM_BLOCK_ROWS, n)
     lag = max((col.lag for col in columns), default=0)
-    for start in range(0, n, width):
-        rows = slice(start, min(start + width, n))
-        in_deg = None if in_deg_of is None else in_deg_of(rows)
-        # every row includes the columns below the block's smallest in-degree
-        min_n = len(columns) if in_deg is None else int(in_deg.min())
-        size = rows.stop - start
-        sums, maxes = ring.get("sums", size), ring.get("maxes", size)
-        sums.fill(0.0)
-        maxes.fill(0.0)
-        work = ring.get("work", size + lag) if lag else None
-        for j, column in enumerate(columns):
-            col = column.fill(ring.get("out", size), work)
-            if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
-                col *= weights[j]
-            if j < min_n:
-                sums += col
-                np.maximum(maxes, col, out=maxes)
-            else:
-                mask = in_deg > j  # the rows whose in-degree includes column j + 1
-                np.add(sums, col, out=sums, where=mask)
-                np.maximum(maxes, col, out=maxes, where=mask)
-        yield rows, sums, maxes
+    # every row includes the columns below the block's smallest in-degree
+    min_n = len(columns) if in_deg is None else int(in_deg.min())
+    sums, maxes = ring.get("sums", size), ring.get("maxes", size)
+    sums.fill(0.0)
+    maxes.fill(0.0)
+    work = ring.get("work", size + lag) if lag else None
+    for j, column in enumerate(columns):
+        col = column.fill(ring.get("out", size), work)
+        if weights is not None and weights[j] != 1.0:  # a weight of 1.0 changes no value
+            col *= weights[j]
+        if j < min_n:
+            sums += col
+            np.maximum(maxes, col, out=maxes)
+        else:
+            mask = in_deg > j  # the rows whose in-degree includes column j + 1
+            np.add(sums, col, out=sums, where=mask)
+            np.maximum(maxes, col, out=maxes, where=mask)
+    return sums, maxes
 
 
 def _follower_columns(config, seed, count):
@@ -276,41 +271,6 @@ def _follower_columns(config, seed, count):
     return [SequenceStream(SequenceSpec(config.follower_tail, config.column_dep(j)),
                            child_rng(seed, STREAMS["column"], j))
             for j in range(1, count + 1)]
-
-
-def _column_pair_blocks(config: RecursionConfig, n: int, seed: int, ring: BlockRing):
-    """Both aggregates of an explicit-column config, ``STREAM_BLOCK_ROWS``
-    rows at a time and in row order (:func:`_column_sum_max`): yields
-    ``(sums, maxes, None, q)`` per block, arrays of ``ring`` of those
-    names (``None``: every row).
-
-    Each block's in-degrees are the next draws of the ``in_degree`` stream,
-    taken as the block's reduction starts, and its preference values the
-    next draws of the ``preference`` stream, so every value equals that of
-    the whole path drawn at once.  A power-law in-degree first takes one
-    pass over its stream for the largest in-degree, the number of columns
-    to draw.
-    """
-    width = min(STREAM_BLOCK_ROWS, n)
-
-    def in_degrees():
-        rng = child_rng(seed, STREAMS["in_degree"])
-        for start in range(0, n, width):
-            size = min(width, n - start)
-            yield _draw_in_degrees(config, size, rng,
-                                   out=ring.get("in_deg", size, np.int64), ring=ring)
-
-    most = config.fixed_in_degree
-    if most is None:
-        most = max(int(in_deg.max()) for in_deg in in_degrees())
-    degrees = in_degrees()
-    blocks = _column_sum_max(_follower_columns(config, seed, most), n, ring,
-                             in_deg_of=lambda rows: next(degrees))
-    preference = child_rng(seed, STREAMS["preference"])
-    for rows, f_sum, f_max in blocks:
-        size = rows.stop - rows.start
-        q = sample_pareto(config.preference_tail, size, preference, out=ring.get("q", size))
-        yield (*_add_preference(config, f_sum, f_max, q), None, q)
 
 
 def _add_preference(config, f_sum, f_max, q):
@@ -325,7 +285,7 @@ def _add_preference(config, f_sum, f_max, q):
     return f_sum, f_max
 
 
-def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
+def _capped_blocks(in_deg: np.ndarray, cap: float) -> list[tuple[int, int, int]]:
     """``(a, b, draws)`` for consecutive row ranges ``a:b`` that cover the
     rows of in-degrees ``in_deg``, ``draws`` the sum of their in-degrees:
     each range the longest from its start whose draws are at most ``cap``,
@@ -342,23 +302,20 @@ def _capped_blocks(in_deg: np.ndarray, cap: int) -> list[tuple[int, int, int]]:
     return parts
 
 
-def _iid_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                ring: BlockRing):
-    """The blocks of an i.i.d.-column config, in row order: yields
-    ``(in_deg, total)`` per block, ``in_deg`` the in-degrees of its rows and
-    ``total`` their sum, the count of its follower draws.
-
-    The in-degrees are drawn ``block_rows`` rows at a time into the ring's
-    ``in_deg`` array, and each such run is cut into blocks of at most
-    ``BLOCK_DRAWS`` follower draws (:func:`_capped_blocks`), each block's
-    in-degrees a view of its rows of the run.
+def _in_degree_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
+                      ring: BlockRing, cap: float = math.inf):
+    """The in-degrees of ``n`` rows, the draws of the ``in_degree`` stream,
+    in row order: yields ``(in_deg, total)`` per block, ``total`` the sum of
+    ``in_deg``, the count of its follower draws.  They are drawn
+    ``block_rows`` rows at a time into the ring's ``in_deg`` array, each run
+    cut into blocks of at most ``cap`` follower draws (:func:`_capped_blocks`).
     """
-    deg_rng = child_rng(seed, STREAMS["in_degree"])
+    rng = child_rng(seed, STREAMS["in_degree"])
     for start in range(0, n, block_rows):
         size = min(block_rows, n - start)
-        drawn = _draw_in_degrees(config, size, deg_rng, ring=ring,
+        drawn = _draw_in_degrees(config, size, rng, ring=ring,
                                  out=ring.get("in_deg", size, np.int64))
-        for a, b, total in _capped_blocks(drawn, BLOCK_DRAWS):
+        for a, b, total in _capped_blocks(drawn, cap):
             yield drawn[a:b], total
 
 
@@ -418,53 +375,42 @@ def _picked_positions(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _ranges(np.cumsum(between) - between + counts[: rows[0]].sum(), counts[rows])
 
 
-def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
-                        ring: BlockRing, floor: float | None = -math.inf):
-    """Both aggregates of an i.i.d.-column config in the blocks of
-    :func:`_iid_blocks`, bound and refined to the rows whose values can
-    reach a floor: yields ``(sums, maxes, rows, q)`` per block, ``rows`` the
-    ascending positions within the block of the rows whose values ``sums``
-    and ``maxes`` hold (``None`` for every row), and ``q`` the block's raw
-    preference draws, an array of ``ring``.  Every other row of the block
-    has its sum and max values below the floor: ``floor``, or the block's
-    largest preference term when that is ``None``.  At a floor of ``-inf``
-    every row passes on without a bound.
+def _iid_followers(config: RecursionConfig, seed: int, ring: BlockRing,
+                   floor: float | None):
+    """The follower terms of an i.i.d.-column config's blocks: a function of a
+    block's in-degrees ``in_deg``, their sum ``total`` and its raw preference
+    draws ``q`` that returns ``(f_sum, f_max, rows)``, ``rows`` as
+    :func:`aggregate_pair_blocks` yields them.  The rows left out have their
+    sum and max values below ``floor``, or below the block's largest
+    preference term when that is ``None``; at ``-inf`` no row is bounded.
 
     With i.i.d. columns the values entering a row are fresh draws, so row
     ``t`` takes the next ``in_deg[t]`` draws of the one ``column`` stream;
-    this has exactly the law of the column construction.  A block takes the
-    next draws of the ``preference`` stream, one a row, and the next
-    ``total`` draws of the ``column`` stream.  Every row lies inside one
-    block and the blocks come in row order, so every value equals that of
-    the whole path drawn at once, bit for bit, whatever the block size,
-    draw cap and floor.
+    this has exactly the law of the column construction.  Each call takes
+    the next ``total`` draws of that stream's one generator, so every value
+    equals that of the whole path drawn at once, bit for bit, whatever the
+    block size, draw cap and floor.
 
-    A block draws its preference values and only the uniforms of its
-    follower draws.  Under a finite floor, the transform of its largest
-    uniform bounds every follower draw by ``X`` (:func:`_draw_bound`), and
-    so each row's sum by :func:`_sum_bounds`, and its max value, which is
-    at most its sum.  Only the rows whose bound reaches the floor are
-    transformed and reduced, each as the whole block reduces it; when that
-    is every row, the draws are transformed in place.  No value falls below
-    its row's preference term ``P``, so at the block's largest ``P`` the
-    refined rows hold the block's largest sum and its largest max value.
+    A block draws only the uniforms of its follower draws.  Under a finite
+    floor, the transform of its largest uniform bounds every follower draw
+    by ``X`` (:func:`_draw_bound`), and so each row's sum by
+    :func:`_sum_bounds`, and its max value, which is at most its sum.  Only
+    the rows whose bound reaches the floor are transformed and reduced, each
+    as the whole block reduces it; when that is every row, the draws are
+    transformed in place.  No value falls below its row's preference term
+    ``P``, so at the block's largest ``P`` the refined rows hold the block's
+    largest sum and its largest max value.
 
-    The blocks are drawn and reduced one at a time, as the consumer asks for
-    them, on its thread.  A block's follower draws take the ring's one
-    ``draws`` buffer and live only while the block runs, so that buffer
-    grows without its old array held.  Each stream has one generator per
-    call, which every block draws on in turn.  A yielded block stays valid
-    until the consumer asks for the next one.
+    A block's follower draws take the ring's one ``draws`` buffer and live
+    only while the function runs: it returns before the block is handed on,
+    so that buffer grows without its old array held.
     """
     c, z, follower = config.damping, config.z_star, config.follower_tail
     most = (config.in_degree.n_max if config.fixed_in_degree is None
             else config.fixed_in_degree)  # no in-degree is larger
-    preference = child_rng(seed, STREAMS["preference"])
     column = child_rng(seed, STREAMS["column"])
 
-    def block(in_deg, total):
-        q = sample_pareto(config.preference_tail, len(in_deg), preference,
-                          out=ring.get("q", len(in_deg)))
+    def block(in_deg, total, q):
         u = ring.get("draws", total)
         if total:  # the uniforms of the follower draws
             column.random(total, out=u)
@@ -480,19 +426,57 @@ def _iid_bounded_blocks(config: RecursionConfig, n: int, seed: int, block_rows: 
             if len(rows) == len(q):
                 rows = None
         if rows is None:  # every row: the draws transform in place
-            picked, deg, pref = pareto_transform(follower, u), in_deg, q
+            picked, deg = pareto_transform(follower, u), in_deg
         else:
             picked = (pareto_transform(follower, u[_picked_positions(in_deg, rows)])
                       if len(rows) else u[:0])
-            deg, pref = in_deg[rows], q[rows]
+            deg = in_deg[rows]
         # reduceat allocates the follower terms: given out=, it holds the GIL,
         # and the kernels of the replication threads at --jobs 1 would no
         # longer reduce in parallel
-        f_sum, f_max = _segment_reduce(picked, deg, np.add, np.maximum)
-        return (*_add_preference(config, f_sum, f_max, pref), rows, q)
+        return (*_segment_reduce(picked, deg, np.add, np.maximum), rows)
 
-    for in_deg, total in _iid_blocks(config, n, seed, block_rows, ring):
-        yield block(in_deg, total)
+    return block
+
+
+def _pair_blocks(config: RecursionConfig, n: int, seed: int, block_rows: int,
+                 ring: BlockRing, floor: float | None):
+    """The blocks ``(sums, maxes, rows, q)`` of :func:`aggregate_pair_blocks`,
+    their arrays in ``ring``, drawn and reduced one at a time, as the
+    consumer asks for them, on its thread.
+
+    Each block takes its in-degrees from :func:`_in_degree_blocks`, its raw
+    preference draws ``q`` as the next draws of the call's one
+    ``preference`` generator, and its follower terms from its column kind's
+    function, :func:`_iid_followers` (refined against ``floor``) or
+    :func:`_column_block` (every row), to which it adds the preference term.
+    The blocks come in row order, so every value is that of the whole path
+    drawn at once, bit for bit.  I.i.d. columns read ``block_rows``
+    in-degrees at a time, cut at ``BLOCK_DRAWS`` follower draws; explicit
+    columns read ``STREAM_BLOCK_ROWS`` whatever ``block_rows``, after a
+    first pass over a power-law in-degree for the largest, the number of
+    columns to draw.
+    """
+    if config.all_iid_columns():
+        followers, cap = _iid_followers(config, seed, ring, floor), BLOCK_DRAWS
+    else:
+        block_rows, cap = STREAM_BLOCK_ROWS, math.inf
+        most = config.fixed_in_degree
+        if most is None:
+            most = max(int(in_deg.max()) for in_deg, _ in
+                       _in_degree_blocks(config, n, seed, block_rows, ring))
+        columns = _follower_columns(config, seed, most)
+
+        def followers(in_deg, total, q):
+            return (*_column_block(columns, len(in_deg), ring, in_deg=in_deg), None)
+
+    preference = child_rng(seed, STREAMS["preference"])
+    for in_deg, total in _in_degree_blocks(config, n, seed, block_rows, ring, cap):
+        q = sample_pareto(config.preference_tail, len(in_deg), preference,
+                          out=ring.get("q", len(in_deg)))
+        f_sum, f_max, rows = followers(in_deg, total, q)
+        yield (*_add_preference(config, f_sum, f_max, q if rows is None else q[rows]),
+               rows, q)
 
 
 def _check_pair_args(n: int, seed: int) -> None:
@@ -514,17 +498,15 @@ def aggregate_pair_blocks(config: RecursionConfig, n: int, seed: int,
     next block is asked for.  Every row left out has its sum and max values
     below ``floor``.
 
-    An i.i.d.-column config takes the blocks of :func:`_iid_bounded_blocks`,
-    which refine only the rows that can reach a finite floor, an
-    explicit-column config every row of :func:`_column_pair_blocks`.  Their
-    arrays live in ``ring`` (a fresh one by default).  ``n`` and ``seed``
-    are checked at the call.
+    The blocks are those of :func:`_pair_blocks` at ``STREAM_BLOCK_ROWS``
+    rows: with i.i.d. columns only the rows that can reach a finite floor
+    are refined, with explicit columns every row is.  Their arrays live in
+    ``ring`` (a fresh one by default).  ``n`` and ``seed`` are checked at
+    the call.
     """
     _check_pair_args(n, seed)
-    ring = BlockRing() if ring is None else ring
-    if config.all_iid_columns():
-        return _iid_bounded_blocks(config, n, seed, STREAM_BLOCK_ROWS, ring, floor)
-    return _column_pair_blocks(config, n, seed, ring)
+    return _pair_blocks(config, n, seed, STREAM_BLOCK_ROWS,
+                        BlockRing() if ring is None else ring, floor)
 
 
 def _drain(blocks, n: int) -> tuple[np.ndarray, ...]:
@@ -582,25 +564,21 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
     ``aggregate_pair_blocks(config, n, seed)``, and the ``min(top, n)``
     largest of its raw preference draws, in descending order.
 
-    No path is built.  With i.i.d. columns each ``MAXIMA_BLOCK_ROWS``-row
-    block of :func:`_iid_bounded_blocks` bounds its rows and refines the few
-    that can reach its largest preference term; explicit columns reduce the
-    blocks of :func:`aggregate_pair_blocks`.  The buffers live in ``ring``, which
-    successive calls may share; each block's preference draws are
-    partitioned in place to take their top ``top``.
+    No path is built: the blocks are those of :func:`_pair_blocks` at
+    ``MAXIMA_BLOCK_ROWS`` rows and no floor, so with i.i.d. columns each
+    block bounds its rows and refines the few that can reach its largest
+    preference term.  The buffers live in ``ring``, which successive calls
+    may share; each block's preference draws are partitioned in place to
+    take their top ``top``.
     """
     _check_pair_args(n, seed)
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")
     top = min(top, n)
-    ring = BlockRing() if ring is None else ring
-    if config.all_iid_columns():
-        blocks = _iid_bounded_blocks(config, n, seed, MAXIMA_BLOCK_ROWS, ring, floor=None)
-    else:
-        blocks = aggregate_pair_blocks(config, n, seed, ring)
     sum_max = max_max = -np.inf
     tops = []
-    for sums, maxes, _, q in blocks:
+    for sums, maxes, _, q in _pair_blocks(config, n, seed, MAXIMA_BLOCK_ROWS,
+                                          BlockRing() if ring is None else ring, None):
         sum_max, max_max = max(sum_max, sums.max()), max(max_max, maxes.max())
         k = len(q) - min(top, len(q))
         q.partition(k)  # the block is done with its preference draws
@@ -609,18 +587,20 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
             upper_order_statistics(np.concatenate(tops), top))
 
 
-def preference_blocks(config: RecursionConfig, n: int, seed: int):
+def preference_blocks(config: RecursionConfig, n: int, seed: int,
+                      ring: BlockRing | None = None):
     """The raw preference draws of the pair ``aggregate_pair_blocks(config,
     n, seed)`` alone, ``STREAM_BLOCK_ROWS`` rows at a time and in row order,
-    each block valid until the next is asked for.  Every block source draws
-    its blocks' preference values as the next draws of the ``preference``
-    stream, one a row, so these are its values bit for bit.  ``n`` and
-    ``seed`` are checked at the call."""
+    each block the ring's ``q`` array (a fresh ring by default), valid until
+    the next is asked for.  The pair draws its blocks' preference values as
+    the next draws of the ``preference`` stream, one a row, so these are its
+    values bit for bit.  ``n`` and ``seed`` are checked at the call."""
     _check_pair_args(n, seed)
+    ring = BlockRing() if ring is None else ring
     width = min(STREAM_BLOCK_ROWS, n)
-    out, rng = np.empty(width), child_rng(seed, STREAMS["preference"])
-    return (sample_pareto(config.preference_tail, len(block), rng, out=block)
-            for block in (out[: n - start] for start in range(0, n, width)))
+    rng = child_rng(seed, STREAMS["preference"])
+    return (sample_pareto(config.preference_tail, size, rng, out=ring.get("q", size))
+            for size in (min(width, n - start) for start in range(0, n, width)))
 
 
 def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, seed: int,
@@ -628,10 +608,10 @@ def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, s
     """Fixed-length weighted sum and maximum of ``l`` stationary columns,
     ``sum_i z_i * Y_t^(i)`` and ``max_i z_i * Y_t^(i)`` with mutually
     independent columns drawn from disjoint RNG streams, one block of rows
-    at a time and in row order (:func:`_column_sum_max`): yields
-    ``(sums, maxes)`` per block, arrays of ``ring`` (a fresh one by default)
-    valid until the next block is asked for.  The components, ``n`` and
-    ``seed`` are checked at the call."""
+    at a time and in row order, ``STREAM_BLOCK_ROWS`` rows a block
+    (:func:`_column_block`): yields ``(sums, maxes)`` per block, arrays of
+    ``ring`` (a fresh one by default) valid until the next block is asked
+    for.  The components, ``n`` and ``seed`` are checked at the call."""
     if len(components) == 0:
         raise ParameterError("at least one weighted component required")
     _check_pair_args(n, seed)
@@ -640,9 +620,10 @@ def weighted_pair_blocks(components: list[tuple[float, SequenceSpec]], n: int, s
             raise ParameterError(f"weights must be positive, got {z}")
     columns = [SequenceStream(seq, child_rng(seed, STREAMS["column"], i))
                for i, (_, seq) in enumerate(components, start=1)]
-    blocks = _column_sum_max(columns, n, BlockRing() if ring is None else ring,
-                             weights=[z for z, _ in components])
-    return ((sums, maxes) for _, sums, maxes in blocks)
+    ring, weights = BlockRing() if ring is None else ring, [z for z, _ in components]
+    width = min(STREAM_BLOCK_ROWS, n)
+    return (_column_block(columns, min(width, n - start), ring, weights=weights)
+            for start in range(0, n, width))
 
 
 def sample_weighted_pair(components: list[tuple[float, SequenceSpec]], n: int, seed: int):

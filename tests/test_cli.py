@@ -319,6 +319,23 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < block / 4
 
+    def test_an_explicit_column_definition_replication_keeps_stream_blocks(self):
+        # explicit columns reduce 2^15-row blocks where the i.i.d. maxima
+        # take 2^16: 2.0 MB measured, 4.0 MB in 2^16-row blocks
+        params = ExperimentConfig.default(
+            "verify-thm4", deps="mm:1,1", n_max=20, def_replications=100, def_n=10**5).params
+        # a first replication caches the in-degree law's tables
+        experiments._definition_replication(params, replication_seed(params["seed"], 0),
+                                            BlockRing())
+        tracemalloc.start()
+        try:
+            experiments._definition_replication(params, replication_seed(params["seed"], 1),
+                                                BlockRing())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+
     def test_tail_regime_needs_hill_fraction(self):
         cfg = ExperimentConfig.default("verify-thm4", regime="tail", hill_fraction=0.0)
         with pytest.raises(ConfigurationError, match="hill_fraction"):
@@ -843,20 +860,36 @@ class TestOneRingPerRun:
         kind, overrides = RING_CASES[case]
         params = ExperimentConfig.default(kind, **overrides).params
         allocated = []
+        rings, q_blocks = [], []
 
         class RecordingRing(BlockRing):
+            def __init__(self):
+                super().__init__()
+                rings.append(self)
+
             def get(self, name, size, dtype=np.float64):
                 held = self._arrays.get(name)
                 if held is None or len(held) < size:
                     allocated.append(name)
                 return super().get(name, size, dtype)
 
+        def recording_preference_blocks(*args, **kwargs):
+            for block in preference_blocks(*args, **kwargs):
+                q_blocks.append(block)
+                yield block
+
+        preference_blocks = experiments.preference_blocks
         monkeypatch.setattr(experiments, "BlockRing", RecordingRing)
+        monkeypatch.setattr(experiments, "preference_blocks", recording_preference_blocks)
         regime = experiments.REGIMES[params.get("regime", experiments.FIXED_LENGTH)]
         rows = experiments._run((experiments._replication, kind, params, range(4),
                                  regime.seed_offset))
         # the kernels draw into the run's ring, and no replication grows it
         assert allocated and sorted(allocated) == sorted(set(allocated))
+        # the q pass of the preference regime, 21 blocks of 1000 rows in each
+        # of the 4 replications, draws into that ring too
+        assert len(rings) == 1 and len(q_blocks) == (84 if case == "preference" else 0)
+        assert all(np.shares_memory(block, rings[0]._arrays["q"]) for block in q_blocks)
         assert [repr(row) for row in rows] == [
             repr(experiments._replication(params, replication_seed_of(params, rep),
                                           BlockRing()))

@@ -37,8 +37,8 @@ from rank_extremes.recursion import (
     BlockRing,
     RecursionConfig,
     _draw_in_degrees,
-    _iid_blocks,
-    _iid_bounded_blocks,
+    _in_degree_blocks,
+    _pair_blocks,
     _segment_reduce,
     compare_tail_sum_max,
     expected_tree_size,
@@ -216,15 +216,18 @@ class TestAggregatePairCombination:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), damping=st.floats(0.05, 0.95),
            columns=st.sampled_from(["iid", "explicit"]),
-           n=st.integers(1, 300))
-    def test_matches_expression_bit_for_bit(self, seed, damping, columns, n):
+           n=st.integers(1, 300), block_rows=BLOCK_ROWS_CASES)
+    def test_matches_expression_bit_for_bit(self, seed, damping, columns, n, block_rows):
+        # blocks of a few rows carry the in-degree passes and the preference
+        # stream across block boundaries for both column kinds
         deps = ((DependenceSpec.iid(),) if columns == "iid"
                 else (DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()))
         config = make_config(
             damping=damping, in_degree=InDegreeSpec(alpha=1.5, n_max=12),
             follower_deps=deps)
-        for got, want in zip(sample_aggregate_pair(config, n, seed), whole_pair(config, n, seed),
-                             strict=True):
+        with iid_kernel(block_rows):
+            pair = sample_aggregate_pair(config, n, seed)
+        for got, want in zip(pair, whole_pair(config, n, seed), strict=True):
             assert got.tobytes() == want.tobytes()
 
 
@@ -255,9 +258,11 @@ def column_contributions(config, n, seed, in_deg):
     """The follower sum/max terms that the explicit-column kernel builds in
     row blocks, given the whole path's in-degrees: ``(sums, maxes)``."""
     max_n = int(in_deg.max()) if len(in_deg) else 0
-    blocks = recursion._column_sum_max(recursion._follower_columns(config, seed, max_n), n,
-                                       BlockRing(), in_deg_of=lambda rows: in_deg[rows])
-    return recursion._drain(((sums, maxes) for _, sums, maxes in blocks), n)
+    columns, ring = recursion._follower_columns(config, seed, max_n), BlockRing()
+    width = recursion.STREAM_BLOCK_ROWS
+    blocks = (recursion._column_block(columns, len(part), ring, in_deg=part)
+              for part in (in_deg[start:start + width] for start in range(0, n, width)))
+    return recursion._drain(blocks, n)
 
 
 def masked_column_contributions(config, n, seed, in_deg):
@@ -850,8 +855,8 @@ class TestStreamedComparison:
         # a block's arrays are valid until the next block is asked for; with
         # no floor every block holds every row
         blocks = []
-        for sums, maxes, rows, q in _iid_bounded_blocks(config, n, seed, block_rows,
-                                                        BlockRing()):
+        for sums, maxes, rows, q in _pair_blocks(config, n, seed, block_rows, BlockRing(),
+                                                 -math.inf):
             assert rows is None
             blocks.append((sums.copy(), maxes.copy(), q.copy()))
         assert [len(b[0]) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
@@ -979,9 +984,10 @@ class TestThreadedIidKernel:
         with iid_kernel(block_rows, draws):
             # the layout alone, each block laid out as the kernel asks for it
             laid = [(in_deg.copy(), total) for in_deg, total in
-                    _iid_blocks(config, n, seed, block_rows, BlockRing())]
+                    _in_degree_blocks(config, n, seed, block_rows, BlockRing(),
+                                      recursion.BLOCK_DRAWS)]
             blocks = [(sums.copy(), maxes.copy(), q.copy()) for sums, maxes, _, q in
-                      _iid_bounded_blocks(config, n, seed, block_rows, BlockRing())]
+                      _pair_blocks(config, n, seed, block_rows, BlockRing(), -math.inf)]
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
         assert [np.concatenate(parts).tobytes() for parts in zip(*blocks)] == [
             a.tobytes() for a in (sums, maxes, q)]
@@ -1049,7 +1055,7 @@ class TestThreadedIidKernel:
         with iid_kernel(rows):
             tracemalloc.start()
             try:
-                for _ in _iid_bounded_blocks(config, 16 * rows, SEED, rows, BlockRing()):
+                for _ in _pair_blocks(config, 16 * rows, SEED, rows, BlockRing(), -math.inf):
                     pass
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1062,11 +1068,12 @@ class TestThreadedIidKernel:
         # block's draws outlived the block
         config = make_config(in_degree=InDegreeSpec(alpha=0.5, n_max=10**6))
         # the layout alone, which also caches the in-degree law's cdf (8 MB)
-        largest = max(total for *_, total in _iid_blocks(config, 3000, SEED, 2**15,
-                                                          BlockRing()))
+        largest = max(total for *_, total in _in_degree_blocks(config, 3000, SEED, 2**15,
+                                                                BlockRing(),
+                                                                recursion.BLOCK_DRAWS))
         tracemalloc.start()
         try:
-            for _ in _iid_bounded_blocks(config, 3000, SEED, 2**15, BlockRing()):
+            for _ in _pair_blocks(config, 3000, SEED, 2**15, BlockRing(), -math.inf):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1076,7 +1083,7 @@ class TestThreadedIidKernel:
 @pytest.fixture
 def ring_records(monkeypatch):
     """Every array a :class:`BlockRing` of ``recursion`` hands out, every
-    block of the i.i.d. kernel and every column block drawn."""
+    block of the pair loop and every column block drawn."""
     handed, blocks = [], []
 
     class RecordingRing(BlockRing):
@@ -1084,10 +1091,10 @@ def ring_records(monkeypatch):
             handed.append(super().get(name, size, dtype))
             return handed[-1]
 
-    iid_blocks, fill = recursion._iid_bounded_blocks, recursion.SequenceStream.fill
+    pair_blocks, fill = recursion._pair_blocks, recursion.SequenceStream.fill
 
     def recording_blocks(*args, **kwargs):
-        for block in iid_blocks(*args, **kwargs):
+        for block in pair_blocks(*args, **kwargs):
             blocks.append(block)
             yield block
 
@@ -1096,7 +1103,7 @@ def ring_records(monkeypatch):
         return blocks[-1]
 
     monkeypatch.setattr(recursion, "BlockRing", RecordingRing)
-    monkeypatch.setattr(recursion, "_iid_bounded_blocks", recording_blocks)
+    monkeypatch.setattr(recursion, "_pair_blocks", recording_blocks)
     monkeypatch.setattr(recursion.SequenceStream, "fill", recording_fill)
     return handed, blocks
 
