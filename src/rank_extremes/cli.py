@@ -38,7 +38,7 @@ from .estimators import (
     mean_cluster_size,
     nearest_rank_quantile,
 )
-from .recursion import read_path_csv, write_path_csv
+from .recursion import aggregate_pair_blocks, read_path_csv, write_path_csv
 from .textio import atomic_write
 
 
@@ -79,11 +79,12 @@ def _cmd_simulate(args) -> int:
     params = experiments.apply_overrides(
         experiments.MODEL_DEFAULTS, _collect_overrides(args), "simulate")
     config = experiments.recursion_config_from_params(params)
-    if params["seed"] < 0:  # refused before anything is written
-        raise ConfigurationError(f"seed must be >= 0, got {params['seed']}")
+    n, seed = params["n"], params["seed"]
+    # asked for first: the call refuses a bad n or seed before any file is made
+    blocks = aggregate_pair_blocks(config, n, seed)
 
     def write(fileobj):
-        write_path_csv(fileobj, config, params["n"], params["seed"])
+        write_path_csv(fileobj, config, n, seed, blocks)
 
     out = _out_dir(args)
     if out:

@@ -271,13 +271,6 @@ class ExperimentConfig:
             lines.append(f"{key}={self.params[key]}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def parse(cls, text: str) -> "ExperimentConfig":
-        raw = parse_kv(text, "config")
-        if "kind" not in raw:
-            raise ConfigurationError("config is missing the 'kind' key")
-        return cls.default(raw.pop("kind"), **raw)
-
     def hash(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
@@ -367,7 +360,7 @@ def _predict(regime: str, params) -> dict:
     followers = ComponentSpec(tuple(
         Component(z=config.damping, tail=seq.tail, theta=seq.theta) for seq in columns))
     pred = predict_random_length(followers, alpha=params["alpha"], beta=params["beta"],
-                                 z_star=config.z_star, truncation=params["n_max"])
+                                 z_star=config.z_star)
     if regime == "followers":
         if pred.regime != FOLLOWERS_DOMINATE:
             raise ConfigurationError("followers regime requires k < beta")

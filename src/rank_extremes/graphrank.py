@@ -30,7 +30,6 @@ class DirectedGraph:
     src: np.ndarray = field(repr=False)
     dst: np.ndarray = field(repr=False)
     out_degree: np.ndarray = field(repr=False)
-    in_degree: np.ndarray = field(repr=False)
     out_indptr: np.ndarray = field(repr=False)
     out_targets: np.ndarray = field(repr=False)
 
@@ -45,7 +44,6 @@ class DirectedGraph:
         if len(src) and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ParameterError("edge endpoints out of range")
         out_degree = np.bincount(src, minlength=n)
-        in_degree = np.bincount(dst, minlength=n)
         order = np.argsort(src, kind="stable")
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(out_degree, out=out_indptr[1:])
@@ -54,7 +52,6 @@ class DirectedGraph:
             src=src,
             dst=dst,
             out_degree=out_degree,
-            in_degree=in_degree,
             out_indptr=out_indptr,
             out_targets=dst[order],
         )
@@ -185,6 +182,19 @@ def _edge_weights(g: DirectedGraph) -> np.ndarray:
     return 1.0 / g.out_degree[g.src]
 
 
+def _in_edges(g: DirectedGraph):
+    """``(dst, src, weight)``: the edges in (target, source) order, a repeated
+    edge entered once with its :func:`_edge_weights` added in turn, as a CSR
+    matrix sums duplicates."""
+    key = g.dst * g.n + g.src
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    weight = np.bincount(np.cumsum(first) - 1, _edge_weights(g)[order])
+    return (*np.divmod(key[first], g.n), weight)
+
+
 def _fixed_point(step, r0, distance, tol, max_iter, what) -> RankVector:
     """Iterate ``r <- step(r)`` from ``r0`` until ``distance(|step(r) - r|)``
     (``np.sum`` for the L1 norm, ``np.max`` for the max norm) is below ``tol``.
@@ -219,18 +229,15 @@ def pagerank(
     contraction with factor ``c`` and the result is a probability vector.
     Raises :class:`ConvergenceError` when ``max_iter`` is exhausted.
     """
-    # imported here, at its only use, so that no other command pays for it
-    from scipy import sparse
-
     q = _validate_rank_inputs(g, c, q)
-    a = sparse.csr_matrix(
-        (_edge_weights(g), (g.dst, g.src)), shape=(g.n, g.n), dtype=float
-    )
+    # bincount adds each node's in-edge terms in source order, as a CSR
+    # product of A sums its rows
+    dst, src, weight = _in_edges(g)
     base = (1.0 - c) * q
     # L1 residual: the iteration is a c-contraction in this norm
     # because the transition matrix is column-substochastic.
-    return _fixed_point(lambda r: c * (a @ r) + base, q, np.sum, tol, max_iter,
-                        "power iteration")
+    return _fixed_point(lambda r: c * np.bincount(dst, weight * r[src], g.n) + base,
+                        q, np.sum, tol, max_iter, "power iteration")
 
 
 def max_linear_rank(

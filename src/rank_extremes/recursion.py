@@ -548,11 +548,15 @@ def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePat
     return AggregatePath(values=values, config=config, seed=seed, n=n)
 
 
-def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int) -> None:
+def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int,
+                   blocks=None) -> None:
     """Write ``sample_aggregate(config, n, seed).write_csv(fileobj)``, byte
     for byte, from the blocks of :func:`aggregate_pair_blocks`, so that no
-    path is held."""
-    blocks = aggregate_pair_blocks(config, n, seed)
+    path is held.  A caller that has already asked for them, to have ``n``
+    and ``seed`` checked before it opens ``fileobj``, passes them as
+    ``blocks``."""
+    if blocks is None:
+        blocks = aggregate_pair_blocks(config, n, seed)
     _write_path_header(fileobj, config, n, seed)
     for sums, maxes, *_ in blocks:
         write_rows(fileobj, "%.17g\n", sums if config.aggregate == SUM else maxes)

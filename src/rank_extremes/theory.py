@@ -24,7 +24,7 @@ PREFERENCE_DOMINATES = "PREFERENCE_DOMINATES"
 FOLLOWERS_DOMINATE = "FOLLOWERS_DOMINATE"
 
 # Partial sums of the scale series must stop moving, in relative terms, by
-# the truncation point; otherwise the series is reported as divergent.
+# the last configured follower; otherwise the series is reported as divergent.
 SCALE_STABILIZATION_RTOL = 1e-9
 
 
@@ -141,7 +141,6 @@ def predict_random_length(
     alpha: float,
     beta: float,
     z_star: float,
-    truncation: int,
 ) -> TheoryPrediction:
     """Prediction for the random-length aggregate with a preference term.
 
@@ -153,35 +152,25 @@ def predict_random_length(
 
     * ``k >= beta``: ``theta(z) = z_star**beta``;
     * ``k < beta``: the ``c_i * z_i**k``-weighted average of the follower
-      extremal indices, truncated at ``truncation`` components.
+      extremal indices.
 
-    The scale series ``sum_i c_i * z_i**k`` is reported as the truncated
-    partial sum; ``scale_converged`` is False when the partial sums have
-    not stabilized to relative 1e-9 by the truncation point.
+    The scale series ``sum_i c_i * z_i**k`` is reported as its partial sum
+    over the configured followers; ``scale_converged`` is False when the
+    partial sums have not stabilized to relative 1e-9 by the last one.
     """
     if not (alpha > 0 and beta > 0):
         raise ParameterError("alpha and beta must be positive")
     if not (0 < z_star < 1):
         raise ParameterError(f"z_star must be in (0, 1), got {z_star}")
-    if truncation < 1:
-        raise ParameterError(f"truncation must be >= 1, got {truncation}")
-    if truncation > len(followers.components):
-        raise ParameterError(
-            f"truncation {truncation} exceeds the {len(followers.components)} "
-            "configured follower components"
-        )
     ks = followers.ks
     k = float(ks[0])
     if not np.all(ks == k):
         raise ParameterError("followers must share a common tail index")
 
-    w = (followers.cs * followers.zs**k)[:truncation]
+    w = followers.cs * followers.zs**k
     partial = np.cumsum(w)
     c_of_z = float(partial[-1])
-    if truncation == 1:
-        converged = True
-    else:
-        converged = bool(w[-1] / partial[-1] <= SCALE_STABILIZATION_RTOL)
+    converged = len(w) == 1 or bool(w[-1] / partial[-1] <= SCALE_STABILIZATION_RTOL)
 
     k_of_z = min(k, alpha, beta)
     if k >= beta:
@@ -189,7 +178,7 @@ def predict_random_length(
         regime = PREFERENCE_DOMINATES
     else:
         # an average of indices in (0, 1]; rounding alone can push it past 1
-        theta = min(1.0, float(np.dot(w, followers.thetas[:truncation]) / c_of_z))
+        theta = min(1.0, float(np.dot(w, followers.thetas) / c_of_z))
         regime = FOLLOWERS_DOMINATE
     return TheoryPrediction(
         k_of_z=k_of_z,

@@ -97,17 +97,21 @@ class TestPackageSurface:
         # the path CSV reader lives beside its writer; cli keeps the name
         assert cli.read_path_csv is recursion.read_path_csv
 
-    def test_cli_import_loads_no_scipy_special(self):
-        # scipy.special costs every command about 0.1 s and 5 MB at start,
-        # and no command uses it; scipy.sparse is imported by graph pagerank
-        # alone, when it runs
+    def test_cli_import_loads_no_scipy_special(self, tmp_path):
+        # no command uses scipy, not even to rank a graph; scipy.special
+        # alone cost every command about 0.1 s and 5 MB at start
+        out, edges = str(tmp_path), str(tmp_path / "graph.edges")
+        runs = [["graph", "gen", "--nodes", "300", "--seed", "3", "--out", out],
+                ["graph", "pagerank", "--graph", edges, "--out", out],
+                ["graph", "hitting", "--graph", edges, "--out", out]]
+        code = (f"import sys; from rank_extremes.cli import main; "
+                f"assert [main(a) for a in {runs!r}] == [0, 0, 0]; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = os.path.dirname(os.path.dirname(rank_extremes.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, rank_extremes.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=path), check=True)
-        assert run.stdout == "[]\n"
+        assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestDepCodec:
@@ -125,14 +129,33 @@ class TestDepCodec:
 
 
 class TestExperimentConfig:
-    def test_serialize_parse_round_trip(self):
+    @staticmethod
+    def read_back(cfg, tmp_path, monkeypatch):
+        """The config that the command running ``cfg.kind`` builds from
+        ``cfg.serialize()`` given as its ``--config`` file."""
+        path = tmp_path / f"{cfg.kind}.cfg"
+        path.write_text(cfg.serialize())
+        built = []
+
+        def record(config, **_):
+            built.append(config)
+            return {"checks": [], "passed": True}
+
+        monkeypatch.setattr(experiments, "run_experiment", record)
+        command = cfg.kind.split("-")
+        if command[0] != "verify":
+            command = [cfg.kind]
+        assert main([*command, "--config", str(path)]) == 0
+        return built[0]
+
+    def test_serialize_parse_round_trip(self, tmp_path, monkeypatch, capsys):
         for kind in DEFAULTS:
             cfg = ExperimentConfig.default(kind)
-            assert ExperimentConfig.parse(cfg.serialize()) == cfg
+            assert self.read_back(cfg, tmp_path, monkeypatch) == cfg
 
-    def test_round_trip_with_overrides(self):
+    def test_round_trip_with_overrides(self, tmp_path, monkeypatch, capsys):
         cfg = ExperimentConfig.default("verify-thm2", n=50000, tol_theta=0.1)
-        again = ExperimentConfig.parse(cfg.serialize())
+        again = self.read_back(cfg, tmp_path, monkeypatch)
         assert again.params["n"] == 50000
         assert again.params["tol_theta"] == 0.1
 
@@ -1290,6 +1313,13 @@ class TestCliCommands:
             assert "error: seed must be >= 0, got -1" in captured.err
             assert captured.out == ""
             assert not out.exists()
+
+    def test_a_refused_simulate_makes_no_directory(self, tmp_path, capsys):
+        # a negative seed: test_a_negative_seed_exits_2_before_writing
+        out = tmp_path / "out"
+        assert main(["simulate", "--set", "n=0", "--out", str(out)]) == 2
+        assert "error: path length must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("action", ["gen", "pagerank", "maxlinear", "hitting"])
     def test_graph_refuses_a_negative_seed_for_every_action(self, action, tmp_path, capsys):

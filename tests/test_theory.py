@@ -125,7 +125,6 @@ class TestRandomLength:
     def test_preference_branch(self):
         pred = predict_random_length(
             self.followers(3, 0.5, k=3.0), alpha=2.0, beta=1.0, z_star=0.5,
-            truncation=3,
         )
         assert pred.theta_of_z == pytest.approx(0.5)
         assert pred.k_of_z == 1.0  # min(3, 2, 1)
@@ -134,7 +133,6 @@ class TestRandomLength:
     def test_followers_branch_all_ones(self):
         pred = predict_random_length(
             self.followers(5, 0.5, k=1.0), alpha=2.0, beta=3.0, z_star=0.5,
-            truncation=5,
         )
         assert pred.theta_of_z == pytest.approx(1.0)
         assert pred.regime == FOLLOWERS_DOMINATE
@@ -146,7 +144,6 @@ class TestRandomLength:
             for z in (0.5, 0.85):
                 pred = predict_random_length(
                     self.followers(m, z, k=1.2), alpha=2.0, beta=3.0, z_star=1 - z,
-                    truncation=m,
                 )
                 assert pred.theta_of_z == pytest.approx(1.0, abs=1e-12)
 
@@ -154,54 +151,48 @@ class TestRandomLength:
         # M=2, c=(1,1), z=(0.5,0.5), theta=(1,0.5): (0.5 + 0.25)/1 = 0.75
         pred = predict_random_length(
             self.followers(2, 0.5, k=1.0, thetas=[1.0, 0.5]),
-            alpha=2.0, beta=3.0, z_star=0.5, truncation=2,
+            alpha=2.0, beta=3.0, z_star=0.5,
         )
         assert pred.theta_of_z == pytest.approx(0.75)
 
     def test_boundary_k_equals_beta_is_preference(self):
         pred = predict_random_length(
             self.followers(3, 0.5, k=2.0), alpha=5.0, beta=2.0, z_star=0.3,
-            truncation=3,
         )
         assert pred.regime == PREFERENCE_DOMINATES
         assert pred.theta_of_z == pytest.approx(0.3**2)
 
     def test_theta_right_continuous_at_boundary(self):
         f = self.followers(3, 0.5, k=2.0, thetas=[0.5, 0.5, 0.5])
-        at = predict_random_length(f, 5.0, 2.0, 0.3, 3).theta_of_z
-        just_below = predict_random_length(f, 5.0, 2.0 - 1e-9, 0.3, 3).theta_of_z
+        at = predict_random_length(f, 5.0, 2.0, 0.3).theta_of_z
+        just_below = predict_random_length(f, 5.0, 2.0 - 1e-9, 0.3).theta_of_z
         assert at == pytest.approx(just_below, abs=1e-6)
 
     def test_divergent_scale_series_flagged(self):
         # constant weights: partial sums grow linearly, never stabilize
         pred = predict_random_length(
             self.followers(100, 0.5, k=1.0), alpha=2.0, beta=3.0, z_star=0.5,
-            truncation=100,
         )
         assert not pred.scale_converged
         assert pred.c_of_z == pytest.approx(100 * 0.5)
 
     def test_tail_index_min_rule(self):
         f = self.followers(2, 0.5, k=1.2)
-        assert predict_random_length(f, 2.0, 3.0, 0.5, 2).k_of_z == pytest.approx(1.2)
-        assert predict_random_length(f, 0.7, 3.0, 0.5, 2).k_of_z == pytest.approx(0.7)
+        assert predict_random_length(f, 2.0, 3.0, 0.5).k_of_z == pytest.approx(1.2)
+        assert predict_random_length(f, 0.7, 3.0, 0.5).k_of_z == pytest.approx(0.7)
 
     def test_alpha_never_enters_theta(self):
         f = self.followers(4, 0.5, k=1.0, thetas=[1, 0.5, 1, 0.5])
-        a = predict_random_length(f, 0.3, 3.0, 0.5, 4)
-        b = predict_random_length(f, 30.0, 3.0, 0.5, 4)
+        a = predict_random_length(f, 0.3, 3.0, 0.5)
+        b = predict_random_length(f, 30.0, 3.0, 0.5)
         assert a.theta_of_z == b.theta_of_z
 
     def test_parameter_errors(self):
         f = self.followers(2, 0.5)
         with pytest.raises(ParameterError):
-            predict_random_length(f, -1.0, 1.0, 0.5, 2)
+            predict_random_length(f, -1.0, 1.0, 0.5)
         with pytest.raises(ParameterError):
-            predict_random_length(f, 1.0, 1.0, 1.5, 2)
-        with pytest.raises(ParameterError):
-            predict_random_length(f, 1.0, 1.0, 0.5, 3)  # beyond configured columns
-        with pytest.raises(ParameterError):
-            predict_random_length(f, 1.0, 1.0, 0.5, 0)
+            predict_random_length(f, 1.0, 1.0, 1.5)
 
 
 class TestComponentValidation:
