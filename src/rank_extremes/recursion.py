@@ -549,14 +549,10 @@ def sample_aggregate(config: RecursionConfig, n: int, seed: int) -> AggregatePat
 
 
 def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int,
-                   blocks=None) -> None:
+                   blocks) -> None:
     """Write ``sample_aggregate(config, n, seed).write_csv(fileobj)``, byte
-    for byte, from the blocks of :func:`aggregate_pair_blocks`, so that no
-    path is held.  A caller that has already asked for them, to have ``n``
-    and ``seed`` checked before it opens ``fileobj``, passes them as
-    ``blocks``."""
-    if blocks is None:
-        blocks = aggregate_pair_blocks(config, n, seed)
+    for byte, from ``blocks``, those of ``aggregate_pair_blocks(config, n,
+    seed)``, so that no path is held."""
     _write_path_header(fileobj, config, n, seed)
     for sums, maxes, *_ in blocks:
         write_rows(fileobj, "%.17g\n", sums if config.aggregate == SUM else maxes)

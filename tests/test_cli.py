@@ -730,8 +730,10 @@ class TestNoDrawingThreads:
 
     @pytest.mark.parametrize("deps", ["iid", "mm:1,1;iid"])
     def test_write_path_csv(self, deps, tmp_path):
+        config = self.config(deps=deps)
         with open(tmp_path / "path.csv", "w") as f:
-            recursion.write_path_csv(f, self.config(deps=deps), 1000, 7)
+            recursion.write_path_csv(f, config, 1000, 7,
+                                     recursion.aggregate_pair_blocks(config, 1000, 7))
         with open(tmp_path / "path.csv") as f:
             assert len(recursion.read_path_csv(f)) == 1000
 

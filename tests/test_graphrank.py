@@ -100,7 +100,7 @@ class TestPagerank:
     def assert_equals_csr_product(g, c, q):
         """``pagerank`` gives the scores, residuals and iteration count of
         the same power iteration on scipy's CSR product of ``A``."""
-        sparse = pytest.importorskip("scipy.sparse")  # no dependency of the package
+        sparse = pytest.importorskip("scipy.sparse")  # of the test extra alone
 
         a = sparse.csr_matrix((1.0 / g.out_degree[g.src], (g.dst, g.src)),
                               shape=(g.n, g.n), dtype=float)
