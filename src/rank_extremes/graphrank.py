@@ -183,16 +183,16 @@ def _edge_weights(g: DirectedGraph) -> np.ndarray:
 
 
 def _in_edges(g: DirectedGraph):
-    """``(dst, src, weight)``: the edges in (target, source) order, a repeated
-    edge entered once with its :func:`_edge_weights` added in turn, as a CSR
-    matrix sums duplicates."""
-    key = g.dst * g.n + g.src
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    """``(src, dst, rep, rep_weight)``: each distinct edge once, in (source,
+    target) order; ``rep`` indexes the repeated ones, whose ``rep_weight``
+    adds their :func:`_edge_weights` in turn, as a CSR matrix sums duplicates."""
+    key = np.sort(g.src * g.n + g.dst)
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    weight = np.bincount(np.cumsum(first) - 1, _edge_weights(g)[order])
-    return (*np.divmod(key[first], g.n), weight)
+    run = np.cumsum(first) - 1
+    weight = np.bincount(run, 1.0 / g.out_degree[key // g.n])
+    rep = np.flatnonzero(np.bincount(run) > 1)
+    return (*np.divmod(key[first], g.n), rep, weight[rep])
 
 
 def _fixed_point(step, r0, distance, tol, max_iter, what) -> RankVector:
@@ -230,14 +230,22 @@ def pagerank(
     Raises :class:`ConvergenceError` when ``max_iter`` is exhausted.
     """
     q = _validate_rank_inputs(g, c, q)
-    # bincount adds each node's in-edge terms in source order, as a CSR
-    # product of A sums its rows
-    dst, src, weight = _in_edges(g)
+    src, dst, rep, rep_weight = _in_edges(g)
+    rep_src = src[rep]
+    # 1/D_j as _edge_weights has it (nodes without out-edges are never read)
+    inv_degree = 1.0 / np.maximum(g.out_degree, 1)
     base = (1.0 - c) * q
+
+    def step(r):
+        terms = (r * inv_degree)[src]
+        terms[rep] = rep_weight * r[rep_src]
+        # bincount adds each node's in-edge terms in source order, as a CSR
+        # product of A sums its rows
+        return c * np.bincount(dst, terms, g.n) + base
+
     # L1 residual: the iteration is a c-contraction in this norm
     # because the transition matrix is column-substochastic.
-    return _fixed_point(lambda r: c * np.bincount(dst, weight * r[src], g.n) + base,
-                        q, np.sum, tol, max_iter, "power iteration")
+    return _fixed_point(step, q, np.sum, tol, max_iter, "power iteration")
 
 
 def max_linear_rank(
