@@ -43,6 +43,7 @@ from .heavytail import (
     InDegreeSpec,
     SequenceSpec,
     TailSpec,
+    theoretical_mm_theta,
 )
 from .recursion import (
     MIN_RELIABLE_EXCEEDANCES,
@@ -57,8 +58,6 @@ from .recursion import (
 from .theory import (
     FOLLOWERS_DOMINATE,
     PREFERENCE_DOMINATES,
-    ComponentSpec,
-    Component,
     predict_equal_tails,
     predict_min_rule,
     predict_random_length,
@@ -256,6 +255,10 @@ class ExperimentConfig:
             raise ConfigurationError("path length n must be >= 1000")
         if self.params.get("seed", 0) < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.params['seed']}")
+        for key in sorted(self.params):
+            if key.startswith("tol_") and self.params[key] < 0:
+                raise ConfigurationError(
+                    f"parameter '{key}' must be >= 0, got {self.params[key]}")
         if self.kind == VERIFY_THM4 and self.params.get("regime") not in THM4_REGIMES:
             raise ConfigurationError(f"unknown thm4 regime '{self.params.get('regime')}'")
 
@@ -336,31 +339,24 @@ def _predict(regime: str, params) -> dict:
     if regime == FIXED_LENGTH:
         # weighted mixtures of stationary components: the equal-tails
         # average when every component shares one tail index, else the min rule
-        spec = ComponentSpec(
-            tuple(
-                Component(z=z, tail=seq.tail, theta=seq.theta)
-                for z, seq in _fixed_length_components(params)
-            )
-        )
-        ks = spec.ks
-        if np.all(ks == ks[0]):
-            pred = predict_equal_tails(spec)
-        else:
-            pred = predict_min_rule(spec)
-        predicted = asdict(pred)
+        z, k, c, theta = zip(*((z, seq.tail.k, seq.tail.c, seq.theta)
+                               for z, seq in _fixed_length_components(params)))
+        predict = predict_equal_tails if len(set(k)) == 1 else predict_min_rule
+        predicted = asdict(predict(z, k, c, theta))
         del predicted["scale_converged"]  # set only by the random-length series
         return predicted
     if regime == "tail":
         return {"k_of_z": min(params["k"], params["alpha"], params["beta"]),
                 "regime": "TAIL_RULE"}
-    # n_max follower columns of weight damping, dependence specs cycled
+    # n_max follower columns of weight damping and the follower tail; column
+    # j takes the theta of follower_deps[(j - 1) % len], as column_dep cycles them
     config = recursion_config_from_params(params)
-    columns = [SequenceSpec(config.follower_tail, config.column_dep(j))
-               for j in range(1, params["n_max"] + 1)]
-    followers = ComponentSpec(tuple(
-        Component(z=config.damping, tail=seq.tail, theta=seq.theta) for seq in columns))
-    pred = predict_random_length(followers, alpha=params["alpha"], beta=params["beta"],
-                                 z_star=config.z_star)
+    n_max, tail = params["n_max"], config.follower_tail
+    thetas = [theoretical_mm_theta(dep, tail.k) for dep in config.follower_deps]
+    pred = predict_random_length(
+        np.full(n_max, config.damping), np.full(n_max, tail.k), np.full(n_max, tail.c),
+        np.tile(thetas, n_max // len(thetas) + 1)[:n_max],
+        alpha=params["alpha"], beta=params["beta"], z_star=config.z_star)
     if regime == "followers":
         if pred.regime != FOLLOWERS_DOMINATE:
             raise ConfigurationError("followers regime requires k < beta")
@@ -458,18 +454,28 @@ REGIMES = {
 def _tail_count(regime: Regime, params: dict) -> int:
     """How many of a path's largest values the regime's estimators read at
     most: each quantile threshold's nearest-rank count, and Hill's top
-    ``m + 1``; with a q threshold, that threshold's count of q values."""
+    ``m + 1``; with a q threshold, that threshold's count of q values.
+    Refuses a threshold level outside ``(0, 1)``, or a Hill fraction of 1
+    or more where the regime reads Hill, naming the key."""
     n = params["n"]
     if regime.q_threshold:
-        levels = [1.0 - params["blocks_exceed_prob"]]
+        levels = {"blocks_exceed_prob": 1.0 - params["blocks_exceed_prob"]}
     else:
-        levels = [params[f"{name}_quantile"] for name in regime.estimators if name != "hill"]
-    # an estimator refuses a level or fraction outside (0, 1) itself
-    counts = [n - nearest_rank_index(level, n) for level in levels if 0 < level < 1]
+        levels = {f"{name}_quantile": params[f"{name}_quantile"]
+                  for name in regime.estimators if name != "hill"}
+    for key, level in levels.items():
+        if not 0 < level < 1:
+            raise ConfigurationError(
+                f"parameter '{key}' must be in (0, 1), got {params[key]}")
+    counts = [n - nearest_rank_index(level, n) for level in levels.values()]
     fraction = params["hill_fraction"]
-    if "hill" in regime.estimators and 0 < fraction < 1:
+    if "hill" in regime.estimators and fraction > 0:
+        if fraction >= 1:
+            raise ConfigurationError(
+                f"parameter 'hill_fraction' must be below 1 (0 or less turns Hill off), "
+                f"got {fraction}")
         counts.append(math.floor(fraction * n) + 1)
-    return max(counts, default=1)
+    return max(counts)
 
 
 def _estimate(name: str, path: TailSample, params: dict, blocks_at) -> float:
@@ -549,6 +555,7 @@ def _run_replicated(cfg: ExperimentConfig, jobs: int) -> dict:
     predicted = _predict(regime_name, params)
     if regime.hill_tol > 0 and params["hill_fraction"] <= 0:
         raise ConfigurationError(f"the {regime_name} regime needs hill_fraction > 0")
+    _tail_count(regime, params)  # refuses bad estimator settings before any sampling
     staged = regime.stage(params, jobs) if regime.stage else {}
     estimates = _collect_estimates(_replicate(
         _replication, cfg.kind, params, params["replications"], regime.seed_offset, jobs))

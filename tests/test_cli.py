@@ -30,12 +30,13 @@ from rank_extremes.experiments import (
     REPORT_FIELDS,
     ExperimentConfig,
     parse_dep,
+    parse_deps,
     run_experiment,
 )
-from rank_extremes.heavytail import DependenceSpec
+from rank_extremes.heavytail import DependenceSpec, theoretical_mm_theta
 from rank_extremes.recursion import BlockRing
 from rank_extremes.rng import replication_seed
-from rank_extremes.theory import Component, ComponentSpec, predict_min_rule
+from rank_extremes.theory import predict_equal_tails, predict_min_rule
 from test_recursion import whole_pair
 
 FAST_THM2 = dict(n=20000, replications=4)
@@ -74,6 +75,15 @@ def refuse_sampling(monkeypatch):
     """Make every sampler of :data:`SAMPLERS` refuse to run in experiments."""
     for name in SAMPLERS:
         monkeypatch.setattr(experiments, name, refuse_to_sample)
+
+
+def component_arrays(config):
+    """``z, k, c, theta`` of a fixed-length config's components, read from
+    its keys: each theta that of the component's moving-maxima spec."""
+    ks, zs, cs = ([float(v) for v in config[key].split(",")]
+                  for key in ("ks", "weights", "scales"))
+    thetas = [theoretical_mm_theta(dep, k) for dep, k in zip(parse_deps(config["deps"]), ks)]
+    return zs, ks, cs, thetas
 
 
 class TestPackageSurface:
@@ -211,17 +221,10 @@ class TestRunExperiment:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_prediction_field_delegates_to_theory(self):
-        from rank_extremes.theory import predict_equal_tails
-        from rank_extremes.experiments import _fixed_length_components
-        from rank_extremes.theory import Component, ComponentSpec
-
         cfg = ExperimentConfig.default("verify-thm2", **FAST_THM2)
         report = run_experiment(cfg)
-        comps = _fixed_length_components(cfg.params)
-        spec = ComponentSpec(tuple(
-            Component(z=z, tail=s.tail, theta=s.theta) for z, s in comps
-        ))
-        assert report["predicted"]["theta_of_z"] == predict_equal_tails(spec).theta_of_z
+        pred = predict_equal_tails(*component_arrays(cfg.params))
+        assert report["predicted"]["theta_of_z"] == pred.theta_of_z
 
     def test_thm4_preference_prediction(self):
         cfg = ExperimentConfig.default(
@@ -233,32 +236,51 @@ class TestRunExperiment:
         assert report["predicted"]["regime"] == "PREFERENCE_DOMINATES"
 
     def test_theory_prediction_delegation(self):
-        params = ExperimentConfig.default(
+        cfg = ExperimentConfig.default(
             "verify-thm4", regime="followers", k=1.2, beta=3.0, n_max=50,
-            deps="iid;mm:1,1").params
-        pred = experiments._predict("followers", params)
+            deps="iid;mm:1,1", fixed_in_degree=10, **SMALL)
+        pred = run_experiment(cfg)["predicted"]
         # alternating theta (1, 0.5) with equal weights averages to 0.75
         assert pred["theta_of_z"] == pytest.approx(0.75)
         assert pred["k_of_z"] == 1.2 and pred["regime"] == "FOLLOWERS_DOMINATE"
+        # 50 equal terms 0.5**1.2 of a series that has not converged
+        assert pred["c_of_z"] == pytest.approx(50 * 0.5**1.2)
+        assert pred["scale_converged"] is False
 
     # k = beta belongs to the preference branch
     @pytest.mark.parametrize("k, beta", [(3.0, 1.0), (2.5, 2.5)])
     def test_preference_prediction_keeps_three_keys(self, k, beta):
-        params = ExperimentConfig.default("verify-thm4", k=k, beta=beta).params
-        assert experiments._predict("preference", params) == {
+        cfg = ExperimentConfig.default("verify-thm4", k=k, beta=beta, def_replications=100,
+                                       def_n=2000, **SMALL)
+        assert run_experiment(cfg)["predicted"] == {
             "k_of_z": min(k, 2.0, beta), "theta_of_z": 0.5 ** beta,
             "regime": "PREFERENCE_DOMINATES"}
+
+    def test_preference_prediction_memory_at_a_million_followers(self):
+        # the prediction holds a few arrays of n_max floats: 45.8 MB traced
+        # at n_max = 10^6, against 245 MB when it built an object per column
+        cfg = ExperimentConfig.default("verify-thm4", n_max=10**6, def_replications=100,
+                                       def_n=5000, **SMALL)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["predicted"]["theta_of_z"] == 0.5
+        assert peak < 55 * 2**20, peak
 
     @pytest.mark.parametrize("regime, k, beta, message", [
         ("followers", 3.0, 3.0, "followers regime requires k < beta"),
         ("followers", 3.0, 1.0, "followers regime requires k < beta"),
         ("preference", 1.2, 3.0, "preference regime requires k >= beta"),
     ])
-    def test_predict_refuses_the_wrong_side_of_k_equals_beta(self, regime, k, beta,
-                                                              message):
-        params = ExperimentConfig.default("verify-thm4", regime=regime, k=k, beta=beta).params
+    def test_predict_refuses_the_wrong_side_of_k_equals_beta(self, monkeypatch, regime, k,
+                                                              beta, message):
+        refuse_sampling(monkeypatch)
+        cfg = ExperimentConfig.default("verify-thm4", regime=regime, k=k, beta=beta)
         with pytest.raises(ConfigurationError, match=message):
-            experiments._predict(regime, params)
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     @pytest.mark.parametrize("kind", ["verify-thm2", "verify-thm4", "tail-eq"])
@@ -1374,13 +1396,7 @@ class TestCliCommands:
                    "--out", str(tmp_path)])
         assert rc in (0, 1)  # two replications may miss a tolerance
         report = json.loads((tmp_path / "verify-thm1.report.json").read_text())
-        from rank_extremes.experiments import _fixed_length_components
-
-        spec = ComponentSpec(tuple(
-            Component(z=z, tail=s.tail, theta=s.theta)
-            for z, s in _fixed_length_components(report["config"])
-        ))
-        pred = predict_min_rule(spec)
+        pred = predict_min_rule(*component_arrays(report["config"]))
         assert report["predicted"] == {
             "k_of_z": pred.k_of_z, "theta_of_z": pred.theta_of_z,
             "c_of_z": pred.c_of_z, "regime": pred.regime,
@@ -1396,16 +1412,30 @@ class TestCliCommands:
         (["verify", "thm4", "--set", "replications=2.5"], "replications"),
         (["simulate", "--set", "n=1e5"], "n"),
         (["simulate", "--set", "deps=mm:1,abc"], "deps"),
+        # estimator settings, refused before sampling rather than in a worker
+        (["verify", "thm2", "--jobs", "2", "--set", "blocks_quantile=1.0"], "blocks_quantile"),
+        (["verify", "thm4", "--set", "regime=followers", "--set", "k=1.2", "--set", "beta=3.0",
+          "--set", "intervals_quantile=0"], "intervals_quantile"),
+        (["verify", "thm4", "--set", "blocks_exceed_prob=0"], "blocks_exceed_prob"),
+        (["verify", "thm4", "--set", "regime=tail", "--set", "hill_fraction=1.5"],
+         "hill_fraction"),
+        (["verify", "thm1", "--set", "hill_fraction=1"], "hill_fraction"),
+        (["verify", "thm2", "--set", "tol_theta=-1"], "tol_theta"),
+        (["verify", "thm4", "--set", "tol_pair=-0.5"], "tol_pair"),
     ])
     @pytest.mark.parametrize("via", ["set", "config"])
-    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, argv, key, via):
+    def test_bad_value_exits_2_naming_the_key(self, monkeypatch, tmp_path, capsys, argv, key,
+                                              via):
+        refuse_sampling(monkeypatch)
         if via == "config":
             cfg_file = tmp_path / "bad.cfg"
             cfg_file.write_text(argv[-1] + "\n")
             argv = argv[:-2] + ["--config", str(cfg_file)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
-        assert f"error: parameter '{key}' must be " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: parameter '{key}' must be " in err
+        assert " replication " not in err  # no note of a failing replication
         assert not out.exists()
 
     def test_config_kind_must_match_the_command(self, tmp_path, capsys):
