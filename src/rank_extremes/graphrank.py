@@ -164,9 +164,8 @@ def gen_power_law_graph(n: int, alpha: float, seed: int) -> DirectedGraph:
     return DirectedGraph.from_edges(n, src, dst)
 
 
-def _validate_rank_inputs(g: DirectedGraph, c: float, q: np.ndarray, allow_c_one=False):
-    c_ok = (0 < c <= 1) if allow_c_one else (0 < c < 1)
-    if not c_ok:
+def _validate_rank_inputs(g: DirectedGraph, c: float, q: np.ndarray):
+    if not 0 < c < 1:
         raise ParameterError(f"damping must be in (0, 1), got {c}")
     q = np.asarray(q, dtype=float)
     if q.shape != (g.n,):
@@ -292,7 +291,6 @@ def random_walk_hitting(
     trials: int,
     seed: int,
     q=None,
-    start: int | None = None,
     max_steps: int = 1_000_000,
 ) -> HittingTimes:
     """Steps a PageRank surfer needs to first enter the top-ranked set.
@@ -300,9 +298,7 @@ def random_walk_hitting(
     The target set holds the ``floor(top_p * n)`` highest-ranked nodes
     (ties by node index).  The walk follows a uniform out-edge with
     probability ``c`` and teleports to a ``q``-distributed node otherwise;
-    the start node (``q``-distributed unless ``start`` is given) counts as
-    step 0.  ``c = 1`` (no teleportation) is allowed for deterministic
-    tests only.
+    the ``q``-distributed start node counts as step 0.
     """
     if not (0 < top_p < 1):
         raise ParameterError(f"top_p must be in (0, 1), got {top_p}")
@@ -313,7 +309,7 @@ def random_walk_hitting(
         raise ParameterError(f"top_p={top_p} yields an empty target set on n={g.n}")
     if q is None:
         q = np.full(g.n, 1.0 / g.n)
-    q = _validate_rank_inputs(g, c, q, allow_c_one=True)
+    q = _validate_rank_inputs(g, c, q)
     if np.any(g.out_degree == 0):
         raise ParameterError("walk requires out-degree >= 1 for every node")
 
@@ -327,12 +323,7 @@ def random_walk_hitting(
     def draw_q(size):
         return np.searchsorted(cum_q, rng.random(size), side="right")
 
-    if start is None:
-        pos = draw_q(trials).astype(np.int64)
-    else:
-        if not (0 <= start < g.n):
-            raise ParameterError(f"start node {start} out of range")
-        pos = np.full(trials, start, dtype=np.int64)
+    pos = draw_q(trials).astype(np.int64)
     times = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
     step = 0

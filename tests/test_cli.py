@@ -1,13 +1,13 @@
 """Experiment configs, reports, and the command-line entry points."""
 
+import ast
 import functools
 import json
-import math
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 import rank_extremes
 from rank_extremes import cli, experiments, graphrank, recursion
 from rank_extremes.cli import main
-from rank_extremes.errors import ConfigurationError, ConvergenceError, DataError, ParameterError
+from rank_extremes.errors import ConfigurationError, ConvergenceError, ParameterError
 from rank_extremes.estimators import (
-    nearest_rank_quantile,
     definition_theta_from_maxima,
     definition_top_count,
     upper_order_statistics,
@@ -37,7 +36,14 @@ from rank_extremes.heavytail import DependenceSpec, theoretical_mm_theta
 from rank_extremes.recursion import BlockRing
 from rank_extremes.rng import replication_seed
 from rank_extremes.theory import predict_equal_tails, predict_min_rule
-from test_recursion import whole_pair
+from oracles import (
+    outcome,
+    replication_row,
+    replication_seed_of,
+    traced,
+    whole_pair,
+    whole_path_row,
+)
 
 FAST_THM2 = dict(n=20000, replications=4)
 
@@ -86,6 +92,48 @@ def component_arrays(config):
     return zs, ks, cs, thetas
 
 
+# The private names that tests may reach, each guarding what no public call
+# shows: module._name -> why (TestPackageSurface scans the tests for others)
+PRIVATE_NAMES_TESTED = {
+    "experiments._replicate": "the executor's pool sizes and runs, which no output shows",
+    "experiments._run": "the executor's runs, which no output shows",
+    "recursion._draw_bound": "the draw bound's margin over a pow off by a few ulps",
+    "recursion._sum_bounds": "the row-sum bound's margin over the summation's rounding",
+    "textio._exact": "which route, the exact reader or np.loadtxt, read each chunk",
+    "textio._EXACT_LONG_DOUBLE": "the reader's switch between its two exact routes",
+    "heavytail._TABLES": "the in-degree tables that a law's draws leave cached",
+    "heavytail._table_bytes": "the tables' memory budget",
+    "heavytail._power_law_pmf": "how often a law's tables are built",
+    "heavytail._power_law_cdf": "the guide table against the cdf it is read from",
+    "heavytail._power_law_guide": "the guide table's buckets",
+    "heavytail._power_law_lookup": "the lookup at chosen uniforms next to cdf entries",
+    "heavytail._frechet": "the Frechet draws as their expression, bit for bit",
+    "graphrank._fixed_point": "the CSR reference runs the same loop, so only the step differs",
+}
+
+
+def private_names(tree, modules):
+    """The ``module._name`` strings that a test file's syntax tree reaches:
+    attributes ``module._name``, ``from rank_extremes.module import _name``
+    and calls such as ``setattr(module, "_name", ...)`` (dunders aside)."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rank_extremes."):
+            module = node.module.split(".", 1)[1]
+            found.update(f"{module}.{a.name}" for a in node.names if private(a.name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str) and private(node.args[1].value)):
+            found.add(f"{node.args[0].id}.{node.args[1].value}")
+    return found
+
+
 class TestPackageSurface:
     def test_root_exports_only_the_errors_and_entry_points(self):
         assert sorted(rank_extremes.__all__) == [
@@ -122,6 +170,25 @@ class TestPackageSurface:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=path), check=True)
         assert run.stdout.splitlines()[-1] == "[]"
+
+    def test_tests_reach_only_the_listed_private_names(self):
+        # tests drive the public surface; a private name stays in reach only
+        # where no public call shows what it guards
+        modules = {m.name for m in pkgutil.iter_modules(rank_extremes.__path__)}
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        reached = {}
+        for name in sorted(os.listdir(tests_dir)):
+            if name.endswith(".py"):
+                with open(os.path.join(tests_dir, name)) as fh:
+                    for found in private_names(ast.parse(fh.read()), modules):
+                        reached.setdefault(found, name)
+        assert {k: v for k, v in reached.items() if k not in PRIVATE_NAMES_TESTED} == {}
+
+    def test_the_scan_sees_each_form(self):
+        source = ("from rank_extremes.recursion import _a, b\nrecursion._b(); other._c\n"
+                  "recursion.__name__; setattr(experiments, '_d', 1); setattr(cli, 'e', 2)\n")
+        assert private_names(ast.parse(source), {"recursion", "experiments", "cli"}) == {
+            "recursion._a", "recursion._b", "experiments._d"}
 
 
 class TestDepCodec:
@@ -261,12 +328,7 @@ class TestRunExperiment:
         # at n_max = 10^6, against 245 MB when it built an object per column
         cfg = ExperimentConfig.default("verify-thm4", n_max=10**6, def_replications=100,
                                        def_n=5000, **SMALL)
-        tracemalloc.start()
-        try:
-            report = run_experiment(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced(lambda: run_experiment(cfg))
         assert report["predicted"]["theta_of_z"] == 0.5
         assert peak < 55 * 2**20, peak
 
@@ -313,55 +375,47 @@ class TestRunExperiment:
     # top 401 of 30 000 fix u_n), and the sum and max estimates differ
     @pytest.mark.parametrize("def_n, tau", [(2000, 0.5), (300, 4.0)])
     def test_streamed_definition_stage_equals_block_estimate(self, jobs, def_n, tau):
-        params = ExperimentConfig.default(
-            "verify-thm4", def_replications=100, def_n=def_n, tau=tau).params
-        config = experiments.recursion_config_from_params(params)
+        cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=def_n,
+                                       tau=tau, n=1000, replications=1)
+        config = experiments.recursion_config_from_params(cfg.params)
         # the reference draws each whole pair and keeps its two maxima and
         # the top `count` of its preference draws, which hold u_n
         count = definition_top_count(100, def_n, tau)
         sum_maxima, max_maxima, tops = np.empty(100), np.empty(100), []
         for rep in range(100):
-            pair = recursion.sample_aggregate_pair(config, def_n,
-                                                   replication_seed(params["seed"], rep))
-            sum_maxima[rep], max_maxima[rep] = pair.sum_values.max(), pair.max_values.max()
-            tops.append(upper_order_statistics(pair.preference, min(count, def_n)))
+            sums, maxes, q = whole_pair(config, def_n, replication_seed(cfg.params["seed"], rep))
+            sum_maxima[rep], max_maxima[rep] = sums.max(), maxes.max()
+            tops.append(upper_order_statistics(q, min(count, def_n)))
         u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
-        want = {key: definition_theta_from_maxima(maxima, def_n, tau, u_n).estimate
-                for key, maxima in (("definition_sum", sum_maxima),
-                                    ("definition_max", max_maxima))}
-        assert experiments._definition_stage(params, jobs) == want
+        got = run_experiment(cfg, jobs=jobs)["estimates"]
+        for key, maxima in (("definition_sum", sum_maxima), ("definition_max", max_maxima)):
+            assert got[key] == definition_theta_from_maxima(maxima, def_n, tau, u_n).estimate
 
     @pytest.mark.parametrize("deps", ["iid", "mm:1,1"])
     @pytest.mark.parametrize("fixed_in_degree", [-1, 0, 1])
     @pytest.mark.parametrize("damping", [0.1, 0.9])
     def test_definition_replication_equals_the_pair(self, deps, fixed_in_degree, damping):
+        # the maxima of two definition replications that share their block
+        # buffers, as a run of them does
         def_n = 3000
         params = ExperimentConfig.default(
             "verify-thm4", def_replications=100, def_n=def_n, tau=0.5, deps=deps,
             fixed_in_degree=fixed_in_degree, damping=damping).params
-        count = experiments._definition_count(params)
+        count = definition_top_count(100, def_n, 0.5)
         config = experiments.recursion_config_from_params(params)
-        # one run of two replications, which share its block buffers
-        run = experiments._run((experiments._definition_replication,
-                                "verify-thm4 definition-stage", params, [0, 41], 0))
-        for rep, (sum_max, max_max, top) in zip((0, 41), run):
-            pair = recursion.sample_aggregate_pair(
-                config, def_n, replication_seed(params["seed"], rep))
-            assert sum_max == float(pair.sum_values.max())
-            assert max_max == float(pair.max_values.max())
-            want = upper_order_statistics(pair.preference, min(count, def_n))
-            assert top.tobytes() == want.tobytes()
+        ring = BlockRing()
+        for rep in (0, 41):
+            seed = replication_seed(params["seed"], rep)
+            sum_max, max_max, top = recursion.pair_maxima(config, def_n, seed, count, ring=ring)
+            sums, maxes, q = whole_pair(config, def_n, seed)
+            assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
+            assert top.tobytes() == upper_order_statistics(q, min(count, def_n)).tobytes()
 
     def test_definition_stage_memory_is_far_below_one_block(self):
-        params = ExperimentConfig.default(
-            "verify-thm4", def_replications=100, def_n=20000).params
+        cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=20000,
+                                       n=1000, replications=1)
         block = 100 * 20000 * 8  # one r x n float64 block: 16 MB
-        tracemalloc.start()
-        try:
-            experiments._definition_stage(params, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: run_experiment(cfg))
         assert peak < block / 4
 
     def test_an_explicit_column_definition_replication_keeps_stream_blocks(self):
@@ -369,16 +423,13 @@ class TestRunExperiment:
         # take 2^16: 2.0 MB measured, 4.0 MB in 2^16-row blocks
         params = ExperimentConfig.default(
             "verify-thm4", deps="mm:1,1", n_max=20, def_replications=100, def_n=10**5).params
+        config = experiments.recursion_config_from_params(params)
+        count = definition_top_count(100, 10**5, params["tau"])
         # a first replication caches the in-degree law's tables
-        experiments._definition_replication(params, replication_seed(params["seed"], 0),
-                                            BlockRing())
-        tracemalloc.start()
-        try:
-            experiments._definition_replication(params, replication_seed(params["seed"], 1),
-                                                BlockRing())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        recursion.pair_maxima(config, 10**5, replication_seed(params["seed"], 0), count,
+                              ring=BlockRing())
+        _, peak = traced(lambda: recursion.pair_maxima(
+            config, 10**5, replication_seed(params["seed"], 1), count, ring=BlockRing()))
         assert peak < 3 * 2**20, peak
 
     def test_tail_regime_needs_hill_fraction(self):
@@ -389,15 +440,6 @@ class TestRunExperiment:
     def test_unknown_thm4_regime_rejected(self):
         with pytest.raises(ConfigurationError, match="regime"):
             ExperimentConfig.default("verify-thm4", regime="fixed-length")
-
-    def test_jobs_parallelism_is_order_stable(self):
-        cfg = ExperimentConfig.default("verify-thm2", **FAST_THM2)
-        a = run_experiment(cfg, jobs=1)
-        b = run_experiment(cfg, jobs=2)
-        assert a["estimates"]["blocks_sum_median"] == b["estimates"]["blocks_sum_median"]
-        assert (
-            a["estimates"]["per_replication"] == b["estimates"]["per_replication"]
-        )
 
 
 FOLLOWERS = dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1", fixed_in_degree=3,
@@ -464,19 +506,17 @@ class TestFailingReplication:
             raise FloatingPointError("in-degree sampler failed")
 
         monkeypatch.setattr(recursion, "sample_power_law_int", failing)
-        params = ExperimentConfig.default(
-            "verify-thm4", def_replications=100, def_n=2000).params
+        cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=2000)
         with pytest.raises(FloatingPointError) as info:
-            experiments._definition_stage(params, jobs)
-        seed = replication_seed(params["seed"], 0)
+            run_experiment(cfg, jobs)
+        seed = replication_seed(cfg.params["seed"], 0)
         assert info.value.__notes__ == [
             f"in verify-thm4 definition-stage replication 0, seed {seed}"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failure_inside_a_run_names_its_replication(self, jobs, monkeypatch):
-        params = ExperimentConfig.default(
-            "verify-thm4", def_replications=100, def_n=2000).params
-        bad = replication_seed(params["seed"], 9)  # the third of a run of 7
+        cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=2000)
+        bad = replication_seed(cfg.params["seed"], 9)  # the third of a run of 7
         pair_maxima = experiments.pair_maxima
 
         def failing(config, n, seed, top, **kwargs):
@@ -487,7 +527,7 @@ class TestFailingReplication:
         monkeypatch.setattr(experiments, "pair_maxima", failing)
         monkeypatch.setattr(experiments, "_replicate", runs_of(7))
         with pytest.raises(FloatingPointError, match="definition draw failed") as info:
-            experiments._definition_stage(params, jobs)
+            run_experiment(cfg, jobs)
         assert info.value.__notes__ == [
             f"in verify-thm4 definition-stage replication 9, seed {bad}"]
 
@@ -560,21 +600,10 @@ class TestStreamedSimulate:
     def test_memory_holds_no_path(self, tmp_path):
         # 9.8 MB measured; building the whole pair (four arrays of 8 MB) took
         # 36.6 MB
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--set", "n=1000000", "--out", str(tmp_path)]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced(lambda: main(["simulate", "--set", "n=1000000", "--out",
+                                         str(tmp_path)]))
+        assert rc == 0
         assert peak < 16 * 2**20, peak
-
-
-def whole_path_pair_blocks(config, n, seed, ring=None, floor=-math.inf):
-    """:func:`recursion.aggregate_pair_blocks` as one block of the whole
-    paths that :func:`whole_pair` writes out as expressions, every row
-    given."""
-    sums, maxes, q = whole_pair(config, n, seed)
-    return iter([(sums, maxes, None, q)])
 
 
 # Commands whose files the block sources write in blocks, and for a q
@@ -596,20 +625,31 @@ ORACLE_OUTPUTS = {
 
 class TestWholePathOutputs:
     @pytest.mark.parametrize("case", sorted(ORACLE_OUTPUTS))
-    def test_output_equals_the_whole_path_oracle(self, case, tmp_path, monkeypatch):
-        # the oracle run builds each pair as whole paths from its
-        # expressions and gives every replication's estimators whole paths
+    def test_output_equals_the_whole_path_oracle(self, case, tmp_path):
+        # the oracle builds each pair as whole paths from its expressions and
+        # gives every replication's estimators whole paths
         argv, name = ORACLE_OUTPUTS[case]
-        written_by = []
-        for oracle in (False, True):
-            if oracle:
-                monkeypatch.setattr(recursion, "aggregate_pair_blocks", whole_path_pair_blocks)
-                monkeypatch.setattr(experiments, "_replication",
-                                    lambda params, seed, ring: whole_path_row(params, seed))
-            out = tmp_path / str(oracle)
-            assert main(argv + ["--out", str(out)]) in (0, 1)
-            written_by.append((out / name).read_bytes())
-        assert written_by[0] == written_by[1]
+        assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
+        text = (tmp_path / name).read_text()
+        overrides = dict(argv[i + 1].split("=", 1) for i, a in enumerate(argv) if a == "--set")
+        if argv[0] == "simulate":
+            params = experiments.apply_overrides(experiments.MODEL_DEFAULTS, overrides,
+                                                 "simulate")
+            config = experiments.recursion_config_from_params(params)
+            n, seed = params["n"], params["seed"]
+            sums, maxes, _ = whole_pair(config, n, seed)
+            values = sums if config.aggregate == "sum" else maxes
+            assert text == recursion.AggregatePath(values, config, seed, n).to_csv()
+            return
+        params = ExperimentConfig.default("verify-thm4", **overrides).params
+        header, *lines = text.splitlines()
+        keys = header.split(",")[1:]
+        rows = [whole_path_row(params, replication_seed_of(params, rep))
+                for rep in range(params["replications"])]
+        assert keys == sorted(rows[0])
+        got = [[float(v) for v in line.split(",")] for line in lines]
+        want = [[rep] + [row[k] for k in keys] for rep, row in enumerate(rows)]
+        assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def written(cfg, jobs, out):
@@ -774,64 +814,22 @@ class TestNoDrawingThreads:
         assert (tmp_path / "verify-thm4.estimates.csv").exists()
 
 
-def outcome(run):
-    """What ``run()`` returns, or the type and message of the ``DataError``
-    or ``ParameterError`` it raises (without a replication's note)."""
-    try:
-        return run()
-    except (DataError, ParameterError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def replication_seed_of(params, rep):
-    """The seed of replication ``rep`` of the regime of ``params``."""
-    regime = experiments.REGIMES[params.get("regime", experiments.FIXED_LENGTH)]
-    return replication_seed(params["seed"], regime.seed_offset + rep)
-
-
-def whole_path_row(params, seed):
-    """A replication's row from its whole sum, max and q paths, each given
-    to the estimators as a 1-D array, in the order ``_replication`` takes."""
-    regime_name = params.get("regime", experiments.FIXED_LENGTH)
-    regime = experiments.REGIMES[regime_name]
-    n = params["n"]
-    if regime_name == experiments.FIXED_LENGTH:
-        sums, maxes = recursion.sample_weighted_pair(
-            experiments._fixed_length_components(params), n, seed)
-    else:
-        pair = recursion.sample_aggregate_pair(
-            experiments.recursion_config_from_params(params), n, seed)
-        sums, maxes, q = pair.sum_values, pair.max_values, pair.preference
-    blocks_at = None
-    if regime.q_threshold:
-        u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
-        blocks_at = (u, float(np.count_nonzero(q > u)) / n)
-    row = {}
-    for label, path in (("sum", sums), ("max", maxes)):
-        for name in regime.estimators:
-            row[f"{name}_{label}"] = experiments._estimate(name, path, params, blocks_at)
-    for name in regime.pairs:
-        row[f"pair_diff_{name}"] = abs(row[f"{name}_sum"] - row[f"{name}_max"])
-    return row
-
-
 class TestStreamedReplication:
     @settings(max_examples=120, deadline=None)
-    @given(case=st.sampled_from(sorted(STREAM_CASES)), block_rows=st.sampled_from([1, 2, 5, 16]),
-           rows=st.integers(100, 300), offset=st.integers(-1, 1), rep=st.integers(0, 5),
-           low=st.booleans())
-    def test_equals_the_whole_path_estimates(self, case, block_rows, rows, offset, rep, low):
+    @given(case=st.sampled_from(sorted(STREAM_CASES)),
+           block_rows=st.sampled_from([7, 16, 64, 250]), rows=st.integers(1001, 1300),
+           offset=st.integers(-1, 1), seed=st.integers(0, 2**32 - 1), low=st.booleans())
+    def test_equals_the_whole_path_estimates(self, case, block_rows, rows, offset, seed, low):
         # n below, at and just past a multiple of the block
         n = block_rows * -(-rows // block_rows) + offset
         kind, overrides = STREAM_CASES[case]
-        params = dict(ExperimentConfig.default(kind, **overrides).params, n=n)
+        params = dict(ExperimentConfig.default(kind, **overrides).params, n=n, seed=seed)
         if low:
-            params.update(LOW_THRESHOLDS)
-        seed = replication_seed_of(params, rep)
+            params.update((key, v) for key, v in LOW_THRESHOLDS.items() if key in params)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
-            got = outcome(lambda: experiments._replication(params, seed, BlockRing()))
-        assert got == outcome(lambda: whole_path_row(params, seed))
+            got = outcome(lambda: replication_row(kind, params))
+        assert got == outcome(lambda: whole_path_row(params, replication_seed_of(params, 0)))
 
     @pytest.mark.parametrize("case, overrides", [
         ("followers", dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1",
@@ -842,28 +840,18 @@ class TestStreamedReplication:
         # whole paths would add 40 bytes a row
         peaks = []
         for n in (2 * 10**5, 8 * 10**5):
-            params = ExperimentConfig.default("verify-thm4", **overrides, n=n).params
-            tracemalloc.start()
-            try:
-                experiments._replication(params, replication_seed_of(params, 0), BlockRing())
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            cfg = ExperimentConfig.default("verify-thm4", **overrides, n=n, replications=1)
+            peaks.append(traced(lambda: run_experiment(cfg))[1])
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
         assert max(peaks) < 12 * 2**20
 
     def test_two_replication_threads_stay_within_their_bound(self, monkeypatch):
         # 4.4-4.8 MB measured, each replication drawing into its own ring
         monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
-        params = ExperimentConfig.default(
+        cfg = ExperimentConfig.default(
             "verify-thm4", regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1",
-            fixed_in_degree=10, n=2 * 10**5).params
-        tracemalloc.start()
-        try:
-            experiments._replicate(experiments._replication, "verify-thm4", params, 2, 0, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            fixed_in_degree=10, n=2 * 10**5, replications=2)
+        _, peak = traced(lambda: run_experiment(cfg, jobs=1))
         assert peak < 7 * 2**20, peak
 
     @pytest.mark.parametrize("overrides, bound_mb", [
@@ -876,16 +864,11 @@ class TestStreamedReplication:
         (dict(alpha=0.5, n_max=10**6, n=20000), 16),
     ])
     def test_block_memory_stays_within_its_bound(self, overrides, bound_mb):
-        params = ExperimentConfig.default("verify-thm4", regime="tail", **overrides).params
-        seed = replication_seed_of(params, 0)
+        cfg = ExperimentConfig.default("verify-thm4", regime="tail", replications=1,
+                                       **overrides)
         # a first run caches the in-degree law's tables (16 MB at n_max = 10^6)
-        experiments._replication(params, seed, BlockRing())
-        tracemalloc.start()
-        try:
-            experiments._replication(params, seed, BlockRing())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        run_experiment(cfg)
+        _, peak = traced(lambda: run_experiment(cfg))
         assert peak < bound_mb * 2**20, peak
 
 
@@ -896,29 +879,29 @@ RING_CASES = {
     "fixed-length": ("verify-thm2", dict(n=20500)),
     "followers": ("verify-thm4", dict(FOLLOWERS, n=20500)),
     "tail": ("verify-thm4", dict(regime="tail", fixed_in_degree=3, n=20500)),
-    "preference": ("verify-thm4", dict(fixed_in_degree=3, n=20500)),
+    "preference": ("verify-thm4", dict(fixed_in_degree=3, n=20500, def_replications=100,
+                                       def_n=2000)),
 }
 
 
 class TestOneRingPerRun:
     @pytest.mark.parametrize("case", sorted(RING_CASES))
     def test_a_run_allocates_each_array_once_and_keeps_every_row(self, case, monkeypatch):
+        # one CPU: the four replications in one run, as the definition stage
         monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
         kind, overrides = RING_CASES[case]
-        params = ExperimentConfig.default(kind, **overrides).params
-        allocated = []
-        rings, q_blocks = [], []
+        cfg = ExperimentConfig.default(kind, **dict(overrides, replications=4))
+        held, allocated, q_blocks = {}, [], []
 
         class RecordingRing(BlockRing):
-            def __init__(self):
-                super().__init__()
-                rings.append(self)
-
             def get(self, name, size, dtype=np.float64):
-                held = self._arrays.get(name)
-                if held is None or len(held) < size:
-                    allocated.append(name)
-                return super().get(name, size, dtype)
+                a = super().get(name, size, dtype)
+                base = a if a.base is None else a.base
+                if held.get((self, name)) is not base:
+                    held[self, name] = base
+                    allocated.append((self, name))
+                return a
 
         def recording_preference_blocks(*args, **kwargs):
             for block in preference_blocks(*args, **kwargs):
@@ -928,18 +911,18 @@ class TestOneRingPerRun:
         preference_blocks = experiments.preference_blocks
         monkeypatch.setattr(experiments, "BlockRing", RecordingRing)
         monkeypatch.setattr(experiments, "preference_blocks", recording_preference_blocks)
-        regime = experiments.REGIMES[params.get("regime", experiments.FIXED_LENGTH)]
-        rows = experiments._run((experiments._replication, kind, params, range(4),
-                                 regime.seed_offset))
-        # the kernels draw into the run's ring, and no replication grows it
-        assert allocated and sorted(allocated) == sorted(set(allocated))
+        rows = run_experiment(cfg)["estimates"]["per_replication"]
+        # the kernels draw into the run's ring, and no replication grows it;
+        # the preference regime's definition stage draws into a ring of its own
+        rings = list(dict.fromkeys(ring for ring, _ in allocated))
+        assert allocated and len(allocated) == len(set(allocated))
+        assert len(rings) == (2 if case == "preference" else 1)
         # the q pass of the preference regime, 21 blocks of 1000 rows in each
-        # of the 4 replications, draws into that ring too
-        assert len(rings) == 1 and len(q_blocks) == (84 if case == "preference" else 0)
-        assert all(np.shares_memory(block, rings[0]._arrays["q"]) for block in q_blocks)
+        # of the 4 replications, draws into the replications' ring
+        assert len(q_blocks) == (84 if case == "preference" else 0)
+        assert all(np.shares_memory(block, held[rings[-1], "q"]) for block in q_blocks)
         assert [repr(row) for row in rows] == [
-            repr(experiments._replication(params, replication_seed_of(params, rep),
-                                          BlockRing()))
+            repr(whole_path_row(cfg.params, replication_seed_of(cfg.params, rep)))
             for rep in range(4)]
 
 

@@ -172,6 +172,23 @@ class TestMaxLinear:
         r = max_linear_rank(g, 0.5, np.full(5, 0.2))
         assert np.all(r.scores > 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), c=st.floats(0.01, 0.99), data=st.data())
+    def test_never_above_pagerank(self, n, c, data):
+        # the paper's pairing of the two indices: PageRank is a
+        # super-solution of the max-linear map, whose iteration starts at
+        # the floor (1 - c) q below it.  Random multigraphs: repeated edges,
+        # self-loops and nodes without out-edges
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=4 * n))
+        g = DirectedGraph.from_edges(n, [e[0] for e in edges], [e[1] for e in edges])
+        q = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        q /= q.sum()
+        # a contraction by c = 0.99 takes some 3000 steps to 1e-12
+        ml = max_linear_rank(g, c, q, max_iter=5000)
+        pr = pagerank(g, c, q, max_iter=5000)
+        assert np.all(ml.scores <= pr.scores * (1 + 1e-12))
+
 
 class TestGraphGeneration:
     def test_determinism(self):
@@ -400,18 +417,23 @@ class TestHittingTimes:
         g = cycle(2)
         r = pagerank(g, 0.85, np.full(2, 0.5))
         # top_p = 0.5 selects one node (node with higher rank; symmetric,
-        # so node 0 by index tie-break); starting there hits at step 0
-        ht = random_walk_hitting(g, 0.85, r, 0.5, 50, SEED, start=0)
+        # so node 0 by index tie-break); a one-hot q starts every walk
+        # there, so each hits at step 0
+        ht = random_walk_hitting(g, 0.85, r, 0.5, 50, SEED, q=np.array([1.0, 0.0]))
         assert np.all(ht.times == 0)
         assert ht.mean == 0.0
 
     def test_deterministic_cycle_step(self):
         g = cycle(2)
         r = pagerank(g, 0.85, np.full(2, 0.5))
-        # c = 1: pure edge-following, so from node 1 the walk reaches the
-        # target node 0 in exactly one step
-        ht = random_walk_hitting(g, 1.0, r, 0.5, 20, SEED, start=1)
-        assert np.all(ht.times == 1)
+        # a one-hot q starts every walk at node 1 and teleports it back
+        # there: each step reaches the target node 0 along the edge with
+        # probability c, so every time is at least 1, and 1 with probability c
+        trials = 2000
+        ht = random_walk_hitting(g, 0.85, r, 0.5, trials, SEED, q=np.array([0.0, 1.0]))
+        assert ht.times.min() >= 1
+        ones = np.count_nonzero(ht.times == 1)
+        assert abs(ones - 0.85 * trials) <= 4 * math.sqrt(trials * 0.85 * 0.15)
 
     def test_empty_target_rejected(self):
         g = cycle(10)

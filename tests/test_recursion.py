@@ -3,21 +3,21 @@
 import contextlib
 import io
 import math
-import tracemalloc
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rank_extremes import experiments, recursion, rng, textio
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import (
-    TailSample,
     ThresholdRule,
     hill,
+    nearest_rank_index,
     nearest_rank_quantile,
     upper_order_statistics,
 )
@@ -26,9 +26,6 @@ from rank_extremes.heavytail import (
     InDegreeSpec,
     SequenceSpec,
     TailSpec,
-    sample_pareto,
-    sample_power_law_int,
-    sample_sequence,
 )
 from rank_extremes.recursion import (
     MAX,
@@ -36,10 +33,7 @@ from rank_extremes.recursion import (
     AggregatePath,
     BlockRing,
     RecursionConfig,
-    _draw_in_degrees,
-    _in_degree_blocks,
-    _pair_blocks,
-    _segment_reduce,
+    aggregate_pair_blocks,
     compare_tail_sum_max,
     expected_tree_size,
     pair_maxima,
@@ -50,8 +44,21 @@ from rank_extremes.recursion import (
     simulate_tbt,
     weighted_pair_blocks,
 )
-from rank_extremes.rng import STREAMS, child_rng, replication_seed
+from rank_extremes.rng import STREAMS
 from rank_extremes.textio import BLOCK_ROWS
+
+from oracles import (
+    outcome,
+    replication_row,
+    replication_seed_of,
+    traced,
+    whole_in_degrees,
+    whole_iid_draws,
+    whole_iid_pair,
+    whole_pair,
+    whole_path_row,
+    whole_weighted_pair,
+)
 
 SEED = 555001
 SEEDS = st.integers(0, 2**32 - 1)
@@ -70,11 +77,13 @@ def make_config(**overrides):
 
 class TestAggregate:
     def test_zero_in_degree_gives_preference_only(self):
-        config = make_config(fixed_in_degree=0)
-        pair = sample_aggregate_pair(config, 5000, SEED)
-        expected = config.z_star * pair.preference
-        assert np.array_equal(pair.sum_values, expected)
-        assert np.array_equal(pair.max_values, expected)
+        # no follower is drawn, for either column kind, across blocks
+        for deps in ((DependenceSpec.iid(),), (DependenceSpec.moving_maxima(1, 1),)):
+            config = make_config(fixed_in_degree=0, follower_deps=deps)
+            with iid_kernel(16):
+                pair = sample_aggregate_pair(config, 40, SEED)
+            want = (config.z_star * pair.preference).tobytes()
+            assert pair.sum_values.tobytes() == pair.max_values.tobytes() == want
 
     def test_sum_dominates_max_pointwise(self):
         pair = sample_aggregate_pair(make_config(), 10**5, SEED)
@@ -111,14 +120,7 @@ class TestAggregate:
                 else (DependenceSpec.iid(),))
         config = make_config(in_degree=InDegreeSpec(alpha=1.5, n_max=6),
                              follower_deps=deps, aggregate=aggregate)
-        in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
-        q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
-        if explicit:
-            f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
-            want = (config.damping * f_sum + config.z_star * q if aggregate == SUM
-                    else np.maximum(config.damping * f_max, config.z_star * q))
-        else:
-            want = whole_iid_pair(config, n, seed)[0 if aggregate == SUM else 1]
+        want = whole_pair(config, n, seed)[0 if aggregate == SUM else 1]
         with iid_kernel(block_rows, 2):
             path = sample_aggregate(config, n, seed)
         assert path.values.tobytes() == want.tobytes()
@@ -167,23 +169,10 @@ class TestAggregate:
 BLOCK_ROWS_CASES = st.sampled_from([1, 2, 5, 16, recursion.STREAM_BLOCK_ROWS])
 
 
-@contextlib.contextmanager
-def column_kernel(block_rows):
-    """The explicit-column kernel at ``block_rows`` rows per block, for the
-    duration of a ``with`` block."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
-        yield
-
-
 class TestWeightedPair:
     def test_sum_dominates_max(self):
-        from rank_extremes.heavytail import SequenceSpec
-
-        comps = [
-            (1.0, SequenceSpec(TailSpec(2.0))),
-            (2.0, SequenceSpec(TailSpec(2.0), DependenceSpec.moving_maxima(1, 1))),
-        ]
+        comps = [(1.0, SequenceSpec(TailSpec(2.0))),
+                 (2.0, SequenceSpec(TailSpec(2.0), DependenceSpec.moving_maxima(1, 1)))]
         s, m = sample_weighted_pair(comps, 10**4, SEED)
         assert np.all(s >= m)
         assert len(s) == 10**4
@@ -201,30 +190,28 @@ class TestWeightedPair:
     def test_matches_expression_bit_for_bit(self, seed, zs, n, block_rows):
         deps = (DependenceSpec.iid(), DependenceSpec.moving_maxima(1, 1))
         comps = [(z, SequenceSpec(TailSpec(1.5), deps[i % 2])) for i, z in enumerate(zs)]
-        sums, maxes = np.zeros(n), np.zeros(n)
-        for i, (z, seq) in enumerate(comps, start=1):
-            col = z * sample_sequence(seq, n, child_rng(seed, STREAMS["column"], i))
-            sums += col
-            np.maximum(maxes, col, out=maxes)
-        with column_kernel(block_rows):
+        sums, maxes = whole_weighted_pair(comps, n, seed)
+        with iid_kernel(block_rows):
             got = sample_weighted_pair(comps, n, seed)
         assert got[0].tobytes() == sums.tobytes()
         assert got[1].tobytes() == maxes.tobytes()
 
 
 class TestAggregatePairCombination:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), damping=st.floats(0.05, 0.95),
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, damping=st.floats(0.05, 0.95), alpha=st.floats(1.1, 3.0),
+           fixed=st.sampled_from([None, None, 0, 1, 12]),
            columns=st.sampled_from(["iid", "explicit"]),
            n=st.integers(1, 300), block_rows=BLOCK_ROWS_CASES)
-    def test_matches_expression_bit_for_bit(self, seed, damping, columns, n, block_rows):
+    def test_matches_expression_bit_for_bit(self, seed, damping, alpha, fixed, columns, n,
+                                            block_rows):
         # blocks of a few rows carry the in-degree passes and the preference
-        # stream across block boundaries for both column kinds
+        # stream across block boundaries for both column kinds; a fixed
+        # in-degree takes no column, the first or all 12 in every row
         deps = ((DependenceSpec.iid(),) if columns == "iid"
                 else (DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()))
-        config = make_config(
-            damping=damping, in_degree=InDegreeSpec(alpha=1.5, n_max=12),
-            follower_deps=deps)
+        config = make_config(damping=damping, in_degree=InDegreeSpec(alpha=alpha, n_max=12),
+                             fixed_in_degree=fixed, follower_deps=deps)
         with iid_kernel(block_rows):
             pair = sample_aggregate_pair(config, n, seed)
         for got, want in zip(pair, whole_pair(config, n, seed), strict=True):
@@ -252,31 +239,6 @@ def savetxt_body(values):
     buf = io.StringIO()
     np.savetxt(buf, values, fmt="%.17g")
     return buf.getvalue()
-
-
-def column_contributions(config, n, seed, in_deg):
-    """The follower sum/max terms that the explicit-column kernel builds in
-    row blocks, given the whole path's in-degrees: ``(sums, maxes)``."""
-    max_n = int(in_deg.max()) if len(in_deg) else 0
-    columns, ring = recursion._follower_columns(config, seed, max_n), BlockRing()
-    width = recursion.STREAM_BLOCK_ROWS
-    blocks = (recursion._column_block(columns, len(part), ring, in_deg=part)
-              for part in (in_deg[start:start + width] for start in range(0, n, width)))
-    return recursion._drain(blocks, n)
-
-
-def masked_column_contributions(config, n, seed, in_deg):
-    """Boolean-mask formulation of the explicit-column follower terms."""
-    max_n = int(in_deg.max()) if len(in_deg) else 0
-    sums = np.zeros(n)
-    maxes = np.zeros(n)
-    for j in range(1, max_n + 1):
-        col = sample_sequence(SequenceSpec(config.follower_tail, config.column_dep(j)), n,
-                              child_rng(seed, STREAMS["column"], j))
-        mask = in_deg >= j
-        sums[mask] += col[mask]
-        np.maximum(maxes, np.where(mask, col, 0.0), out=maxes)
-    return sums, maxes
 
 
 class TestCsvExport:
@@ -457,25 +419,6 @@ class TestReadRoutes:
         assert chunk_routes == [False, textio._EXACT_LONG_DOUBLE, False]
 
 
-class TestColumnContributions:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.1, 3.0),
-           floor=st.integers(0, 12))
-    def test_matches_mask_formulation(self, seed, alpha, floor):
-        config = make_config(
-            in_degree=InDegreeSpec(alpha=alpha, n_max=12),
-            follower_deps=(DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()),
-        )
-        n = 400
-        # power-law in-degrees; raising the smallest ones to `floor` makes
-        # the first columns include every row (all 12 when floor = 12)
-        in_deg = np.maximum(sample_power_law_int(config.in_degree, n, seed), floor)
-        want = masked_column_contributions(config, n, seed, in_deg)
-        got = column_contributions(config, n, seed, in_deg)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-
-
 # dependence specs of 1 to 4 coefficients, zeros among them
 DEPS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=4).filter(
     any).map(lambda a: DependenceSpec.moving_maxima(*a))
@@ -493,16 +436,12 @@ class TestBlockedColumnKernel:
         # n below, at and just past a multiple of the block
         n = max(1, block_rows * blocks + offset)
         config = make_config(in_degree=InDegreeSpec(alpha=1.5, n_max=self.N_MAX),
-                             follower_deps=tuple(deps))
-        if in_degrees == "power":
-            in_deg = sample_power_law_int(config.in_degree, n, seed)
-        else:
-            in_deg = np.full(n, in_degrees, dtype=np.int64)
-        want = masked_column_contributions(config, n, seed, in_deg)
-        with column_kernel(block_rows):
-            got = column_contributions(config, n, seed, in_deg)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+                             follower_deps=tuple(deps),
+                             fixed_in_degree=None if in_degrees == "power" else in_degrees)
+        with iid_kernel(block_rows):
+            pair = sample_aggregate_pair(config, n, seed)
+        for got, want in zip(pair, whole_pair(config, n, seed), strict=True):
+            assert got.tobytes() == want.tobytes()
 
     # the kernel draws on its caller's thread: columns are drawn at once only
     # by the replication threads of --jobs 1, one per CPU the process may use
@@ -537,58 +476,26 @@ def replication_threads(r, monkeypatch):
     return threads[-1]
 
 
-def looped_segment_sum_max(values, counts):
-    """Reference for ``_segment_reduce`` by sum and maximum: a Python loop
-    over each segment, adding left to right from its first value, 0 for an
-    empty segment."""
-    sums = np.zeros(len(counts))
-    maxes = np.zeros(len(counts))
-    start = 0
-    for i, count in enumerate(counts):
-        if count:
-            total = top = float(values[start])
-            for v in values[start + 1:start + count].tolist():
-                total += v
-                top = v if v > top else top
-            sums[i], maxes[i] = total, top
-        start += count
-    return sums, maxes
-
-
 class TestSegmentSumMax:
-    @settings(max_examples=300, deadline=None)
-    @given(counts=st.lists(st.integers(1, 20), max_size=21), data=st.data())
-    def test_matches_per_segment_loop(self, counts, data):
-        counts = np.array(counts, dtype=np.int64)
-        total = int(counts.sum())
-        # multiples of 2^-16 below 2^30 in magnitude: every partial sum is
-        # exact, so NumPy's order of addition and the loop's give equal bits
-        values = np.array(data.draw(st.lists(
-            st.integers(-2**46, 2**46), min_size=total, max_size=total)),
-            dtype=float) / 2**16
-        got = _segment_reduce(values, counts, np.add, np.maximum)
-        want = looped_segment_sum_max(values, counts)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+    """A row's follower terms are the sum and the largest of its own draws."""
 
-    def test_all_zero_counts_give_zeros(self):
-        sums, maxes = _segment_reduce(np.zeros(0), np.zeros(4, dtype=np.int64),
-                                      np.add, np.maximum)
-        assert sums.tobytes() == maxes.tobytes() == np.zeros(4).tobytes()
-
-    @pytest.mark.parametrize("counts", [[0, 3, 0, 3], [3, 3, 0], [0, 6]])
-    def test_an_empty_segment_among_values_is_refused(self, counts):
-        with pytest.raises(ValueError, match="needs a value"):
-            _segment_reduce(np.arange(6.0), np.array(counts), np.add)
-
-    @pytest.mark.parametrize("ufuncs", [(np.add,), (np.maximum,), (np.maximum, np.add)])
-    @pytest.mark.parametrize("counts", [[3, 1, 2], [1, 1, 4]])
-    def test_each_ufunc_reduces_alone(self, ufuncs, counts):
-        values = np.arange(6.0)[::-1]
-        both = dict(zip((np.add, np.maximum),
-                        looped_segment_sum_max(values, np.array(counts))))
-        got = _segment_reduce(values, np.array(counts), *ufuncs)
-        assert [g.tobytes() for g in got] == [both[u].tobytes() for u in ufuncs]
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 60), fixed=st.sampled_from([None, 1, 3]),
+           block_rows=st.sampled_from([1, 5, 16]), cap=st.sampled_from([1, 3, 7, None]))
+    def test_matches_per_segment_loop(self, seed, n, fixed, block_rows, cap):
+        config = make_config(in_degree=InDegreeSpec(alpha=1.2, n_max=20),
+                             fixed_in_degree=fixed)
+        in_deg, q, draws = whole_iid_draws(config, n, seed)
+        with iid_kernel(block_rows, cap):
+            pair = sample_aggregate_pair(config, n, seed)
+        c, start = config.damping, 0
+        for t, count in enumerate(in_deg.tolist()):
+            row, start = draws[start:start + count].tolist(), start + count
+            pref = config.z_star * q[t]
+            # the max exactly; the sum to its rounding, in whatever order
+            assert pair.max_values[t] == max(c * max(row), pref)
+            assert pair.sum_values[t] == pytest.approx(c * math.fsum(row) + pref, rel=1e-13)
+        assert start == len(draws)
 
 
 class TestTbt:
@@ -710,14 +617,15 @@ class TestCompareTailSumMax:
 
 
 def whole_path_rows(config, n, thresholds, seed):
-    """(threshold, exceed_sum, exceed_max) per quantile from the whole pair:
-    a full sort of the max path and counts over the full arrays."""
-    pair = sample_aggregate_pair(config, n, seed)
-    ordered = np.sort(pair.max_values)
+    """(threshold, exceed_sum, exceed_max) per quantile from the whole pair
+    of :func:`whole_pair`: a full sort of the max path and counts over the
+    full arrays."""
+    sums, maxes, _ = whole_pair(config, n, seed)
+    ordered = np.sort(maxes)
     out = []
     for qv in thresholds:
         x = float(ordered[min(math.ceil(qv * n) - 1, n - 1)])
-        out.append((x, int(np.sum(pair.sum_values > x)), int(np.sum(pair.max_values > x))))
+        out.append((x, int(np.sum(sums > x)), int(np.sum(maxes > x))))
     return out
 
 
@@ -735,21 +643,6 @@ IN_DEGREES = {
 
 
 class TestPairMaxima:
-    @settings(max_examples=120, deadline=None)
-    @given(seed=SEEDS, damping=st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.01, 0.99),
-           n=st.integers(1, 300), in_degrees=st.sampled_from(sorted(IN_DEGREES)),
-           explicit=st.booleans(), top=st.integers(1, 400))
-    def test_equals_the_pair(self, seed, damping, n, in_degrees, explicit, top):
-        deps = ((DependenceSpec.moving_maxima(1, 1),) if explicit
-                else (DependenceSpec.iid(),))
-        config = make_config(damping=damping, follower_deps=deps, **IN_DEGREES[in_degrees])
-        sum_max, max_max, q_top = pair_maxima(config, n, seed, top)
-        pair = sample_aggregate_pair(config, n, seed)
-        assert type(sum_max) is type(max_max) is float
-        assert sum_max == float(pair.sum_values.max())
-        assert max_max == float(pair.max_values.max())
-        assert q_top.tobytes() == upper_order_statistics(pair.preference, min(top, n)).tobytes()
-
     def test_checks_its_arguments(self):
         with pytest.raises(ParameterError):
             pair_maxima(make_config(), 0, SEED, 1)
@@ -829,14 +722,15 @@ class TestStreamedComparison:
     @given(seed=SEEDS, block_rows=st.sampled_from([1, 2, 5, 16]), blocks=st.integers(0, 6),
            offset=st.sampled_from([-1, 0, 1]), in_degrees=st.sampled_from(sorted(IN_DEGREES)),
            thresholds=st.lists(st.sampled_from([0.901, 0.95, 0.99, 0.999]), min_size=1,
-                               max_size=3))
+                               max_size=3), explicit=st.booleans())
     def test_blocks_equal_the_whole_path(self, seed, block_rows, blocks, offset, in_degrees,
-                                         thresholds):
+                                         thresholds, explicit):
         # n below, at and across multiples of the block size
         n = max(1, block_rows * blocks + offset)
-        config = make_config(**IN_DEGREES[in_degrees])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recursion, "STREAM_BLOCK_ROWS", block_rows)
+        deps = ((DependenceSpec.moving_maxima(1, 1), DependenceSpec.iid()) if explicit
+                else (DependenceSpec.iid(),))
+        config = make_config(follower_deps=deps, **IN_DEGREES[in_degrees])
+        with iid_kernel(block_rows):
             rows = compare_tail_sum_max(config, n, thresholds, seed)
         want = whole_path_rows(config, n, thresholds, seed)
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
@@ -847,85 +741,21 @@ class TestStreamedComparison:
         pair = sample_aggregate_pair(config, 2000, SEED)
         assert len(np.unique(pair.max_values)) < 200
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=SEEDS, block_rows=st.integers(1, 40), n=st.integers(1, 200),
-           in_degrees=st.sampled_from(sorted(IN_DEGREES)))
-    def test_concatenated_blocks_equal_the_pair(self, seed, block_rows, n, in_degrees):
-        config = make_config(**IN_DEGREES[in_degrees])
-        # a block's arrays are valid until the next block is asked for; with
-        # no floor every block holds every row
-        blocks = []
-        for sums, maxes, rows, q in _pair_blocks(config, n, seed, block_rows, BlockRing(),
-                                                 -math.inf):
-            assert rows is None
-            blocks.append((sums.copy(), maxes.copy(), q.copy()))
-        assert [len(b[0]) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
-        want_sums, want_maxes, _, want_q = whole_iid_pair(config, n, seed)
-        sums, maxes, q = (np.concatenate(parts) for parts in zip(*blocks))
-        assert sums.tobytes() == want_sums.tobytes()
-        assert maxes.tobytes() == want_maxes.tobytes()
-        assert q.tobytes() == want_q.tobytes()
-
-    def test_explicit_columns_give_the_whole_path_rows(self):
-        config = make_config(follower_deps=(DependenceSpec.moving_maxima(1, 1),
-                                            DependenceSpec.iid()))
-        thresholds = [0.95, 0.99, 0.999]
-        rows = compare_tail_sum_max(config, 20000, thresholds, SEED)
-        want = whole_path_rows(config, 20000, thresholds, SEED)
-        assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
-
     def test_bad_length_refused(self):
         with pytest.raises(ParameterError):
             compare_tail_sum_max(make_config(), 0, [0.99], SEED)
 
     def test_memory_is_far_below_the_whole_path(self):
         # the whole pair at n = 4e6 peaks at about 259 MB
-        tracemalloc.start()
-        try:
-            compare_tail_sum_max(make_config(), 4 * 10**6, [0.999], SEED)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: compare_tail_sum_max(make_config(), 4 * 10**6, [0.999], SEED))
         assert peak < 48 * 2**20
 
 
-def whole_iid_draws(config, n, seed):
-    """The draws of an i.i.d.-column config in one serial pass over the whole
-    path: the in-degrees, the raw preference draws, and the follower draws,
-    row ``t`` taking the next ``in_deg[t]`` of them."""
-    deg_rng = child_rng(seed, STREAMS["in_degree"])
-    pref_rng = child_rng(seed, STREAMS["preference"])
-    col_rng = child_rng(seed, STREAMS["column"])
-    in_deg = _draw_in_degrees(config, n, deg_rng)
-    q = sample_pareto(config.preference_tail, n, pref_rng)
-    total = int(in_deg.sum())
-    draws = sample_pareto(config.follower_tail, max(total, 1), col_rng)
-    return in_deg, q, draws[:total]
-
-
-def whole_iid_pair(config, n, seed):
-    """``(sums, maxes, in_deg, q)`` of :func:`whole_iid_draws`, written out as
-    the expressions of the two aggregates."""
-    in_deg, q, draws = whole_iid_draws(config, n, seed)
-    f_sum, f_max = _segment_reduce(draws, in_deg, np.add, np.maximum)
-    pref_term = config.z_star * q
-    c = config.damping
-    return c * f_sum + pref_term, np.maximum(c * f_max, pref_term), in_deg, q
-
-
-def whole_pair(config, n, seed):
-    """``(sums, maxes, q)`` of either column kind, written out as the
-    expressions of the two aggregates over whole paths: those of
-    :func:`whole_iid_pair`, or of :func:`masked_column_contributions`."""
-    if config.all_iid_columns():
-        sums, maxes, _, q = whole_iid_pair(config, n, seed)
-        return sums, maxes, q
-    in_deg = _draw_in_degrees(config, n, child_rng(seed, STREAMS["in_degree"]))
-    q = sample_pareto(config.preference_tail, n, child_rng(seed, STREAMS["preference"]))
-    f_sum, f_max = masked_column_contributions(config, n, seed, in_deg)
-    pref_term = config.z_star * q
-    c = config.damping
-    return c * f_sum + pref_term, np.maximum(c * f_max, pref_term), q
+def copied_blocks(config, n, seed, **kwargs):
+    """The blocks ``(sums, maxes, rows, q)`` of ``aggregate_pair_blocks``,
+    each array copied as it comes, since the next block reuses it."""
+    return [tuple(None if a is None else a.copy() for a in block)
+            for block in aggregate_pair_blocks(config, n, seed, **kwargs)]
 
 
 @contextlib.contextmanager
@@ -939,6 +769,22 @@ def iid_kernel(block_rows, draws=None):
         if draws is not None:
             mp.setattr(recursion, "BLOCK_DRAWS", draws)
         yield
+
+
+def capped_layout(in_deg, block_rows, cap):
+    """``(rows, draws)`` of each i.i.d. block: each ``block_rows`` in-degrees
+    cut into the longest ranges of at most ``cap`` follower draws, or one row
+    whose draws alone exceed it."""
+    blocks = []
+    for start in range(0, len(in_deg), block_rows):
+        rows = draws = 0
+        for d in in_deg[start:start + block_rows].tolist():
+            if rows and draws + d > cap:
+                blocks.append((rows, draws))
+                rows = draws = 0
+            rows, draws = rows + 1, draws + d
+        blocks.append((rows, draws))
+    return blocks
 
 
 # follower draws per block: cuts every block of a power-law in-degree, and
@@ -975,33 +821,25 @@ class TestThreadedIidKernel:
             want.append((x, int(np.sum(sums > x)), int(np.sum(maxes > x))))
         assert [(r.threshold, r.exceed_sum, r.exceed_max) for r in rows] == want
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, block_rows=st.integers(1, 40), n=st.integers(1, 200),
-           in_degrees=st.sampled_from(sorted(IN_DEGREES)), draws=st.integers(1, 40))
+           in_degrees=st.sampled_from(sorted(IN_DEGREES)),
+           draws=st.integers(1, 40) | st.none())
     def test_a_block_takes_the_most_rows_within_the_draw_cap(self, seed, block_rows, n,
                                                              in_degrees, draws):
+        # a block's arrays are valid until the next block is asked for; with
+        # no floor every block holds every row, and with no cap below a
+        # block's draws it holds block_rows rows
         config = make_config(**IN_DEGREES[in_degrees])
         with iid_kernel(block_rows, draws):
-            # the layout alone, each block laid out as the kernel asks for it
-            laid = [(in_deg.copy(), total) for in_deg, total in
-                    _in_degree_blocks(config, n, seed, block_rows, BlockRing(),
-                                      recursion.BLOCK_DRAWS)]
-            blocks = [(sums.copy(), maxes.copy(), q.copy()) for sums, maxes, _, q in
-                      _pair_blocks(config, n, seed, block_rows, BlockRing(), -math.inf)]
+            blocks = copied_blocks(config, n, seed)
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
-        assert [np.concatenate(parts).tobytes() for parts in zip(*blocks)] == [
+        assert all(rows is None for _, _, rows, _ in blocks)
+        assert [np.concatenate([b[i] for b in blocks]).tobytes() for i in (0, 1, 3)] == [
             a.tobytes() for a in (sums, maxes, q)]
-        assert np.concatenate([b[0] for b in laid]).tobytes() == in_deg.tobytes()
-        start = 0
-        for (in_deg, total), after in zip(laid, laid[1:] + [None]):
-            assert total == in_deg.sum()
-            end = start + len(in_deg)
-            # within one draw of in-degrees, and past the cap only alone
-            assert start // block_rows == (end - 1) // block_rows
-            assert total <= draws or len(in_deg) == 1
-            if after is not None and end % block_rows:  # cut by the cap
-                assert total + after[0][0] > draws
-            start = end
+        cap = recursion.BLOCK_DRAWS if draws is None else draws
+        assert [len(b[3]) for b in blocks] == [rows for rows, _ in
+                                               capped_layout(in_deg, block_rows, cap)]
 
     @pytest.mark.parametrize("fixed_in_degree", [0, 1])
     def test_a_block_draws_exactly_its_followers(self, fixed_in_degree, monkeypatch):
@@ -1053,13 +891,7 @@ class TestThreadedIidKernel:
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100), fixed_in_degree=100)
         rows = 2**12
         with iid_kernel(rows):
-            tracemalloc.start()
-            try:
-                for _ in _pair_blocks(config, 16 * rows, SEED, rows, BlockRing(), -math.inf):
-                    pass
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced(lambda: deque(aggregate_pair_blocks(config, 16 * rows, SEED), 0))
         assert peak < 2 * recursion.BLOCK_DRAWS * 8
 
     def test_a_growing_draw_buffer_lets_go_of_its_old_array(self):
@@ -1067,23 +899,17 @@ class TestThreadedIidKernel:
         # buffer growing as they come: 7.4 MB measured, 13.3 MB when a
         # block's draws outlived the block
         config = make_config(in_degree=InDegreeSpec(alpha=0.5, n_max=10**6))
-        # the layout alone, which also caches the in-degree law's cdf (8 MB)
-        largest = max(total for *_, total in _in_degree_blocks(config, 3000, SEED, 2**15,
-                                                                BlockRing(),
-                                                                recursion.BLOCK_DRAWS))
-        tracemalloc.start()
-        try:
-            for _ in _pair_blocks(config, 3000, SEED, 2**15, BlockRing(), -math.inf):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # the in-degrees, whose draw caches the in-degree law's cdf (8 MB)
+        in_deg = whole_in_degrees(config, 3000, SEED)
+        largest = max(draws for _, draws in capped_layout(in_deg, 2**15, recursion.BLOCK_DRAWS))
+        _, peak = traced(lambda: deque(aggregate_pair_blocks(config, 3000, SEED), 0))
         assert peak < 1.25 * largest * 8 + 2**20
 
 @pytest.fixture
 def ring_records(monkeypatch):
     """Every array a :class:`BlockRing` of ``recursion`` hands out, every
-    block of the pair loop and every column block drawn."""
+    block of ``aggregate_pair_blocks`` that ``recursion`` reads and every
+    column block drawn."""
     handed, blocks = [], []
 
     class RecordingRing(BlockRing):
@@ -1091,7 +917,7 @@ def ring_records(monkeypatch):
             handed.append(super().get(name, size, dtype))
             return handed[-1]
 
-    pair_blocks, fill = recursion._pair_blocks, recursion.SequenceStream.fill
+    pair_blocks, fill = recursion.aggregate_pair_blocks, recursion.SequenceStream.fill
 
     def recording_blocks(*args, **kwargs):
         for block in pair_blocks(*args, **kwargs):
@@ -1103,7 +929,7 @@ def ring_records(monkeypatch):
         return blocks[-1]
 
     monkeypatch.setattr(recursion, "BlockRing", RecordingRing)
-    monkeypatch.setattr(recursion, "_pair_blocks", recording_blocks)
+    monkeypatch.setattr(recursion, "aggregate_pair_blocks", recording_blocks)
     monkeypatch.setattr(recursion.SequenceStream, "fill", recording_fill)
     return handed, blocks
 
@@ -1115,13 +941,12 @@ def in_ring(array, handed):
 class TestOneBlockRing:
     def test_a_growing_array_is_let_go_before_its_successor(self):
         ring = BlockRing()
-        tracemalloc.start()
-        try:
+
+        def grow():  # holding neither array it is handed
             ring.get("draws", 2**20)
             ring.get("draws", 2**21)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced(grow)
         assert peak < 2.5 * 2**20 * 8  # 16 MB, not the 8 MB and 16 MB arrays at once
 
     def test_streamed_comparison_blocks_live_in_the_ring(self, ring_records):
@@ -1146,7 +971,7 @@ class TestOneBlockRing:
         handed, blocks = ring_records
         specs = [SequenceSpec(TailSpec(1.5), DependenceSpec.moving_maxima(1, 0.5)),
                  SequenceSpec(TailSpec(2.0))] * 2
-        with column_kernel(4):
+        with iid_kernel(4):
             sample_weighted_pair([(0.5, seq) for seq in specs[:columns]], 40, SEED)
         assert len(blocks) == 10 * columns and all(in_ring(a, handed) for a in blocks)
         # each column block is reduced before the next is drawn into the
@@ -1169,23 +994,17 @@ BOUNDED_DEGREES = (st.sampled_from([0, 1]).map(lambda d: dict(fixed_in_degree=d)
                                st.sampled_from([1, 3, 100, 10**4])))
 
 
-def refinement_counts(monkeypatch):
-    """Records, per block of the maxima kernel, the rows it refines and the
-    sizes of the follower draws it transforms."""
-    rows, transformed = [], []
-    reduce, transform = recursion._segment_reduce, recursion.pareto_transform
-
-    def counted_reduce(values, counts, *ufuncs):
-        rows.append(len(counts))
-        return reduce(values, counts, *ufuncs)
+def transformed_sizes(monkeypatch):
+    """Records the sizes of the uniforms that the i.i.d. kernel transforms
+    to follower draws, block after block."""
+    transformed, transform = [], recursion.pareto_transform
 
     def counted_transform(spec, x):
         transformed.append(len(x))
         return transform(spec, x)
 
-    monkeypatch.setattr(recursion, "_segment_reduce", counted_reduce)
     monkeypatch.setattr(recursion, "pareto_transform", counted_transform)
-    return rows, transformed
+    return transformed
 
 
 class TestBoundAndRefine:
@@ -1194,19 +1013,23 @@ class TestBoundAndRefine:
            damping=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
            block_rows=st.sampled_from([1, 2, 5, 16]),
            sizes=st.lists(st.integers(1, 120), min_size=1, max_size=3),
-           top=st.integers(1, 150), draws=DRAW_CAPS)
+           top=st.integers(1, 150), draws=DRAW_CAPS, explicit=st.booleans())
     def test_equals_the_whole_path_oracle(self, seed, tails, degrees, damping, block_rows,
-                                          sizes, top, draws):
+                                          sizes, top, draws, explicit):
+        # explicit columns refine every row; one column per in-degree
+        assume(not explicit or degrees.get("in_degree", InDegreeSpec(1, 1)).n_max <= 100)
         follower, preference = BOUNDED_TAILS[tails]
+        deps = (DependenceSpec.moving_maxima(1, 1) if explicit else DependenceSpec.iid(),)
         config = make_config(damping=damping, follower_tail=follower,
-                             preference_tail=preference, **degrees)
+                             preference_tail=preference, follower_deps=deps, **degrees)
         # one ring for calls of several lengths, as a run of replications shares it
         ring = recursion.BlockRing()
         with iid_kernel(block_rows, draws):
             got = [pair_maxima(config, n, seed + i, top, ring=ring)
                    for i, n in enumerate(sizes)]
         for i, (n, (sum_max, max_max, q_top)) in enumerate(zip(sizes, got)):
-            sums, maxes, _, q = whole_iid_pair(config, n, seed + i)
+            sums, maxes, q = whole_pair(config, n, seed + i)
+            assert type(sum_max) is type(max_max) is float
             assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
             assert q_top.tobytes() == upper_order_statistics(q, min(top, n)).tobytes()
 
@@ -1243,7 +1066,8 @@ class TestBoundAndRefine:
         pref = rng.random(rows) * x
         # a row without draws sums to 0; the others reduce as the kernel does
         f_sum = np.zeros(rows)
-        f_sum[in_deg > 0] = _segment_reduce(draws, in_deg[in_deg > 0], np.add)[0]
+        starts = np.cumsum(in_deg) - in_deg
+        f_sum[in_deg > 0] = np.add.reduceat(draws, starts[in_deg > 0]) if len(draws) else 0
         sums = np.add(np.multiply(damping, f_sum), pref)
         bounds = recursion._sum_bounds(in_deg, pref, damping * x, most)
         assert np.all(sums <= bounds)
@@ -1254,18 +1078,18 @@ class TestBoundAndRefine:
         # n_max = 100, damping 0.5, replications of 10^5 rows (two blocks)
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
                              follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
-        rows, transformed = refinement_counts(monkeypatch)
+        transformed = transformed_sizes(monkeypatch)
         got = pair_maxima(config, 10**5, seed, 501)
         sums, maxes, _, q = whole_iid_pair(config, 10**5, seed)
         assert got[:2] == (float(sums.max()), float(maxes.max()))
-        assert len(rows) == 2 and all(1 <= r <= 8 for r in rows)
-        # the largest uniform of each block, then the draws of its refined
-        # rows: the about 1.4 * 10^5 follower draws are never all transformed
+        # the largest uniform of each of the two blocks, then the draws of
+        # its refined rows: the about 1.4 * 10^5 follower draws are never all
+        # transformed
         assert len(transformed) == 4 and max(transformed) < 1000
 
     def test_heavy_followers_take_the_max_path_from_the_draws(self, monkeypatch):
         config = make_config(follower_tail=TailSpec(0.5), preference_tail=TailSpec(3.0))
-        _, transformed = refinement_counts(monkeypatch)
+        transformed = transformed_sizes(monkeypatch)
         got = pair_maxima(config, 5000, SEED, 10)
         sums, maxes, _, q = whole_iid_pair(config, 5000, SEED)
         assert got[:2] == (float(sums.max()), float(maxes.max()))
@@ -1282,12 +1106,7 @@ class TestBoundAndRefine:
             pair_maxima(config, 10**5, seed, 501, ring=ring)
         peaks = []
         for r in (None, ring):
-            tracemalloc.start()
-            try:
-                pair_maxima(config, 10**5, SEED + 2, 501, ring=r)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(lambda: pair_maxima(config, 10**5, SEED + 2, 501, ring=r))[1])
         # a fresh ring holds three 512 KB arrays (in-degrees, their lookup
         # scratch and q) and the 0.7 MB follower-draw buffer; a shared one
         # leaves the 64 KB of the in-degree lookup's bucket flags
@@ -1331,63 +1150,33 @@ class TestPairFloor:
         assert start == n
 
 
-def full_pair_row(params, rep):
-    """A preference replication's row from the whole pair of
-    :func:`whole_iid_pair`: it feeds a :class:`TailSample` of q and one of
-    each path, whose floor is q's, and the blocks threshold is q's."""
-    regime = experiments.REGIMES["preference"]
-    seed = replication_seed(params["seed"], regime.seed_offset + rep)
-    n, top = params["n"], experiments._tail_count(regime, params)
-    sums, maxes, _, q_whole = whole_iid_pair(experiments.recursion_config_from_params(params),
-                                             n, seed)
-    q = TailSample(top)
-    paths = {"sum": TailSample(top, floor_of=q), "max": TailSample(top, floor_of=q)}
-    q.feed(q_whole)
-    paths["sum"].feed(sums)
-    paths["max"].feed(maxes)
-    u = nearest_rank_quantile(q, 1.0 - params["blocks_exceed_prob"])
-    at = (u, float(len(q.above(u))) / n)
-    row = {f"blocks_{label}": experiments._estimate("blocks", path, params, at)
-           for label, path in paths.items()}
-    row["pair_diff_blocks"] = abs(row["blocks_sum"] - row["blocks_max"])
-    return row
-
-
-def row_or_error(run):
-    """``repr`` of the row ``run()`` returns, so floats compare bit for bit,
-    or the type and message of the ``DataError`` it raises."""
-    try:
-        return repr(run())
-    except DataError as exc:
-        return type(exc).__name__, str(exc)
-
-
 class TestBoundedReplication:
-    @settings(max_examples=150, deadline=None)
-    @given(rep=st.integers(0, 2**20), alpha=st.sampled_from([0.5, 1.2, 2.0]),
+    @settings(max_examples=75, deadline=None)
+    @given(seed=SEEDS, alpha=st.sampled_from([0.5, 1.2, 2.0]),
            beta=st.sampled_from([1.0, 1.5]), heavier=st.sampled_from([0.0, 0.5, 2.0]),
            damping=st.sampled_from([0.01, 0.5, 0.85, 0.99]) | st.floats(0.01, 0.99),
            n_max=st.sampled_from([1, 3, 100, 10**4]), fixed=st.sampled_from([-1, 0, 1]),
-           block_rows=st.sampled_from([40, 64, 128]), blocks=st.integers(1, 6),
+           block_rows=st.sampled_from([167, 250, 256]), blocks=st.integers(4, 6),
            offset=st.integers(-1, 1), exceed_prob=st.sampled_from([0.02, 0.05, 0.1]),
-           draws=DRAW_CAPS)
-    def test_row_equals_the_full_pair_row(self, rep, alpha, beta, heavier, damping, n_max,
+           draws=st.sampled_from([64, 1000, None]))
+    def test_row_equals_the_full_pair_row(self, seed, alpha, beta, heavier, damping, n_max,
                                           fixed, block_rows, blocks, offset, exceed_prob,
                                           draws):
-        # n below, at and across multiples of the patched block, k >= beta
-        n = max(100, block_rows * blocks + offset)
-        params = dict(experiments.DEFAULTS["verify-thm4"], n=n, alpha=alpha, beta=beta,
-                      k=beta + heavier, damping=damping, n_max=n_max, fixed_in_degree=fixed,
-                      blocks_exceed_prob=exceed_prob)
-        want = row_or_error(lambda: full_pair_row(params, rep))
+        # n below, at and across multiples of the patched block, k >= beta:
+        # the q pass and the pair at its floor against the whole pair
+        n = max(1000, block_rows * blocks + offset)
+        params = dict(experiments.DEFAULTS["verify-thm4"], n=n, seed=seed, alpha=alpha,
+                      beta=beta, k=beta + heavier, damping=damping, n_max=n_max,
+                      fixed_in_degree=fixed, blocks_exceed_prob=exceed_prob)
+        rep_seed = replication_seed_of(params, 0)
+        want = outcome(lambda: whole_path_row(params, rep_seed))
         config = experiments.recursion_config_from_params(params)
-        seed = replication_seed(params["seed"], 100_000 + rep)
-        top = experiments._tail_count(experiments.REGIMES["preference"], params)
+        top = n - nearest_rank_index(1.0 - exceed_prob, n)
         with iid_kernel(block_rows, draws):
-            got = row_or_error(lambda: experiments._replication(params, seed, BlockRing()))
-            maxima = pair_maxima(config, n, seed, top)
+            got = outcome(lambda: replication_row("verify-thm4", params))
+            maxima = pair_maxima(config, n, rep_seed, top)
         assert got == want
-        sums, maxes, _, q = whole_iid_pair(config, n, seed)
+        sums, maxes, _, q = whole_iid_pair(config, n, rep_seed)
         assert maxima[:2] == (float(sums.max()), float(maxes.max()))
         assert maxima[2].tobytes() == upper_order_statistics(q, top).tobytes()
 
@@ -1397,8 +1186,7 @@ class TestBoundedReplication:
         # quantile of q refined
         params = dict(experiments.DEFAULTS["verify-thm4"], n=10**5)
         config = experiments.recursion_config_from_params(params)
-        seed = replication_seed(params["seed"], 100_000)
-        in_deg = _draw_in_degrees(config, 10**5, child_rng(seed, STREAMS["in_degree"]))
-        _, transformed = refinement_counts(monkeypatch)
-        experiments._replication(params, seed, BlockRing())
+        in_deg = whole_in_degrees(config, 10**5, replication_seed_of(params, 0))
+        transformed = transformed_sizes(monkeypatch)
+        replication_row("verify-thm4", params)
         assert 0 < sum(transformed) < 0.01 * in_deg.sum()
