@@ -345,12 +345,13 @@ def _predict(regime: str, params) -> dict:
         predicted = asdict(predict(z, k, c, theta))
         del predicted["scale_converged"]  # set only by the random-length series
         return predicted
+    # every random-length regime refuses bad model keys here, before any sampling
+    config = recursion_config_from_params(params)
     if regime == "tail":
         return {"k_of_z": min(params["k"], params["alpha"], params["beta"]),
                 "regime": "TAIL_RULE"}
     # n_max follower columns of weight damping and the follower tail; column
     # j takes the theta of follower_deps[(j - 1) % len], as column_dep cycles them
-    config = recursion_config_from_params(params)
     n_max, tail = params["n_max"], config.follower_tail
     thetas = [theoretical_mm_theta(dep, tail.k) for dep in config.follower_deps]
     pred = predict_random_length(

@@ -20,18 +20,13 @@ from .textio import read_rows, write_rows
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Immutable directed graph in edge-array form.
-
-    ``src[e] -> dst[e]`` for each edge ``e``.  Out-adjacency is stored CSR
-    style (``out_indptr`` / ``out_targets``) for O(1) neighbor slices.
-    """
+    """Immutable directed graph in edge-array form: ``src[e] -> dst[e]`` for
+    each edge ``e``, in the order given, and each node's out-degree."""
 
     n: int
     src: np.ndarray = field(repr=False)
     dst: np.ndarray = field(repr=False)
     out_degree: np.ndarray = field(repr=False)
-    out_indptr: np.ndarray = field(repr=False)
-    out_targets: np.ndarray = field(repr=False)
 
     @classmethod
     def from_edges(cls, n: int, src, dst) -> "DirectedGraph":
@@ -43,18 +38,7 @@ class DirectedGraph:
             raise ParameterError("src and dst must have equal length")
         if len(src) and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ParameterError("edge endpoints out of range")
-        out_degree = np.bincount(src, minlength=n)
-        order = np.argsort(src, kind="stable")
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_degree, out=out_indptr[1:])
-        return cls(
-            n=n,
-            src=src,
-            dst=dst,
-            out_degree=out_degree,
-            out_indptr=out_indptr,
-            out_targets=dst[order],
-        )
+        return cls(n=n, src=src, dst=dst, out_degree=np.bincount(src, minlength=n))
 
     @property
     def edge_count(self) -> int:
@@ -175,21 +159,23 @@ def _validate_rank_inputs(g: DirectedGraph, c: float, q: np.ndarray):
     return q
 
 
-def _edge_weights(g: DirectedGraph) -> np.ndarray:
-    """``1/D_src`` for each edge, ``D_src`` the out-degree of its source
-    (at least 1, since the edge leaves it)."""
-    return 1.0 / g.out_degree[g.src]
+def _inverse_out_degree(g: DirectedGraph) -> np.ndarray:
+    """``1/D_j`` for every node ``j``, gathered along the edges as the weight
+    of each edge out of ``j`` (1 for a node without out-edges, which no edge
+    reads)."""
+    return 1.0 / np.maximum(g.out_degree, 1)
 
 
-def _in_edges(g: DirectedGraph):
+def _in_edges(g: DirectedGraph, inv_degree: np.ndarray):
     """``(src, dst, rep, rep_weight)``: each distinct edge once, in (source,
     target) order; ``rep`` indexes the repeated ones, whose ``rep_weight``
-    adds their :func:`_edge_weights` in turn, as a CSR matrix sums duplicates."""
+    adds their weights ``inv_degree[src]`` in turn, as a CSR matrix sums
+    duplicates."""
     key = np.sort(g.src * g.n + g.dst)
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     run = np.cumsum(first) - 1
-    weight = np.bincount(run, 1.0 / g.out_degree[key // g.n])
+    weight = np.bincount(run, inv_degree[key // g.n])
     rep = np.flatnonzero(np.bincount(run) > 1)
     return (*np.divmod(key[first], g.n), rep, weight[rep])
 
@@ -229,10 +215,9 @@ def pagerank(
     Raises :class:`ConvergenceError` when ``max_iter`` is exhausted.
     """
     q = _validate_rank_inputs(g, c, q)
-    src, dst, rep, rep_weight = _in_edges(g)
+    inv_degree = _inverse_out_degree(g)
+    src, dst, rep, rep_weight = _in_edges(g, inv_degree)
     rep_src = src[rep]
-    # 1/D_j as _edge_weights has it (nodes without out-edges are never read)
-    inv_degree = 1.0 / np.maximum(g.out_degree, 1)
     base = (1.0 - c) * q
 
     def step(r):
@@ -258,16 +243,18 @@ def max_linear_rank(
 
     Starts at the preference floor ``(1 - c) q`` and iterates the monotone
     max-linear map; the sequence is componentwise non-decreasing and
-    bounded, hence convergent.
+    bounded, hence convergent.  It stays non-decreasing in floating point
+    too: the first step is at least its floor, and rounded products by the
+    nonnegative weights ``c/D_j`` and maxima keep the order of their inputs,
+    so each step is at least the one before it.
     """
     q = _validate_rank_inputs(g, c, q)
-    edge_w = c * _edge_weights(g)
+    weight = c * _inverse_out_degree(g)
     floor = (1.0 - c) * q
 
     def step(r):
         r_new = floor.copy()
-        np.maximum.at(r_new, g.dst, edge_w * r[g.src])
-        np.maximum(r_new, r, out=r_new)  # monotone by construction; cheap guard
+        np.maximum.at(r_new, g.dst, (weight * r)[g.src])
         return r_new
 
     return _fixed_point(step, floor, np.max, tol, max_iter, "max-linear iteration")
@@ -315,6 +302,9 @@ def random_walk_hitting(
 
     in_target = np.zeros(g.n, dtype=bool)
     in_target[ranks.top_nodes(m)] = True
+    # each node's out-edges in a block of their own, in edge-list order
+    targets = g.dst[np.argsort(g.src, kind="stable")]
+    starts = np.cumsum(g.out_degree) - g.out_degree
 
     rng = child_rng(seed, STREAMS["walk"])
     cum_q = np.cumsum(q)
@@ -343,7 +333,7 @@ def random_walk_hitting(
         if np.any(follow):
             nodes = cur[follow]
             offsets = (rng.random(len(nodes)) * g.out_degree[nodes]).astype(np.int64)
-            pos[active[follow]] = g.out_targets[g.out_indptr[nodes] + offsets]
+            pos[active[follow]] = targets[starts[nodes] + offsets]
         if np.any(teleport):
             pos[active[teleport]] = draw_q(int(np.count_nonzero(teleport)))
         step += 1

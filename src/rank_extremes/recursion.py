@@ -179,8 +179,6 @@ def _segment_reduce(values: np.ndarray, counts: np.ndarray, *ufuncs) -> tuple:
     """
     if not len(values):
         return tuple(np.zeros(len(counts)) for _ in ufuncs)
-    if counts.min() < 1:
-        raise ValueError("every segment of a nonempty reduction needs a value")
     offsets = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     return tuple(ufunc.reduceat(values, offsets) for ufunc in ufuncs)

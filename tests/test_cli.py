@@ -344,6 +344,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("damping", 1.5, ParameterError, "damping must be in"),
+        ("alpha", -1.0, ParameterError, "alpha must be positive"),
+        ("n_max", 0, ParameterError, "n_max must be >= 1"),
+        ("k", 0.0, ParameterError, "tail index k must be positive"),
+        ("fixed_in_degree", 500, ConfigurationError, "fixed_in_degree 500 exceeds"),
+    ])
+    def test_tail_regime_refuses_bad_model_keys_before_sampling(self, monkeypatch, key,
+                                                                 value, error, message):
+        # refused by the prediction, so no replication's note names it
+        refuse_sampling(monkeypatch)
+        cfg = ExperimentConfig.default("verify-thm4", regime="tail", **{key: value})
+        with pytest.raises(error, match=message) as exc:
+            run_experiment(cfg)
+        assert not hasattr(exc.value, "__notes__")
+
     @pytest.mark.parametrize("jobs", [0, -3])
     @pytest.mark.parametrize("kind", ["verify-thm2", "verify-thm4", "tail-eq"])
     def test_jobs_below_one_refused_before_sampling(self, monkeypatch, kind, jobs):
@@ -963,6 +979,17 @@ def seeds(params, seed, ring):
 
 
 class TestWorkerPool:
+    def test_available_cpus_follow_the_affinity_or_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert experiments.available_cpus() == 3
+        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert experiments.available_cpus() == 4
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments.available_cpus() == 1
+
     @pytest.mark.parametrize("cpus, tasks, threads", [
         (2, 5, [2]), (2, 3, [2]), (8, 3, [3]), (2, 1, []), (1, 5, [])])
     def test_jobs_1_maps_on_threads_capped_at_the_cpus(self, cpus, tasks, threads,

@@ -1,6 +1,8 @@
 """Graph generation, rank fixed points, and random-walk hitting times."""
 
+import bisect
 import io
+import itertools
 import math
 import time
 
@@ -44,6 +46,20 @@ def star():
     src = [1, 2, 3, 4, 5, 0]
     dst = [0, 0, 0, 0, 0, 1]
     return DirectedGraph.from_edges(6, src, dst)
+
+
+@st.composite
+def rank_cases(draw):
+    """``(g, c, q)``: a random multigraph of 1-12 nodes with repeated edges,
+    self-loops and nodes without out-edges, c in [0.01, 0.99] and a random
+    positive preference vector ``q``."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.floats(0.01, 0.99))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    g = DirectedGraph.from_edges(n, [e[0] for e in edges], [e[1] for e in edges])
+    q = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return g, c, q / q.sum()
 
 
 class TestPagerank:
@@ -173,21 +189,35 @@ class TestMaxLinear:
         assert np.all(r.scores > 0)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 12), c=st.floats(0.01, 0.99), data=st.data())
-    def test_never_above_pagerank(self, n, c, data):
+    @given(case=rank_cases())
+    def test_never_above_pagerank(self, case):
         # the paper's pairing of the two indices: PageRank is a
         # super-solution of the max-linear map, whose iteration starts at
-        # the floor (1 - c) q below it.  Random multigraphs: repeated edges,
-        # self-loops and nodes without out-edges
-        node = st.integers(0, n - 1)
-        edges = data.draw(st.lists(st.tuples(node, node), max_size=4 * n))
-        g = DirectedGraph.from_edges(n, [e[0] for e in edges], [e[1] for e in edges])
-        q = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
-        q /= q.sum()
+        # the floor (1 - c) q below it
+        g, c, q = case
         # a contraction by c = 0.99 takes some 3000 steps to 1e-12
         ml = max_linear_rank(g, c, q, max_iter=5000)
         pr = pagerank(g, c, q, max_iter=5000)
         assert np.all(ml.scores <= pr.scores * (1 + 1e-12))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rank_cases())
+    def test_equals_the_iteration_that_keeps_each_score_at_least_its_last(self, case):
+        # every step is at least the one before it in floating point, so a
+        # step that also takes the maximum with the last iterate moves nothing
+        g, c, q = case
+        edge_weight = c * (1.0 / g.out_degree[g.src])
+        floor = (1.0 - c) * q
+
+        def guarded_step(r):
+            r_new = floor.copy()
+            np.maximum.at(r_new, g.dst, edge_weight * r[g.src])
+            return np.maximum(r_new, r)
+
+        ref = _fixed_point(guarded_step, floor, np.max, 1e-12, 5000, "max-linear iteration")
+        ml = max_linear_rank(g, c, q, max_iter=5000)
+        assert ml.scores.tobytes() == ref.scores.tobytes()
+        assert (ml.residuals, ml.iterations) == (ref.residuals, ref.iterations)
 
 
 class TestGraphGeneration:
@@ -435,6 +465,19 @@ class TestHittingTimes:
         ones = np.count_nonzero(ht.times == 1)
         assert abs(ones - 0.85 * trials) <= 4 * math.sqrt(trials * 0.85 * 0.15)
 
+    def test_equals_a_walk_over_the_edge_list(self):
+        # node 0 lists its out-edges out of target order, with a repeated
+        # edge and a self-loop, between the edges of other nodes: a walk
+        # takes the floor(u * D)-th out-edge of its node in edge-list order
+        src = [0, 1, 0, 3, 0, 2, 1, 0, 4, 3, 4, 0]
+        dst = [3, 4, 1, 2, 3, 0, 2, 0, 4, 1, 0, 2]
+        g = DirectedGraph.from_edges(5, src, dst)
+        ranks = RankVector(scores=np.array([0.1, 0.2, 0.3, 0.1, 0.9]), iterations=1,
+                           residual=0.0)
+        q = np.array([0.4, 0.1, 0.2, 0.2, 0.1])
+        ht = random_walk_hitting(g, 0.85, ranks, 0.2, 300, SEED, q=q)
+        assert ht.times.tolist() == walk_over_edge_list(src, dst, q, 0.85, {4}, 300, SEED)
+
     def test_empty_target_rejected(self):
         g = cycle(10)
         r = pagerank(g, 0.85, np.full(10, 0.1))
@@ -458,3 +501,37 @@ class TestHittingTimes:
         a = random_walk_hitting(g, 0.85, r, 0.1, 100, SEED, q=q)
         b = random_walk_hitting(g, 0.85, r, 0.1, 100, SEED, q=q)
         assert np.array_equal(a.times, b.times)
+
+
+def walk_over_edge_list(src, dst, q, c, target, trials, seed):
+    """Hitting times of ``target`` for ``trials`` walks, one Python step at a
+    time, drawing as ``random_walk_hitting`` does from the walk stream: the
+    start nodes, then on each step the teleport uniforms of the walks still
+    out, the edge uniforms of those that follow an edge, and the nodes of
+    those that teleport."""
+    rng = child_rng(seed, STREAMS["walk"])
+    out_edges = [[] for _ in q]
+    for s, d in zip(src, dst):
+        out_edges[s].append(d)
+    cum_q = list(itertools.accumulate(q))
+    cum_q[-1] = 1.0
+    pos = [bisect.bisect_right(cum_q, u) for u in rng.random(trials)]
+    times = [None] * trials
+    active = list(range(trials))
+    step = 0
+    while True:
+        for walk in active:
+            if pos[walk] in target:
+                times[walk] = step
+        active = [walk for walk in active if times[walk] is None]
+        if not active:
+            return times
+        teleport = rng.random(len(active)) >= c
+        follow = [walk for walk, t in zip(active, teleport) if not t]
+        jump = [walk for walk, t in zip(active, teleport) if t]
+        for walk, u in zip(follow, rng.random(len(follow))):
+            edges = out_edges[pos[walk]]
+            pos[walk] = edges[int(u * len(edges))]
+        for walk, u in zip(jump, rng.random(len(jump))):
+            pos[walk] = bisect.bisect_right(cum_q, u)
+        step += 1
