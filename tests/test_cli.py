@@ -979,17 +979,6 @@ def seeds(params, seed, ring):
 
 
 class TestWorkerPool:
-    def test_available_cpus_follow_the_affinity_or_the_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5},
-                            raising=False)
-        assert experiments.available_cpus() == 3
-        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
-        monkeypatch.delattr(experiments.os, "sched_getaffinity")
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        assert experiments.available_cpus() == 4
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert experiments.available_cpus() == 1
-
     @pytest.mark.parametrize("cpus, tasks, threads", [
         (2, 5, [2]), (2, 3, [2]), (8, 3, [3]), (2, 1, []), (1, 5, [])])
     def test_jobs_1_maps_on_threads_capped_at_the_cpus(self, cpus, tasks, threads,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -441,6 +442,38 @@ class TestBlockedColumnKernel:
             pair = sample_aggregate_pair(config, n, seed)
         for got, want in zip(pair, whole_pair(config, n, seed), strict=True):
             assert got.tobytes() == want.tobytes()
+
+    # the kernel draws on its caller's thread: columns are drawn at once only
+    # by the replication threads of --jobs 1, one per CPU the process may use
+    def test_thread_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert replication_threads(100, monkeypatch) == 3
+        assert replication_threads(2, monkeypatch) == 2
+        assert replication_threads(1, monkeypatch) == 1
+
+    def test_thread_count_without_cpu_affinity(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the CPU count serves
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert replication_threads(100, monkeypatch) == 4
+        assert replication_threads(3, monkeypatch) == 3
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert replication_threads(100, monkeypatch) == 1
+
+
+def replication_threads(r, monkeypatch):
+    """The threads that ``experiments._replicate`` maps ``r`` replications
+    on at --jobs 1, 1 when it runs them on the calling thread."""
+    threads = [1]
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            threads.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+    experiments._replicate(lambda params, seed, ring: seed, "verify-thm4", {"seed": 1}, r, 0, 1)
+    return threads[-1]
 
 
 class TestSegmentSumMax:
