@@ -354,8 +354,9 @@ def _predict(regime: str, params) -> dict:
     # j takes the theta of follower_deps[(j - 1) % len], as column_dep cycles them
     n_max, tail = params["n_max"], config.follower_tail
     thetas = [theoretical_mm_theta(dep, tail.k) for dep in config.follower_deps]
+    # the constants as stride-0 views: n_max floats are held only where they vary
     pred = predict_random_length(
-        np.full(n_max, config.damping), np.full(n_max, tail.k), np.full(n_max, tail.c),
+        *(np.broadcast_to(x, n_max) for x in (config.damping, tail.k, tail.c)),
         np.tile(thetas, n_max // len(thetas) + 1)[:n_max],
         alpha=params["alpha"], beta=params["beta"], z_star=config.z_star)
     if regime == "followers":
@@ -367,9 +368,11 @@ def _predict(regime: str, params) -> dict:
     return {"k_of_z": pred.k_of_z, "theta_of_z": pred.theta_of_z, "regime": pred.regime}
 
 
-# Hard cap on the preference draws the definition stage pools in the main
-# process: r replications hand in their top ``count`` values each, so the
-# stage holds r * min(count, def_n) float64 values (10^7 are 80 MB).
+# Hard cap on the preference draws a run of the definition stage pools:
+# each of its replications hands in its top ``count`` values, so the largest
+# pool, one run of all r replications on a single worker, holds
+# r * min(count, def_n) float64 values (10^7 are 80 MB).  The main process
+# holds only each run's top ``count`` (:func:`_definition_run`).
 DEFINITION_POOL_BUDGET = 10**7
 
 
@@ -402,21 +405,36 @@ def _definition_replication(params, seed: int, ring: BlockRing):
     return pair_maxima(config, params["def_n"], seed, _definition_count(params), ring=ring)
 
 
+def _definition_run(params, results: list) -> tuple:
+    """A run of definition replications reduced to what the stage reads:
+    their sum maxima, their max maxima and the ``count`` largest of their
+    pooled preference draws (all of them when the run pools fewer).  The
+    ``count`` largest of a union are the ``count`` largest of the parts'
+    own ``count`` largest, so ``u_n`` taken over the runs' tops is exact."""
+    sum_maxima, max_maxima, tops = zip(*results)
+    pool = np.concatenate(tops)
+    count = min(_definition_count(params), len(pool))
+    return sum_maxima, max_maxima, upper_order_statistics(pool, count)
+
+
 def _definition_stage(params, jobs: int) -> dict:
     """Definition-based theta of the preference regime: replicated paths, threshold
     calibrated on the i.i.d. preference draws (the defining normalization).
 
     The replications are streamed through :func:`_replicate`: each hands in
-    two maxima and its top ``count`` preference draws, and ``u_n``, the
-    ``count``-th largest pooled draw, is taken once for both estimates.
+    two maxima and its top ``count`` preference draws, and each run of them
+    hands back their maxima and its own top ``count`` (:func:`_definition_run`).
+    The main process holds ``runs * count`` draws, and ``u_n``, their
+    ``count``-th largest, is taken once for both estimates.
     """
     count = _definition_count(params)
     r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
     sum_maxima, max_maxima, tops = zip(*_replicate(
-        _definition_replication, f"{VERIFY_THM4} definition-stage", params, r, 0, jobs))
+        _definition_replication, f"{VERIFY_THM4} definition-stage", params, r, 0, jobs,
+        reduce=_definition_run))
     u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
-    def_sum = definition_theta_from_maxima(sum_maxima, n_def, tau, u_n)
-    def_max = definition_theta_from_maxima(max_maxima, n_def, tau, u_n)
+    def_sum = definition_theta_from_maxima(np.concatenate(sum_maxima), n_def, tau, u_n)
+    def_max = definition_theta_from_maxima(np.concatenate(max_maxima), n_def, tau, u_n)
     return {"definition_sum": def_sum.estimate, "definition_max": def_max.estimate}
 
 
@@ -612,14 +630,15 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run(task) -> list:
-    """A run of contiguous replications, ``(one, kind, params, reps, offset)
-    ->`` ``[one(params, replication_seed(seed, offset + rep), ring) for rep
-    in reps]``, every replication drawing into the run's one
-    :class:`BlockRing`, so the run maps and faults in its block buffers
-    once.  An exception leaves as it is, with a note naming the replication
-    (the note survives the trip back from a worker process)."""
-    one, kind, params, reps, offset = task
+def _run(task):
+    """A run of contiguous replications, ``(one, kind, params, reps, offset,
+    reduce) ->`` ``[one(params, replication_seed(seed, offset + rep), ring)
+    for rep in reps]``, or ``reduce(params, that list)`` when ``reduce`` is
+    given, every replication drawing into the run's one :class:`BlockRing`,
+    so the run maps and faults in its block buffers once.  An exception
+    leaves as it is, with a note naming the replication (the note survives
+    the trip back from a worker process)."""
+    one, kind, params, reps, offset, reduce = task
     ring, out = BlockRing(), []
     for rep in reps:
         seed = replication_seed(params["seed"], offset + rep)
@@ -630,17 +649,19 @@ def _run(task) -> list:
             exc.__notes__ = [*getattr(exc, "__notes__", ()),
                              f"in {kind} replication {rep}, seed {seed}"]
             raise
-    return out
+    return out if reduce is None else reduce(params, out)
 
 
 def _replicate(one: Callable, kind: str, params: dict, r: int, offset: int,
-               jobs: int) -> list:
+               jobs: int, reduce: Callable | None = None) -> list:
     """The results of replications ``0..r-1`` of ``one``, in order: every
     replicated stage, the replications of a kind and the definition stage.
 
     The replications are cut into runs of contiguous ones, each one task of
     :func:`_run`: a few runs per worker, so the round trips stay few and the
-    workers end together, and one run when there is one worker.  The pool
+    workers end together, and one run when there is one worker.  Given
+    ``reduce``, each run hands back ``reduce(params, its results)``, and the
+    list holds those in run order in place of the results.  The pool
     has ``jobs`` processes at ``jobs >= 2``, else one thread per CPU, and
     no more workers than replications (a forking pool starts every worker
     at once).  This is a run's one level of parallelism: every kernel draws
@@ -649,15 +670,15 @@ def _replicate(one: Callable, kind: str, params: dict, r: int, offset: int,
     worker scheduling."""
     workers = min(jobs if jobs > 1 else available_cpus(), r)
     size = max(1, r // (4 * workers) if workers > 1 else r)
-    tasks = [(one, kind, params, range(lo, min(lo + size, r)), offset)
+    tasks = [(one, kind, params, range(lo, min(lo + size, r)), offset, reduce)
              for lo in range(0, r, size)]
     if workers <= 1:
-        runs = map(_run, tasks)
+        runs = [_run(task) for task in tasks]
     else:
         pool = ProcessPoolExecutor(workers) if jobs > 1 else ThreadPoolExecutor(workers)
         with pool:
             runs = list(pool.map(_run, tasks))
-    return [result for run in runs for result in run]
+    return runs if reduce else [result for run in runs for result in run]
 
 
 def _collect_estimates(rows: list[dict]) -> dict:

@@ -145,7 +145,9 @@ def gen_power_law_graph(n: int, alpha: float, seed: int) -> DirectedGraph:
         repair_dst = rng.integers(0, n, size=len(dangling))
         src = np.concatenate([src, dangling])
         dst = np.concatenate([dst, repair_dst])
-    return DirectedGraph.from_edges(n, src, dst)
+        out_degree[dangling] = 1
+    # the edges are in range by construction, and out_degree counts them
+    return DirectedGraph(n=n, src=src, dst=dst, out_degree=out_degree)
 
 
 def _validate_rank_inputs(g: DirectedGraph, c: float, q: np.ndarray):

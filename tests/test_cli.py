@@ -324,13 +324,16 @@ class TestRunExperiment:
             "regime": "PREFERENCE_DOMINATES"}
 
     def test_preference_prediction_memory_at_a_million_followers(self):
-        # the prediction holds a few arrays of n_max floats: 45.8 MB traced
-        # at n_max = 10^6, against 245 MB when it built an object per column
+        # the prediction holds three arrays of n_max floats at once (the
+        # follower thetas, the weights c * z**k and their partial sums), and
+        # its constant damping, k and c as stride-0 views: 22.9 MB traced at
+        # n_max = 10^6, 45.8 MB with the constants as full arrays and 245 MB
+        # with an object per column
         cfg = ExperimentConfig.default("verify-thm4", n_max=10**6, def_replications=100,
                                        def_n=5000, **SMALL)
         report, peak = traced(lambda: run_experiment(cfg))
         assert report["predicted"]["theta_of_z"] == 0.5
-        assert peak < 55 * 2**20, peak
+        assert peak < 25 * 2**20, peak
 
     @pytest.mark.parametrize("regime, k, beta, message", [
         ("followers", 3.0, 3.0, "followers regime requires k < beta"),
@@ -434,6 +437,17 @@ class TestRunExperiment:
         _, peak = traced(lambda: run_experiment(cfg))
         assert peak < block / 4
 
+    def test_definition_stage_main_process_holds_the_runs_tops(self):
+        # the 500 replications go to two worker processes in 9 runs, each of
+        # which hands back its maxima and its own top 501 draws: 0.15 MB
+        # traced in this process, against 5.9 MB when every replication's
+        # top 501 came back and was pooled here
+        cfg = ExperimentConfig.default("verify-thm4", def_replications=500, def_n=2000,
+                                       n=1000, replications=1)
+        report, peak = traced(lambda: run_experiment(cfg, jobs=2))
+        assert {"definition_sum", "definition_max"} <= set(report["estimates"])
+        assert peak < 2**20, peak
+
     def test_an_explicit_column_definition_replication_keeps_stream_blocks(self):
         # explicit columns reduce 2^15-row blocks where the i.i.d. maxima
         # take 2^16: 2.0 MB measured, 4.0 MB in 2^16-row blocks
@@ -466,15 +480,17 @@ def runs_of(size):
     """A stand-in for ``experiments._replicate`` that cuts runs of ``size``
     replications (all of them when ``size`` is ``None``), whatever the jobs,
     and maps them with ``experiments._run``: on two processes at ``jobs >=
-    2``, else on one thread per CPU."""
-    def replicate(one, kind, params, r, offset, jobs):
+    2``, else on one thread per CPU.  Given ``reduce``, it returns each
+    run's reduction, as ``_replicate`` does."""
+    def replicate(one, kind, params, r, offset, jobs, reduce=None):
         step = size or r
-        tasks = [(one, kind, params, range(lo, min(lo + step, r)), offset)
+        tasks = [(one, kind, params, range(lo, min(lo + step, r)), offset, reduce)
                  for lo in range(0, r, step)]
         pool = (ProcessPoolExecutor(2) if jobs > 1
                 else ThreadPoolExecutor(experiments.available_cpus()))
         with pool:
-            return [result for run in pool.map(experiments._run, tasks) for result in run]
+            runs = list(pool.map(experiments._run, tasks))
+        return runs if reduce else [result for run in runs for result in run]
     return replicate
 
 

@@ -251,6 +251,7 @@ class TestGraphGeneration:
         dangling = np.flatnonzero(np.bincount(g.src[:edges], minlength=n) == 0)
         assert g.src[edges:].tolist() == dangling.tolist()
         assert g.out_degree.min() >= 1
+        assert g.out_degree.tobytes() == np.bincount(g.src, minlength=n).tobytes()
         again = gen_power_law_graph(n, alpha, seed)
         assert np.array_equal(g.src, again.src) and np.array_equal(g.dst, again.dst)
 
