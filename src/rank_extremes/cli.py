@@ -126,7 +126,7 @@ def _cmd_estimate(args) -> int:
                 n=len(path),
                 threshold=u,
                 exceedances=stats.exceedance_count,
-                run_gap=args.run_gap,
+                run_gap=stats.run_gap,
                 details={"clusters": stats.cluster_count, "mean_size": stats.mean_size},
             )
     out = _out_dir(args)

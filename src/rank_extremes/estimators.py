@@ -439,12 +439,13 @@ def definition_theta(paths, tau: float, calibration_paths=None) -> EstimateRepor
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Runs-declustering summary: 1/theta approximates the mean cluster size."""
+    """Runs-declustering summary at ``run_gap``: 1/theta approximates the mean cluster size."""
 
     cluster_count: int
     exceedance_count: int
     mean_size: float
     theta_runs: float
+    run_gap: int
 
 
 def mean_cluster_size(path, u: float, run_gap: int | None = None) -> ClusterStats:
@@ -471,4 +472,5 @@ def mean_cluster_size(path, u: float, run_gap: int | None = None) -> ClusterStat
         exceedance_count=n_exc,
         mean_size=n_exc / clusters,
         theta_runs=clusters / n_exc,
+        run_gap=run_gap,
     )

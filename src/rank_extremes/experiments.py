@@ -368,19 +368,17 @@ def _predict(regime: str, params) -> dict:
     return {"k_of_z": pred.k_of_z, "theta_of_z": pred.theta_of_z, "regime": pred.regime}
 
 
-# Hard cap on the preference draws a run of the definition stage pools:
-# each of its replications hands in its top ``count`` values, so the largest
-# pool, one run of all r replications on a single worker, holds
-# r * min(count, def_n) float64 values (10^7 are 80 MB).  The main process
-# holds only each run's top ``count`` (:func:`_definition_run`).
+# Hard cap on the calibration draws the definition stage's runs hand back: a
+# run keeps at most 2 * count plus one block (:class:`_DefinitionRun`), and its
+# top min(count, draws) comes back, so r * min(count, def_n) float64 values at
+# most, when each run is one replication (10^7 are 80 MB).
 DEFINITION_POOL_BUDGET = 10**7
 
 
 def _definition_count(params) -> int:
     """``count`` of the definition stage: how many of its largest preference
-    draws each replication hands in.  Refuses too few replications, a
-    ``tau`` outside ``(0, def_n)`` or a pool over its budget, before any
-    sampling."""
+    draws each run hands back.  Refuses too few replications, a ``tau``
+    outside ``(0, def_n)`` or tops over their budget, before any sampling."""
     r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
     try:
         count = definition_top_count(r, n_def, tau)
@@ -391,47 +389,48 @@ def _definition_count(params) -> int:
     pooled = r * min(count, n_def)
     if pooled > DEFINITION_POOL_BUDGET:
         raise ResourceError(
-            f"definition stage would pool {pooled:.3g} preference draws "
+            f"definition stage may hand back {pooled:.3g} preference draws "
             f"(def_replications={r} x {min(count, n_def)}), over the "
             f"{DEFINITION_POOL_BUDGET:.0e} budget; lower tau or def_replications"
         )
     return count
 
 
-def _definition_replication(params, seed: int, ring: BlockRing):
-    """One definition-stage replication: the maxima of its sum and max paths
-    and the top ``count`` of its preference draws (all when ``count >= def_n``)."""
-    config = recursion_config_from_params(params)
-    return pair_maxima(config, params["def_n"], seed, _definition_count(params), ring=ring)
+class _DefinitionRun:
+    """A run of definition replications (:func:`_run`): the pair's config,
+    and one :class:`TailSample` of ``count`` that all the run's preference
+    draws feed, shared as the run's one ring is."""
 
+    def __init__(self, params):
+        self.config, self.n = recursion_config_from_params(params), params["def_n"]
+        self.calibration = TailSample(_definition_count(params))
 
-def _definition_run(params, results: list) -> tuple:
-    """A run of definition replications reduced to what the stage reads:
-    their sum maxima, their max maxima and the ``count`` largest of their
-    pooled preference draws (all of them when the run pools fewer).  The
-    ``count`` largest of a union are the ``count`` largest of the parts'
-    own ``count`` largest, so ``u_n`` taken over the runs' tops is exact."""
-    sum_maxima, max_maxima, tops = zip(*results)
-    pool = np.concatenate(tops)
-    count = min(_definition_count(params), len(pool))
-    return sum_maxima, max_maxima, upper_order_statistics(pool, count)
+    def replicate(self, seed: int, ring: BlockRing) -> tuple[float, float]:
+        return pair_maxima(self.config, self.n, seed, self.calibration, ring=ring)
+
+    def result(self, maxima: list) -> tuple:
+        """The run's sum maxima, max maxima and ``count`` largest draws (all
+        when it drew fewer): the ``count`` largest of a union are the ``count``
+        largest of the parts' own, so ``u_n`` taken over the runs' tops is exact."""
+        sample = self.calibration
+        return (*zip(*maxima), sample.largest(min(sample.top, sample.n)))
 
 
 def _definition_stage(params, jobs: int) -> dict:
     """Definition-based theta of the preference regime: replicated paths, threshold
     calibrated on the i.i.d. preference draws (the defining normalization).
 
-    The replications are streamed through :func:`_replicate`: each hands in
-    two maxima and its top ``count`` preference draws, and each run of them
-    hands back their maxima and its own top ``count`` (:func:`_definition_run`).
-    The main process holds ``runs * count`` draws, and ``u_n``, their
-    ``count``-th largest, is taken once for both estimates.
+    The replications are streamed through :func:`_replicate` in runs
+    (:class:`_DefinitionRun`): each reduces its pair to two maxima and feeds
+    its preference draws to its run's one tail sample, of at most ``2 *
+    count`` draws and one block.  The main process holds the runs' tops,
+    ``runs * count`` draws, and ``u_n``, their ``count``-th largest.
     """
     count = _definition_count(params)
     r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]
     sum_maxima, max_maxima, tops = zip(*_replicate(
-        _definition_replication, f"{VERIFY_THM4} definition-stage", params, r, 0, jobs,
-        reduce=_definition_run))
+        _DefinitionRun.replicate, f"{VERIFY_THM4} definition-stage", params, r, 0, jobs,
+        start=_DefinitionRun))
     u_n = float(upper_order_statistics(np.concatenate(tops), count)[-1])
     def_sum = definition_theta_from_maxima(np.concatenate(sum_maxima), n_def, tau, u_n)
     def_max = definition_theta_from_maxima(np.concatenate(max_maxima), n_def, tau, u_n)
@@ -630,55 +629,59 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _runs(r: int, workers: int) -> list[range]:
+    """Replications ``0..r-1`` cut into runs of contiguous ones for
+    ``workers``: a few runs per worker, so the round trips stay few and the
+    workers end together, and one run when there is one worker."""
+    size = max(1, r // (4 * workers) if workers > 1 else r)
+    return [range(lo, min(lo + size, r)) for lo in range(0, r, size)]
+
+
 def _run(task):
     """A run of contiguous replications, ``(one, kind, params, reps, offset,
-    reduce) ->`` ``[one(params, replication_seed(seed, offset + rep), ring)
-    for rep in reps]``, or ``reduce(params, that list)`` when ``reduce`` is
-    given, every replication drawing into the run's one :class:`BlockRing`,
-    so the run maps and faults in its block buffers once.  An exception
-    leaves as it is, with a note naming the replication (the note survives
+    start) ->`` ``[one(run, replication_seed(seed, offset + rep), ring) for
+    rep in reps]``, ``run`` being ``params``, or ``start(params)``, which
+    then hands back ``run.result(that list)``.  The replications share
+    ``run`` and one :class:`BlockRing`, so a run maps its buffers once.  An
+    exception leaves with a note naming the replication (the note survives
     the trip back from a worker process)."""
-    one, kind, params, reps, offset, reduce = task
+    one, kind, params, reps, offset, start = task
+    run = params if start is None else start(params)
     ring, out = BlockRing(), []
     for rep in reps:
         seed = replication_seed(params["seed"], offset + rep)
         try:
-            out.append(one(params, seed, ring))
+            out.append(one(run, seed, ring))
         except Exception as exc:
             # what BaseException.add_note does, which Python 3.10 lacks
             exc.__notes__ = [*getattr(exc, "__notes__", ()),
                              f"in {kind} replication {rep}, seed {seed}"]
             raise
-    return out if reduce is None else reduce(params, out)
+    return out if start is None else run.result(out)
 
 
 def _replicate(one: Callable, kind: str, params: dict, r: int, offset: int,
-               jobs: int, reduce: Callable | None = None) -> list:
+               jobs: int, start: Callable | None = None) -> list:
     """The results of replications ``0..r-1`` of ``one``, in order: every
     replicated stage, the replications of a kind and the definition stage.
 
-    The replications are cut into runs of contiguous ones, each one task of
-    :func:`_run`: a few runs per worker, so the round trips stay few and the
-    workers end together, and one run when there is one worker.  Given
-    ``reduce``, each run hands back ``reduce(params, its results)``, and the
-    list holds those in run order in place of the results.  The pool
-    has ``jobs`` processes at ``jobs >= 2``, else one thread per CPU, and
-    no more workers than replications (a forking pool starts every worker
-    at once).  This is a run's one level of parallelism: every kernel draws
-    its blocks on the thread that runs its task.  ``pool.map`` returns
-    results in task order, so reports are reproducible regardless of
+    Each run that :func:`_runs` cuts is one task of :func:`_run`; given
+    ``start``, the list holds the runs' results in place of the
+    replications'.  The pool has ``jobs`` processes at ``jobs >= 2``, else
+    one thread per CPU, and no more workers than replications (a forking
+    pool starts every worker at once).  This is a run's one level of
+    parallelism: every kernel draws its blocks on the thread that runs its
+    task.  ``pool.map`` keeps task order, so reports do not depend on
     worker scheduling."""
     workers = min(jobs if jobs > 1 else available_cpus(), r)
-    size = max(1, r // (4 * workers) if workers > 1 else r)
-    tasks = [(one, kind, params, range(lo, min(lo + size, r)), offset, reduce)
-             for lo in range(0, r, size)]
+    tasks = [(one, kind, params, reps, offset, start) for reps in _runs(r, workers)]
     if workers <= 1:
         runs = [_run(task) for task in tasks]
     else:
         pool = ProcessPoolExecutor(workers) if jobs > 1 else ThreadPoolExecutor(workers)
         with pool:
             runs = list(pool.map(_run, tasks))
-    return runs if reduce else [result for run in runs for result in run]
+    return runs if start else [result for run in runs for result in run]
 
 
 def _collect_estimates(rows: list[dict]) -> dict:

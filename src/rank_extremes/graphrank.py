@@ -179,7 +179,9 @@ def _in_edges(g: DirectedGraph, inv_degree: np.ndarray):
     run = np.cumsum(first) - 1
     weight = np.bincount(run, inv_degree[key // g.n])
     rep = np.flatnonzero(np.bincount(run) > 1)
-    return (*np.divmod(key[first], g.n), rep, weight[rep])
+    del run  # freed, as the whole key below, before the distinct edges are split
+    key = key[first]
+    return (*np.divmod(key, g.n), rep, weight[rep])
 
 
 def _fixed_point(step, r0, distance, tol, max_iter, what) -> RankVector:

@@ -21,9 +21,9 @@ one row block at a time (:func:`aggregate_pair_blocks`,
 draws the random-length pair of either column kind (:func:`_pair_blocks`):
 each block's in-degrees and preference values, its follower terms from
 :func:`_iid_followers` or :func:`_column_block`, and the preference term.
-Given a floor, as :func:`aggregate_pair_blocks` and :func:`pair_maxima` may
-give it, i.i.d. columns bound the rows of each block and refine only those
-that can reach it.
+Given a floor, or in :func:`pair_maxima` each block's largest preference
+term, i.i.d. columns bound the rows and refine only those that can reach it.
+:func:`pair_maxima` feeds the preference draws to its caller's :class:`TailSample`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResourceError
-from .estimators import TailSample, nearest_rank_index, upper_order_statistics
+from .estimators import TailSample, nearest_rank_index
 from .heavytail import (
     DependenceSpec,
     InDegreeSpec,
@@ -556,33 +556,25 @@ def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int,
         write_rows(fileobj, "%.17g\n", sums if config.aggregate == SUM else maxes)
 
 
-def pair_maxima(config: RecursionConfig, n: int, seed: int, top: int, *,
-                ring: BlockRing | None = None) -> tuple[float, float, np.ndarray]:
+def pair_maxima(config: RecursionConfig, n: int, seed: int, calibration: TailSample, *,
+                ring: BlockRing | None = None) -> tuple[float, float]:
     """The largest sum and the largest max value of the pair
-    ``aggregate_pair_blocks(config, n, seed)``, and the ``min(top, n)``
-    largest of its raw preference draws, in descending order.
+    ``aggregate_pair_blocks(config, n, seed)``; its raw preference draws
+    feed ``calibration``, block by block in row order.
 
     No path is built: the blocks are those of :func:`_pair_blocks` at
     ``MAXIMA_BLOCK_ROWS`` rows and no floor, so with i.i.d. columns each
     block bounds its rows and refines the few that can reach its largest
-    preference term.  The buffers live in ``ring``, which successive calls
-    may share; each block's preference draws are partitioned in place to
-    take their top ``top``.
+    preference term.  The buffers live in ``ring``; successive calls may
+    share it and ``calibration``, which then keeps the top of all their draws.
     """
     _check_pair_args(n, seed)
-    if top < 1:
-        raise ParameterError(f"top must be >= 1, got {top}")
-    top = min(top, n)
     sum_max = max_max = -np.inf
-    tops = []
     for sums, maxes, _, q in _pair_blocks(config, n, seed, MAXIMA_BLOCK_ROWS,
                                           BlockRing() if ring is None else ring, None):
         sum_max, max_max = max(sum_max, sums.max()), max(max_max, maxes.max())
-        k = len(q) - min(top, len(q))
-        q.partition(k)  # the block is done with its preference draws
-        tops.append(q[k:].copy())
-    return (float(sum_max), float(max_max),
-            upper_order_statistics(np.concatenate(tops), top))
+        calibration.feed(q)
+    return float(sum_max), float(max_max)
 
 
 def preference_blocks(config: RecursionConfig, n: int, seed: int,

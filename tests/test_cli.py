@@ -8,7 +8,6 @@ import pkgutil
 import subprocess
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from rank_extremes import cli, experiments, graphrank, recursion
 from rank_extremes.cli import main
 from rank_extremes.errors import ConfigurationError, ConvergenceError, ParameterError
 from rank_extremes.estimators import (
+    TailSample,
     definition_theta_from_maxima,
     definition_top_count,
     upper_order_statistics,
@@ -97,6 +97,7 @@ def component_arrays(config):
 PRIVATE_NAMES_TESTED = {
     "experiments._replicate": "the executor's pool sizes and runs, which no output shows",
     "experiments._run": "the executor's runs, which no output shows",
+    "experiments._runs": "the run cut, which tests of exact pooling set to any run length",
     "recursion._draw_bound": "the draw bound's margin over a pow off by a few ulps",
     "recursion._sum_bounds": "the row-sum bound's margin over the summation's rounding",
     "textio._exact": "which route, the exact reader or np.loadtxt, read each chunk",
@@ -415,20 +416,63 @@ class TestRunExperiment:
     @pytest.mark.parametrize("damping", [0.1, 0.9])
     def test_definition_replication_equals_the_pair(self, deps, fixed_in_degree, damping):
         # the maxima of two definition replications that share their block
-        # buffers, as a run of them does
+        # buffers and their calibration sample, as a run of them does
         def_n = 3000
         params = ExperimentConfig.default(
             "verify-thm4", def_replications=100, def_n=def_n, tau=0.5, deps=deps,
             fixed_in_degree=fixed_in_degree, damping=damping).params
         count = definition_top_count(100, def_n, 0.5)
         config = experiments.recursion_config_from_params(params)
-        ring = BlockRing()
+        ring, calibration, draws = BlockRing(), TailSample(count), []
         for rep in (0, 41):
             seed = replication_seed(params["seed"], rep)
-            sum_max, max_max, top = recursion.pair_maxima(config, def_n, seed, count, ring=ring)
+            sum_max, max_max = recursion.pair_maxima(config, def_n, seed, calibration,
+                                                     ring=ring)
             sums, maxes, q = whole_pair(config, def_n, seed)
             assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
-            assert top.tobytes() == upper_order_statistics(q, min(count, def_n)).tobytes()
+            draws.append(q)
+            top = calibration.largest(min(count, calibration.n))
+            pooled = np.concatenate(draws)
+            assert top.tobytes() == upper_order_statistics(pooled, min(count, len(pooled))).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(def_n=st.integers(2, 30), tau=st.floats(0.01, 0.99), high=st.integers(0, 4),
+           block=st.integers(1, 40), cuts=st.sets(st.integers(1, 99), max_size=12))
+    def test_runs_pool_tied_draws_exactly(self, def_n, tau, high, block, cuts):
+        # integer draws in 0..high, full of ties, fed in blocks of `block`
+        # rows; the 100 replications cut into runs at `cuts`: u_n, the
+        # count-th largest of the runs' tops, is that of all pooled draws
+        def draws(seed):
+            return np.random.default_rng(seed).integers(0, high + 1, def_n).astype(float)
+
+        def integer_maxima(config, n, seed, calibration, ring=None):
+            q = draws(seed)
+            for lo in range(0, n, block):
+                calibration.feed(q[lo:lo + block])
+            return 0.0, 0.0
+
+        def runs(r, workers):
+            bounds = [0, *sorted(c for c in cuts if c < r), r]
+            return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+        thresholds = []
+
+        def recording(maxima, n, tau, u_n):
+            thresholds.append(u_n)
+            return definition_theta_from_maxima(maxima, n, tau, u_n)
+
+        cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=def_n,
+                                       tau=tau * def_n, n=1000, replications=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "pair_maxima", integer_maxima)
+            mp.setattr(experiments, "_runs", runs)
+            mp.setattr(experiments, "definition_theta_from_maxima", recording)
+            mp.setattr(experiments, "available_cpus", lambda: 1)
+            run_experiment(cfg)
+        pooled = np.concatenate([draws(replication_seed(cfg.params["seed"], rep))
+                                 for rep in range(100)])
+        count = definition_top_count(100, def_n, tau * def_n)
+        assert thresholds == [float(upper_order_statistics(pooled, count)[-1])] * 2
 
     def test_definition_stage_memory_is_far_below_one_block(self):
         cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=20000,
@@ -437,16 +481,23 @@ class TestRunExperiment:
         _, peak = traced(lambda: run_experiment(cfg))
         assert peak < block / 4
 
-    def test_definition_stage_main_process_holds_the_runs_tops(self):
-        # the 500 replications go to two worker processes in 9 runs, each of
-        # which hands back its maxima and its own top 501 draws: 0.15 MB
-        # traced in this process, against 5.9 MB when every replication's
-        # top 501 came back and was pooled here
+    def test_definition_stage_main_process_holds_the_runs_tops(self, monkeypatch):
+        # the 500 replications go to two worker processes in 9 runs, or, on
+        # one CPU, to one run on this thread; each run feeds one tail sample
+        # of 501 and hands back its maxima and its top 501 draws.  Traced in
+        # this process: 0.15 MB at --jobs 2, where every replication's top
+        # 501 pooled here took 5.9 MB; 0.30 MB on one CPU, where one run that
+        # pooled every replication's top 501 took 6.04 MB
         cfg = ExperimentConfig.default("verify-thm4", def_replications=500, def_n=2000,
                                        n=1000, replications=1)
-        report, peak = traced(lambda: run_experiment(cfg, jobs=2))
-        assert {"definition_sum", "definition_max"} <= set(report["estimates"])
-        assert peak < 2**20, peak
+        # a first run caches the in-degree law's tables, whatever ran before
+        run_experiment(ExperimentConfig.default("verify-thm4", def_replications=100,
+                                                def_n=2000, n=1000, replications=1))
+        for cpus, jobs in ((2, 2), (1, 1)):
+            monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
+            report, peak = traced(lambda: run_experiment(cfg, jobs=jobs))
+            assert {"definition_sum", "definition_max"} <= set(report["estimates"])
+            assert peak < 2**20, (cpus, jobs, peak)
 
     def test_an_explicit_column_definition_replication_keeps_stream_blocks(self):
         # explicit columns reduce 2^15-row blocks where the i.i.d. maxima
@@ -454,12 +505,14 @@ class TestRunExperiment:
         params = ExperimentConfig.default(
             "verify-thm4", deps="mm:1,1", n_max=20, def_replications=100, def_n=10**5).params
         config = experiments.recursion_config_from_params(params)
-        count = definition_top_count(100, 10**5, params["tau"])
-        # a first replication caches the in-degree law's tables
-        recursion.pair_maxima(config, 10**5, replication_seed(params["seed"], 0), count,
-                              ring=BlockRing())
+        calibration = TailSample(definition_top_count(100, 10**5, params["tau"]))
+        # a first replication caches the in-degree law's tables and raises
+        # the floor of the tail sample it shares with the next, as in a run
+        recursion.pair_maxima(config, 10**5, replication_seed(params["seed"], 0),
+                              calibration, ring=BlockRing())
         _, peak = traced(lambda: recursion.pair_maxima(
-            config, 10**5, replication_seed(params["seed"], 1), count, ring=BlockRing()))
+            config, 10**5, replication_seed(params["seed"], 1), calibration,
+            ring=BlockRing()))
         assert peak < 3 * 2**20, peak
 
     def test_tail_regime_needs_hill_fraction(self):
@@ -476,22 +529,13 @@ FOLLOWERS = dict(regime="followers", k=1.2, beta=3.0, deps="iid;mm:1,1", fixed_i
                  n=3000, replications=3)
 
 
-def runs_of(size):
-    """A stand-in for ``experiments._replicate`` that cuts runs of ``size``
-    replications (all of them when ``size`` is ``None``), whatever the jobs,
-    and maps them with ``experiments._run``: on two processes at ``jobs >=
-    2``, else on one thread per CPU.  Given ``reduce``, it returns each
-    run's reduction, as ``_replicate`` does."""
-    def replicate(one, kind, params, r, offset, jobs, reduce=None):
+def cut_runs(monkeypatch, size):
+    """Make ``experiments._replicate`` cut runs of ``size`` replications
+    (all of them when ``size`` is ``None``), whatever its workers."""
+    def runs(r, workers):
         step = size or r
-        tasks = [(one, kind, params, range(lo, min(lo + step, r)), offset, reduce)
-                 for lo in range(0, r, step)]
-        pool = (ProcessPoolExecutor(2) if jobs > 1
-                else ThreadPoolExecutor(experiments.available_cpus()))
-        with pool:
-            runs = list(pool.map(experiments._run, tasks))
-        return runs if reduce else [result for run in runs for result in run]
-    return replicate
+        return [range(lo, min(lo + step, r)) for lo in range(0, r, step)]
+    monkeypatch.setattr(experiments, "_runs", runs)
 
 
 class TestFailingReplication:
@@ -551,13 +595,13 @@ class TestFailingReplication:
         bad = replication_seed(cfg.params["seed"], 9)  # the third of a run of 7
         pair_maxima = experiments.pair_maxima
 
-        def failing(config, n, seed, top, **kwargs):
+        def failing(config, n, seed, calibration, **kwargs):
             if seed == bad:
                 raise FloatingPointError("definition draw failed")
-            return pair_maxima(config, n, seed, top, **kwargs)
+            return pair_maxima(config, n, seed, calibration, **kwargs)
 
         monkeypatch.setattr(experiments, "pair_maxima", failing)
-        monkeypatch.setattr(experiments, "_replicate", runs_of(7))
+        cut_runs(monkeypatch, 7)
         with pytest.raises(FloatingPointError, match="definition draw failed") as info:
             run_experiment(cfg, jobs)
         assert info.value.__notes__ == [
@@ -758,7 +802,7 @@ class TestThreadAndJobIndependence:
                                                     monkeypatch, preference_reference):
         monkeypatch.setattr(recursion, "STREAM_BLOCK_ROWS", 1000)
         monkeypatch.setattr(recursion, "MAXIMA_BLOCK_ROWS", 1000)
-        monkeypatch.setattr(experiments, "_replicate", runs_of(run))
+        cut_runs(monkeypatch, run)
         cfg = ExperimentConfig.default("verify-thm4", **self.PREFERENCE)
         got = self.outputs(cfg, [(cpus, jobs)], tmp_path, monkeypatch)
         assert got == preference_reference
@@ -832,8 +876,9 @@ class TestNoDrawingThreads:
             assert len(recursion.read_path_csv(f)) == 1000
 
     def test_pair_maxima(self):
-        sum_max, max_max, q_top = recursion.pair_maxima(self.config(), 1000, 7, 5)
-        assert sum_max >= max_max and len(q_top) == 5
+        calibration = TailSample(5)
+        sum_max, max_max = recursion.pair_maxima(self.config(), 1000, 7, calibration)
+        assert sum_max >= max_max and len(calibration.largest(5)) == 5
 
     def test_a_one_replication_verify(self, tmp_path, monkeypatch):
         # one replication, and on one CPU the definition stage in one run:
@@ -1195,6 +1240,15 @@ class TestCliCommands:
         default = capsys.readouterr().out
         assert main(argv + ["--quantile", "0.99"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_cluster_reports_the_run_gap_it_used(self, tmp_path, capsys):
+        # ceil(log 5000) = 9 by default, as blocks reports its block length
+        assert main(["simulate", "--set", "n=5000", "--seed", "5", "--out", str(tmp_path)]) == 0
+        argv = ["estimate", "--input", str(tmp_path / "path.csv"), "--method", "cluster"]
+        capsys.readouterr()
+        for extra, gap in (([], 9), (["--run-gap", "4"], 4)):
+            assert main(argv + extra) == 0
+            assert json.loads(capsys.readouterr().out)["run_gap"] == gap
 
     def test_three_field_edge_line_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "graph.edges"

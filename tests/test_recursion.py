@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rank_extremes import experiments, recursion, rng, textio
 from rank_extremes.errors import ConfigurationError, DataError, ParameterError, ResourceError
 from rank_extremes.estimators import (
+    TailSample,
     ThresholdRule,
     hill,
     nearest_rank_index,
@@ -642,12 +643,18 @@ IN_DEGREES = {
 }
 
 
+def maxima_and_top(config, n, seed, top, **kwargs):
+    """The two maxima of ``pair_maxima``, and the ``min(top, n)`` largest of
+    the preference draws it fed to a fresh tail sample of ``top``."""
+    calibration = TailSample(top)
+    return (*pair_maxima(config, n, seed, calibration, **kwargs),
+            calibration.largest(min(top, n)))
+
+
 class TestPairMaxima:
     def test_checks_its_arguments(self):
         with pytest.raises(ParameterError):
-            pair_maxima(make_config(), 0, SEED, 1)
-        with pytest.raises(ParameterError):
-            pair_maxima(make_config(), 10, SEED, 0)
+            pair_maxima(make_config(), 0, SEED, TailSample(1))
 
 
 class TestPreferenceBlocks:
@@ -682,7 +689,7 @@ class TestStreamDerivation:
                 for _ in recursion.aggregate_pair_blocks(config, 300, SEED):
                     pass
             else:
-                pair_maxima(config, 300, SEED, 3)
+                pair_maxima(config, 300, SEED, TailSample(3))
         counts = {path: derived.count(path) for path in derived}
         in_degree = (STREAMS["in_degree"],)
         explicit = deps != "iid"
@@ -708,7 +715,7 @@ class TestStreamDerivation:
         call = {
             "pair": lambda: recursion.aggregate_pair_blocks(config, 100, -1),
             "preference": lambda: recursion.preference_blocks(config, 100, -1),
-            "maxima": lambda: pair_maxima(config, 100, -1, 1),
+            "maxima": lambda: pair_maxima(config, 100, -1, TailSample(1)),
             "comparison": lambda: compare_tail_sum_max(config, 100, [0.95], -1),
             "weighted": lambda: weighted_pair_blocks([(1.0, SequenceSpec(TailSpec(2.0), dep))],
                                                      100, -1),
@@ -807,7 +814,7 @@ class TestThreadedIidKernel:
         sums, maxes, in_deg, q = whole_iid_pair(config, n, seed)
         with iid_kernel(block_rows, draws):
             pair = sample_aggregate_pair(config, n, seed)
-            maxima = pair_maxima(config, n, seed, 3)
+            maxima = maxima_and_top(config, n, seed, 3)
             rows = compare_tail_sum_max(config, n, thresholds, seed)
         assert pair.sum_values.tobytes() == sums.tobytes()
         assert pair.max_values.tobytes() == maxes.tobytes()
@@ -1022,16 +1029,19 @@ class TestBoundAndRefine:
         deps = (DependenceSpec.moving_maxima(1, 1) if explicit else DependenceSpec.iid(),)
         config = make_config(damping=damping, follower_tail=follower,
                              preference_tail=preference, follower_deps=deps, **degrees)
-        # one ring for calls of several lengths, as a run of replications shares it
-        ring = recursion.BlockRing()
-        with iid_kernel(block_rows, draws):
-            got = [pair_maxima(config, n, seed + i, top, ring=ring)
-                   for i, n in enumerate(sizes)]
-        for i, (n, (sum_max, max_max, q_top)) in enumerate(zip(sizes, got)):
+        # one ring and one tail sample for calls of several lengths, as a run
+        # of replications shares them
+        ring, calibration, pooled = recursion.BlockRing(), TailSample(top), []
+        for i, n in enumerate(sizes):
+            with iid_kernel(block_rows, draws):
+                sum_max, max_max = pair_maxima(config, n, seed + i, calibration, ring=ring)
             sums, maxes, q = whole_pair(config, n, seed + i)
             assert type(sum_max) is type(max_max) is float
             assert (sum_max, max_max) == (float(sums.max()), float(maxes.max()))
-            assert q_top.tobytes() == upper_order_statistics(q, min(top, n)).tobytes()
+            pooled = np.concatenate([pooled, q])
+            count = min(top, len(pooled))
+            assert calibration.largest(count).tobytes() == \
+                upper_order_statistics(pooled, count).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, spec=st.sampled_from([TailSpec(3.0), TailSpec(0.5, 2.0), TIED]),
@@ -1079,7 +1089,7 @@ class TestBoundAndRefine:
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
                              follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
         transformed = transformed_sizes(monkeypatch)
-        got = pair_maxima(config, 10**5, seed, 501)
+        got = pair_maxima(config, 10**5, seed, TailSample(501))
         sums, maxes, _, q = whole_iid_pair(config, 10**5, seed)
         assert got[:2] == (float(sums.max()), float(maxes.max()))
         # the largest uniform of each of the two blocks, then the draws of
@@ -1090,7 +1100,7 @@ class TestBoundAndRefine:
     def test_heavy_followers_take_the_max_path_from_the_draws(self, monkeypatch):
         config = make_config(follower_tail=TailSpec(0.5), preference_tail=TailSpec(3.0))
         transformed = transformed_sizes(monkeypatch)
-        got = pair_maxima(config, 5000, SEED, 10)
+        got = pair_maxima(config, 5000, SEED, TailSample(10))
         sums, maxes, _, q = whole_iid_pair(config, 5000, SEED)
         assert got[:2] == (float(sums.max()), float(maxes.max()))
         # the largest max value is a follower term, not a preference term
@@ -1101,12 +1111,15 @@ class TestBoundAndRefine:
     def test_a_shared_ring_allocates_its_buffers_once(self):
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
                              follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
-        ring = recursion.BlockRing()
+        # a ring and a tail sample shared as a run shares them: the first two
+        # calls raise the sample's floor
+        ring, calibration = recursion.BlockRing(), TailSample(501)
         for seed in (SEED, SEED + 1):  # the follower buffer grows to a last size
-            pair_maxima(config, 10**5, seed, 501, ring=ring)
+            pair_maxima(config, 10**5, seed, calibration, ring=ring)
         peaks = []
         for r in (None, ring):
-            peaks.append(traced(lambda: pair_maxima(config, 10**5, SEED + 2, 501, ring=r))[1])
+            peaks.append(traced(lambda: pair_maxima(config, 10**5, SEED + 2, calibration,
+                                                    ring=r))[1])
         # a fresh ring holds three 512 KB arrays (in-degrees, their lookup
         # scratch and q) and the 0.7 MB follower-draw buffer; a shared one
         # leaves the 64 KB of the in-degree lookup's bucket flags
@@ -1174,7 +1187,7 @@ class TestBoundedReplication:
         top = n - nearest_rank_index(1.0 - exceed_prob, n)
         with iid_kernel(block_rows, draws):
             got = outcome(lambda: replication_row("verify-thm4", params))
-            maxima = pair_maxima(config, n, rep_seed, top)
+            maxima = maxima_and_top(config, n, rep_seed, top)
         assert got == want
         sums, maxes, _, q = whole_iid_pair(config, n, rep_seed)
         assert maxima[:2] == (float(sums.max()), float(maxes.max()))
