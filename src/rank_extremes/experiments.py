@@ -368,10 +368,9 @@ def _predict(regime: str, params) -> dict:
     return {"k_of_z": pred.k_of_z, "theta_of_z": pred.theta_of_z, "regime": pred.regime}
 
 
-# Hard cap on the calibration draws the definition stage's runs hand back: a
-# run keeps at most 2 * count plus one block (:class:`_DefinitionRun`), and its
-# top min(count, draws) comes back, so r * min(count, def_n) float64 values at
-# most, when each run is one replication (10^7 are 80 MB).
+# Hard cap on the draws the definition stage's runs hand back, each its top
+# min(count, draws) (:class:`_DefinitionRun`): r * min(count, def_n) float64
+# values when each run is one replication (10^7 are 80 MB).
 DEFINITION_POOL_BUDGET = 10**7
 
 
@@ -398,8 +397,8 @@ def _definition_count(params) -> int:
 
 class _DefinitionRun:
     """A run of definition replications (:func:`_run`): the pair's config,
-    and one :class:`TailSample` of ``count`` that all the run's preference
-    draws feed, shared as the run's one ring is."""
+    and one :class:`TailSample` of ``count``, shared as the run's one ring
+    is, that each block's top ``count`` preference draws feed."""
 
     def __init__(self, params):
         self.config, self.n = recursion_config_from_params(params), params["def_n"]
@@ -409,9 +408,8 @@ class _DefinitionRun:
         return pair_maxima(self.config, self.n, seed, self.calibration, ring=ring)
 
     def result(self, maxima: list) -> tuple:
-        """The run's sum maxima, max maxima and ``count`` largest draws (all
-        when it drew fewer): the ``count`` largest of a union are the ``count``
-        largest of the parts' own, so ``u_n`` taken over the runs' tops is exact."""
+        """The run's sum maxima, max maxima and top ``count`` draws (all, when
+        fewer): the top ``count`` of the runs' tops is that of all draws."""
         sample = self.calibration
         return (*zip(*maxima), sample.largest(min(sample.top, sample.n)))
 
@@ -422,9 +420,9 @@ def _definition_stage(params, jobs: int) -> dict:
 
     The replications are streamed through :func:`_replicate` in runs
     (:class:`_DefinitionRun`): each reduces its pair to two maxima and feeds
-    its preference draws to its run's one tail sample, of at most ``2 *
-    count`` draws and one block.  The main process holds the runs' tops,
-    ``runs * count`` draws, and ``u_n``, their ``count``-th largest.
+    its blocks' top ``count`` draws to its run's tail sample, of at most
+    ``3 * count``.  The main process holds ``runs * count``, the runs'
+    tops, and ``u_n``, their ``count``-th largest.
     """
     count = _definition_count(params)
     r, n_def, tau = params["def_replications"], params["def_n"], params["tau"]

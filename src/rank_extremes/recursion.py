@@ -22,8 +22,8 @@ draws the random-length pair of either column kind (:func:`_pair_blocks`):
 each block's in-degrees and preference values, its follower terms from
 :func:`_iid_followers` or :func:`_column_block`, and the preference term.
 Given a floor, or in :func:`pair_maxima` each block's largest preference
-term, i.i.d. columns bound the rows and refine only those that can reach it.
-:func:`pair_maxima` feeds the preference draws to its caller's :class:`TailSample`.
+term (its top draws feed a :class:`TailSample`), i.i.d. columns bound the
+rows and refine only those that can reach it.
 """
 
 from __future__ import annotations
@@ -559,8 +559,8 @@ def write_path_csv(fileobj, config: RecursionConfig, n: int, seed: int,
 def pair_maxima(config: RecursionConfig, n: int, seed: int, calibration: TailSample, *,
                 ring: BlockRing | None = None) -> tuple[float, float]:
     """The largest sum and the largest max value of the pair
-    ``aggregate_pair_blocks(config, n, seed)``; its raw preference draws
-    feed ``calibration``, block by block in row order.
+    ``aggregate_pair_blocks(config, n, seed)``; each block's preference
+    draws are partitioned in place and feed ``calibration`` their top.
 
     No path is built: the blocks are those of :func:`_pair_blocks` at
     ``MAXIMA_BLOCK_ROWS`` rows and no floor, so with i.i.d. columns each
@@ -573,7 +573,9 @@ def pair_maxima(config: RecursionConfig, n: int, seed: int, calibration: TailSam
     for sums, maxes, _, q in _pair_blocks(config, n, seed, MAXIMA_BLOCK_ROWS,
                                           BlockRing() if ring is None else ring, None):
         sum_max, max_max = max(sum_max, sums.max()), max(max_max, maxes.max())
-        calibration.feed(q)
+        k = len(q) - min(calibration.top, len(q))
+        q.partition(k)  # the block is done with its preference draws
+        calibration.feed(q[k:])
     return float(sum_max), float(max_max)
 
 

@@ -98,6 +98,8 @@ PRIVATE_NAMES_TESTED = {
     "experiments._replicate": "the executor's pool sizes and runs, which no output shows",
     "experiments._run": "the executor's runs, which no output shows",
     "experiments._runs": "the run cut, which tests of exact pooling set to any run length",
+    "recursion._pair_blocks": "the blocks pair_maxima selects from, which a test of exact "
+                              "pooling fills with tied draws",
     "recursion._draw_bound": "the draw bound's margin over a pow off by a few ulps",
     "recursion._sum_bounds": "the row-sum bound's margin over the summation's rounding",
     "textio._exact": "which route, the exact reader or np.loadtxt, read each chunk",
@@ -436,20 +438,26 @@ class TestRunExperiment:
             assert top.tobytes() == upper_order_statistics(pooled, min(count, len(pooled))).tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(def_n=st.integers(2, 30), tau=st.floats(0.01, 0.99), high=st.integers(0, 4),
+    @given(def_n=st.integers(2, 120), tau=st.floats(0.005, 1.0), p=st.floats(0.2, 0.9),
            block=st.integers(1, 40), cuts=st.sets(st.integers(1, 99), max_size=12))
-    def test_runs_pool_tied_draws_exactly(self, def_n, tau, high, block, cuts):
-        # integer draws in 0..high, full of ties, fed in blocks of `block`
-        # rows; the 100 replications cut into runs at `cuts`: u_n, the
-        # count-th largest of the runs' tops, is that of all pooled draws
+    def test_runs_pool_tied_draws_exactly(self, def_n, tau, p, block, cuts):
+        # geometric integer draws, full of ties, as pair_maxima's blocks of
+        # `block` rows, of which it feeds each one's top count (about 100 *
+        # tau, often fewer than a block holds); the 100 replications cut into
+        # runs at `cuts`: u_n, the count-th largest of the runs' tops, is that
+        # of all pooled draws
         def draws(seed):
-            return np.random.default_rng(seed).integers(0, high + 1, def_n).astype(float)
+            return np.random.default_rng(seed).geometric(p, def_n).astype(float)
 
-        def integer_maxima(config, n, seed, calibration, ring=None):
+        def integer_blocks(config, n, seed, rows, ring, floor):
             q = draws(seed)
             for lo in range(0, n, block):
-                calibration.feed(q[lo:lo + block])
-            return 0.0, 0.0
+                yield np.zeros(1), np.zeros(1), None, q[lo:lo + block]
+
+        def integer_maxima(config, n, seed, calibration, ring=None):
+            with pytest.MonkeyPatch.context() as blocks:
+                blocks.setattr(recursion, "_pair_blocks", integer_blocks)
+                return recursion.pair_maxima(config, n, seed, calibration, ring=ring)
 
         def runs(r, workers):
             bounds = [0, *sorted(c for c in cuts if c < r), r]
@@ -462,7 +470,7 @@ class TestRunExperiment:
             return definition_theta_from_maxima(maxima, n, tau, u_n)
 
         cfg = ExperimentConfig.default("verify-thm4", def_replications=100, def_n=def_n,
-                                       tau=tau * def_n, n=1000, replications=1)
+                                       tau=tau, n=1000, replications=1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "pair_maxima", integer_maxima)
             mp.setattr(experiments, "_runs", runs)
@@ -471,7 +479,7 @@ class TestRunExperiment:
             run_experiment(cfg)
         pooled = np.concatenate([draws(replication_seed(cfg.params["seed"], rep))
                                  for rep in range(100)])
-        count = definition_top_count(100, def_n, tau * def_n)
+        count = definition_top_count(100, def_n, tau)
         assert thresholds == [float(upper_order_statistics(pooled, count)[-1])] * 2
 
     def test_definition_stage_memory_is_far_below_one_block(self):
@@ -505,13 +513,12 @@ class TestRunExperiment:
         params = ExperimentConfig.default(
             "verify-thm4", deps="mm:1,1", n_max=20, def_replications=100, def_n=10**5).params
         config = experiments.recursion_config_from_params(params)
-        calibration = TailSample(definition_top_count(100, 10**5, params["tau"]))
-        # a first replication caches the in-degree law's tables and raises
-        # the floor of the tail sample it shares with the next, as in a run
+        count = definition_top_count(100, 10**5, params["tau"])
+        # a first replication caches the in-degree law's tables
         recursion.pair_maxima(config, 10**5, replication_seed(params["seed"], 0),
-                              calibration, ring=BlockRing())
+                              TailSample(count), ring=BlockRing())
         _, peak = traced(lambda: recursion.pair_maxima(
-            config, 10**5, replication_seed(params["seed"], 1), calibration,
+            config, 10**5, replication_seed(params["seed"], 1), TailSample(count),
             ring=BlockRing()))
         assert peak < 3 * 2**20, peak
 

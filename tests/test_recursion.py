@@ -655,6 +655,8 @@ class TestPairMaxima:
     def test_checks_its_arguments(self):
         with pytest.raises(ParameterError):
             pair_maxima(make_config(), 0, SEED, TailSample(1))
+        with pytest.raises(ParameterError):  # the top it keeps
+            TailSample(0)
 
 
 class TestPreferenceBlocks:
@@ -1111,14 +1113,12 @@ class TestBoundAndRefine:
     def test_a_shared_ring_allocates_its_buffers_once(self):
         config = make_config(in_degree=InDegreeSpec(alpha=2.0, n_max=100),
                              follower_tail=TailSpec(3.0), preference_tail=TailSpec(1.0))
-        # a ring and a tail sample shared as a run shares them: the first two
-        # calls raise the sample's floor
-        ring, calibration = recursion.BlockRing(), TailSample(501)
+        ring = recursion.BlockRing()
         for seed in (SEED, SEED + 1):  # the follower buffer grows to a last size
-            pair_maxima(config, 10**5, seed, calibration, ring=ring)
+            pair_maxima(config, 10**5, seed, TailSample(501), ring=ring)
         peaks = []
         for r in (None, ring):
-            peaks.append(traced(lambda: pair_maxima(config, 10**5, SEED + 2, calibration,
+            peaks.append(traced(lambda: pair_maxima(config, 10**5, SEED + 2, TailSample(501),
                                                     ring=r))[1])
         # a fresh ring holds three 512 KB arrays (in-degrees, their lookup
         # scratch and q) and the 0.7 MB follower-draw buffer; a shared one
